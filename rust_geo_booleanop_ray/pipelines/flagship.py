@@ -5,8 +5,10 @@ The end-to-end north-star flow, every stage a Dataset transform:
   read images (streaming synth source or parquet)
     → derive_footprints           (stateless map_batches, vectorized)
     → TileJoinClip('exact')       (stateless map_batches; Martinez clip)
-    → groupby(tile_id)            (THE shuffle, keyed on the cell space)
-    → RasterizeTile               (map_groups)
+    → RasterizePartial            (map_batches; one scanline pass per batch)
+    → groupby(tile_id)            (THE shuffle, keyed on the cell space;
+                                   moves fixed-size count rasters)
+    → merge_rasters               (map_groups; sums a tile's partials)
     → vectorize_tiles_batch       (map_batches, raster→vector)
 
 No driver-side materialization: callers consume the returned Dataset
@@ -18,12 +20,7 @@ from __future__ import annotations
 from ..sources.images import read_synth_images
 from ..stages.footprint import derive_footprints
 from ..stages.join_clip import TileJoinClip
-from ..stages.tiles import (
-    RasterizePartial,
-    RasterizeTile,
-    merge_rasters,
-    vectorize_tiles_batch,
-)
+from ..stages.tiles import RasterizePartial, merge_rasters, vectorize_tiles_batch
 from ..tuning import tune_data_context
 
 tune_data_context()
@@ -47,8 +44,8 @@ def tile_pipeline(n_images: int = 2000, tile_res: int = 5, raster_px: int = 32, 
     """Clips are pre-rasterized INSIDE map_batches (RasterizePartial), so
     the groupby shuffle moves fixed-size count bitmaps, not geometry
     lists; per-tile merge is an additive reduce.  Equivalent output to
-    grouping raw clips into RasterizeTile, at a fraction of the
-    exchange volume."""
+    grouping raw clips into ``stages.tiles.RasterizeTile``, at a
+    fraction of the exchange volume."""
     clips = clip_dataset(n_images, tile_res, seed, images_ds)
     partials = clips.map_batches(
         RasterizePartial(raster_px), batch_format="pyarrow", zero_copy_batch=True

@@ -82,16 +82,27 @@ def cell_parent(cells, steps: int = 1) -> np.ndarray:
     )
 
 
+def cell_bounds_array(cells):
+    """Cell ids → (minx, miny, maxx, maxy) float64 arrays.  Vectorized.
+
+    Each element goes through the same float operations in the same
+    order, so ``cell_bounds`` (which calls this) and any per-cell
+    rebuild of the formula agree bit for bit."""
+    c = np.asarray(cells).astype(np.uint64)
+    res = (c >> np.uint64(58)).astype(np.int64)
+    ix, iy = cell_xy(c)
+    minx, miny, maxx, maxy = WORLD
+    side = np.ldexp(1.0, res)  # 2**res, exact
+    wx = (maxx - minx) / side
+    wy = (maxy - miny) / side
+    x0 = minx + ix.astype(np.float64) * wx
+    y0 = miny + iy.astype(np.float64) * wy
+    return x0, y0, x0 + wx, y0 + wy
+
+
 def cell_bounds(cell: int):
     """One cell id → (minx, miny, maxx, maxy)."""
-    res = int(cell >> 58)
-    ix, iy = cell_xy(np.array([cell], dtype=np.uint64))
-    minx, miny, maxx, maxy = WORLD
-    wx = (maxx - minx) / (2**res)
-    wy = (maxy - miny) / (2**res)
-    x0 = minx + float(ix[0]) * wx
-    y0 = miny + float(iy[0]) * wy
-    return (x0, y0, x0 + wx, y0 + wy)
+    return tuple(float(b[0]) for b in cell_bounds_array([cell]))
 
 
 def cell_polygon(cell: int):

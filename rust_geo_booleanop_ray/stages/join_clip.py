@@ -37,7 +37,7 @@ from ..sources.arrow_geom import (
     rects_to_arrow,
     shoelace_area,
 )
-from .cells import WORLD, cell_bounds, cell_xy, cover_bbox
+from .cells import cell_bounds, cell_bounds_array, cover_bbox
 
 _EMPTY_JOIN_SCHEMA = pa.schema(
     [
@@ -109,17 +109,7 @@ class TileJoinClip:
         # per-row convex/Martinez loop without a native kernel.
         from ..native import native_boolean_batch
 
-        # tile bounds columnarly (cells are closed-form arithmetic —
-        # same float ops as cell_bounds, vectorized)
-        wminx, wminy, wmaxx, wmaxy = WORLD
-        n_side = 2**self.tile_res
-        twx = (wmaxx - wminx) / n_side
-        twy = (wmaxy - wminy) / n_side
-        tix, tiy = cell_xy(tiles)
-        tx0 = wminx + tix.astype(np.float64) * twx
-        ty0 = wminy + tiy.astype(np.float64) * twy
-        tx1 = tx0 + twx
-        ty1 = ty0 + twy
+        tx0, ty0, tx1, ty1 = cell_bounds_array(tiles)
         contained = (
             (bminx[row_idx] > tx0)
             & (bmaxx[row_idx] < tx1)

@@ -1,62 +1,168 @@
 """Tile materialization: raster ⇄ vector.
 
 Tiles are cells at a fixed resolution (one id space for partitioning,
-join keys and tile naming).  ``RasterizeTile`` turns the clipped
-pieces of one tile into a coverage-count raster (vectorized PIP on the
-pixel-center grid); ``raster_to_rects`` extracts maximal horizontal-run
-rectangles back into vector space (raster→vector).  Together they give
-the raster↔vector round trip of the north star.
+join keys and tile naming).  ``RasterizePartial`` turns a batch of
+clipped pieces into one coverage-count raster per tile with a single
+vectorized even-odd scanline pass over the Arrow offset buffers;
+``merge_rasters`` sums a tile's partial rasters after the shuffle;
+``raster_to_rects`` extracts maximal horizontal-run rectangles back into
+vector space (raster→vector).  Together they give the raster↔vector
+round trip of the north star.
 
-Used as: join_output.groupby("tile_id").map_groups(RasterizeTile(px),
-batch_format="pyarrow") — the groupby is the one shuffle, keyed by the
-same cell-id space as everything else.
+Used as: clips.map_batches(RasterizePartial(px))
+.groupby("tile_id").map_groups(merge_rasters) — the groupby is the one
+shuffle, keyed by the same cell-id space as everything else, and it
+moves fixed-size count rasters rather than geometry.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..functions.pip import points_in_multipolygon
-from ..sources.arrow_geom import arrow_to_mps, mps_to_arrow
-from .cells import cell_bounds
+from ..sources.arrow_geom import arrow_mp_offsets, mps_to_arrow
+from .cells import cell_bounds, cell_bounds_array
+
+PARTIAL_SCHEMA = pa.schema(
+    [
+        ("tile_id", pa.int64()),
+        ("px", pa.int32()),
+        ("raster", pa.binary()),
+        ("n_pieces", pa.int64()),
+    ]
+)
+
+
+def pixel_centres(tile_ids, px: int):
+    """Per-tile pixel-centre coordinates: ``(xs, ys)``, each (T, px).
+
+    Same float ops as one tile's ``x0 + (arange(px) + 0.5) * (x1 - x0)
+    / px``, so the grid matches a per-tile build bit for bit.  Both
+    rows are non-decreasing, which ``rasterize_counts`` relies on."""
+    x0, y0, x1, y1 = cell_bounds_array(tile_ids)
+    k = np.arange(px) + 0.5
+    xs = x0[:, None] + k * (x1 - x0)[:, None] / px
+    ys = y0[:, None] + k * (y1 - y0)[:, None] / px
+    return xs, ys
+
+
+def _count_below(tab: np.ndarray, row: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """For each i, how many entries of the non-decreasing row
+    ``tab[row[i]]`` are ``< v[i]`` (0 when ``v[i]`` is NaN).  Vectorized
+    bisection: ``n.bit_length()`` steps cover the n + 1 possible
+    answers."""
+    n = tab.shape[1]
+    flat = tab.ravel()
+    base = row * n
+    lo = np.zeros(len(v), dtype=np.intp)
+    hi = np.full(len(v), n, dtype=np.intp)
+    for _ in range(n.bit_length()):
+        mid = (lo + hi) >> 1
+        # mid == n only once lo == hi == n (converged): keep it there
+        below = (mid < n) & (flat[base + np.minimum(mid, n - 1)] < v)
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(below, hi, mid)
+    return lo
+
+
+def rasterize_counts(clip, xs: np.ndarray, ys: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Even-odd coverage counts of a multipolygon column on pixel grids.
+
+    Row ``i`` of ``clip`` is tested at the pixel centres
+    ``xs[grid[i]] × ys[grid[i]]`` and its mask is added to raster
+    ``grid[i]``; returns ``(len(xs), ny, nx)`` uint32 counts.  Every
+    pixel decision equals ``functions.pip.points_in_multipolygon`` on
+    the same grid: the same edges (a closed ring drops its repeated
+    last vertex, an open one gets the closing edge), the same crossing
+    test and the same ``xint`` float expression.  ``clip`` must hold no
+    null rows; empty rings and multipolygons add nothing.
+
+    One pass for the whole column, no per-row Python:
+      1. every ring edge ``(v[k], v[k-1])`` from the offset buffers;
+      2. the pixel rows each edge crosses, ``(y1 > py) != (y2 > py)`` —
+         a row range, because ``ys`` is sorted;
+      3. per (edge, row), the columns left of the crossing,
+         ``gx < xint`` — a prefix ``[0, c)``, because ``xs`` is sorted;
+      4. per (clip row, pixel row) the prefixes XOR into the even-odd
+         parity: sorted by ``c``, the j-th largest enters with sign
+         ``(-1)**j``, and the signed prefixes sum to 1 exactly on the
+         inside pixels;
+      5. the signed prefixes of all clips go into one difference array
+         per raster, and a running sum along the columns gives counts.
+    Temporaries are O(edges + crossings + len(xs)·ny·nx), never
+    O(rows·ny·nx).
+    """
+    ny, nx = ys.shape[1], xs.shape[1]
+    coords, ring_off, poly_off, mp_off = arrow_mp_offsets(clip)
+    grid = np.asarray(grid, dtype=np.intp)
+
+    # 1. edges.  A ring with nv vertices has m = nv - closed edges: for
+    # i in [0, m), later vertex v[i] and earlier vertex v[i-1 mod m].
+    rings_per_row = poly_off[mp_off[1:]] - poly_off[mp_off[:-1]]
+    ring_row = np.repeat(np.arange(len(rings_per_row)), rings_per_row)
+    ring = np.arange(poly_off[mp_off[0]], poly_off[mp_off[-1]])
+    start = ring_off[ring].astype(np.intp)
+    nv = ring_off[ring + 1] - start
+    closed = np.zeros(len(ring), dtype=bool)
+    some = nv > 0
+    closed[some] = (coords[start[some]] == coords[start[some] + nv[some] - 1]).all(axis=1)
+    m = nv - closed
+    edge_ring = np.repeat(np.arange(len(ring)), m)
+    i = np.arange(len(edge_ring)) - np.repeat(np.cumsum(m) - m, m)
+    later = start[edge_ring] + i
+    earlier = np.where(i == 0, later + m[edge_ring] - 1, later - 1)
+    x1, y1 = coords[later, 0], coords[later, 1]
+    x2, y2 = coords[earlier, 0], coords[earlier, 1]
+    edge_row = ring_row[edge_ring]
+    edge_grid = grid[edge_row]
+
+    # 2. crossed rows [lo, hi) of each edge → (edge, row) pairs
+    a = _count_below(ys, edge_grid, y1)
+    b = _count_below(ys, edge_grid, y2)
+    lo = np.minimum(a, b)
+    span = np.maximum(a, b) - lo
+    pe = np.repeat(np.arange(len(span)), span)
+    prow = lo[pe] + np.arange(len(pe)) - np.repeat(np.cumsum(span) - span, span)
+    pgrid = edge_grid[pe]
+
+    # 3. crossing abscissa, in functions.pip.points_in_ring's op order
+    py = ys[pgrid, prow]
+    X1, Y1 = x1[pe], y1[pe]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        xint = (x2[pe] - X1) * (py - Y1) / (y2[pe] - Y1) + X1
+    c = _count_below(xs, pgrid, xint)
+
+    # 4. sort by (clip row, pixel row, c); the sign alternates from the
+    # largest c down within each (clip row, pixel row) group
+    key = (edge_row[pe] * ny + prow) * (nx + 1) + c
+    key.sort()
+    group = key // (nx + 1)
+    c = key - group * (nx + 1)
+    last = np.flatnonzero(np.diff(group, append=-1))  # group ends
+    from_top = np.repeat(last, np.diff(np.r_[-1, last])) - np.arange(len(key))
+    sign = 1.0 - 2.0 * (from_top & 1)
+
+    # 5. +sign at column 0, -sign at column c, per (raster, pixel row)
+    out_row = grid[group // ny] * ny + group % ny
+    size = len(xs) * ny * (nx + 1)
+    diff = np.bincount(out_row * (nx + 1), sign, size) - np.bincount(
+        out_row * (nx + 1) + c, sign, size
+    )
+    counts = np.cumsum(diff.reshape(len(xs), ny, nx + 1)[:, :, :nx], axis=2)
+    return counts.astype(np.uint32)
 
 
 class RasterizeTile:
-    """Per-tile coverage raster from clipped geometries (map_groups fn)."""
+    """Per-tile coverage raster from one tile's clipped geometries
+    (map_groups fn): ``merge_rasters`` over ``RasterizePartial``."""
 
     def __init__(self, px: int = 32):
         self.px = px
         self.__name__ = type(self).__name__
 
     def __call__(self, group: pa.Table) -> pa.Table:
-        tile_id = int(group["tile_id"][0].as_py())
-        x0, y0, x1, y1 = cell_bounds(tile_id)
-        px = self.px
-        xs = x0 + (np.arange(px) + 0.5) * (x1 - x0) / px
-        ys = y0 + (np.arange(px) + 0.5) * (y1 - y0) / px
-        gx, gy = np.meshgrid(xs, ys)
-        gx = gx.ravel()
-        gy = gy.ravel()
-
-        # accumulate in uint32 — a pixel covered by >65535 pieces must
-        # saturate on the uint16 wire, never wrap to 0 (wrap would
-        # undercount coverage_fraction)
-        counts = np.zeros(px * px, dtype=np.uint32)
-        for mp in arrow_to_mps(group["clip"]):
-            counts += points_in_multipolygon(gx, gy, mp).astype(np.uint32)
-
-        covered = int((counts > 0).sum())
-        wire = np.minimum(counts, 65535).astype(np.uint16)
-        return pa.table(
-            {
-                "tile_id": pa.array([tile_id], pa.int64()),
-                "px": pa.array([px], pa.int32()),
-                "raster": pa.array([wire.tobytes()], pa.binary()),
-                "n_pieces": pa.array([group.num_rows], pa.int64()),
-                "coverage_fraction": pa.array([covered / (px * px)], pa.float64()),
-            }
-        )
+        return merge_rasters(RasterizePartial(self.px)(group))
 
 
 class RasterizePartial:
@@ -66,55 +172,45 @@ class RasterizePartial:
     (2·px² bytes) instead of geometry lists, and ``merge_rasters`` sums
     them.  Count rasters are additive and order-independent, so
     partial + merge is exactly equivalent to whole-group rasterization
-    (the pre-aggregate-before-shuffle pattern)."""
+    (the pre-aggregate-before-shuffle pattern).
+
+    A null ``tile_id`` or ``clip`` raises ``ValueError`` naming the row;
+    an empty ring or multipolygon adds no coverage but counts in
+    ``n_pieces``."""
 
     def __init__(self, px: int = 32):
         self.px = px
         self.__name__ = type(self).__name__
-        self._grids: dict = {}
-
-    def _grid(self, tile_id: int):
-        g = self._grids.get(tile_id)
-        if g is None:
-            x0, y0, x1, y1 = cell_bounds(tile_id)
-            px = self.px
-            xs = x0 + (np.arange(px) + 0.5) * (x1 - x0) / px
-            ys = y0 + (np.arange(px) + 0.5) * (y1 - y0) / px
-            gx, gy = np.meshgrid(xs, ys)
-            g = (gx.ravel(), gy.ravel())
-            if len(self._grids) > 4096:
-                self._grids.clear()
-            self._grids[tile_id] = g
-        return g
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         px = self.px
-        tile_ids = batch["tile_id"].to_numpy()
-        mps = arrow_to_mps(batch["clip"])
-        acc: dict = {}
-        pieces: dict = {}
-        for tid, mp in zip(tile_ids, mps):
-            tid = int(tid)
-            gx, gy = self._grid(tid)
-            counts = acc.get(tid)
-            if counts is None:
-                # uint32 accumulator; saturate to the uint16 wire below
-                counts = np.zeros(px * px, dtype=np.uint32)
-                acc[tid] = counts
-                pieces[tid] = 0
-            counts += points_in_multipolygon(gx, gy, mp).astype(np.uint32)
-            pieces[tid] += 1
-        tids = sorted(acc)
+        tile_col, clip = batch["tile_id"], batch["clip"]
+        for name, col in (("tile_id", tile_col), ("clip", clip)):
+            if col.null_count:
+                row = int(np.flatnonzero(pc.is_null(col).to_numpy(zero_copy_only=False))[0])
+                raise ValueError(
+                    f"RasterizePartial: row {row} (tile_id {tile_col[row].as_py()}) "
+                    f"has a null {name}"
+                )
+        tids, tile_of_row = np.unique(tile_col.to_numpy(), return_inverse=True)
+        xs, ys = pixel_centres(tids, px)
+        counts = rasterize_counts(clip, xs, ys, tile_of_row)
+        # uint32 accumulator; saturate to the uint16 wire
+        wire = np.minimum(counts, 65535).astype(np.uint16)
+        # one px*px uint16 raster per tile, back to back in one buffer
+        # (the int32 cast raises rather than wrap past 2 GiB)
+        offsets = pa.array(np.arange(len(tids) + 1, dtype=np.int64) * (2 * px * px), pa.int32())
+        raster = pa.Array.from_buffers(
+            pa.binary(), len(tids), [None, offsets.buffers()[1], pa.py_buffer(wire)]
+        )
         return pa.table(
-            {
-                "tile_id": pa.array(tids, pa.int64()),
-                "px": pa.array([px] * len(tids), pa.int32()),
-                "raster": pa.array(
-                    [np.minimum(acc[t], 65535).astype(np.uint16).tobytes() for t in tids],
-                    pa.binary(),
-                ),
-                "n_pieces": pa.array([pieces[t] for t in tids], pa.int64()),
-            }
+            [
+                pa.array(tids, pa.int64()),
+                pa.array(np.full(len(tids), px, dtype=np.int32)),
+                raster,
+                pa.array(np.bincount(tile_of_row, minlength=len(tids)), pa.int64()),
+            ],
+            schema=PARTIAL_SCHEMA,
         )
 
 

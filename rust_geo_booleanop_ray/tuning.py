@@ -15,11 +15,15 @@ operator from starving downstream operators mid-stream.  This engine's
 stages are compute-bound over small Arrow blocks (BASELINE.md: blocks are
 ~0.3 MB vs a 37 GiB object store), so the memory-starvation scenario the
 reservation guards against cannot occur, while the CPU split is a measured
-2× parallelism loss: the flagship's fused map stage (ReadRange→gen→
-footprints→TileJoinClip→RasterizePartial, 26 CPU-s of work) ran 64 tasks
+2× parallelism loss: on a 32-CPU box the flagship's fused map stage
+(ReadRange→gen→footprints→TileJoinClip→RasterizePartial) ran 64 tasks
 at an effective parallelism of ~12 of 32 CPUs (2.7 s wall) with the
-reservation on, and ~30 of 32 (1.8 s wall) with it off.  Greedy sharing
-(the pre-2.10 behavior) is the right default for this workload shape.
+reservation on, and ~30 of 32 (1.8 s wall) with it off.  That stage did
+26 CPU-s of work then, most of it a per-clip rasterizer since replaced
+by one scanline pass per batch, so it is cheaper today; the argument
+rests only on its operators being CPU-bound over small blocks, which
+still holds.  Greedy sharing (the pre-2.10 behavior) is the right
+default for this workload shape.
 
 At 100-TB scale the same logic holds per node: stages stream bounded
 blocks through a large object store, and the streaming executor's

@@ -6,7 +6,10 @@ import pyarrow as pa
 from rust_geo_booleanop_ray.functions.pip import pip_bbox, points_in_multipolygon
 from rust_geo_booleanop_ray.functions.rtree import STRtree
 from rust_geo_booleanop_ray.stages.cells import (
+    MAX_RES,
+    WORLD,
     cell_bounds,
+    cell_bounds_array,
     cell_encode,
     cell_parent,
     cell_polygon,
@@ -99,6 +102,33 @@ def test_cell_polygon_matches_bounds():
     x0, y0, x1, y1 = cell_bounds(c)
     assert poly[0][0][0] == (x0, y0)
     assert poly[0][0][2] == (x1, y1)
+
+
+def _scalar_cell_bounds(cell: int):
+    """The per-cell formula cell_bounds_array must reproduce exactly."""
+    res = int(cell >> 58)
+    ix, iy = cell_xy(np.array([cell], dtype=np.uint64))
+    minx, miny, maxx, maxy = WORLD
+    wx = (maxx - minx) / (2**res)
+    wy = (maxy - miny) / (2**res)
+    x0 = minx + float(ix[0]) * wx
+    y0 = miny + float(iy[0]) * wy
+    return (x0, y0, x0 + wx, y0 + wy)
+
+
+def test_cell_bounds_array_matches_scalar_formula():
+    rng = np.random.default_rng(17)
+    for res in range(MAX_RES + 1):
+        xs = np.r_[rng.uniform(-180, 180, 60), -180.0, 180.0, 0.0, 1e-12]
+        ys = np.r_[rng.uniform(-90, 90, 60), -90.0, 90.0, 0.0, 1e-12]
+        cells = cell_encode(xs, ys, res)
+        arrays = cell_bounds_array(cells)
+        # int64 ids (the tile_id column type) decode the same
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, cell_bounds_array(cells.view(np.int64))))
+        for i, c in enumerate(cells):
+            want = _scalar_cell_bounds(int(c))
+            assert tuple(float(a[i]) for a in arrays) == want
+            assert cell_bounds(int(c)) == want
 
 
 def test_rtree_randomized():
