@@ -1,6 +1,6 @@
 """Benchmark harness — prints ONE JSON line with headline wall times.
 
-  python bench.py              # all benches at $RAY_GRAFT_CPUS (def 32)
+  python bench.py              # all benches at $RAY_GRAFT_CPUS (def: usable cores)
                                # over $GRAFT_SF_DIR (def /root/testdata/sf0.1)
   python bench.py --scaling    # flagship at 8 vs 32 CPUs in fresh
                                # processes + scaling efficiency
@@ -8,7 +8,10 @@
 Headline = the flagship spatial pipeline (synthetic Lance-shaped image
 table → footprints → Martinez tile clip → rasterize → vectorize) plus
 the oracle-checked query set over the sf dir.  ``value`` is total
-seconds across benches; ``queries`` holds per-bench seconds.
+seconds across benches; ``queries`` holds per-bench seconds.  The full
+result line is followed by a compact final line (≤1.5 kB: headline
+numbers, CPU counts, git SHA, Ray version) for readers that keep only
+the output's tail.
 """
 
 from __future__ import annotations
@@ -20,9 +23,35 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
 N_IMAGES = int(os.environ.get("GRAFT_BENCH_IMAGES", "40000"))
 ONLY = [s for s in os.environ.get("GRAFT_BENCH_ONLY", "").split(",") if s]
+
+
+def _emit(result: dict) -> None:
+    """Print the full result line, then the compact final line: its
+    scalar fields and ``derived`` numbers plus what they depend on."""
+    print(json.dumps(result))
+    compact = {k: v for k, v in result.items() if not isinstance(v, (dict, list))}
+    compact.update(result.get("derived", {}))
+    try:
+        import ray
+
+        compact["ray_version"] = ray.__version__
+    except ImportError:
+        compact["ray_version"] = None
+    try:
+        compact["git_sha"] = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True,
+            text=True,
+            timeout=10,
+        ).stdout.strip() or None
+    except (OSError, subprocess.SubprocessError):
+        compact["git_sha"] = None
+    compact["usable_cores"] = len(os.sched_getaffinity(0))
+    print(json.dumps(compact, separators=(",", ":")))
 
 
 def _consume(ds) -> int:
@@ -303,7 +332,7 @@ def main():
         )
     if derived:
         result["derived"] = derived
-    print(json.dumps(result))
+    _emit(result)
     ray.shutdown()
     return result
 
@@ -424,7 +453,7 @@ def scaling():
     out["scaling_efficiency"] = out["scaling_efficiency_4_to_16"]
     if "scaling_eff_rel_hw_4_to_16" in out:
         out["scaling_efficiency_rel_hw"] = out["scaling_eff_rel_hw_4_to_16"]
-    print(json.dumps(out))
+    _emit(out)
 
 
 def micro():
@@ -530,17 +559,15 @@ def micro():
             file=sys.stderr,
         )
 
-    print(
-        json.dumps(
-            {
-                "metric": "Martinez kernel micro-bench (criterion protocol: mean wall time per op, reference benchmark.rs workloads)",
-                "value": round(sum(per.values()), 6),
-                "unit": "sec",
-                "queries": per,
-                "stats": stats,
-                "num_cpus": 1,
-            }
-        )
+    _emit(
+        {
+            "metric": "Martinez kernel micro-bench (criterion protocol: mean wall time per op, reference benchmark.rs workloads)",
+            "value": round(sum(per.values()), 6),
+            "unit": "sec",
+            "queries": per,
+            "stats": stats,
+            "num_cpus": 1,
+        }
     )
 
 

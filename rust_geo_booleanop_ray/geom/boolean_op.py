@@ -21,10 +21,10 @@ OPERATIONS = (OP_INTERSECTION, OP_DIFFERENCE, OP_UNION, OP_XOR)
 def boolean_op(subject, clipping, operation, dtype: str = "f64"):
     """Boolean operation on two multipolygons; returns a multipolygon.
 
-    Dispatches to the native (C) kernel when available — an
-    operation-for-operation port verified bit-for-bit against the same
-    golden corpus (see native/); `GEO_NATIVE=0` or a missing compiler
-    falls back to the pure-Python kernel below.
+    Runs one pair through the native (C) batch kernel when it is
+    available — an operation-for-operation port verified bit-for-bit
+    against the same golden corpus (see native/); `GEO_NATIVE=0` or a
+    missing compiler runs the pure-Python kernel below.
 
     ``dtype="f32"`` runs the generic-Float kernel in single precision
     (the reference is generic over Float, helper.rs:8-10): inputs are

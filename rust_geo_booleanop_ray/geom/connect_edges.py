@@ -114,6 +114,11 @@ def initialize_contour_from_context(event: SweepEvent, contours, contour_id: int
     if prev_in_result is not None:
         lower_contour_id = prev_in_result.output_contour_id
         if prev_in_result.result_transition == TRANS_OUT_IN:
+            if lower_contour_id < 0:
+                # the reference indexes contours[lower_contour_id as
+                # usize] and panics; a negative Python index would
+                # silently pick the last contour
+                raise RuntimeError("previous result event has no output contour")
             # We are inside; check whether the thing below is a hole or exterior
             lower_contour = contours[lower_contour_id]
             if lower_contour.hole_of is not None:

@@ -11,6 +11,8 @@ Returns (kind, p1, p2) with kind in {"none", "point", "overlap"}.
 
 from __future__ import annotations
 
+import math
+
 INTER_NONE = 0
 INTER_POINT = 1
 INTER_OVERLAP = 2
@@ -64,6 +66,11 @@ def _mid_point(p, s, d):
     return (p[0] + s * d[0], p[1] + s * d[1])
 
 
+def _over_zero(n):
+    """IEEE-754 ``n / +0.0``."""
+    return math.nan if n == 0.0 or n != n else math.copysign(math.inf, n)
+
+
 def _intersection_impl(a1, a2, b1, b2):
     # reference segment_intersection.rs:86-154
     va = (a2[0] - a1[0], a2[1] - a1[1])
@@ -91,8 +98,14 @@ def _intersection_impl(a1, a2, b1, b2):
     if sqr_kross > 0.0:
         return (INTER_NONE, None, None)
 
-    sa = (va[0] * e[0] + va[1] * e[1]) / sqr_len_a
-    sb = sa + (va[0] * vb[0] + va[1] * vb[1]) / sqr_len_a
+    try:
+        sa = (va[0] * e[0] + va[1] * e[1]) / sqr_len_a
+        sb = sa + (va[0] * vb[0] + va[1] * vb[1]) / sqr_len_a
+    except ZeroDivisionError:
+        # sqr_len_a underflowed to 0 (a sub-1e-154 segment): the
+        # reference's f64 division gives ±inf or NaN where Python raises
+        sa = _over_zero(va[0] * e[0] + va[1] * e[1])
+        sb = sa + _over_zero(va[0] * vb[0] + va[1] * vb[1])
     smin = sa if sa < sb else sb
     smax = sa if sa > sb else sb
 

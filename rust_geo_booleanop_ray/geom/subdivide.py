@@ -85,10 +85,18 @@ def subdivide(queue: EventHeap, sbbox, cbbox, operation):
     sweep_line = SplaySet(compare_segments)
     sorted_events: list[SweepEvent] = []
     rightbound = min(sbbox[2], cbbox[2])
+    # Two of the E input edges split each other at most twice, so a
+    # sweep pops at most ~2E + 4E² events.  Past twice that, the
+    # reference's 1-ULP intersection nudge is creeping along a segment
+    # and the sweep would never end: fail the pair instead.
+    n_edges = len(queue) // 2
+    budget = 2 * n_edges + 8 * n_edges * n_edges
 
     while len(queue):
         event = queue.pop()
         sorted_events.append(event)
+        if len(sorted_events) > budget:
+            raise RuntimeError("sweep exceeded its event budget")
 
         if (operation == OP_INTERSECTION and event.point[0] > rightbound) or (
             operation == OP_DIFFERENCE and event.point[0] > sbbox[2]

@@ -1,11 +1,15 @@
 """Optional native (C) Martinez kernel, loaded via ctypes.
 
-Built on first import with the system compiler if available; every
-call path falls back to the pure-Python kernel when the build fails or
-`GEO_NATIVE=0`.  Parity with the Python kernel is enforced by the
-conformance corpus (tests/test_conformance.py runs both) — the C code
-is an operation-for-operation port compiled with -ffp-contract=off so
-IEEE double arithmetic matches CPython bit-for-bit.
+Built on first import with the system compiler if available.  The
+library has one entry point, ``martinez_batch``: a whole batch of pairs
+through the Arrow offset buffers.  ``stages.boolean_batch.boolean_batch``
+is the one place that chooses between it and the pure-Python reference
+kernel, which runs when the build fails or ``GEO_NATIVE=0``.  Parity
+with the Python kernel is enforced by the conformance corpus
+(tests/test_conformance.py runs both) and a seeded differential test
+(tests/test_boolean_dispatch.py) — the C code is an
+operation-for-operation port compiled with -ffp-contract=off so IEEE
+double arithmetic matches CPython bit-for-bit.
 """
 
 from __future__ import annotations
@@ -57,14 +61,6 @@ def _load():
     i64p = ctypes.POINTER(ctypes.c_int64)
     i32p = ctypes.POINTER(ctypes.c_int32)
     dp = ctypes.POINTER(ctypes.c_double)
-    lib.martinez_boolean.restype = ctypes.c_int
-    lib.martinez_boolean.argtypes = [
-        dp, i64p, i32p, i32p, i32p, ctypes.c_int64, ctypes.c_int32,
-        ctypes.POINTER(dp), ctypes.POINTER(i64p), ctypes.POINTER(i64p),
-        i64p, i64p, i64p,
-    ]
-    lib.martinez_free_result.restype = None
-    lib.martinez_free_result.argtypes = [dp, i64p, i64p]
     lib.martinez_batch.restype = ctypes.c_int
     lib.martinez_batch.argtypes = [
         dp, i32p, i32p, i32p,
@@ -84,131 +80,58 @@ def native_available() -> bool:
     return _load() is not None
 
 
-_OP_CODES = {"intersection": 0, "difference": 1, "union": 2, "xor": 3}
+# index = the C kernel's op code (martinez.c OP_*)
+_OP_NAMES = ("intersection", "difference", "union", "xor")
+
+# martinez_batch return codes; both kernels fail the same pairs
+_ERRORS = {
+    2: "previous result event has no output contour",
+    3: "sweep exceeded its event budget",
+}
+
+
+def _op_codes(ops, n: int):
+    """Op name (scalar) or names (one per row) → int32 op codes, by one
+    vectorized lookup."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    if isinstance(ops, str):
+        if ops not in _OP_NAMES:
+            raise ValueError(f"unknown operation: {ops!r}")
+        return np.full(n, _OP_NAMES.index(ops), dtype=np.int32)
+    if not isinstance(ops, (pa.Array, pa.ChunkedArray)):
+        ops = pa.array(ops, pa.string())
+    if len(ops) != n:
+        raise ValueError(f"{len(ops)} operations for {n} pairs")
+    codes = pc.index_in(ops, value_set=pa.array(_OP_NAMES))
+    if codes.null_count:
+        bad = ops.filter(codes.is_null())[0].as_py()
+        raise ValueError(f"unknown operation: {bad!r}")
+    return codes.to_numpy(zero_copy_only=False).astype(np.int32)
 
 
 def native_boolean_op(subject, clipping, operation):
-    """Same contract as geom.boolean_op; returns None when the native
-    library is unavailable (caller falls back to Python)."""
-    lib = _load()
-    if lib is None:
-        return None
+    """Same contract as geom.boolean_op: one pair through
+    ``native_boolean_batch``.  Returns None only when the native
+    library is unavailable."""
+    from ..sources.arrow_geom import arrow_to_mps, mps_to_arrow
 
-    import numpy as np
-
-    coords = []
-    ring_sizes = []
-    ring_subject = []
-    ring_contour = []
-    ring_exterior = []
-
-    # ring metadata mirrors fill_queue.rs:10-43 (contour-id assignment,
-    # Difference's no-increment rule for clipping polygons)
-    contour_id = 0
-    for polygon in subject:
-        contour_id += 1
-        first = True
-        for ring in polygon:
-            coords.append(ring)
-            ring_sizes.append(len(ring))
-            ring_subject.append(1)
-            ring_contour.append(contour_id)
-            ring_exterior.append(1 if first else 0)
-            first = False
-    for polygon in clipping:
-        exterior = operation != "difference"
-        if exterior:
-            contour_id += 1
-        first = True
-        for ring in polygon:
-            coords.append(ring)
-            ring_sizes.append(len(ring))
-            ring_subject.append(0)
-            ring_contour.append(contour_id)
-            ring_exterior.append(1 if (exterior and first) else 0)
-            first = False
-
-    n_rings = len(ring_sizes)
-    if n_rings == 0 or sum(ring_sizes) == 0:
-        # no edges at all — defer to the Python kernel's handling
-        return None
-
-    flat = np.empty((sum(ring_sizes), 2), dtype=np.float64)
-    pos = 0
-    for ring in coords:
-        n = len(ring)
-        if n:
-            flat[pos : pos + n] = ring
-        pos += n
-
-    c_xy = flat.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
-    arr_sizes = np.asarray(ring_sizes, dtype=np.int64)
-    arr_subj = np.asarray(ring_subject, dtype=np.int32)
-    arr_cont = np.asarray(ring_contour, dtype=np.int32)
-    arr_ext = np.asarray(ring_exterior, dtype=np.int32)
-
-    out_xy = ctypes.POINTER(ctypes.c_double)()
-    out_rs = ctypes.POINTER(ctypes.c_int64)()
-    out_prc = ctypes.POINTER(ctypes.c_int64)()
-    n_v = ctypes.c_int64()
-    n_r = ctypes.c_int64()
-    n_p = ctypes.c_int64()
-
-    rc = lib.martinez_boolean(
-        c_xy,
-        arr_sizes.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
-        arr_subj.ctypes.data_as(ctypes.POINTER(ctypes.c_int32)),
-        arr_cont.ctypes.data_as(ctypes.POINTER(ctypes.c_int32)),
-        arr_ext.ctypes.data_as(ctypes.POINTER(ctypes.c_int32)),
-        ctypes.c_int64(n_rings),
-        ctypes.c_int32(_OP_CODES[operation]),
-        ctypes.byref(out_xy),
-        ctypes.byref(out_rs),
-        ctypes.byref(out_prc),
-        ctypes.byref(n_v),
-        ctypes.byref(n_r),
-        ctypes.byref(n_p),
-    )
-
-    if rc == 1:
-        # bbox-disjoint: trivial result, same as mod.rs:132-141
-        from ..geom.boolean_op import trivial_result
-
-        return trivial_result(subject, clipping, operation)
-    if rc != 0:
-        return None
-
-    try:
-        nv, nr, npolys = n_v.value, n_r.value, n_p.value
-        xy = np.ctypeslib.as_array(out_xy, shape=(nv, 2)) if nv else np.empty((0, 2))
-        sizes = np.ctypeslib.as_array(out_rs, shape=(nr,)) if nr else np.empty(0, np.int64)
-        prc = np.ctypeslib.as_array(out_prc, shape=(npolys,)) if npolys else np.empty(0, np.int64)
-
-        result = []
-        ring_idx = 0
-        v_off = 0
-        for pi in range(npolys):
-            poly = []
-            for _ in range(int(prc[pi])):
-                n = int(sizes[ring_idx])
-                ring = [tuple(pt) for pt in xy[v_off : v_off + n]]
-                poly.append(ring)
-                v_off += n
-                ring_idx += 1
-            result.append(poly)
-        return result
-    finally:
-        lib.martinez_free_result(out_xy, out_rs, out_prc)
+    res = native_boolean_batch(mps_to_arrow([subject]), mps_to_arrow([clipping]), operation)
+    return None if res is None else arrow_to_mps(res)[0]
 
 
 def native_boolean_batch(subject_arr, clipping_arr, ops):
     """Whole-batch boolean ops on two Arrow multipolygon columns.
 
-    ``ops`` is a list/array of op names (len == batch).  Consumes the
-    columns' offset chains directly (zero marshal-in) and returns the
-    result as an Arrow multipolygon array (offsets built by cumsum —
-    zero per-row Python).  Returns None when the native library is
-    unavailable or a column contains nulls (caller falls back)."""
+    ``ops`` is one op name for every row, or one name per row (a list
+    or an Arrow string array); an unknown name raises ``ValueError``.
+    Consumes the columns' offset chains directly (zero marshal-in) and
+    returns the result as an Arrow multipolygon array (offsets built by
+    cumsum — zero per-row Python).  Both columns must be free of nulls;
+    ``boolean_batch`` strips null rows before calling here.  Returns
+    None only when the native library is unavailable."""
     lib = _load()
     if lib is None:
         return None
@@ -222,17 +145,12 @@ def native_boolean_batch(subject_arr, clipping_arr, ops):
         subject_arr = subject_arr.combine_chunks()
     if isinstance(clipping_arr, pa.ChunkedArray):
         clipping_arr = clipping_arr.combine_chunks()
-    if subject_arr.null_count or clipping_arr.null_count:
-        return None
-
     n = len(subject_arr)
-    op_codes = np.empty(n, dtype=np.int32)
-    for i, op in enumerate(ops):
-        try:
-            op_codes[i] = _OP_CODES[op]
-        except KeyError:
-            raise ValueError(f"unknown operation: {op!r}") from None
-
+    if len(clipping_arr) != n:
+        raise ValueError(f"{n} subjects but {len(clipping_arr)} clippings")
+    if subject_arr.null_count or clipping_arr.null_count:
+        raise ValueError("null geometry rows reach the native kernel")
+    op_codes = _op_codes(ops, n)
     s_xy, s_ro, s_po, s_mo = arrow_mp_offsets(subject_arr)
     c_xy, c_ro, c_po, c_mo = arrow_mp_offsets(clipping_arr)
 
@@ -259,7 +177,7 @@ def native_boolean_batch(subject_arr, clipping_arr, ops):
         ctypes.byref(n_v), ctypes.byref(n_r), ctypes.byref(n_p),
     )
     if rc != 0:
-        return None
+        raise RuntimeError(f"martinez_batch failed: {_ERRORS.get(rc, rc)}")
 
     try:
         nv, nr, npolys = n_v.value, n_r.value, n_p.value

@@ -877,14 +877,20 @@ static void evvec_push(EvVec *v, Event *e) {
     v->data[v->n++] = e;
 }
 
-static void subdivide(Arena *arena, Heap *queue,
-                      const double sbbox[4], const double cbbox[4],
-                      int op, EvVec *sorted_events, Splay *sweep_line) {
+/* Returns 0, or -1 when the sweep exceeds its event budget (see
+ * geom/subdivide.py: the 1-ULP intersection nudge creeping along a
+ * segment, where the reference never ends). */
+static int subdivide(Arena *arena, Heap *queue,
+                     const double sbbox[4], const double cbbox[4],
+                     int op, EvVec *sorted_events, Splay *sweep_line) {
     double rightbound = (sbbox[2] < cbbox[2]) ? sbbox[2] : cbbox[2];
+    int64_t n_edges = queue->n / 2;
+    int64_t budget = 2 * n_edges + 8 * n_edges * n_edges;
 
     while (queue->n > 0) {
         Event *event = heap_pop(queue);
         evvec_push(sorted_events, event);
+        if (sorted_events->n > budget) return -1;
 
         if ((op == OP_INTERSECTION && event->x > rightbound) ||
             (op == OP_DIFFERENCE && event->x > sbbox[2]))
@@ -923,6 +929,7 @@ static void subdivide(Arena *arena, Heap *queue,
             }
         }
     }
+    return 0;
 }
 
 /* --------------------------------------------------------- connect edges */
@@ -1043,7 +1050,11 @@ static int64_t get_next_pos(int64_t pos, const uint8_t *processed,
     }
 }
 
-static void connect_edges(EvVec *sorted_events, ContourVec *contours) {
+/* Returns 0, or -1 when a result event's predecessor has no output
+ * contour yet: the reference indexes contours[id as usize] there and
+ * panics. */
+static int connect_edges(EvVec *sorted_events, ContourVec *contours) {
+    int status = 0;
     Event **result_events;
     int64_t n = order_events(sorted_events, &result_events);
     int64_t *iteration_map = (int64_t *)calloc(n ? n : 1, sizeof(int64_t));
@@ -1064,6 +1075,10 @@ static void connect_edges(EvVec *sorted_events, ContourVec *contours) {
         if (prev_in_result != NULL) {
             int32_t lower = prev_in_result->output_contour_id;
             if (prev_in_result->result_transition == TRANS_OUT_IN) {
+                if (lower < 0) {
+                    status = -1;
+                    break;
+                }
                 Contour *lc = &contours->data[lower];
                 if (lc->hole_of >= 0) {
                     int32_t parent = lc->hole_of;
@@ -1115,11 +1130,12 @@ static void connect_edges(EvVec *sorted_events, ContourVec *contours) {
     free(iteration_map);
     free(processed);
     free(result_events);
+    return status;
 }
 
 /* -------------------------------------------------------------- driver */
 
-/* Output buffers: caller frees with martinez_free_result. */
+/* Output buffers: caller frees with martinez_free_batch. */
 typedef struct {
     double *xy;
     int64_t *ring_sizes;          /* vertices per ring */
@@ -1142,7 +1158,7 @@ static void result_append_ring(Result *res, const double *pts, int64_t npts,
     res->ring_sizes[res->n_rings++] = npts;
 }
 
-/* growable result used by both single-pair and batch entry points */
+/* growable result of the batch entry point */
 typedef struct {
     Result res;
     int64_t cap_v, cap_r, cap_p;
@@ -1235,7 +1251,10 @@ static void append_side_polys(GrowResult *g, const ArrowSide *side, int64_t row,
 
 /* Batch entry point: n_pairs independent boolean ops in one call,
  * consuming both geometry columns through their Arrow offsets.
- * out_pair_poly_counts[i] = polygons in pair i's result. */
+ * out_pair_poly_counts[i] = polygons in pair i's result.  Returns 0, or,
+ * with every output NULL, 2 when a pair fails in connect_edges (where
+ * the reference panics) and 3 when its sweep exceeds the event budget
+ * (where the reference never ends). */
 int martinez_batch(
     const double *s_xy, const int32_t *s_ring_off, const int32_t *s_poly_off,
     const int32_t *s_mp_off,
@@ -1286,12 +1305,15 @@ int martinez_batch(
         EvVec sorted_events; memset(&sorted_events, 0, sizeof(sorted_events));
         Splay sweep_line; memset(&sweep_line, 0, sizeof(sweep_line));
 
-        subdivide(&arena, &queue, sbbox, cbbox, op, &sorted_events, &sweep_line);
-
         ContourVec contours; memset(&contours, 0, sizeof(contours));
-        connect_edges(&sorted_events, &contours);
+        int failed = 0;
+        if (subdivide(&arena, &queue, sbbox, cbbox, op, &sorted_events,
+                      &sweep_line) != 0)
+            failed = 3;
+        else if (connect_edges(&sorted_events, &contours) != 0)
+            failed = 2;
 
-        for (int64_t ci = 0; ci < contours.n; ci++) {
+        for (int64_t ci = 0; ci < contours.n && !failed; ci++) {
             Contour *c = &contours.data[ci];
             if (c->hole_of >= 0) continue;
             result_append_ring(&g.res, c->pts, c->n, &g.cap_v, &g.cap_r);
@@ -1313,6 +1335,16 @@ int martinez_batch(
         free(queue.data);
         arena_free(&arena);
 
+        if (failed) {
+            free(g.res.xy);
+            free(g.res.ring_sizes);
+            free(g.res.poly_ring_counts);
+            free(pair_polys);
+            *out_xy = NULL; *out_ring_sizes = NULL;
+            *out_poly_ring_counts = NULL; *out_pair_poly_counts = NULL;
+            *out_n_vertices = 0; *out_n_rings = 0; *out_n_polys = 0;
+            return failed;
+        }
         pair_polys[i] = npolys;
     }
 
@@ -1332,124 +1364,4 @@ void martinez_free_batch(double *xy, int64_t *ring_sizes,
     free(ring_sizes);
     free(poly_ring_counts);
     free(pair_poly_counts);
-}
-
-int martinez_boolean(
-    const double *xy, const int64_t *ring_sizes,
-    const int32_t *ring_subject, const int32_t *ring_contour,
-    const int32_t *ring_exterior, int64_t n_rings, int32_t op,
-    double **out_xy, int64_t **out_ring_sizes, int64_t **out_poly_ring_counts,
-    int64_t *out_n_vertices, int64_t *out_n_rings, int64_t *out_n_polys)
-{
-    Arena arena; memset(&arena, 0, sizeof(arena));
-    Heap queue; memset(&queue, 0, sizeof(queue));
-    double sbbox[4] = {INFINITY, INFINITY, -INFINITY, -INFINITY};
-    double cbbox[4] = {INFINITY, INFINITY, -INFINITY, -INFINITY};
-
-    /* fill_queue (ring metadata precomputed by caller) */
-    int64_t off = 0;
-    for (int64_t r = 0; r < n_rings; r++) {
-        int64_t nv = ring_sizes[r];
-        int is_subj = ring_subject[r];
-        double *bbox = is_subj ? sbbox : cbbox;
-        for (int64_t k = 0; k + 1 < nv; k++) {
-            double sx = xy[2 * (off + k)], sy = xy[2 * (off + k) + 1];
-            double ex = xy[2 * (off + k + 1)], ey = xy[2 * (off + k + 1) + 1];
-            if (sx == ex && sy == ey) continue;
-
-            Event *e1 = arena_new_event(&arena);
-            e1->x = sx; e1->y = sy;
-            e1->contour_id = ring_contour[r];
-            e1->is_subject = (uint8_t)is_subj;
-            e1->is_exterior_ring = (uint8_t)ring_exterior[r];
-            Event *e2 = arena_new_event(&arena);
-            e2->x = ex; e2->y = ey;
-            e2->contour_id = ring_contour[r];
-            e2->is_subject = (uint8_t)is_subj;
-            e2->is_exterior_ring = (uint8_t)ring_exterior[r];
-            e1->other = e2;
-            e2->other = e1;
-
-            if (event_cmp(e1, e2) < 0) e2->left = 1;
-            else e1->left = 1;
-
-            if (sx < bbox[0]) bbox[0] = sx;
-            if (sy < bbox[1]) bbox[1] = sy;
-            if (sx > bbox[2]) bbox[2] = sx;
-            if (sy > bbox[3]) bbox[3] = sy;
-
-            heap_push(&queue, e1);
-            heap_push(&queue, e2);
-        }
-        off += nv;
-    }
-
-    /* bbox-disjoint short-circuit (mod.rs:106-109): return 1, caller
-       produces the trivial result from its own inputs. */
-    if (sbbox[0] > cbbox[2] || cbbox[0] > sbbox[2] ||
-        sbbox[1] > cbbox[3] || cbbox[1] > sbbox[3]) {
-        free(queue.data);
-        arena_free(&arena);
-        *out_xy = NULL; *out_ring_sizes = NULL; *out_poly_ring_counts = NULL;
-        *out_n_vertices = 0; *out_n_rings = 0; *out_n_polys = 0;
-        return 1;
-    }
-
-    EvVec sorted_events; memset(&sorted_events, 0, sizeof(sorted_events));
-    Splay sweep_line; memset(&sweep_line, 0, sizeof(sweep_line));
-
-    subdivide(&arena, &queue, sbbox, cbbox, op, &sorted_events, &sweep_line);
-
-    ContourVec contours; memset(&contours, 0, sizeof(contours));
-    connect_edges(&sorted_events, &contours);
-
-    /* contours → multipolygon (mod.rs:116-129) */
-    Result res; memset(&res, 0, sizeof(res));
-    int64_t cap_v = 256, cap_r = 32, cap_p = 16;
-    res.xy = (double *)malloc(cap_v * 2 * sizeof(double));
-    res.ring_sizes = (int64_t *)malloc(cap_r * sizeof(int64_t));
-    res.poly_ring_counts = (int64_t *)malloc(cap_p * sizeof(int64_t));
-
-    for (int64_t ci = 0; ci < contours.n; ci++) {
-        Contour *c = &contours.data[ci];
-        if (c->hole_of >= 0) continue;   /* not exterior */
-        int64_t nrings_poly = 1 + c->nh;
-        result_append_ring(&res, c->pts, c->n, &cap_v, &cap_r);
-        for (int64_t hi = 0; hi < c->nh; hi++) {
-            Contour *h = &contours.data[c->hole_ids[hi]];
-            result_append_ring(&res, h->pts, h->n, &cap_v, &cap_r);
-        }
-        if (res.n_polys == cap_p) {
-            cap_p *= 2;
-            res.poly_ring_counts =
-                (int64_t *)realloc(res.poly_ring_counts, cap_p * sizeof(int64_t));
-        }
-        res.poly_ring_counts[res.n_polys++] = nrings_poly;
-    }
-
-    /* cleanup */
-    for (int64_t ci = 0; ci < contours.n; ci++) {
-        free(contours.data[ci].pts);
-        free(contours.data[ci].hole_ids);
-    }
-    free(contours.data);
-    free(sorted_events.data);
-    splay_free_nodes(sweep_line.root);
-    free(queue.data);
-    arena_free(&arena);
-
-    *out_xy = res.xy;
-    *out_ring_sizes = res.ring_sizes;
-    *out_poly_ring_counts = res.poly_ring_counts;
-    *out_n_vertices = res.n_vertices;
-    *out_n_rings = res.n_rings;
-    *out_n_polys = res.n_polys;
-    return 0;
-}
-
-void martinez_free_result(double *xy, int64_t *ring_sizes,
-                          int64_t *poly_ring_counts) {
-    free(xy);
-    free(ring_sizes);
-    free(poly_ring_counts);
 }

@@ -89,7 +89,7 @@ def q_clip_area(sf_dir: str):
         batch = batch.rename_columns(
             [c if c != "footprint" else "subject" for c in batch.column_names]
         )
-        out = BooleanOpBatch("intersection", mode="auto")(batch)
+        out = BooleanOpBatch("intersection")(batch)
         from ...sources.arrow_geom import arrow_to_mps
 
         areas = np.array(

@@ -3,10 +3,12 @@
 The reference's unit of work is one polygon pair per call
 (lib/src/boolean/mod.rs:88); here the unit is an Arrow batch of pairs —
 rows are independent, so parallelism is across rows/batches and the
-sweep stays sequential per row.  The batch-level vectorized bbox
-prefilter reproduces the reference's disjoint short-circuit
-(mod.rs:106-109) across the whole batch at once (numpy on the offset
-buffers, no per-row Python until a pair actually overlaps).
+sweep stays sequential per row.
+
+``boolean_batch`` is the one place that chooses the kernel: the native
+batch entry point when the C library is available, else the pure-Python
+reference kernel row by row (``GEO_NATIVE=0`` or no compiler).  Both
+produce the same bits; every stage that clips calls it.
 
 Usage:
     ds.map_batches(BooleanOpBatch("intersection"), batch_format="pyarrow")
@@ -15,34 +17,58 @@ Usage:
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 
-from ..functions.convex_clip import clip_convex_ring_to_rect, is_single_convex_ring
-from ..geom import OPERATIONS, boolean_op, trivial_result
-from ..sources.arrow_geom import (
-    MULTIPOLYGON_T,
-    arrow_mp_bounds,
-    arrow_to_mps,
-    mps_to_arrow,
-)
+from .. import native
+from ..geom import OPERATIONS
+from ..geom.boolean_op import boolean_op_python
+from ..sources.arrow_geom import MULTIPOLYGON_T, arrow_to_mps, mps_to_arrow
 
 
-def _axis_rect(mp):
-    """(x0, y0, x1, y1) if mp is a single axis-aligned rectangle ring,
-    else None."""
-    if len(mp) != 1 or len(mp[0]) != 1:
-        return None
-    ring = mp[0][0]
-    if len(ring) != 5 or ring[0] != ring[4]:
-        return None
-    xs = {p[0] for p in ring}
-    ys = {p[1] for p in ring}
-    if len(xs) != 2 or len(ys) != 2:
-        return None
-    for k in range(4):
-        if ring[k][0] != ring[k + 1][0] and ring[k][1] != ring[k + 1][1]:
-            return None
-    return min(xs), min(ys), max(xs), max(ys)
+def boolean_batch(subject, clipping, op):
+    """Row-wise ``subject <op> clipping`` over two Arrow multipolygon
+    columns → Arrow multipolygon array.
+
+    ``op`` is one op name for every row, or one name per row (a list or
+    an Arrow string array).  A null in either operand gives a null
+    result; the kernel runs on the other rows only."""
+    if isinstance(subject, pa.ChunkedArray):
+        subject = subject.combine_chunks()
+    if isinstance(clipping, pa.ChunkedArray):
+        clipping = clipping.combine_chunks()
+    if not isinstance(op, (str, pa.Array, pa.ChunkedArray)):
+        op = pa.array(op, pa.string())
+    if not (subject.null_count or clipping.null_count):
+        return _kernel(subject, clipping, op)
+
+    valid = np.logical_and(
+        subject.is_valid().to_numpy(zero_copy_only=False),
+        clipping.is_valid().to_numpy(zero_copy_only=False),
+    )
+    rows = pa.array(np.flatnonzero(valid))
+    res = _kernel(
+        subject.take(rows),
+        clipping.take(rows),
+        op if isinstance(op, str) else op.take(rows),
+    )
+    # scatter back: a null index takes a null result
+    return res.take(pa.array(np.cumsum(valid) - 1, mask=~valid))
+
+
+def _kernel(subject, clipping, op):
+    # looked up on the module at call time: the benchmark's tracer
+    # patches native.native_boolean_batch
+    res = native.native_boolean_batch(subject, clipping, op)
+    if res is not None:
+        return res
+    ops = [op] * len(subject) if isinstance(op, str) else op.to_pylist()
+    return mps_to_arrow(
+        [
+            boolean_op_python(s, c, o)
+            for s, c, o in zip(arrow_to_mps(subject), arrow_to_mps(clipping), ops)
+        ]
+    )
 
 
 class BooleanOpBatch:
@@ -60,15 +86,12 @@ class BooleanOpBatch:
         subject_col: str = "subject",
         clipping_col: str = "clipping",
         result_col: str = "result",
-        mode: str = "exact",
         on_error: str = "raise",
     ):
         if (operation is None) == (op_column is None):
             raise ValueError("exactly one of operation / op_column required")
         if operation is not None and operation not in OPERATIONS:
             raise ValueError(f"unknown operation: {operation!r}")
-        if mode not in ("exact", "auto"):
-            raise ValueError(mode)
         if on_error not in ("raise", "null"):
             raise ValueError(on_error)
         # on_error='null': poison-pill isolation — a degenerate geometry
@@ -82,84 +105,31 @@ class BooleanOpBatch:
         self.subject_col = subject_col
         self.clipping_col = clipping_col
         self.result_col = result_col
-        # mode='auto': in the PYTHON fallback path, route convex-subject
-        # ∩ axis-rect-clipping rows through Sutherland–Hodgman (exact
-        # for that input class) and keep the Martinez sweep for the
-        # rest.  With the native batch kernel available the whole batch
-        # goes through one C call regardless of mode (it is faster than
-        # the per-row convex path and produces canonical Martinez
-        # output).  mode='exact' documents call sites that REQUIRE
-        # bit-for-bit golden vertex order (the fixture suite).
-        self.mode = mode
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        subj_arr = batch[self.subject_col]
-        clip_arr = batch[self.clipping_col]
-
-        # Whole-batch native path: one C call over the Arrow offset
-        # chains (zero per-row Python; bbox short-circuit happens
-        # inside).  Skipped in on_error='null' mode (poison-pill needs
-        # per-row isolation) and when a column has nulls.
+        subj = batch[self.subject_col]
+        clip = batch[self.clipping_col]
+        ops = self.operation if self.op_column is None else batch[self.op_column]
+        field = pa.field(self.result_col, MULTIPOLYGON_T)
         if self.on_error == "raise":
-            from ..native import native_boolean_batch
+            return batch.append_column(field, boolean_batch(subj, clip, ops))
 
-            if self.op_column is not None:
-                ops = batch[self.op_column].to_pylist()
-            else:
-                ops = [self.operation] * batch.num_rows
-            res_arr = native_boolean_batch(subj_arr, clip_arr, ops)
-            if res_arr is not None:
-                return batch.append_column(
-                    pa.field(self.result_col, MULTIPOLYGON_T), res_arr
-                )
-
-        # Vectorized disjoint-bbox prefilter (trivial result, no sweep).
-        sb = arrow_mp_bounds(subj_arr)
-        cb = arrow_mp_bounds(clip_arr)
-        disjoint = (
-            (sb["minx"] > cb["maxx"])
-            | (cb["minx"] > sb["maxx"])
-            | (sb["miny"] > cb["maxy"])
-            | (cb["miny"] > sb["maxy"])
+        errors = [None] * batch.num_rows
+        try:
+            res = boolean_batch(subj, clip, ops)
+        except Exception:  # noqa: BLE001 — isolate the failing rows below
+            # the batch failed: rerun it row by row so only the rows
+            # that raise get a null result and an error string
+            parts = []
+            for i in range(batch.num_rows):
+                row_op = ops if isinstance(ops, str) else ops.slice(i, 1)
+                try:
+                    parts.append(boolean_batch(subj.slice(i, 1), clip.slice(i, 1), row_op))
+                except Exception as exc:  # noqa: BLE001 — poison-pill isolation
+                    parts.append(pa.nulls(1, MULTIPOLYGON_T))
+                    errors[i] = f"{type(exc).__name__}: {exc}"
+            res = pa.concat_arrays(parts)
+        return batch.append_column(field, res).append_column(
+            pa.field(self.result_col + "_error", pa.string()),
+            pa.array(errors, pa.string()),
         )
-
-        subjects = arrow_to_mps(subj_arr)
-        clippings = arrow_to_mps(clip_arr)
-        if self.op_column is not None:
-            ops = batch[self.op_column].to_pylist()
-        else:
-            ops = [self.operation] * len(subjects)
-
-        results = []
-        errors = []
-        for i, (s, c, op) in enumerate(zip(subjects, clippings, ops)):
-            try:
-                if s is None or c is None:
-                    results.append(None)
-                elif disjoint[i]:
-                    results.append(trivial_result(s, c, op))
-                elif self.mode == "auto" and op == "intersection":
-                    rect = _axis_rect(c)
-                    if rect is not None and is_single_convex_ring(s):
-                        ring = clip_convex_ring_to_rect(s[0][0], *rect)
-                        results.append([] if ring is None else [[ring]])
-                    else:
-                        results.append(boolean_op(s, c, op))
-                else:
-                    results.append(boolean_op(s, c, op))
-                errors.append(None)
-            except Exception as exc:  # noqa: BLE001 — poison-pill isolation
-                if self.on_error == "raise":
-                    raise
-                results.append(None)
-                errors.append(f"{type(exc).__name__}: {exc}")
-
-        out = batch.append_column(
-            pa.field(self.result_col, MULTIPOLYGON_T), mps_to_arrow(results)
-        )
-        if self.on_error == "null":
-            out = out.append_column(
-                pa.field(self.result_col + "_error", pa.string()),
-                pa.array(errors, pa.string()),
-            )
-        return out

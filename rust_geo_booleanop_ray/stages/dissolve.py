@@ -12,7 +12,7 @@ only one already-unioned multipolygon per (batch, key) enters the
 groupby shuffle.  The exchange therefore moves O(n_batches × keys)
 geometries, never O(rows); the final ``map_groups`` unions the few
 partials per key.  Tree reduction runs as rounds of WHOLE-BATCH native
-Martinez calls across all keys at once (BooleanOpBatch — zero per-row
+Martinez calls across all keys at once (boolean_batch — zero per-row
 Python), halving the live geometry count per round.
 
 Determinism: the multipolygon VERTICES may depend on union order, but
@@ -28,9 +28,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .boolean_batch import BooleanOpBatch
-
-_UNION = BooleanOpBatch("union", mode="auto")
+from .boolean_batch import boolean_batch
 
 
 def union_reduce_keyed(keys: np.ndarray, geoms: pa.Array):
@@ -63,15 +61,11 @@ def union_reduce_keyed(keys: np.ndarray, geoms: pa.Array):
         clip_m = pos % 2 == 1
         left_m = (pos % 2 == 0) & ~subj_m
 
-        pair_t = pa.table(
-            {
-                "subject": geoms.take(pa.array(np.flatnonzero(subj_m))),
-                "clipping": geoms.take(pa.array(np.flatnonzero(clip_m))),
-            }
+        merged = boolean_batch(
+            geoms.take(pa.array(np.flatnonzero(subj_m))),
+            geoms.take(pa.array(np.flatnonzero(clip_m))),
+            "union",
         )
-        merged = _UNION(pair_t)["result"]
-        if isinstance(merged, pa.ChunkedArray):
-            merged = merged.combine_chunks()
         keys = np.concatenate([keys[subj_m], keys[left_m]])
         geoms = pa.concat_arrays([merged, geoms.take(pa.array(np.flatnonzero(left_m)))])
         # keep runs contiguous for the next round

@@ -4,8 +4,9 @@ Three join strategies, picked by data shape (ray_guide join patterns):
 
 1. ``TileJoinClip`` — footprints × the regular tile grid.  Tiles are
    cells (stages/cells.py) at ``tile_res``; the cover is computed
-   arithmetically (no index needed), the clip is the exact Martinez
-   kernel against the tile rect.  Stateless map_batches.
+   arithmetically (no index needed).  A footprint whose bbox lies
+   strictly inside its tile passes through; every other pair is clipped
+   exactly against the tile rect.  Stateless map_batches.
 2. ``BroadcastPolyJoinClip`` — footprints × an *irregular* polygon set
    small enough to broadcast (``ray.put`` once).  Actor-pool stage: the
    STR-tree over the polygon bboxes is built ONCE per actor in
@@ -18,26 +19,21 @@ Three join strategies, picked by data shape (ray_guide join patterns):
 
 All outputs carry (image_id, tile_id, cell, clip geometry, clip_area)
 — deduplicate PBSM replicas downstream on (image_id, tile_id) when
-geometries were replicated to multiple cells.
+geometries were replicated to multiple cells.  Every exact clip is one
+``boolean_batch`` call per batch (stages/boolean_batch.py), which picks
+the native or the reference kernel.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..functions.convex_clip import clip_convex_ring_to_rect, is_single_convex_ring
 from ..functions.rtree import STRtree
-from ..geom import boolean_op
-from ..sources.arrow_geom import (
-    MULTIPOLYGON_T,
-    arrow_mp_areas,
-    arrow_to_mps,
-    mps_to_arrow,
-    rects_to_arrow,
-    shoelace_area,
-)
-from .cells import cell_bounds, cell_bounds_array, cover_bbox
+from ..sources.arrow_geom import MULTIPOLYGON_T, arrow_mp_areas, rects_to_arrow
+from .boolean_batch import boolean_batch
+from .cells import cell_bounds_array, cell_polygon, cover_bbox
 
 _EMPTY_JOIN_SCHEMA = pa.schema(
     [
@@ -103,12 +99,9 @@ class TileJoinClip:
         bmaxx = batch["maxx"].to_numpy()
         bmaxy = batch["maxy"].to_numpy()
 
-        # Native whole-batch path: ONE C call clips every candidate
-        # (footprint, tile-rect) pair; only strictly-contained pairs
-        # (intersection == footprint) bypass it.  Falls back to the
-        # per-row convex/Martinez loop without a native kernel.
-        from ..native import native_boolean_batch
-
+        # a footprint bbox strictly inside its tile means the
+        # intersection is the footprint itself; every other pair is
+        # clipped in one batch call
         tx0, ty0, tx1, ty1 = cell_bounds_array(tiles)
         contained = (
             (bminx[row_idx] > tx0)
@@ -120,96 +113,63 @@ class TileJoinClip:
         fp_all = batch["footprint"]
         if isinstance(fp_all, pa.ChunkedArray):
             fp_all = fp_all.combine_chunks()
-        if need.any():
-            subj = fp_all.take(pa.array(np.asarray(row_idx)[need]))
-            clip_rects = rects_to_arrow(tx0[need], ty0[need], tx1[need], ty1[need])
-            res = native_boolean_batch(subj, clip_rects, ["intersection"] * int(need.sum()))
-        else:
-            res = mps_to_arrow([])
+        res = boolean_batch(
+            fp_all.take(pa.array(row_idx[need])),
+            rects_to_arrow(tx0[need], ty0[need], tx1[need], ty1[need]),
+            "intersection",
+        )
 
-        if res is not None:
-            # fully vectorized assembly: contained rows pass the
-            # footprint through; native results drop empty clips;
-            # both merge back in candidate order
-            import pyarrow.compute as pc
-
-            cont_j = np.flatnonzero(contained)
-            need_j = np.flatnonzero(need)
-            if len(res):
-                keep_need = pc.list_value_length(res).to_numpy(zero_copy_only=False) > 0
-                res_kept = res.filter(pa.array(keep_need))
-                kept_need_j = need_j[keep_need]
-            else:
-                res_kept = res
-                kept_need_j = need_j[:0]
-            cont_clips = fp_all.take(pa.array(row_idx[cont_j]))
-            cont_areas = np.abs(arrow_mp_areas(cont_clips))
-            need_areas = np.abs(arrow_mp_areas(res_kept))
-            all_j = np.concatenate([cont_j, kept_need_j])
-            order = np.argsort(all_j, kind="stable")
-            keep_arr = pa.array(all_j[order])
-            clips = pa.concat_arrays(
-                [cont_clips.cast(MULTIPOLYGON_T), res_kept.cast(MULTIPOLYGON_T)]
-            ).take(pa.array(order))
-            areas = np.concatenate([cont_areas, need_areas])[order]
-            return pa.table(
-                {
-                    "image_id": image_ids.take(keep_arr),
-                    "tile_id": tile_col.take(keep_arr),
-                    "clip": clips,
-                    "clip_area": pa.array(areas, pa.float64()),
-                }
-            )
-
-        # ---- pure-Python fallback (no native kernel) ----
-        tile_bounds_cache: dict = {}
-        mps = arrow_to_mps(batch["footprint"])
-        is_convex = [is_single_convex_ring(mp) for mp in mps]
-        clips, areas, keep = [], [], []
-        for j in range(len(row_idx)):
-            i = row_idx[j]
-            fp = mps[i]
-            t = int(tiles[j])
-            tb = tile_bounds_cache.get(t)
-            if tb is None:
-                tb = tile_bounds_cache[t] = cell_bounds(t)
-            tx0, ty0, tx1, ty1 = tb
-            # Fast path 1: footprint bbox strictly inside the tile →
-            # intersection is the footprint itself (no sweep needed).
-            if bminx[i] > tx0 and bmaxx[i] < tx1 and bminy[i] > ty0 and bmaxy[i] < ty1:
-                keep.append(j)
-                clips.append(fp)
-                areas.append(abs(shoelace_area(fp)))
-                continue
-            # Fast path 2: convex footprint × axis rect → Sutherland–
-            # Hodgman (exact for convex; Martinez otherwise).
-            if is_convex[i]:
-                ring = clip_convex_ring_to_rect(fp[0][0], tx0, ty0, tx1, ty1)
-                if ring is not None:
-                    clipped = [[ring]]
-                    keep.append(j)
-                    clips.append(clipped)
-                    areas.append(abs(shoelace_area(clipped)))
-                continue
-            clipped = boolean_op(fp, _tile_multipolygon(t), "intersection")
-            if clipped:
-                keep.append(j)
-                clips.append(clipped)
-                areas.append(abs(shoelace_area(clipped)))
-        keep_arr = pa.array(np.asarray(keep, dtype=np.int64))
+        # empty clips are dropped; contained and clipped rows merge
+        # back in candidate order
+        cont_j = np.flatnonzero(contained)
+        keep_need = _non_empty(res)
+        res_kept = res.filter(pa.array(keep_need))
+        kept_need_j = np.flatnonzero(need)[keep_need]
+        cont_clips = fp_all.take(pa.array(row_idx[cont_j]))
+        cont_areas = np.abs(arrow_mp_areas(cont_clips))
+        need_areas = np.abs(arrow_mp_areas(res_kept))
+        all_j = np.concatenate([cont_j, kept_need_j])
+        order = np.argsort(all_j, kind="stable")
+        keep_arr = pa.array(all_j[order])
+        clips = pa.concat_arrays(
+            [cont_clips.cast(MULTIPOLYGON_T), res_kept.cast(MULTIPOLYGON_T)]
+        ).take(pa.array(order))
+        areas = np.concatenate([cont_areas, need_areas])[order]
         return pa.table(
             {
                 "image_id": image_ids.take(keep_arr),
                 "tile_id": tile_col.take(keep_arr),
-                "clip": mps_to_arrow(clips),
+                "clip": clips,
                 "clip_area": pa.array(areas, pa.float64()),
             }
         )
 
 
-def _tile_multipolygon(tile_id: int):
-    x0, y0, x1, y1 = cell_bounds(tile_id)
-    return [[[(x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0)]]]
+# tile id → closed tile-rect multipolygon (the tests' build geometries)
+_tile_multipolygon = cell_polygon
+
+
+def _non_empty(res: pa.Array) -> np.ndarray:
+    """Mask of rows whose clip result has at least one polygon."""
+    return pc.list_value_length(res).to_numpy(zero_copy_only=False) > 0
+
+
+def _clip_pairs(image_ids, subjects, cand_row, tile_ids, clippings, cand_clip, op):
+    """Candidate (subject row, clipping row) pairs → exact clip → the
+    join table; pairs whose result is empty are dropped."""
+    res = boolean_batch(
+        subjects.take(pa.array(cand_row)), clippings.take(pa.array(cand_clip)), op
+    )
+    keep = _non_empty(res)
+    res = res.filter(pa.array(keep))
+    return pa.table(
+        {
+            "image_id": image_ids.take(pa.array(cand_row[keep])),
+            "tile_id": pa.array(tile_ids[cand_clip[keep]], pa.int64()),
+            "clip": res,
+            "clip_area": pa.array(np.abs(arrow_mp_areas(res)), pa.float64()),
+        }
+    )
 
 
 class BroadcastPolyJoinClip:
@@ -234,7 +194,6 @@ class BroadcastPolyJoinClip:
         if isinstance(geom_col, pa.ChunkedArray):
             geom_col = geom_col.combine_chunks()
         self.geom_arr = geom_col.cast(MULTIPOLYGON_T)
-        self.geoms = None  # python-list view, built lazily on fallback
         self.tree = STRtree(
             polys["minx"].to_numpy(),
             polys["miny"].to_numpy(),
@@ -254,56 +213,14 @@ class BroadcastPolyJoinClip:
         if not len(cand_row):
             return _EMPTY_JOIN_SCHEMA.empty_table()
 
-        fp_all = batch["footprint"]
-        if isinstance(fp_all, pa.ChunkedArray):
-            fp_all = fp_all.combine_chunks()
-
-        # whole-batch native path: gather both sides, ONE C call per
-        # batch (same shape as TileJoinClip), drop empty results
-        from ..native import native_boolean_batch
-
-        subj = fp_all.take(pa.array(cand_row))
-        clip = self.geom_arr.take(pa.array(cand_poly))
-        res = native_boolean_batch(subj, clip, [self.op] * len(cand_row))
-        if res is not None:
-            import pyarrow.compute as pc
-
-            keep = pc.list_value_length(res).to_numpy(zero_copy_only=False) > 0
-            res_kept = res.filter(pa.array(keep))
-            keep_arr = pa.array(cand_row[keep])
-            return pa.table(
-                {
-                    "image_id": batch["image_id"].take(keep_arr),
-                    "tile_id": pa.array(self.tile_ids[cand_poly[keep]], pa.int64()),
-                    "clip": res_kept,
-                    "clip_area": pa.array(
-                        np.abs(arrow_mp_areas(res_kept)), pa.float64()
-                    ),
-                }
-            )
-
-        # ---- pure-Python fallback (no native kernel) ----
-        if self.geoms is None:
-            self.geoms = arrow_to_mps(self.geom_arr)
-        mps = arrow_to_mps(fp_all)
-        image_ids = batch["image_id"].to_pylist()
-        out_img, out_tile, out_clip, out_area = [], [], [], []
-        for i, c in zip(cand_row, cand_poly):
-            clipped = boolean_op(mps[i], self.geoms[c], self.op)
-            if clipped:
-                out_img.append(image_ids[i])
-                out_tile.append(int(self.tile_ids[c]))
-                out_clip.append(clipped)
-                out_area.append(abs(shoelace_area(clipped)))
-        if not out_img:
-            return _EMPTY_JOIN_SCHEMA.empty_table()
-        return pa.table(
-            {
-                "image_id": pa.array(out_img, pa.string()),
-                "tile_id": pa.array(out_tile, pa.int64()),
-                "clip": mps_to_arrow(out_clip),
-                "clip_area": pa.array(out_area, pa.float64()),
-            }
+        return _clip_pairs(
+            batch["image_id"],
+            batch["footprint"],
+            cand_row,
+            self.tile_ids,
+            self.geom_arr,
+            cand_poly,
+            self.op,
         )
 
 
@@ -341,7 +258,6 @@ def join_cells_within_group(group: pa.Table, pbsm_dedup: bool = False) -> pa.Tab
         build["maxx"].to_numpy(),
         build["maxy"].to_numpy(),
     )
-    build_tiles = build["tile_id"].to_numpy()
     pminx = probe["minx"].to_numpy()
     pminy = probe["miny"].to_numpy()
     pmaxx = probe["maxx"].to_numpy()
@@ -367,55 +283,14 @@ def join_cells_within_group(group: pa.Table, pbsm_dedup: bool = False) -> pa.Tab
         if not len(cand_row):
             return _EMPTY_JOIN_SCHEMA.empty_table()
 
-    fp_col = probe["footprint"]
-    if isinstance(fp_col, pa.ChunkedArray):
-        fp_col = fp_col.combine_chunks()
-    geom_col = build["geom"]
-    if isinstance(geom_col, pa.ChunkedArray):
-        geom_col = geom_col.combine_chunks()
-
-    # whole-batch native clip: one C call for every candidate pair
-    from ..native import native_boolean_batch
-
-    subj = fp_col.take(pa.array(cand_row))
-    clip = geom_col.cast(MULTIPOLYGON_T).take(pa.array(cand_build))
-    res = native_boolean_batch(subj, clip, ["intersection"] * len(cand_row))
-    if res is not None:
-        import pyarrow.compute as pc
-
-        keep = pc.list_value_length(res).to_numpy(zero_copy_only=False) > 0
-        res_kept = res.filter(pa.array(keep))
-        keep_arr = pa.array(cand_row[keep])
-        return pa.table(
-            {
-                "image_id": probe["image_id"].take(keep_arr),
-                "tile_id": pa.array(build_tiles[cand_build[keep]], pa.int64()),
-                "clip": res_kept,
-                "clip_area": pa.array(np.abs(arrow_mp_areas(res_kept)), pa.float64()),
-            }
-        )
-
-    # ---- pure-Python fallback (no native kernel) ----
-    build_geoms = arrow_to_mps(geom_col)
-    probe_geoms = arrow_to_mps(fp_col)
-    image_ids = probe["image_id"].to_pylist()
-    out_img, out_tile, out_clip, out_area = [], [], [], []
-    for i, c in zip(cand_row, cand_build):
-        clipped = boolean_op(probe_geoms[i], build_geoms[c], "intersection")
-        if clipped:
-            out_img.append(image_ids[i])
-            out_tile.append(int(build_tiles[c]))
-            out_clip.append(clipped)
-            out_area.append(abs(shoelace_area(clipped)))
-    if not out_img:
-        return _EMPTY_JOIN_SCHEMA.empty_table()
-    return pa.table(
-        {
-            "image_id": pa.array(out_img, pa.string()),
-            "tile_id": pa.array(out_tile, pa.int64()),
-            "clip": mps_to_arrow(out_clip),
-            "clip_area": pa.array(out_area, pa.float64()),
-        }
+    return _clip_pairs(
+        probe["image_id"],
+        probe["footprint"],
+        cand_row,
+        build["tile_id"].to_numpy(),
+        build["geom"],
+        cand_build,
+        "intersection",
     )
 
 

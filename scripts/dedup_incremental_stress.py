@@ -42,7 +42,7 @@ def main(argv=None) -> int:
     parser.add_argument("--old", type=int, default=400_000)
     parser.add_argument("--new", type=int, default=100_000)
     parser.add_argument(
-        "--num-cpus", type=int, default=int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+        "--num-cpus", type=int, default=int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
     )
     parser.add_argument(
         "--minhash", action="store_true", help="near-dup (MinHash+LSH) variant"

@@ -42,7 +42,7 @@ def main(argv=None) -> int:
     parser.add_argument("--legacy", action="store_true")
     parser.add_argument("--lean", action="store_true",
                         help="payload-free band exchange + deferred sig-join verify")
-    parser.add_argument("--num-cpus", type=int, default=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
+    parser.add_argument("--num-cpus", type=int, default=int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0)))))
     args = parser.parse_args(argv)
 
     import ray

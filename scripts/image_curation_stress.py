@@ -26,7 +26,7 @@ def main(argv=None) -> int:
     if not ray.is_initialized():
         ray.init(
             address="local",
-            num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
+            num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0)))),
             include_dashboard=False,
             logging_level="ERROR",
         )

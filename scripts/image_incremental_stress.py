@@ -31,7 +31,7 @@ def main(argv=None) -> int:
     parser.add_argument("--old", type=int, default=2_000_000)
     parser.add_argument("--new", type=int, default=400_000)
     parser.add_argument(
-        "--num-cpus", type=int, default=int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+        "--num-cpus", type=int, default=int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
     )
     args = parser.parse_args(argv)
 

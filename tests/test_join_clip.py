@@ -158,44 +158,6 @@ def test_lineage_resume(tmp_path):
     assert completed_partitions(out, "cfg1") == set()
 
 
-def test_convex_clip_matches_martinez_randomized():
-    """Sutherland–Hodgman fast path vs Martinez kernel: area equality
-    over random rotated quads × a fixed rect."""
-    from rust_geo_booleanop_ray.functions.convex_clip import (
-        clip_convex_ring_to_rect,
-        is_single_convex_ring,
-    )
-    from rust_geo_booleanop_ray.geom import boolean_op
-
-    rng = np.random.default_rng(9)
-    rect = (-2.0, -2.0, 3.0, 3.0)
-    tile_poly = [
-        [
-            [
-                (rect[0], rect[1]),
-                (rect[2], rect[1]),
-                (rect[2], rect[3]),
-                (rect[0], rect[3]),
-                (rect[0], rect[1]),
-            ]
-        ]
-    ]
-    for _ in range(500):
-        cx, cy = rng.uniform(-5, 5, 2)
-        w, h = rng.uniform(0.5, 6, 2)
-        th = rng.uniform(0, 2 * np.pi)
-        c, s = np.cos(th), np.sin(th)
-        pts = [(-w / 2, -h / 2), (w / 2, -h / 2), (w / 2, h / 2), (-w / 2, h / 2)]
-        ring = [(cx + x * c - y * s, cy + x * s + y * c) for x, y in pts]
-        ring.append(ring[0])
-        assert is_single_convex_ring([[ring]])
-        sh = clip_convex_ring_to_rect(ring, *rect)
-        a_sh = abs(shoelace_area([[sh]])) if sh else 0.0
-        mz = boolean_op([[ring]], tile_poly, "intersection")
-        a_mz = abs(shoelace_area(mz)) if mz else 0.0
-        assert abs(a_sh - a_mz) <= 1e-9 * max(1.0, a_mz)
-
-
 def test_merge_rasters_saturates_instead_of_wrapping():
     """Pixel counts past the uint16 max must saturate, not wrap to 0
     (a wrap would undercount coverage_fraction)."""
@@ -269,6 +231,19 @@ def test_broadcast_poly_native_matches_python_fallback(monkeypatch):
     assert sorted(map(str, arrow_to_mps(native_out["clip"]))) == sorted(
         map(str, arrow_to_mps(py_out["clip"]))
     )
+
+
+def test_tile_join_native_matches_python_fallback(monkeypatch):
+    """TileJoinClip gives the same table on the native kernel and on
+    the reference kernel (GEO_NATIVE=0): pairs, clip geometries, areas."""
+    f = _footprints(120)
+    native_out = TileJoinClip(tile_res=4, mode="exact")(f)
+
+    monkeypatch.setenv("GEO_NATIVE", "0")
+    py_out = TileJoinClip(tile_res=4, mode="exact")(f)
+    monkeypatch.delenv("GEO_NATIVE")
+    assert native_out.num_rows > f.num_rows
+    assert native_out.equals(py_out)
 
 
 def test_join_cells_within_group_native_matches_python(monkeypatch):
