@@ -26,6 +26,7 @@ SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
 N_IMAGES = int(os.environ.get("GRAFT_BENCH_IMAGES", "40000"))
 ONLY = [s for s in os.environ.get("GRAFT_BENCH_ONLY", "").split(",") if s]
+SCALING_SAMPLES = 2  # runs per level in --scaling; the level's wall is their min
 
 
 def _emit(result: dict) -> None:
@@ -418,28 +419,24 @@ def scaling():
     }
     pairs = [(4, 16, int(os.environ.get("GRAFT_SCALING_IMAGES_416", "800000"))),
              (8, 32, int(os.environ.get("GRAFT_SCALING_IMAGES", "1600000")))]
-    retry_below = float(os.environ.get("GRAFT_SCALING_RETRY_BELOW", "0.85"))
     for lo, hi, n in pairs:
         # hardware control sampled in the same box-state window as the
         # Ray children: the ceiling any engine can reach right now
         hw_eff = (hw_control_rate(hi) / hw_control_rate(lo)) / (hi / lo)
-        t_lo = run_child(lo, n_images=n)["value"]
-        t_hi = run_child(hi, n_images=n)["value"]
-        eff = ((n / t_hi) / (n / t_lo)) / (hi / lo)
-        samples = 1
-        if eff < retry_below:
-            # this VM's ambient bursts (host steal, measured 1.5-3x
-            # per-query swings in BASELINE.md) only ever INFLATE a
-            # level's wall; one more independent sample per level and
-            # per-level min-wall is the standard noise-robust estimator
-            # (criterion's min/median rationale)
+        # this VM's ambient bursts (host steal, measured 1.5-3x
+        # per-query swings in BASELINE.md) only ever INFLATE a level's
+        # wall, so every level takes the min of SCALING_SAMPLES
+        # alternating runs (criterion's min/median rationale).  Sampling
+        # unconditionally keeps the estimator unbiased: re-sampling only
+        # the pairs that look slow would favor high efficiencies.
+        t_lo = t_hi = float("inf")
+        for _ in range(SCALING_SAMPLES):
             t_lo = min(t_lo, run_child(lo, n_images=n)["value"])
             t_hi = min(t_hi, run_child(hi, n_images=n)["value"])
-            eff = ((n / t_hi) / (n / t_lo)) / (hi / lo)
-            samples = 2
+        eff = ((n / t_hi) / (n / t_lo)) / (hi / lo)
         out[f"sec_{lo}"] = t_lo
         out[f"sec_{hi}"] = t_hi
-        out[f"samples_{lo}_{hi}"] = samples
+        out[f"samples_{lo}_{hi}"] = SCALING_SAMPLES
         out[f"hw_control_eff_{lo}_to_{hi}"] = round(hw_eff, 3)
         if hw_eff > 0:
             out[f"scaling_eff_rel_hw_{lo}_to_{hi}"] = round(eff / hw_eff, 3)

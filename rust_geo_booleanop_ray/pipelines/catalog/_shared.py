@@ -14,14 +14,12 @@ from ...stages.boolean_batch import BooleanOpBatch  # noqa: F401
 
 
 
-def _read(sf_dir: str, table: str, columns=None, num_blocks: int = 32):
-    """Column-pruned parquet read, split into enough blocks that the
-    per-batch stages parallelize even when the table is one file."""
+def _read(sf_dir: str, table: str, columns=None):
+    """Column-pruned parquet read; ``tune_data_context()`` sizes it to
+    the cluster (two blocks per CPU) even when the table is one file."""
     import ray.data as rd
 
-    return rd.read_parquet(
-        f"{sf_dir}/{table}.parquet", columns=columns, override_num_blocks=num_blocks
-    )
+    return rd.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
 def _cents(x: np.ndarray) -> np.ndarray:

@@ -1622,8 +1622,9 @@ def q_incremental_minhash_store(sf_dir: str):
     size, not corpus size (the 10^12-doc design point; measured 1.9×
     over the union-exchange plan at 1M prior docs and wire ∝ corpus
     eliminated, scripts/dedup_incremental_stress.py --store)."""
-    import hashlib
+    import atexit
     import shutil
+    import tempfile
 
     from ...stages.dedup import (
         MinHasher,
@@ -1638,8 +1639,11 @@ def q_incremental_minhash_store(sf_dir: str):
         _incr_split_texts_fn(M), batch_format="pyarrow"
     ).map_batches(MinHasher(), batch_format="pyarrow")
 
-    store = "/tmp/incr_band_store_" + hashlib.md5(sf_dir.encode()).hexdigest()[:12]
-    shutil.rmtree(store, ignore_errors=True)
+    # one store per invocation, so concurrent runs never share it; the
+    # returned Dataset is lazy and reads the store when it executes, so
+    # the directory lives until the process exits
+    store = tempfile.mkdtemp(prefix="incr_band_store_")
+    atexit.register(shutil.rmtree, store, ignore_errors=True)
     write_band_store(docs.map_batches(MinHasher(), batch_format="pyarrow"), store)
 
     pairs = incremental_minhash_pairs_store(

@@ -224,7 +224,7 @@ def q_jpeg_quality_sweep(sf_dir: str):
             }
         )
 
-    ds = rd.range(JPEG_SWEEP_N, override_num_blocks=8)
+    ds = rd.range(JPEG_SWEEP_N)
     return ds.map_batches(sweep, batch_format="pyarrow", batch_size=32)
 
 

@@ -2166,7 +2166,7 @@ def q_simplify_poly(sf_dir: str):
             }
         )
 
-    return rd.range(SIMP_N, override_num_blocks=32).map_batches(
+    return rd.range(SIMP_N).map_batches(
         stats, batch_format="pyarrow"
     )
 
@@ -2253,7 +2253,7 @@ def q_convex_hull(sf_dir: str):
             }
         )
 
-    ds = rd.range(HULL_N, override_num_blocks=32)
+    ds = rd.range(HULL_N)
     return (
         ds.map_batches(gen_partial, batch_format="pyarrow")
         .groupby("grp")
@@ -2419,7 +2419,7 @@ def q_geom_validate(sf_dir: str):
             }
         )
 
-    return rd.range(VALID_N, override_num_blocks=32).map_batches(
+    return rd.range(VALID_N).map_batches(
         validate, batch_format="pyarrow"
     )
 

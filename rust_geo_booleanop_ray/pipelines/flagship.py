@@ -21,9 +21,6 @@ from ..sources.images import read_synth_images
 from ..stages.footprint import derive_footprints
 from ..stages.join_clip import TileJoinClip
 from ..stages.tiles import RasterizePartial, merge_rasters, vectorize_tiles_batch
-from ..tuning import tune_data_context
-
-tune_data_context()
 
 
 def footprints_dataset(n_images: int = 2000, seed: int = 42, images_ds=None):

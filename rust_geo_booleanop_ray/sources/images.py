@@ -113,37 +113,16 @@ def synth_image_batch(indices: np.ndarray, seed: int = 42) -> pa.Table:
     )
 
 
-def _default_num_blocks(n_images: int) -> int:
-    """Source block sizing: ~4k rows/block (≈ tens of MB with image
-    payloads) AND at least 2 blocks per CPU so the decode/clip map
-    stages fill the cluster at mid-size inputs (40k images in 9 blocks
-    left 22 of 32 CPUs idle and capped the flagship wall at the
-    slowest single task).  Capped at 256 so the all-to-all tile
-    shuffle never pays per-block constants on hundreds of tiny blocks:
-    the flagship at 400k images runs 2.7× faster with ~100 blocks than
-    with 512 (the sort's per-block × per-partition overhead dominates
-    the 32-CPU wall).  ≥512 rows/block keeps small catalog inputs from
-    fragmenting."""
-    import ray
-
-    ncpu = 8
-    if ray.is_initialized():
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-    target = max(n_images // 4096, 2 * ncpu)
-    return max(8, min(256, target, max(8, n_images // 512)))
-
-
-def read_synth_images(n_images: int, seed: int = 42, override_num_blocks: int | None = None):
+def read_synth_images(n_images: int, seed: int = 42):
     """Streaming Ray Data source: rd.range → per-batch generation in tasks.
 
     The driver never holds the table; blocks are produced under
-    backpressure exactly like a parquet read would be.
+    backpressure exactly like a parquet read would be, and sized to the
+    cluster by ``tuning.tune_data_context()``.
     """
     import ray.data as rd
 
-    if override_num_blocks is None:
-        override_num_blocks = _default_num_blocks(n_images)
-    ds = rd.range(n_images, override_num_blocks=override_num_blocks)
+    ds = rd.range(n_images)
 
     def gen(batch: pa.Table) -> pa.Table:
         return synth_image_batch(batch["id"].to_numpy(), seed=seed)
@@ -151,7 +130,7 @@ def read_synth_images(n_images: int, seed: int = 42, override_num_blocks: int | 
     return ds.map_batches(gen, batch_format="pyarrow", batch_size=None)
 
 
-def read_image_table(path: str, columns=None, override_num_blocks: int | None = None):
+def read_image_table(path: str, columns=None):
     """Read a materialized image table: Lance when the lance package is
     present, parquet otherwise (identical schema — parquet is the
     sandbox stand-in for the Lance table named in BASELINE.json)."""
@@ -164,9 +143,7 @@ def read_image_table(path: str, columns=None, override_num_blocks: int | None = 
             return rd.read_lance(path, columns=columns)
     except ImportError:
         pass
-    return rd.read_parquet(
-        path, columns=columns, override_num_blocks=override_num_blocks
-    )
+    return rd.read_parquet(path, columns=columns)
 
 
 def write_synth_images(path: str, n_images: int, seed: int = 42, rows_per_file: int = 100_000):
@@ -382,17 +359,13 @@ def synth_neardup_batch(indices: np.ndarray, seed: int = 42) -> pa.Table:
     )
 
 
-def read_synth_neardup_images(
-    n_images: int, seed: int = 42, override_num_blocks: int | None = None
-):
+def read_synth_neardup_images(n_images: int, seed: int = 42):
     """Streaming near-dup corpus source (same shape as
     ``read_synth_images``: generation happens inside map_batches
     tasks under backpressure, never on the driver)."""
     import ray.data as rd
 
-    if override_num_blocks is None:
-        override_num_blocks = _default_num_blocks(n_images)
-    ds = rd.range(n_images, override_num_blocks=override_num_blocks)
+    ds = rd.range(n_images)
 
     def gen(batch: pa.Table) -> pa.Table:
         return synth_neardup_batch(batch["id"].to_numpy(), seed=seed)
@@ -569,13 +542,11 @@ def synth_lossy_batch(indices: np.ndarray) -> pa.Table:
     )
 
 
-def read_synth_lossy_images(n_images: int, override_num_blocks: int | None = None):
+def read_synth_lossy_images(n_images: int):
     """Streaming Ray Data source for the mixed-format lossy corpus."""
     import ray.data as rd
 
-    if override_num_blocks is None:
-        override_num_blocks = max(8, min(256, n_images // 4096))
-    ds = rd.range(n_images, override_num_blocks=override_num_blocks)
+    ds = rd.range(n_images)
 
     def gen(batch: pa.Table) -> pa.Table:
         return synth_lossy_batch(batch["id"].to_numpy())
@@ -725,7 +696,7 @@ def synth_letterbox_batch(indices: np.ndarray, seed: int = 42) -> pa.Table:
 def read_synth_letterbox_images(n_images: int, seed: int = 42):
     import ray.data as rd
 
-    ds = rd.range(n_images, override_num_blocks=max(8, min(64, n_images // 2048)))
+    ds = rd.range(n_images)
     return ds.map_batches(
         lambda b: synth_letterbox_batch(b["id"].to_numpy(), seed=seed),
         batch_format="pyarrow",
@@ -815,12 +786,10 @@ def synth_image_meta_batch(indices: np.ndarray) -> pa.Table:
     )
 
 
-def read_synth_image_meta(n_images: int, override_num_blocks: int | None = None):
+def read_synth_image_meta(n_images: int):
     import ray.data as rd
 
-    if override_num_blocks is None:
-        override_num_blocks = max(8, min(256, n_images // 4096))
-    ds = rd.range(n_images, override_num_blocks=override_num_blocks)
+    ds = rd.range(n_images)
     return ds.map_batches(
         lambda b: synth_image_meta_batch(b["id"].to_numpy()),
         batch_format="pyarrow",

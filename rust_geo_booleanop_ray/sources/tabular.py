@@ -22,7 +22,6 @@ def read_table_any(
     path: str,
     columns: list[str] | None = None,
     timestamp_cols: tuple[str, ...] = (),
-    override_num_blocks: int | None = None,
 ):
     """Read parquet / CSV / JSONL into a Ray Dataset with an identical
     downstream schema.  Column pruning happens at the read for parquet
@@ -31,11 +30,8 @@ def read_table_any(
     format; the text paths exist for ingest compatibility)."""
     import ray.data as rd
 
-    kwargs = {}
-    if override_num_blocks is not None:
-        kwargs["override_num_blocks"] = override_num_blocks
     if path.endswith(".parquet"):
-        return rd.read_parquet(path, columns=columns, **kwargs)
+        return rd.read_parquet(path, columns=columns)
     if path.endswith(".csv"):
         from pyarrow import csv as pacsv
 
@@ -44,9 +40,9 @@ def read_table_any(
             convert = pacsv.ConvertOptions(
                 column_types={c: pa.timestamp("us") for c in timestamp_cols}
             )
-        ds = rd.read_csv(path, convert_options=convert, **kwargs)
+        ds = rd.read_csv(path, convert_options=convert)
     elif path.endswith(".jsonl") or path.endswith(".json"):
-        ds = rd.read_json(path, **kwargs)
+        ds = rd.read_json(path)
 
         if timestamp_cols:
 

@@ -80,7 +80,7 @@ def synth_video_batch(indices: np.ndarray, seed: int = 42) -> pa.Table:
 def read_synth_videos(n_videos: int, seed: int = 42):
     import ray.data as rd
 
-    ds = rd.range(n_videos, override_num_blocks=max(4, min(64, n_videos // 256)))
+    ds = rd.range(n_videos)
     return ds.map_batches(
         lambda b: synth_video_batch(b["id"].to_numpy(), seed=seed),
         batch_format="pyarrow",
@@ -124,7 +124,7 @@ def synth_audio_batch(indices: np.ndarray, seed: int = 42) -> pa.Table:
 def read_synth_audio(n_clips: int, seed: int = 42):
     import ray.data as rd
 
-    ds = rd.range(n_clips, override_num_blocks=max(4, min(64, n_clips // 256)))
+    ds = rd.range(n_clips)
     return ds.map_batches(
         lambda b: synth_audio_batch(b["id"].to_numpy(), seed=seed),
         batch_format="pyarrow",
@@ -283,7 +283,7 @@ def synth_holdframe_batch(indices: np.ndarray) -> pa.Table:
 def read_synth_holdframe_videos(n_videos: int):
     import ray.data as rd
 
-    ds = rd.range(n_videos, override_num_blocks=max(4, min(64, n_videos // 256)))
+    ds = rd.range(n_videos)
     return ds.map_batches(
         lambda b: synth_holdframe_batch(b["id"].to_numpy()),
         batch_format="pyarrow",

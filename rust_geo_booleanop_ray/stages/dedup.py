@@ -189,10 +189,12 @@ class MinHasher:
         data = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32).astype(np.uint64)
         k = self.k
         if len(data) <= k:
-            h = np.uint64(0)
+            # a one-element array, not a numpy scalar: array arithmetic
+            # wraps mod 2^64 silently, scalar arithmetic warns on it
+            h = np.zeros(1, dtype=np.uint64)
             for b in data:
                 h = h * self._SHINGLE_BASE + b
-            return np.array([h], dtype=np.uint64)
+            return h
         n = len(data) - k + 1
         h = np.zeros(n, dtype=np.uint64)
         for j in range(k):

@@ -1,7 +1,7 @@
 """Process-wide Ray Data execution tuning for this engine.
 
 One idempotent entry point, ``tune_data_context()``, applied at import
-of the pipeline modules (pipelines.queries, pipelines.flagship) so every
+of the ``pipelines`` package (pipelines/__init__.py) so every
 surface that builds a Dataset — the driver's ``__ray_entry__``, bench.py,
 tools/check_oracle.py, the stress scripts, and the test suite — runs with
 the same execution profile.
@@ -29,6 +29,25 @@ At 100-TB scale the same logic holds per node: stages stream bounded
 blocks through a large object store, and the streaming executor's
 backpressure (target in-flight bytes) — which stays ON — is the mechanism
 that bounds memory, not the CPU reservation split.
+
+Block policy: ``read_op_min_num_blocks = 1``.  This is the one place the
+engine decides how many blocks a source has; engine code never passes
+``override_num_blocks`` or a block count of its own.  With the floor at
+1, Ray's read planner (``_autodetect_parallelism``) picks
+``max(min(1, bytes / target_min_block_size), bytes / target_max_block_size,
+2 × cluster CPUs)`` for every parquet read, ``rd.range`` source and
+``from_items``: two blocks per CPU of the live cluster, rising only when
+a block would pass 128 MiB.  Ray's default floor of 200 blocks, cut to one
+block per MiB, split the 48 MB benchmark image table into 45 blocks, and
+a hard-coded 32 split every catalog read.  Every fused map stage then ran
+one task per block and every sort shuffle moved blocks² pieces, so Ray's
+per-task cost (~25 ms of CPU each) outweighed the work: at 2 CPUs, 85% of
+the flagship's CPU was outside the engine's own stages.  Two blocks per
+CPU keeps every CPU busy on each map stage at any cluster size (≥1 block
+per CPU at 32 CPUs by construction) while paying the per-task cost only
+2× per CPU.  The sweep of {1, 2, 4, 8} blocks per CPU behind the choice,
+and the per-task floor of an identity ``map_batches`` chain, are in
+BASELINE.md ("Block policy sweep").
 """
 
 from __future__ import annotations
@@ -47,4 +66,5 @@ def tune_data_context() -> None:
         return
     ctx = DataContext.get_current()
     ctx.op_resource_reservation_enabled = False
+    ctx.read_op_min_num_blocks = 1
     _APPLIED = True

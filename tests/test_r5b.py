@@ -416,3 +416,67 @@ def test_incremental_store_missing_partitions(ray_session, tmp_path):
     )
     assert got == want
     assert got and got[0][:2] == (1, 2) and got[0][2] == 1.0
+
+
+def test_incremental_minhash_store_runs_do_not_share_a_store(ray_session, monkeypatch, tmp_path):
+    """Two invocations write separate band stores, so one run can never
+    read or delete the other's; both match the oracle.  The corpus is
+    the first 40 documents: the SQL MinHash oracle costs ~0.15 s a doc."""
+    import duckdb
+    import pyarrow.parquet as pq
+
+    from rust_geo_booleanop_ray.pipelines.catalog.dedup import (
+        _build_incremental_minhash_sql,
+        q_incremental_minhash_store,
+    )
+    from rust_geo_booleanop_ray.stages import dedup as stages_dedup
+
+    stores = []
+    write = stages_dedup.write_band_store
+
+    def recording_write(sigs_ds, store_dir, *args, **kwargs):
+        stores.append(store_dir)
+        return write(sigs_ds, store_dir, *args, **kwargs)
+
+    sf = tmp_path / "sf"
+    sf.mkdir()
+    docs = pq.read_table(f"{SF}/documents.parquet").slice(0, 40)
+    pq.write_table(docs, str(sf / "documents.parquet"))
+
+    monkeypatch.setattr(stages_dedup, "write_band_store", recording_write)
+    first = q_incremental_minhash_store(str(sf))
+    second = q_incremental_minhash_store(str(sf))
+    assert len(stores) == 2 and stores[0] != stores[1]
+
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW documents AS SELECT * FROM read_parquet('{sf}/documents.parquet')")
+    cols = ["doc_id", "keeper", "n_dups"]
+    want = sorted(con.execute(_build_incremental_minhash_sql()).df()[cols].itertuples(index=False, name=None))
+    assert want
+    for ds in (first, second):
+        got = sorted(ds.to_pandas()[cols].itertuples(index=False, name=None))
+        assert got == want
+
+
+def test_short_text_shingle_hash_wraps_without_warning():
+    """Texts of at most k code points hash as one polynomial over all
+    their code points, wrapping mod 2^64 on purpose: no overflow warning,
+    and the same values as exact integer arithmetic."""
+    import warnings
+
+    from rust_geo_booleanop_ray.stages.dedup import MinHasher
+
+    mh = MinHasher(shingle_k=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = {t: mh.shingle_hashes(t).tolist() for t in ("héllo", "abc", "")}
+    assert got == {
+        "héllo": [16250758113772433866],
+        "abc": [92895538425936242],
+        "": [0],
+    }
+    for text, (h,) in got.items():
+        ref = 0
+        for ch in text:
+            ref = (ref * 1099511628211 + ord(ch)) % 2**64
+        assert h == ref
