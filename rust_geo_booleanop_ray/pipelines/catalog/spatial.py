@@ -459,7 +459,9 @@ def q_pip_join_rtree(sf_dir: str):
         RtreeContainsJoin,
         fn_constructor_kwargs={"zones_ref": zones_ref},
         batch_format="pyarrow",
-        concurrency=(4, 64),
+        # one actor to start: a minimum at the cluster's CPU count holds
+        # every CPU and starves the upstream read (a hang at 4 CPUs)
+        concurrency=(1, 64),
     )
     return out.map_batches(
         lambda b: pa.table({"p_partkey": b["zone_id"], "c_custkey": b["pid"]}),
@@ -835,10 +837,8 @@ def q_poly_clip_quads(sf_dir: str):
     merged = part.groupby("tile_id").map_groups(merge_rasters, batch_format="pyarrow")
 
     def finalize(batch: pa.Table) -> pa.Table:
-        covered = [
-            int((np.frombuffer(b, np.uint16) > 0).sum())
-            for b in batch["raster"].to_pylist()
-        ]
+        # coverage_fraction is covered / 256, exact in float64
+        covered = np.rint(batch["coverage_fraction"].to_numpy() * 256).astype(np.int64)
         return pa.table(
             {
                 "region_id": batch["tile_id"],
@@ -1267,11 +1267,7 @@ def q_tile_coverage_rects(sf_dir: str):
     def finish(batch: pa.Table) -> pa.Table:
         tiles = batch["tile_id"].to_numpy().view(np.uint64)
         tx, ty = cell_xy(tiles)
-        covered = np.empty(batch.num_rows, dtype=np.int64)
-        for i, buf in enumerate(batch["raster"].to_pylist()):
-            covered[i] = int(
-                (np.frombuffer(buf, dtype=np.uint16) > 0).sum()
-            )
+        covered = np.rint(batch["coverage_fraction"].to_numpy() * COV_PX**2).astype(np.int64)
         return pa.table(
             {
                 "tx": pa.array(tx.astype(np.int64), pa.int64()),

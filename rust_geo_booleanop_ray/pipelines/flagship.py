@@ -5,22 +5,31 @@ The end-to-end north-star flow, every stage a Dataset transform:
   read images (streaming synth source or parquet)
     → derive_footprints           (stateless map_batches, vectorized)
     → TileJoinClip('exact')       (stateless map_batches; Martinez clip)
-    → RasterizePartial            (map_batches; one scanline pass per batch)
-    → groupby(tile_id)            (THE shuffle, keyed on the cell space;
-                                   moves fixed-size count rasters)
-    → merge_rasters               (map_groups; sums a tile's partials)
-    → vectorize_tiles_batch       (map_batches, raster→vector)
+    → RasterizePartial + part     (map_batches; one scanline pass per
+                                   batch; part = the tile's parent cell)
+    → groupby(part)               (THE shuffle; moves fixed-size count
+                                   rasters, never geometry)
+    → merge_rasters               (one call per partition: one sort +
+      → vectorize_tiles_batch      reduceat, then one raster→vector pass)
 
-No driver-side materialization: callers consume the returned Dataset
+Every tile lies inside its partition, so the one exchange serves both
+the per-tile merge and the resumable per-partition commit.  No
+driver-side materialization: callers consume the returned Dataset
 (write_parquet / iter_batches / aggregate).
 """
 
 from __future__ import annotations
 
+import numpy as np
+import pyarrow as pa
+
 from ..sources.images import read_synth_images
+from ..stages.cells import cell_parent
 from ..stages.footprint import derive_footprints
 from ..stages.join_clip import TileJoinClip
 from ..stages.tiles import RasterizePartial, merge_rasters, vectorize_tiles_batch
+
+PART_STEPS = 2  # a tile's lineage partition is its parent cell this many levels up
 
 
 def footprints_dataset(n_images: int = 2000, seed: int = 42, images_ds=None):
@@ -28,29 +37,43 @@ def footprints_dataset(n_images: int = 2000, seed: int = 42, images_ds=None):
     return ds.map_batches(derive_footprints, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def clip_dataset(n_images: int = 2000, tile_res: int = 5, seed: int = 42, images_ds=None):
-    fp = footprints_dataset(n_images, seed, images_ds)
-    return fp.map_batches(
-        TileJoinClip(tile_res, mode="exact"),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
+def _keyed_partials(n_images, tile_res, raster_px, seed, images_ds, skip_parts=()):
+    """Images → partial count rasters (RasterizePartial), each row with
+    the ``part`` its tile belongs to.  Clips of tiles in ``skip_parts``
+    are dropped before the exact clip."""
+
+    def add_part(batch: pa.Table) -> pa.Table:
+        cells = batch["tile_id"].to_numpy().view("uint64")
+        return batch.append_column("part", pa.array(cell_parent(cells, PART_STEPS).view("int64")))
+
+    clip = TileJoinClip(tile_res, mode="exact").with_skip_parts(skip_parts, part_steps=PART_STEPS)
+    return (
+        footprints_dataset(n_images, seed, images_ds)
+        .map_batches(clip, batch_format="pyarrow", zero_copy_batch=True)
+        .map_batches(RasterizePartial(raster_px), batch_format="pyarrow", zero_copy_batch=True)
+        .map_batches(add_part, batch_format="pyarrow")
     )
+
+
+def _tile_tail():
+    """One partition's partials → its tiles (tile_id, geom,
+    coverage_fraction).  ``merge_rasters`` and ``vectorize_tiles_batch``
+    are bound here, when the plan is built, and reach the workers
+    inside the closure."""
+    merge, vectorize = merge_rasters, vectorize_tiles_batch
+
+    def tail(group: pa.Table) -> pa.Table:
+        return vectorize(merge(group))
+
+    return tail
 
 
 def tile_pipeline(n_images: int = 2000, tile_res: int = 5, raster_px: int = 32, seed: int = 42, images_ds=None):
     """Clips are pre-rasterized INSIDE map_batches (RasterizePartial), so
-    the groupby shuffle moves fixed-size count bitmaps, not geometry
-    lists; per-tile merge is an additive reduce.  Equivalent output to
-    grouping raw clips into ``stages.tiles.RasterizeTile``, at a
-    fraction of the exchange volume."""
-    clips = clip_dataset(n_images, tile_res, seed, images_ds)
-    partials = clips.map_batches(
-        RasterizePartial(raster_px), batch_format="pyarrow", zero_copy_batch=True
-    )
-    rasters = partials.groupby("tile_id").map_groups(
-        merge_rasters, batch_format="pyarrow"
-    )
-    return rasters.map_batches(vectorize_tiles_batch, batch_format="pyarrow")
+    the one shuffle moves fixed-size count bitmaps, not geometry lists,
+    and each partition merges its tiles with one additive reduce."""
+    partials = _keyed_partials(n_images, tile_res, raster_px, seed, images_ds)
+    return partials.groupby("part").map_groups(_tile_tail(), batch_format="pyarrow")
 
 
 def tile_pipeline_resumable(
@@ -62,42 +85,21 @@ def tile_pipeline_resumable(
     images_ds=None,
 ):
     """Flagship with per-partition lineage checkpoints (north_rule:
-    resumable mid-run).  Tiles are bucketed into partitions by their
-    coarse parent cell; each partition directory commits atomically with
-    a ``_lineage.json`` manifest, and a re-run skips committed
-    partitions BEFORE the shuffle.  Returns the metrics Dataset."""
-    import numpy as np
-    import pyarrow as pa
-
-    from ..stages.cells import cell_parent
+    resumable mid-run).  Each partition task merges and vectorizes its
+    tiles, then commits its directory atomically with a
+    ``_lineage.json`` manifest; a re-run skips committed partitions
+    BEFORE the exact clip.  Returns the metrics Dataset."""
     from ..state.lineage import completed_partitions, resumable_write
 
     config_hash = f"n={n_images},res={tile_res},px={raster_px},seed={seed}"
-
-    # push the done-partition filter into the clip stage: a resumed run
-    # skips the exact clip + rasterize for committed partitions, not
-    # just their writes (gen/footprint/cover still stream — input-level
-    # skipping would need partition-aligned input files)
+    # gen/footprint/cover still stream for committed partitions:
+    # input-level skipping would need partition-aligned input files
     done = {np.uint64(p) for p in completed_partitions(out_dir, config_hash)}
-    fp = footprints_dataset(n_images, seed, images_ds)
-    clips = fp.map_batches(
-        TileJoinClip(tile_res, mode="exact").with_skip_parts(done, part_steps=2),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    partials = clips.map_batches(
-        RasterizePartial(raster_px), batch_format="pyarrow", zero_copy_batch=True
-    )
-    tiles = partials.groupby("tile_id").map_groups(
-        merge_rasters, batch_format="pyarrow"
-    ).map_batches(vectorize_tiles_batch, batch_format="pyarrow")
+    partials = _keyed_partials(n_images, tile_res, raster_px, seed, images_ds, done)
+    tail = _tile_tail()
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        import numpy as np
+    def tiles_with_part(group: pa.Table) -> pa.Table:
+        tiles = tail(group)
+        return tiles.append_column("part", pa.repeat(group["part"][0], tiles.num_rows))
 
-        cells = batch["tile_id"].to_numpy().view("uint64")
-        part = cell_parent(cells, steps=2).view("int64")
-        return batch.append_column("part", pa.array(part))
-
-    keyed = tiles.map_batches(add_part, batch_format="pyarrow")
-    return resumable_write(keyed, out_dir, part_col="part", config_hash=config_hash)
+    return resumable_write(partials, out_dir, "part", config_hash, tail=tiles_with_part)

@@ -444,7 +444,10 @@ def ascii_token_hashes(arr: pa.Array) -> np.ndarray:
     Python.  The hash is engine-internal only (the oracle groups by the
     actual bigram strings), so only collision-freeness matters:
     distinct-token space even at web scale (~10^7–10^8 types) is far
-    below the 64-bit birthday bound."""
+    below the 64-bit birthday bound.  A collision is not silent: it
+    merges the two tokens' bigrams, so the per-occurrence counts the LM
+    score sums no longer match the oracle's exact-string counts
+    (tests/test_text_hash_collision.py plants one)."""
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
     n = len(arr)

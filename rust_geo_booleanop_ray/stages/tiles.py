@@ -4,15 +4,17 @@ Tiles are cells at a fixed resolution (one id space for partitioning,
 join keys and tile naming).  ``RasterizePartial`` turns a batch of
 clipped pieces into one coverage-count raster per tile with a single
 vectorized even-odd scanline pass over the Arrow offset buffers;
-``merge_rasters`` sums a tile's partial rasters after the shuffle;
-``raster_to_rects`` extracts maximal horizontal-run rectangles back into
-vector space (raster→vector).  Together they give the raster↔vector
-round trip of the north star.
+``merge_rasters`` sums any number of tiles' partial rasters with one
+sort and one ``reduceat``; ``raster_rects`` extracts maximal
+horizontal-run rectangles back into vector space (raster→vector) in one
+numpy pass.  Together they give the raster↔vector round trip of the
+north star.
 
-Used as: clips.map_batches(RasterizePartial(px))
-.groupby("tile_id").map_groups(merge_rasters) — the groupby is the one
-shuffle, keyed by the same cell-id space as everything else, and it
-moves fixed-size count rasters rather than geometry.
+Used as (pipelines/flagship.py): clips.map_batches(RasterizePartial(px))
+→ groupby(part) → merge_rasters → vectorize_tiles_batch, all in one
+call per partition.  The groupby is the one shuffle, keyed by the
+tiles' parent cells in the same cell-id space as everything else, and
+it moves fixed-size count rasters rather than geometry.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..sources.arrow_geom import arrow_mp_offsets, mps_to_arrow
-from .cells import cell_bounds, cell_bounds_array
+from ..sources.arrow_geom import arrow_mp_offsets, arrow_to_mps, flat_to_arrow
+from .cells import cell_bounds_array
 
 PARTIAL_SCHEMA = pa.schema(
     [
@@ -168,7 +170,7 @@ class RasterizeTile:
 class RasterizePartial:
     """map_batches kernel: clip rows → per-(batch, tile) PARTIAL count
     rasters.  The heavy geometry work happens here, before the shuffle;
-    the ``groupby(tile_id)`` then moves only fixed-size bitmaps
+    the shuffle then moves only fixed-size bitmaps
     (2·px² bytes) instead of geometry lists, and ``merge_rasters`` sums
     them.  Count rasters are additive and order-independent, so
     partial + merge is exactly equivalent to whole-group rasterization
@@ -196,123 +198,110 @@ class RasterizePartial:
         xs, ys = pixel_centres(tids, px)
         counts = rasterize_counts(clip, xs, ys, tile_of_row)
         # uint32 accumulator; saturate to the uint16 wire
-        wire = np.minimum(counts, 65535).astype(np.uint16)
-        # one px*px uint16 raster per tile, back to back in one buffer
-        # (the int32 cast raises rather than wrap past 2 GiB)
-        offsets = pa.array(np.arange(len(tids) + 1, dtype=np.int64) * (2 * px * px), pa.int32())
-        raster = pa.Array.from_buffers(
-            pa.binary(), len(tids), [None, offsets.buffers()[1], pa.py_buffer(wire)]
-        )
+        wire = np.minimum(counts, 65535).astype(np.uint16).reshape(len(tids), px * px)
         return pa.table(
             [
                 pa.array(tids, pa.int64()),
                 pa.array(np.full(len(tids), px, dtype=np.int32)),
-                raster,
+                _raster_column(wire),
                 pa.array(np.bincount(tile_of_row, minlength=len(tids)), pa.int64()),
             ],
             schema=PARTIAL_SCHEMA,
         )
 
 
-def merge_rasters(group: pa.Table) -> pa.Table:
-    """map_groups merge of RasterizePartial outputs for one tile."""
-    tile_id = int(group["tile_id"][0].as_py())
-    px = int(group["px"][0].as_py())
-    # uint32 accumulation: summing many uint16 partials must not wrap
-    # (a pixel wrapping to 0 mod 65536 would silently undercount
-    # coverage_fraction); the merged wire saturates at the uint16 max.
-    # All partials of a tile are px*px uint16, so the whole group sums
-    # in ONE zero-copy reshape — no per-raster Python loop
-    arr = group["raster"]
+def _raster_buffers(arr, nbytes) -> np.ndarray:
+    """A binary column's rows, ``nbytes[i]`` (= 2·px²) bytes each, as one
+    flat uint16 array; ``ValueError`` on a row of any other length."""
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
-    n = len(arr)
-    offs = np.frombuffer(arr.buffers()[1], dtype=np.int32)[
-        arr.offset : arr.offset + n + 1
-    ]
-    data = np.frombuffer(arr.buffers()[2], dtype=np.uint8)
-    seg = data[offs[0] : offs[-1]]
-    counts = (
-        seg.view(np.uint16).reshape(n, px * px).sum(axis=0, dtype=np.uint32)
-        if seg.size
-        else np.zeros(px * px, dtype=np.uint32)
-    )
-    covered = int((counts > 0).sum())
-    wire = np.minimum(counts, 65535).astype(np.uint16)
+    offs = np.frombuffer(arr.buffers()[1], dtype=np.int32)[arr.offset : arr.offset + len(arr) + 1]
+    bad = np.flatnonzero(np.diff(offs) != nbytes)
+    if len(bad):
+        raise ValueError(f"raster row {bad[0]} holds {np.diff(offs)[bad[0]]} bytes, expected 2·px²")
+    if not len(arr):
+        return np.empty(0, np.uint16)
+    return np.frombuffer(arr.buffers()[2], dtype=np.uint8)[offs[0] : offs[-1]].view(np.uint16)
+
+
+def _raster_column(wire: np.ndarray) -> pa.Array:
+    """``(T, px²)`` uint16 rasters → a binary column over one buffer (the
+    int32 offsets raise rather than wrap past 2 GiB)."""
+    offsets = pa.array(np.arange(len(wire) + 1, dtype=np.int64) * (2 * wire.shape[1]), pa.int32())
+    return pa.Array.from_buffers(pa.binary(), len(wire), [None, offsets.buffers()[1], pa.py_buffer(wire)])
+
+
+def merge_rasters(group: pa.Table) -> pa.Table:
+    """Sum ``RasterizePartial`` outputs per tile: any number of tiles
+    in, one row per tile out, sorted by ``tile_id`` — one stable sort
+    and one ``np.add.reduceat``.  Accumulation is uint32, so summing
+    many uint16 partials cannot wrap (a pixel wrapping to 0 mod 65536
+    would undercount ``coverage_fraction``); the merged wire saturates
+    at the uint16 max.  A group's rows must share one ``px``."""
+    pxs = np.unique(group["px"].to_numpy())
+    if len(pxs) > 1:
+        raise ValueError(f"merge_rasters: one group holds rasters of px {pxs.tolist()}")
+    px = int(pxs[0])
+    tids = group["tile_id"].to_numpy()
+    order = np.argsort(tids, kind="stable")
+    tids = tids[order]
+    starts = np.flatnonzero(np.r_[True, tids[1:] != tids[:-1]])
+    partials = _raster_buffers(group["raster"], 2 * px * px).reshape(len(tids), px * px)
+    counts = np.add.reduceat(partials[order], starts, axis=0, dtype=np.uint32)
     return pa.table(
         {
-            "tile_id": pa.array([tile_id], pa.int64()),
-            "px": pa.array([px], pa.int32()),
-            "raster": pa.array([wire.tobytes()], pa.binary()),
-            "n_pieces": pa.array([int(group["n_pieces"].to_numpy().sum())], pa.int64()),
-            "coverage_fraction": pa.array([covered / (px * px)], pa.float64()),
+            "tile_id": pa.array(tids[starts], pa.int64()),
+            "px": pa.array(np.full(len(starts), px, dtype=np.int32)),
+            "raster": _raster_column(np.minimum(counts, 65535).astype(np.uint16)),
+            "n_pieces": pa.array(np.add.reduceat(group["n_pieces"].to_numpy()[order], starts), pa.int64()),
+            "coverage_fraction": pa.array((counts > 0).sum(axis=1) / (px * px), pa.float64()),
         }
     )
+
+
+def raster_rects(tile_ids, px, raster) -> pa.ListArray:
+    """Coverage rasters → one multipolygon of axis-aligned rects per
+    tile (raster→vector) in one numpy pass; ``px`` may vary per tile.
+
+    Maximal horizontal runs of covered pixels come from the mask's diff,
+    cut at row ends; identical ``(tile, start, end)`` runs on consecutive
+    rows chain into one rect.  A tile's rects are ordered by (start row,
+    start column); corners are ``x0 + col * ((x1 - x0) / px)``."""
+    px = np.asarray(px, dtype=np.int64)
+    m = np.r_[False, _raster_buffers(raster, 2 * px * px) > 0, False]
+    row_start = np.cumsum(np.repeat(px, px)) - np.repeat(px, px)  # tile-major pixel rows
+    cut = np.zeros(len(m) - 1, dtype=bool)
+    cut[row_start] = cut[-1] = True
+    begin = np.flatnonzero(m[1:] & (~m[:-1] | cut))
+    end = np.flatnonzero(m[:-1] & (~m[1:] | cut))  # exclusive
+    row = np.searchsorted(row_start, begin, side="right") - 1
+    tile = np.repeat(np.arange(len(px)), px)[row]
+    c0, c1 = begin - row_start[row], end - row_start[row] - 1
+    # sorted by (tile, start, end, row), a chain breaks where the run
+    # changes or a row is skipped (global rows: consecutive ⇒ same tile)
+    o = np.lexsort((row, c1, c0, tile))
+    tile, row, c0, c1 = tile[o], row[o], c0[o], c1[o]
+    head = np.r_[True, (np.diff(tile) != 0) | (np.diff(c0) != 0) | (np.diff(c1) != 0) | (np.diff(row) != 1)]
+    first = np.flatnonzero(head[: len(o)])
+    last = np.r_[first[1:], len(o)][: len(first)] - 1
+    t, c0, c1 = tile[first], c0[first], c1[first]
+    r0, r1 = row[first] - (np.cumsum(px) - px)[t], row[last] - (np.cumsum(px) - px)[t]
+    o = np.lexsort((c0, r0, t))
+    t, r0, r1, c0, c1 = t[o], r0[o], r1[o], c0[o], c1[o]
+    x0, y0, x1, y1 = cell_bounds_array(np.asarray(tile_ids))
+    wx, wy = ((x1 - x0) / px)[t], ((y1 - y0) / px)[t]
+    rx0, rx1, ry0, ry1 = x0[t] + c0 * wx, x0[t] + (c1 + 1) * wx, y0[t] + r0 * wy, y0[t] + (r1 + 1) * wy
+    xy = np.stack([[rx0, rx1, rx1, rx0, rx0], [ry0, ry0, ry1, ry1, ry0]], axis=-1).transpose(1, 0, 2)
+    ones = np.ones(len(t), dtype=np.int64)
+    return flat_to_arrow(xy.reshape(-1, 2), 5 * ones, ones, np.bincount(t, minlength=len(px)))
 
 
 def raster_to_rects(raster: bytes, px: int, tile_id: int):
-    """Coverage raster → vector multipolygon of axis-aligned rectangles.
-
-    Greedy row-wise run-length extraction of the covered mask: each
-    maximal horizontal run of covered pixels in a row becomes one rect;
-    vertically adjacent identical runs are merged.  Deterministic.
-    """
-    counts = np.frombuffer(raster, dtype=np.uint16).reshape(px, px)
-    mask = counts > 0
-    x0, y0, x1, y1 = cell_bounds(tile_id)
-    wx = (x1 - x0) / px
-    wy = (y1 - y0) / px
-
-    # collect runs per row: (row, start_col, end_col)
-    active: dict = {}  # (start_col, end_col) -> start_row
-    polys = []
-
-    def flush(start_col, end_col, start_row, end_row):
-        rx0 = x0 + start_col * wx
-        rx1 = x0 + (end_col + 1) * wx
-        ry0 = y0 + start_row * wy
-        ry1 = y0 + (end_row + 1) * wy
-        polys.append([[(rx0, ry0), (rx1, ry0), (rx1, ry1), (rx0, ry1), (rx0, ry0)]])
-
-    for row in range(px):
-        runs = set()
-        col = 0
-        while col < px:
-            if mask[row, col]:
-                start = col
-                while col < px and mask[row, col]:
-                    col += 1
-                runs.add((start, col - 1))
-            else:
-                col += 1
-        # close runs that ended
-        for key in list(active):
-            if key not in runs:
-                flush(key[0], key[1], active.pop(key), row - 1)
-        for key in runs:
-            if key not in active:
-                active[key] = row
-    for key, start_row in active.items():
-        flush(key[0], key[1], start_row, px - 1)
-
-    polys.sort(key=lambda p: (p[0][0][1], p[0][0][0]))
-    return polys
+    """One tile's raster → its rects as a Python multipolygon."""
+    return arrow_to_mps(raster_rects([tile_id], [px], pa.array([raster], pa.binary())))[0]
 
 
 def vectorize_tiles_batch(batch: pa.Table) -> pa.Table:
-    """map_batches kernel: raster rows → vector multipolygon rows."""
-    mps = [
-        raster_to_rects(
-            batch["raster"][i].as_py(),
-            int(batch["px"][i].as_py()),
-            int(batch["tile_id"][i].as_py()),
-        )
-        for i in range(batch.num_rows)
-    ]
-    return pa.table(
-        {
-            "tile_id": batch["tile_id"],
-            "geom": mps_to_arrow(mps),
-            "coverage_fraction": batch["coverage_fraction"],
-        }
-    )
+    """map_batches kernel: merged raster rows → vector multipolygon rows."""
+    geom = raster_rects(batch["tile_id"].to_numpy(), batch["px"].to_numpy(), batch["raster"])
+    return pa.table({"tile_id": batch["tile_id"], "geom": geom, "coverage_fraction": batch["coverage_fraction"]})

@@ -13,6 +13,8 @@ import ray.data as rd
 
 from rust_geo_booleanop_ray.stages.join import broadcast_join, shuffle_hash_join
 from rust_geo_booleanop_ray.state.lineage import (
+    ENGINE_VERSION,
+    PartitionCommitWriter,
     completed_partitions,
     resumable_write,
 )
@@ -82,6 +84,44 @@ def test_resumable_write_skips_committed(tmp_path):
     with open(os.path.join(out_dir, "part=0", "_lineage.json")) as f:
         meta = json.load(f)
     assert meta["rows"] == 2 and meta["config_hash"] == "cfg2"
+
+
+def test_lineage_manifest_records_bytes_and_times(tmp_path):
+    """Each manifest carries the committed file's size and the writer
+    call's wall and CPU seconds next to its row count."""
+    out_dir = str(tmp_path / "out")
+    t = pa.table({"part": [0, 0, 1], "x": [1, 2, 3]})
+    resumable_write(rd.from_arrow(t), out_dir, config_hash="cfg").take_all()
+    for part, rows in ((0, 2), (1, 1)):
+        part_dir = os.path.join(out_dir, f"part={part}")
+        with open(os.path.join(part_dir, "_lineage.json")) as f:
+            meta = json.load(f)
+        assert meta["rows"] == rows
+        assert meta["bytes"] == os.path.getsize(os.path.join(part_dir, "part.parquet")) > 0
+        assert meta["wall_s"] > 0 and meta["cpu_s"] >= 0
+        assert meta["engine_version"] == ENGINE_VERSION and meta["config_hash"] == "cfg"
+
+
+def test_commit_writer_tail_runs_only_for_uncommitted(tmp_path):
+    """``tail`` shapes the written rows (and the manifest's row count)
+    and is not called for a partition that is already committed."""
+    import pyarrow.compute as pc
+
+    calls = []
+
+    def tail(group):
+        calls.append(group.num_rows)
+        return group.filter(pc.greater(group["x"], 1))
+
+    out_dir = str(tmp_path / "out")
+    w = PartitionCommitWriter(out_dir, config_hash="cfg", tail=tail)
+    g = pa.table({"part": [5, 5, 5], "x": [1, 2, 3]})
+    assert w(g)["rows"].to_pylist() == [2]
+    assert pq.read_table(os.path.join(out_dir, "part=5", "part.parquet"))["x"].to_pylist() == [2, 3]
+    with open(os.path.join(out_dir, "part=5", "_lineage.json")) as f:
+        assert json.load(f)["rows"] == 2
+    assert w(g)["skipped"].to_pylist() == [True]
+    assert calls == [3]
 
 
 def test_broadcast_join_empty_small_side():
