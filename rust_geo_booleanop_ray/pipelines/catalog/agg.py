@@ -11,6 +11,7 @@ import pyarrow.compute as pc  # noqa: F401
 from ...sources.arrow_geom import shoelace_area  # noqa: F401
 from ...sources.arrow_geom import rects_to_arrow as _rect_mp_array  # noqa: F401
 from ...stages.boolean_batch import BooleanOpBatch  # noqa: F401
+from ...stages.exchange import hash_exchange
 from ._shared import GRAM_DIM, KMEANS_ITERS, KMEANS_K, _EPOCH_2024_US, _cents, _read, triu_pairs_in_runs  # noqa: F401
 
 
@@ -78,9 +79,6 @@ def q_top_customers(sf_dir: str):
     """Top-10 customers by order spend: per-block partial sums → ONE
     key-bucketed shuffle with a vectorized merge + per-bucket top-10
     guard → bounded final sort; names joined via broadcast lookup."""
-    from ...stages.footprint import _splitmix64
-
-    N_BUCKETS = 64
 
     def partial(batch: pa.Table) -> pa.Table:
         t = pa.table(
@@ -90,11 +88,7 @@ def q_top_customers(sf_dir: str):
             }
         )
         agg = pa.TableGroupBy(t, "o_custkey").aggregate([("spend_c", "sum")])
-        agg = agg.rename_columns(["o_custkey", "spend_c"])
-        h = _splitmix64(agg["o_custkey"].to_numpy().astype(np.uint64))
-        return agg.append_column(
-            "bucket", pa.array((h % np.uint64(N_BUCKETS)).astype(np.int64))
-        )
+        return agg.rename_columns(["o_custkey", "spend_c"])
 
     def merge_topk_bucket(group: pa.Table) -> pa.Table:
         # vectorized per-bucket spend merge + top-10 guard: customer
@@ -118,10 +112,8 @@ def q_top_customers(sf_dir: str):
         )
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-    spend = (
-        orders.map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(merge_topk_bucket, batch_format="pyarrow")
+    spend = hash_exchange(
+        orders.map_batches(partial, batch_format="pyarrow"), "o_custkey", merge_topk_bucket
     )
     top = spend.sort(["spend_c", "o_custkey"], descending=[True, False]).limit(10)
 
@@ -215,23 +207,15 @@ def q_mode_event(sf_dir: str):
     argmaxes every user in a vectorized lexsort+reduceat pass (never
     one Python group call per user)."""
 
-    N_BUCKETS = 64
-
     def partial(batch: pa.Table) -> pa.Table:
-        from ...stages.footprint import _splitmix64
-
         agg = pa.TableGroupBy(
             batch.select(["user_id", "event_type"]), ["user_id", "event_type"]
         ).aggregate([([], "count_all")])
-        u = agg["user_id"].to_numpy().astype(np.uint64)
         return pa.table(
             {
                 "user_id": agg["user_id"],
                 "event_type": agg["event_type"],
                 "n": agg["count_all"].cast(pa.int64()),
-                "bucket": pa.array(
-                    (_splitmix64(u) % np.uint64(N_BUCKETS)).astype(np.int64)
-                ),
             }
         )
 
@@ -261,11 +245,7 @@ def q_mode_event(sf_dir: str):
         )
 
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(pick_bucket, batch_format="pyarrow")
-    )
+    return hash_exchange(ds.map_batches(partial, batch_format="pyarrow"), "user_id", pick_bucket)
 
 
 Q_MODE_EVENT_SQL = """
@@ -705,20 +685,6 @@ def q_basket_pairs(sf_dir: str):
     merges with a C-speed sort+reduceat kernel (totals are global — a
     pair's instances all share a pbucket) and forwards only each
     bucket's top-k into the bounded final sort."""
-    N_BUCKETS = 64
-
-    def bucket(b: pa.Table) -> pa.Table:
-        ok = b["l_orderkey"].to_numpy().astype(np.uint64)
-        h = ((ok % np.uint64(4294967296)) * np.uint64(2654435761)) % np.uint64(
-            4294967296
-        )
-        return pa.table(
-            {
-                "l_orderkey": b["l_orderkey"],
-                "l_partkey": b["l_partkey"],
-                "bucket": pa.array((h % N_BUCKETS).astype(np.int64)),
-            }
-        )
 
     def bucket_pairs(group: pa.Table) -> pa.Table:
         ok = group["l_orderkey"].to_numpy()
@@ -744,12 +710,7 @@ def q_basket_pairs(sf_dir: str):
         )
         t = pa.table({"pair_key": pa.array(key.view(np.int64))})
         agg = pa.TableGroupBy(t, "pair_key").aggregate([([], "count_all")])
-        agg = agg.rename_columns(["pair_key", "n"])
-        pk2 = agg["pair_key"].to_numpy().astype(np.uint64)
-        h = ((pk2 % np.uint64(4294967296)) ^ (pk2 >> np.uint64(32))) % np.uint64(
-            N_BUCKETS
-        )
-        return agg.append_column("pbucket", pa.array(h.astype(np.int64)))
+        return agg.rename_columns(["pair_key", "n"])
 
     def merge_topk(group: pa.Table) -> pa.Table:
         # vectorized per-bucket merge: every instance of a pair lands
@@ -778,11 +739,7 @@ def q_basket_pairs(sf_dir: str):
 
     ds = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
     return (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(bucket_pairs, batch_format="pyarrow")
-        .groupby("pbucket")
-        .map_groups(merge_topk, batch_format="pyarrow")
+        hash_exchange(hash_exchange(ds, "l_orderkey", bucket_pairs), "pair_key", merge_topk)
         .sort(["n", "pa_", "pb_"], descending=[True, False, False])
         .limit(COOC_TOP)
     )
@@ -1894,10 +1851,7 @@ def q_returned_items(sf_dir: str):
     attach by broadcast."""
     import pyarrow.parquet as pq
 
-    from ...stages.footprint import _splitmix64
     from ...stages.join import broadcast_join, shuffle_hash_join
-
-    N_BUCKETS = 64
 
     def rev_partial(b: pa.Table) -> pa.Table:
         keep = pc.equal(b["l_returnflag"], "R").to_numpy(zero_copy_only=False)
@@ -1918,11 +1872,7 @@ def q_returned_items(sf_dir: str):
     def bucket_partial(b: pa.Table) -> pa.Table:
         t = pa.table({"o_custkey": b["o_custkey"], "rev_c": b["rev_c"]})
         agg = pa.TableGroupBy(t, "o_custkey").aggregate([("rev_c", "sum")])
-        agg = agg.rename_columns(["o_custkey", "rev_c"])
-        h = _splitmix64(agg["o_custkey"].to_numpy().astype(np.uint64))
-        return agg.append_column(
-            "bucket", pa.array((h % np.uint64(N_BUCKETS)).astype(np.int64))
-        )
+        return agg.rename_columns(["o_custkey", "rev_c"])
 
     def merge_topk(group: pa.Table) -> pa.Table:
         k = group["o_custkey"].to_numpy()
@@ -1948,10 +1898,8 @@ def q_returned_items(sf_dir: str):
     joined = shuffle_hash_join(
         rev, orders, key="l_orderkey", left_cols=["rev_c"], right_cols=["o_custkey"]
     )
-    per_cust = (
-        joined.map_batches(bucket_partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(merge_topk, batch_format="pyarrow")
+    per_cust = hash_exchange(
+        joined.map_batches(bucket_partial, batch_format="pyarrow"), "o_custkey", merge_topk
     )
     top = per_cust.sort(["revenue_c", "c_custkey"], descending=[True, False]).limit(20)
 
@@ -2079,9 +2027,7 @@ def q_skew_report(sf_dir: str):
         bucket = (h % np.uint64(SKEW_BUCKETS)).astype(np.int64)
         cnt = np.bincount(bucket, minlength=SKEW_BUCKETS).astype(np.int64)
         nz = np.flatnonzero(cnt)
-        return pa.table(
-            {"bucket": pa.array(nz), "n": pa.array(cnt[nz])}
-        )
+        return pa.table({"skew_bucket": pa.array(nz), "n": pa.array(cnt[nz])})
 
     def fold(b: pa.Table) -> pa.Table:
         n = b["n"].to_numpy()
@@ -2097,7 +2043,7 @@ def q_skew_report(sf_dir: str):
     ds = _read(sf_dir, "orders", ["o_custkey"])
     return (
         ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
+        .groupby("skew_bucket")
         .aggregate(Sum("n", alias_name="n"))
         .repartition(1)
         .map_batches(fold, batch_format="pyarrow", batch_size=None)
@@ -2119,7 +2065,6 @@ Q_SKEW_REPORT_SQL = f"""
 
 
 PR_RANGE_SHIFT = 14  # price ranges of 2^14 cents (~$164)
-PR_BUCKETS = 64
 
 
 def q_percent_rank(sf_dir: str):
@@ -2139,8 +2084,6 @@ def q_percent_rank(sf_dir: str):
     PRIOS = ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED", "5-LOW"]
 
     def range_counts(b: pa.Table) -> pa.Table:
-        from ...stages.footprint import _splitmix64
-
         v = _cents(b["o_totalprice"].to_numpy())
         code = pc.index_in(
             b["o_orderpriority"], value_set=pa.array(PRIOS)
@@ -2152,11 +2095,7 @@ def q_percent_rank(sf_dir: str):
             }
         )
         agg = pa.TableGroupBy(t, "cell").aggregate([("n", "sum")])
-        agg = agg.rename_columns(["cell", "n"])
-        h = _splitmix64(agg["cell"].to_numpy().astype(np.uint64))
-        return agg.append_column(
-            "bucket", pa.array((h % np.uint64(PR_BUCKETS)).astype(np.int64))
-        )
+        return agg.rename_columns(["cell", "n"])
 
     def merge_counts(group: pa.Table) -> pa.Table:
         # cell cardinality tracks the VALUE DOMAIN (~10³–10⁴ cells) —
@@ -2174,12 +2113,9 @@ def q_percent_rank(sf_dir: str):
         )
 
     ds = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority", "o_totalprice"])
-    hist = (
-        ds.map_batches(range_counts, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(merge_counts, batch_format="pyarrow")
-        .take_all()  # ≤ priorities × price-domain/2^14 rows — bounded
-    )
+    # ≤ priorities × price-domain/2^14 rows — bounded
+    counts = ds.map_batches(range_counts, batch_format="pyarrow")
+    hist = hash_exchange(counts, "cell", merge_counts).take_all()
     cells = np.array([int(r["cell"]) for r in hist], dtype=np.int64)
     ns = np.array([int(r["n"]) for r in hist], dtype=np.int64)
     order = np.argsort(cells)
@@ -2201,8 +2137,6 @@ def q_percent_rank(sf_dir: str):
     lut_ref = ray.put((cells, cell_off, tot))
 
     def tag(b: pa.Table) -> pa.Table:
-        from ...stages.footprint import _splitmix64
-
         v = _cents(b["o_totalprice"].to_numpy())
         code = pc.index_in(
             b["o_orderpriority"], value_set=pa.array(PRIOS)
@@ -2214,11 +2148,6 @@ def q_percent_rank(sf_dir: str):
                 "o_orderpriority": b["o_orderpriority"],
                 "price_c": pa.array(v, pa.int64()),
                 "cell": pa.array(cell),
-                "bucket": pa.array(
-                    (_splitmix64(cell.astype(np.uint64)) % np.uint64(PR_BUCKETS)).astype(
-                        np.int64
-                    )
-                ),
             }
         )
 
@@ -2249,11 +2178,7 @@ def q_percent_rank(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(rank_bucket, batch_format="pyarrow")
-    )
+    return hash_exchange(ds.map_batches(tag, batch_format="pyarrow"), "cell", rank_bucket)
 
 
 Q_PERCENT_RANK_SQL = """

@@ -309,9 +309,17 @@ def q_mutual_nn(sf_dir: str):
             }
         )
 
-    return bucketed.groupby("bucket").map_groups(
-        mutual_in_bucket, batch_format="pyarrow"
-    )
+    # an exact-key exchange: the kernel ranks within one sign-LSH
+    # bucket (256 values) per call
+    return bucketed.map_batches(_lsh_bucket, batch_format="pyarrow").groupby(
+        "lsh_bucket"
+    ).map_groups(mutual_in_bucket, batch_format="pyarrow")
+
+
+def _lsh_bucket(b: pa.Table) -> pa.Table:
+    """``EmbeddingLshBucket`` rows with the sign-LSH key renamed, so it
+    is not mistaken for (or shadowed by) an exchange's hash bucket."""
+    return b.rename_columns(["lsh_bucket" if c == "bucket" else c for c in b.column_names])
 
 
 def _build_mutual_nn_sql() -> str:

@@ -11,21 +11,21 @@ import pyarrow.compute as pc  # noqa: F401
 from ...sources.arrow_geom import shoelace_area  # noqa: F401
 from ...sources.arrow_geom import rects_to_arrow as _rect_mp_array  # noqa: F401
 from ...stages.boolean_batch import BooleanOpBatch  # noqa: F401
+from ...stages.exchange import hash_exchange
 from ._shared import GRAM_DIM, KMEANS_ITERS, KMEANS_K, _dedup_edge_union, _read  # noqa: F401
 from .agg import _kmeans_ctes  # noqa: F401
-from .ann import _sign_bucket_expr  # noqa: F401
+from .ann import _lsh_bucket, _sign_bucket_expr  # noqa: F401
 
 
 
 def q_dedup_exact(sf_dir: str):
     """Exact dedup groups: representative (min doc_id) + group size.
-    The merge shuffle is BUCKETED (hash % 64), not grouped by the
+    The merge shuffle is a ``hash_exchange``, not grouped by the
     content hash itself — hash cardinality is ~rows, and one Python
     map_groups call per distinct document is the per-key anti-pattern;
     the bucketed kernel does the same merge with lexsort+reduceat."""
     from ...stages.dedup import (
         content_hash_batch,
-        exact_dedup_bucket_col,
         exact_dedup_merge_bucket,
         exact_dedup_partial,
     )
@@ -33,11 +33,7 @@ def q_dedup_exact(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     hashed = ds.map_batches(content_hash_batch, batch_format="pyarrow")
     partials = hashed.map_batches(exact_dedup_partial, batch_format="pyarrow")
-    merged = (
-        partials.map_batches(exact_dedup_bucket_col, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(exact_dedup_merge_bucket, batch_format="pyarrow")
-    )
+    merged = hash_exchange(partials, "content_hash", exact_dedup_merge_bucket)
     return merged.select_columns(["doc_id", "n"])
 
 
@@ -122,7 +118,7 @@ def q_normalized_dedup(sf_dir: str):
     Normalization is vectorized Arrow kernels (utf8_trim/lower +
     RE2 replace); the merge shuffle is hash-bucketed, never grouped by
     the ~rows-cardinality text hash itself."""
-    from ...stages.dedup import DEDUP_BUCKETS, content_hash_batch
+    from ...stages.dedup import content_hash_batch
 
     def norm(batch: pa.Table) -> pa.Table:
         t = pc.replace_substring_regex(
@@ -146,7 +142,6 @@ def q_normalized_dedup(sf_dir: str):
             ),
             ["content_hash", "content_hash_hi"],
         ).aggregate([("doc_id", "min"), ("doc_id", "count"), ("n_chars", "min")])
-        h = agg["content_hash"].to_numpy().view(np.uint64)
         return pa.table(
             {
                 "content_hash": agg["content_hash"],
@@ -154,9 +149,6 @@ def q_normalized_dedup(sf_dir: str):
                 "doc_id": agg["doc_id_min"].cast(pa.int64()),
                 "n": agg["doc_id_count"].cast(pa.int64()),
                 "n_chars": agg["n_chars_min"].cast(pa.int64()),
-                "bucket": pa.array(
-                    (h % np.uint64(DEDUP_BUCKETS)).astype(np.int64)
-                ),
             }
         )
 
@@ -182,12 +174,10 @@ def q_normalized_dedup(sf_dir: str):
         )
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return (
-        ds.map_batches(norm, batch_format="pyarrow")
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(merge, batch_format="pyarrow")
+    partials = ds.map_batches(norm, batch_format="pyarrow").map_batches(
+        partial, batch_format="pyarrow"
     )
+    return hash_exchange(partials, "content_hash", merge)
 
 
 Q_NORMALIZED_DEDUP_SQL = """
@@ -362,10 +352,9 @@ def q_dedup_keep_best(sf_dir: str):
     Scale shape: components from the distributed label propagation,
     per-doc scores vectorized in-batch, ONE bucketed hash join
     attaches scores to labels, and the per-component argmax is the
-    splitmix64(component) % 64 bucketed lexsort/run-boundary kernel —
+    component-bucketed (``hash_exchange``) lexsort/run-boundary kernel —
     component cardinality is ~rows, never a generic per-key
     aggregate."""
-    from ...stages.footprint import _splitmix64
     from ...stages.join import shuffle_hash_join
     from ...stages.text import text_stats_batch
 
@@ -400,12 +389,6 @@ def q_dedup_keep_best(sf_dir: str):
             [pa.field("doc_id", pa.int64()), pa.field("score", pa.int64())]
         ),
     )
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        k = b["component"].to_numpy().astype(np.uint64)
-        return b.append_column(
-            "kb", pa.array((_splitmix64(k) % np.uint64(64)).astype(np.int64))
-        )
 
     out_schema = pa.schema(
         [
@@ -437,11 +420,7 @@ def q_dedup_keep_best(sf_dir: str):
             }
         )
 
-    return (
-        j.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(best_kernel, batch_format="pyarrow")
-    )
+    return hash_exchange(j, "component", best_kernel)
 
 
 def q_keep_best_apply(sf_dir: str):
@@ -453,7 +432,6 @@ def q_keep_best_apply(sf_dir: str):
     bucketed hash join, the per-component kernel emits the DROPPED
     member ids directly (everything but the argmax row), and one
     anti-join shuffle prunes the corpus.  Nothing on the driver."""
-    from ...stages.footprint import _splitmix64
     from ...stages.join import shuffle_hash_join
     from ...stages.text import text_stats_batch
 
@@ -489,12 +467,6 @@ def q_keep_best_apply(sf_dir: str):
         ),
     )
 
-    def add_bucket(b: pa.Table) -> pa.Table:
-        k = b["component"].to_numpy().astype(np.uint64)
-        return b.append_column(
-            "kb", pa.array((_splitmix64(k) % np.uint64(64)).astype(np.int64))
-        )
-
     drop_schema = pa.schema([pa.field("doc_id", pa.int64())])
 
     def dropped_kernel(group: pa.Table) -> pa.Table:
@@ -510,11 +482,7 @@ def q_keep_best_apply(sf_dir: str):
         st[1:] = c[1:] != c[:-1]
         return pa.table({"doc_id": pa.array(d[~st], pa.int64())})
 
-    dropped = (
-        j.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(dropped_kernel, batch_format="pyarrow")
-    )
+    dropped = hash_exchange(j, "component", dropped_kernel)
     docs = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
     return shuffle_hash_join(
         docs,
@@ -835,12 +803,12 @@ def q_embedding_near_dup(sf_dir: str):
     from ray.data.aggregate import Max
 
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    bucketed = ds.map_batches(
-        EmbeddingLshBucket(n_bits=8), batch_format="pyarrow"
-    )
-    pairs = bucketed.groupby("bucket").map_groups(
-        EmbeddingNearDupPairs(threshold=0.35), batch_format="pyarrow"
-    )
+    bucketed = ds.map_batches(EmbeddingLshBucket(n_bits=8), batch_format="pyarrow")
+    # an exact-key exchange: the kernel compares one sign-LSH bucket
+    # (256 values) per call
+    pairs = bucketed.map_batches(_lsh_bucket, batch_format="pyarrow").groupby(
+        "lsh_bucket"
+    ).map_groups(EmbeddingNearDupPairs(threshold=0.35), batch_format="pyarrow")
     from ...stages.dedup import pair_reduce
 
     agg = pair_reduce(pairs, "vec_a", "vec_b", "cosine", how="max")
@@ -915,7 +883,6 @@ def q_ngram_dedup(sf_dir: str):
         ngram_jaccard_pct,
         pair_reduce,
     )
-    from ...stages.footprint import _splitmix64
     from ...stages.join import shuffle_hash_join
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
@@ -963,21 +930,6 @@ def q_ngram_dedup(sf_dir: str):
         ),
     )
 
-    N_BUCKETS = 64
-
-    def add_pair_bucket(b: pa.Table) -> pa.Table:
-        k = b["pair_key"].to_numpy().view(np.uint64)
-        return pa.table(
-            {
-                "pair_key": b["pair_key"],
-                "slot": b["slot"],
-                "text": b["text"],
-                "vbucket": pa.array(
-                    (_splitmix64(k) % np.uint64(N_BUCKETS)).astype(np.int64)
-                ),
-            }
-        )
-
     def verify_bucket(group: pa.Table) -> pa.Table:
         k = group["pair_key"].to_numpy()
         slot = group["slot"].to_numpy()
@@ -1006,11 +958,7 @@ def q_ngram_dedup(sf_dir: str):
         )
         return out.filter(pc.greater_equal(out["jaccard_pct"], 50))
 
-    return (
-        joined.map_batches(add_pair_bucket, batch_format="pyarrow")
-        .groupby("vbucket")
-        .map_groups(verify_bucket, batch_format="pyarrow")
-    )
+    return hash_exchange(joined, "pair_key", verify_bucket)
 
 
 CAPD_N = 2000
@@ -1025,8 +973,6 @@ def q_caption_dedup(sf_dir: str):
     pre-aggregates before a caption-hash BUCKETED lexsort/reduceat
     merge — normalized captions are rows-cardinality at 10^12 images,
     so the generic per-key aggregate never runs."""
-    N_BUCKETS = 16
-
     from ...sources.images import read_synth_image_meta
 
     def partial(b: pa.Table) -> pa.Table:
@@ -1049,7 +995,7 @@ def q_caption_dedup(sf_dir: str):
             [zlib.crc32(c.encode()) for c in agg["caption"].to_pylist()],
             dtype=np.int64,
         )
-        return agg.append_column("bucket", pa.array(h % N_BUCKETS))
+        return agg.append_column("caption_crc", pa.array(h))
 
     def merge(group: pa.Table) -> pa.Table:
         cap = np.asarray(group["caption"].to_pylist(), dtype=object)
@@ -1069,11 +1015,7 @@ def q_caption_dedup(sf_dir: str):
         )
 
     ds = read_synth_image_meta(CAPD_N)
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(merge, batch_format="pyarrow")
-    )
+    return hash_exchange(ds.map_batches(partial, batch_format="pyarrow"), "caption_crc", merge)
 
 
 def _build_caption_dedup_sql(n: int = CAPD_N) -> str:
@@ -1129,24 +1071,14 @@ def q_contamination_winnow(sf_dir: str):
 
 
 def _contamination_pipeline(sf_dir: str, hash_batch):
-    N_BUCKETS = 64
-
     def prep(b: pa.Table) -> pa.Table:
         w = hash_batch(b)
         d = w["doc_id"].to_numpy()
-        h = w["hv"].to_numpy()
-        from ...stages.footprint import _splitmix64
-
         return pa.table(
             {
                 "doc_id": pa.array(d),
-                "hv": pa.array(h),
+                "hv": pa.array(w["hv"].to_numpy()),
                 "is_eval": pa.array((d % 50 == 0).astype(np.int64)),
-                "bucket": pa.array(
-                    (_splitmix64(h.astype(np.uint64)) % np.uint64(N_BUCKETS)).astype(
-                        np.int64
-                    )
-                ),
             }
         )
 
@@ -1182,15 +1114,6 @@ def _contamination_pipeline(sf_dir: str, hash_batch):
             }
         )
 
-    def ebucket(b: pa.Table) -> pa.Table:
-        from ...stages.footprint import _splitmix64
-
-        e = b["eval_doc"].to_numpy().astype(np.uint64)
-        return b.append_column(
-            "bucket",
-            pa.array((_splitmix64(e) % np.uint64(N_BUCKETS)).astype(np.int64)),
-        )
-
     def count_bucket(group: pa.Table) -> pa.Table:
         e = group["eval_doc"].to_numpy()
         t = group["train_doc"].to_numpy()
@@ -1206,16 +1129,8 @@ def _contamination_pipeline(sf_dir: str, hash_batch):
         )
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    pairs = (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(join_bucket, batch_format="pyarrow")
-    )
-    return (
-        pairs.map_batches(ebucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(count_bucket, batch_format="pyarrow")
-    )
+    pairs = hash_exchange(ds.map_batches(prep, batch_format="pyarrow"), "hv", join_bucket)
+    return hash_exchange(pairs, "eval_doc", count_bucket)
 
 
 def _build_contamination_sql() -> str:
@@ -1269,22 +1184,7 @@ def q_substring_dedup(sf_dir: str):
     quadratic pair product) → ONE doc-bucketed min merge.  At 10^12
     docs the winnowed fingerprints pre-filter candidates (see the
     kernel docstring); exhaustive windows here keep the oracle exact."""
-    from ...stages.footprint import _splitmix64
     from ...stages.text import long_window_hashes_batch
-
-    N_BUCKETS = 64
-
-    def prep(b: pa.Table) -> pa.Table:
-        w = long_window_hashes_batch(b)
-        h = w["hv"].to_numpy()
-        return w.append_column(
-            "bucket",
-            pa.array(
-                (_splitmix64(h.astype(np.uint64)) % np.uint64(N_BUCKETS)).astype(
-                    np.int64
-                )
-            ),
-        )
 
     def flag_bucket(group: pa.Table) -> pa.Table:
         h = group["hv"].to_numpy()
@@ -1311,13 +1211,6 @@ def q_substring_dedup(sf_dir: str):
             }
         )
 
-    def dbucket(b: pa.Table) -> pa.Table:
-        d = b["doc_id"].to_numpy().astype(np.uint64)
-        return b.append_column(
-            "bucket",
-            pa.array((_splitmix64(d) % np.uint64(N_BUCKETS)).astype(np.int64)),
-        )
-
     def min_bucket(group: pa.Table) -> pa.Table:
         d = group["doc_id"].to_numpy()
         k = group["keeper"].to_numpy()
@@ -1332,16 +1225,8 @@ def q_substring_dedup(sf_dir: str):
         )
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    flagged = (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(flag_bucket, batch_format="pyarrow")
-    )
-    return (
-        flagged.map_batches(dbucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(min_bucket, batch_format="pyarrow")
-    )
+    windows = ds.map_batches(long_window_hashes_batch, batch_format="pyarrow")
+    return hash_exchange(hash_exchange(windows, "hv", flag_bucket), "doc_id", min_bucket)
 
 
 def _build_substring_dedup_sql() -> str:
@@ -1657,13 +1542,6 @@ def _incr_keeper_rollup(pairs):
     """Per new doc (doc_b): min partner + distinct-partner count — one
     bucketed lexsort/reduceat merge (new-doc ids are rows-cardinality;
     never a generic per-key aggregate)."""
-    from ...stages.footprint import _splitmix64
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        k = b["doc_b"].to_numpy().astype(np.uint64)
-        return b.append_column(
-            "kb", pa.array((_splitmix64(k) % np.uint64(64)).astype(np.int64))
-        )
 
     out_schema = pa.schema(
         [
@@ -1693,11 +1571,7 @@ def _incr_keeper_rollup(pairs):
             }
         )
 
-    return (
-        pairs.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(keeper_kernel, batch_format="pyarrow")
-    )
+    return hash_exchange(pairs, "doc_b", keeper_kernel)
 
 
 def _build_incremental_minhash_sql() -> str:

@@ -11,6 +11,7 @@ import pyarrow.compute as pc  # noqa: F401
 from ...sources.arrow_geom import shoelace_area  # noqa: F401
 from ...sources.arrow_geom import rects_to_arrow as _rect_mp_array  # noqa: F401
 from ...stages.boolean_batch import BooleanOpBatch  # noqa: F401
+from ...stages.exchange import hash_exchange
 from ._shared import _dedup_edge_union, _read, triu_pairs_in_runs  # noqa: F401
 
 
@@ -19,38 +20,16 @@ PR_BASE = 150_000  # (1-d)·10^6 with d=0.85, in integer micro-units
 PR_ROUNDS = 2
 
 
-def q_pagerank(sf_dir: str):
-    """Integer PageRank (2 rounds, d=0.85) over the symmetric
-    document-similarity graph — the iterative weighted-propagation
-    primitive, made hash-exact by doing EVERYTHING in integer
-    micro-units: score₀ = 10⁶, each round score(u) = 150000 +
-    Σ_in floor(floor(score_v / deg_v) · 17 / 20).  Per round: one
-    bucketed shuffle joins scores to out-edges, one node-bucketed
-    vectorized reduceat sums the contributions — the same exchange
-    shape as connected_components, scores never touch the driver."""
-    from ...stages.footprint import _splitmix64
-    from ...stages.join import shuffle_hash_join
+def _sym_edges(sf_dir: str):
+    """The symmetric similarity graph as (src, dst): the consecutive-doc
+    chains of dedup_components (both relations), deduped by packed pair
+    key as the SQL mirrors' UNION does, then emitted both ways."""
 
-    N_BUCKETS = 64
-
-    # deterministic edges: the consecutive-doc chains used by
-    # dedup_components (both relations).  PageRank is multiplicity-
-    # sensitive (degrees!), so the two relations' edge sets are
-    # DEDUPED (bucketed unique over the packed pair key — the SQL
-    # mirror's UNION does the same) before symmetrizing.
-    comps_edges = _dedup_edge_union(sf_dir)
-
-    def pack_bucket(b: pa.Table) -> pa.Table:
+    def pack(b: pa.Table) -> pa.Table:
         key = (b["doc_a"].to_numpy().astype(np.uint64) << np.uint64(32)) | b[
             "doc_b"
         ].to_numpy().astype(np.uint64)
-        h = _splitmix64(key) % np.uint64(N_BUCKETS)
-        return pa.table(
-            {
-                "edge_key": pa.array(key.view(np.int64)),
-                "bucket": pa.array(h.astype(np.int64)),
-            }
-        )
+        return pa.table({"edge_key": pa.array(key.view(np.int64))})
 
     def uniq_sym(group: pa.Table) -> pa.Table:
         key = np.unique(group["edge_key"].to_numpy()).view(np.uint64)
@@ -63,22 +42,30 @@ def q_pagerank(sf_dir: str):
             }
         )
 
-    edges = (
-        comps_edges.map_batches(pack_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(uniq_sym, batch_format="pyarrow")
-        .materialize()
-    )
+    packed = _dedup_edge_union(sf_dir).map_batches(pack, batch_format="pyarrow")
+    return hash_exchange(packed, "edge_key", uniq_sym).materialize()
+
+
+def q_pagerank(sf_dir: str):
+    """Integer PageRank (2 rounds, d=0.85) over the symmetric
+    document-similarity graph — the iterative weighted-propagation
+    primitive, made hash-exact by doing EVERYTHING in integer
+    micro-units: score₀ = 10⁶, each round score(u) = 150000 +
+    Σ_in floor(floor(score_v / deg_v) · 17 / 20).  Per round: one
+    bucketed shuffle joins scores to out-edges, one node-bucketed
+    vectorized reduceat sums the contributions — the same exchange
+    shape as connected_components, scores never touch the driver."""
+    from ...stages.join import shuffle_hash_join
+
+    # PageRank is multiplicity-sensitive (degrees!), so the edge set is
+    # deduped before symmetrizing
+    edges = _sym_edges(sf_dir)
     import ray.data as rd
 
     # per-round bucket/task count scales with the graph (see
     # connected_components): each bucket is a task per round
     nb = int(min(64, max(2, edges.count() // 65536)))
     edges = rd.from_arrow_refs(edges.repartition(nb).materialize().to_arrow_refs())
-
-    def src_bucket(b: pa.Table) -> pa.Table:
-        h = _splitmix64(b["src"].to_numpy().astype(np.uint64)) % np.uint64(nb)
-        return b.append_column("bucket", pa.array(h.astype(np.int64)))
 
     def degrees(group: pa.Table) -> pa.Table:
         s = np.sort(group["src"].to_numpy())
@@ -92,12 +79,7 @@ def q_pagerank(sf_dir: str):
             }
         )
 
-    deg = (
-        edges.map_batches(src_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(degrees, batch_format="pyarrow")
-        .materialize()
-    )
+    deg = hash_exchange(edges, "src", degrees, nb).materialize()
 
     i64 = pa.int64()
     scores = deg.map_batches(
@@ -136,14 +118,7 @@ def q_pagerank(sf_dir: str):
             sc = b["score"].to_numpy()
             dg = b["deg"].to_numpy()
             c = ((sc // dg) * 17) // 20
-            h = _splitmix64(b["dst"].to_numpy().astype(np.uint64)) % np.uint64(nb)
-            return pa.table(
-                {
-                    "node": b["dst"],
-                    "c": pa.array(c.astype(np.int64)),
-                    "bucket": pa.array(h.astype(np.int64)),
-                }
-            )
+            return pa.table({"node": b["dst"], "c": pa.array(c.astype(np.int64))})
 
         def fold(group: pa.Table) -> pa.Table:
             n = group["node"].to_numpy()
@@ -160,12 +135,8 @@ def q_pagerank(sf_dir: str):
                 }
             )
 
-        scores = (
-            flowed.map_batches(contrib, batch_format="pyarrow")
-            .groupby("bucket")
-            .map_groups(fold, batch_format="pyarrow")
-            .materialize()
-        )
+        contribs = flowed.map_batches(contrib, batch_format="pyarrow")
+        scores = hash_exchange(contribs, "node", fold, nb).materialize()
         scores = rd.from_arrow_refs(scores.to_arrow_refs())
 
     return scores.map_batches(
@@ -236,50 +207,14 @@ def q_bfs_depth(sf_dir: str):
     depth-bounded recursive CTE."""
     import ray.data as rd
 
-    from ...stages.footprint import _splitmix64
     from ...stages.join import shuffle_hash_join
 
-    N_BUCKETS = 64
-    comps_edges = _dedup_edge_union(sf_dir)
-
-    def pack_bucket(b: pa.Table) -> pa.Table:
-        key = (b["doc_a"].to_numpy().astype(np.uint64) << np.uint64(32)) | b[
-            "doc_b"
-        ].to_numpy().astype(np.uint64)
-        h = _splitmix64(key) % np.uint64(N_BUCKETS)
-        return pa.table(
-            {
-                "edge_key": pa.array(key.view(np.int64)),
-                "bucket": pa.array(h.astype(np.int64)),
-            }
-        )
-
-    def uniq_sym(group: pa.Table) -> pa.Table:
-        key = np.unique(group["edge_key"].to_numpy()).view(np.uint64)
-        a = (key >> np.uint64(32)).astype(np.int64)
-        c = (key & np.uint64(0xFFFFFFFF)).astype(np.int64)
-        return pa.table(
-            {
-                "src": pa.array(np.concatenate((a, c))),
-                "dst": pa.array(np.concatenate((c, a))),
-            }
-        )
-
-    edges = (
-        comps_edges.map_batches(pack_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(uniq_sym, batch_format="pyarrow")
-        .materialize()
-    )
+    edges = _sym_edges(sf_dir)
     # per-round bucket/task count scales with the graph (as
     # connected_components does): every bucket is a task per round, so
     # a tiny graph at 64 buckets pays ~200 near-empty tasks per round
     nb = int(min(64, max(2, edges.count() // 65536)))
     edges = rd.from_arrow_refs(edges.repartition(nb).materialize().to_arrow_refs())
-
-    def node_bucket(b: pa.Table, col: str) -> pa.Table:
-        h = _splitmix64(b[col].to_numpy().astype(np.uint64)) % np.uint64(nb)
-        return b.append_column("bucket", pa.array(h.astype(np.int64)))
 
     def min_fold(group: pa.Table) -> pa.Table:
         n = group["src"].to_numpy()
@@ -304,13 +239,8 @@ def q_bfs_depth(sf_dir: str):
             }
         )
 
-    labels = (
-        edges.map_batches(seed_rows, batch_format="pyarrow")
-        .map_batches(lambda b: node_bucket(b, "src"), batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(min_fold, batch_format="pyarrow")
-        .materialize()
-    )
+    seeds = edges.map_batches(seed_rows, batch_format="pyarrow")
+    labels = hash_exchange(seeds, "src", min_fold, nb).materialize()
     labels = rd.from_arrow_refs(labels.to_arrow_refs())
 
     i64 = pa.int64()
@@ -335,13 +265,7 @@ def q_bfs_depth(sf_dir: str):
             ),
             batch_format="pyarrow",
         )
-        labels = (
-            labels.union(flowed)
-            .map_batches(lambda b: node_bucket(b, "src"), batch_format="pyarrow")
-            .groupby("bucket")
-            .map_groups(min_fold, batch_format="pyarrow")
-            .materialize()
-        )
+        labels = hash_exchange(labels.union(flowed), "src", min_fold, nb).materialize()
         labels = rd.from_arrow_refs(labels.to_arrow_refs())
 
     return labels.map_batches(
@@ -399,21 +323,7 @@ def q_triangles(sf_dir: str):
     import ray
     from ray.data.aggregate import Sum
 
-    from ...stages.footprint import _splitmix64
     from ...stages.join import bloom_might_contain, build_bloom
-
-    N_BUCKETS = 64
-
-    def bucket_orders(b: pa.Table) -> pa.Table:
-        ok = b["l_orderkey"].to_numpy().astype(np.uint64)
-        h = _splitmix64(ok) % np.uint64(N_BUCKETS)
-        return pa.table(
-            {
-                "l_orderkey": b["l_orderkey"],
-                "l_partkey": b["l_partkey"],
-                "bucket": pa.array(h.astype(np.int64)),
-            }
-        )
 
     _triu_pairs = triu_pairs_in_runs  # module-level shared kernel
 
@@ -428,40 +338,23 @@ def q_triangles(sf_dir: str):
         a, b = _triu_pairs(ok, pk)
         # dedupe edges within the bucket (same pair from many orders)
         key = (a.astype(np.uint64) << np.uint64(32)) | b.astype(np.uint64)
-        key = np.unique(key)
-        h = _splitmix64(key) % np.uint64(N_BUCKETS)
-        return pa.table(
-            {
-                "edge_key": pa.array(key.view(np.int64)),
-                "ebucket": pa.array(h.astype(np.int64)),
-            }
-        )
+        return pa.table({"edge_key": pa.array(np.unique(key).view(np.int64))})
 
     # edge list, globally deduped by key bucket (an edge may surface
     # from orders in different buckets)
-    edges = (
-        _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
-        .map_batches(bucket_orders, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(order_edges, batch_format="pyarrow")
-        .groupby("ebucket")
-        .map_groups(
-            lambda g: pa.table(
-                {"edge_key": pa.array(np.unique(g["edge_key"].to_numpy()))}
-            ),
-            batch_format="pyarrow",
-        )
+    items = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
+    edges = hash_exchange(
+        hash_exchange(items, "l_orderkey", order_edges),
+        "edge_key",
+        lambda g: pa.table({"edge_key": pa.array(np.unique(g["edge_key"].to_numpy()))}),
     )
 
-    def hub_bucket(b: pa.Table) -> pa.Table:
+    def hub_rows(b: pa.Table) -> pa.Table:
         k = b["edge_key"].to_numpy().view(np.uint64)
-        hub = (k >> np.uint64(32)).astype(np.int64)
-        h = _splitmix64(hub.astype(np.uint64)) % np.uint64(N_BUCKETS)
         return pa.table(
             {
-                "hub": pa.array(hub),
+                "hub": pa.array((k >> np.uint64(32)).astype(np.int64)),
                 "nbr": pa.array((k & np.uint64(0xFFFFFFFF)).astype(np.int64)),
-                "bucket": pa.array(h.astype(np.int64)),
             }
         )
 
@@ -480,7 +373,6 @@ def q_triangles(sf_dir: str):
         # TRUE wedge total so the shed loses no information
         keep = bloom_might_contain(ray.get(bloom_ref), key)
         key, cnt = key[keep], cnt[keep]
-        h = _splitmix64(key) % np.uint64(N_BUCKETS)
         n = len(key)
         return pa.table(
             {
@@ -494,29 +386,19 @@ def q_triangles(sf_dir: str):
                 "wedge_total": pa.array(
                     np.concatenate((np.zeros(n, dtype=np.int64), [total]))
                 ),
-                "kbucket": pa.array(
-                    np.concatenate((h.astype(np.int64), [0]))
-                ),
             }
         )
 
-    wedge_ds = (
-        edges.map_batches(hub_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(wedges, batch_format="pyarrow")
-    )
+    wedge_ds = hash_exchange(edges.map_batches(hub_rows, batch_format="pyarrow"), "hub", wedges)
 
     def edge_side(b: pa.Table) -> pa.Table:
-        k = b["edge_key"].to_numpy()
-        h = _splitmix64(k.view(np.uint64)) % np.uint64(N_BUCKETS)
-        n = len(k)
+        n = b.num_rows
         return pa.table(
             {
                 "edge_key": b["edge_key"],
                 "n_wedge": pa.array(np.zeros(n, dtype=np.int64)),
                 "is_edge": pa.array(np.ones(n, dtype=np.int64)),
                 "wedge_total": pa.array(np.zeros(n, dtype=np.int64)),
-                "kbucket": pa.array(h.astype(np.int64)),
             }
         )
 
@@ -542,8 +424,7 @@ def q_triangles(sf_dir: str):
 
     both = wedge_ds.union(edges.map_batches(edge_side, batch_format="pyarrow"))
     totals = (
-        both.groupby("kbucket")
-        .map_groups(close_count, batch_format="pyarrow")
+        hash_exchange(both, "edge_key", close_count)
         .aggregate(
             Sum("n_wedges", alias_name="n_wedges"),
             Sum("n_triangles", alias_name="n_triangles"),
@@ -584,11 +465,7 @@ def q_degree_hist(sf_dir: str):
     its exact per-customer totals STRAIGHT into histogram partials
     (count, n_customers) before the second, tiny Sum exchange — the
     full per-customer table never leaves the buckets."""
-    N_BUCKETS = 64
-
     from ray.data.aggregate import Sum
-
-    from ...stages.footprint import _splitmix64
 
     def partial(b: pa.Table) -> pa.Table:
         t = pa.table(
@@ -598,11 +475,7 @@ def q_degree_hist(sf_dir: str):
             }
         )
         agg = pa.TableGroupBy(t, "o_custkey").aggregate([("n", "sum")])
-        agg = agg.rename_columns(["o_custkey", "n"])
-        h = _splitmix64(agg["o_custkey"].to_numpy().astype(np.uint64))
-        return agg.append_column(
-            "bucket", pa.array((h % np.uint64(N_BUCKETS)).astype(np.int64))
-        )
+        return agg.rename_columns(["o_custkey", "n"])
 
     def hist_bucket(group: pa.Table) -> pa.Table:
         k = group["o_custkey"].to_numpy()
@@ -621,9 +494,7 @@ def q_degree_hist(sf_dir: str):
 
     ds = _read(sf_dir, "orders", ["o_custkey"])
     return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(hist_bucket, batch_format="pyarrow")
+        hash_exchange(ds.map_batches(partial, batch_format="pyarrow"), "o_custkey", hist_bucket)
         .groupby("n_orders")
         .aggregate(Sum("n_customers", alias_name="n_customers"))
     )

@@ -11,6 +11,7 @@ import pyarrow.compute as pc  # noqa: F401
 from ...sources.arrow_geom import shoelace_area  # noqa: F401
 from ...sources.arrow_geom import rects_to_arrow as _rect_mp_array  # noqa: F401
 from ...stages.boolean_batch import BooleanOpBatch  # noqa: F401
+from ...tuning import ACTOR_POOL
 
 
 
@@ -537,10 +538,10 @@ def q_image_keep_best(sf_dir: str):
     distributed label propagation over pHash pairs, per-image quality
     from ONE decode (DecodeQuality with the dark-filter off — scoring,
     not gating), ONE bucketed hash join, and the per-component argmax
-    is the splitmix64(component) % 64 bucketed lexsort kernel.
+    is the component-bucketed (``hash_exchange``) lexsort kernel.
     Output: (component, keeper, best_edge, n_members)."""
     from ...sources.images import read_synth_neardup_images
-    from ...stages.footprint import _splitmix64
+    from ...stages.exchange import hash_exchange
     from ...stages.image_ops import DecodeQuality
     from ...stages.join import shuffle_hash_join
 
@@ -573,12 +574,6 @@ def q_image_keep_best(sf_dir: str):
         ),
     )
 
-    def add_bucket(b: pa.Table) -> pa.Table:
-        k = b["component"].to_numpy().astype(np.uint64)
-        return b.append_column(
-            "kb", pa.array((_splitmix64(k) % np.uint64(64)).astype(np.int64))
-        )
-
     out_schema = pa.schema(
         [
             pa.field("component", pa.int64()),
@@ -609,11 +604,7 @@ def q_image_keep_best(sf_dir: str):
             }
         )
 
-    return (
-        j.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(best_kernel, batch_format="pyarrow")
-    )
+    return hash_exchange(j, "component", best_kernel)
 
 
 def _build_image_keep_best_sql() -> str:
@@ -732,7 +723,7 @@ def q_scene_stats(sf_dir: str):
 
     ds = read_synth_videos(500)
     return ds.map_batches(
-        SceneStats, batch_format="pyarrow", batch_size=64, concurrency=(2, 64)
+        SceneStats, batch_format="pyarrow", batch_size=64, concurrency=ACTOR_POOL
     )
 
 
@@ -752,7 +743,7 @@ def q_video_frames(sf_dir: str):
         fn_constructor_kwargs={"stride": 2},
         batch_format="pyarrow",
         batch_size=64,
-        concurrency=(2, 64),
+        concurrency=ACTOR_POOL,
     )
     return out.select_columns(
         ["video_id", "frame_idx", "frame_phash", "frame_checksum"]
@@ -768,7 +759,7 @@ def q_audio_features(sf_dir: str):
 
     ds = read_synth_audio(1000)
     return ds.map_batches(
-        AudioFeatures, batch_format="pyarrow", batch_size=128, concurrency=(2, 64)
+        AudioFeatures, batch_format="pyarrow", batch_size=128, concurrency=ACTOR_POOL
     )
 
 

@@ -11,6 +11,8 @@ import pyarrow.compute as pc  # noqa: F401
 from ...sources.arrow_geom import shoelace_area  # noqa: F401
 from ...sources.arrow_geom import rects_to_arrow as _rect_mp_array  # noqa: F401
 from ...stages.boolean_batch import BooleanOpBatch  # noqa: F401
+from ...stages.exchange import hash_exchange
+from ...tuning import ACTOR_POOL
 from ._shared import MAX_CONTAIN_MATRIX, _EPOCH_2024_US, _cents, _read  # noqa: F401
 
 
@@ -26,16 +28,12 @@ def q_asof_join(sf_dir: str):
     gives each click its latest prior view, and a segment-start bound
     rejects fills that leaked from the previous user.  Value-exact vs
     DuckDB ASOF JOIN."""
-    N_BUCKETS = 64
 
     def prep(b: pa.Table) -> pa.Table:
-        from ...stages.footprint import _splitmix64
-
         keep = pc.is_in(
             b["event_type"], value_set=pa.array(["click", "view"])
         )
         k = b.filter(keep)
-        u = k["user_id"].to_numpy().astype(np.uint64)
         ts = k["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
         return pa.table(
             {
@@ -48,9 +46,6 @@ def q_asof_join(sf_dir: str):
                     )
                 ),
                 "value": k["value"],
-                "bucket": pa.array(
-                    (_splitmix64(u) % np.uint64(N_BUCKETS)).astype(np.int64)
-                ),
             }
         )
 
@@ -92,11 +87,7 @@ def q_asof_join(sf_dir: str):
         )
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type", "value"])
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(asof_bucket, batch_format="pyarrow")
-    )
+    return hash_exchange(ds.map_batches(prep, batch_format="pyarrow"), "user_id", asof_bucket)
 
 
 Q_ASOF_JOIN_SQL = """
@@ -123,7 +114,7 @@ def q_range_join_big(sf_dir: str):
     documents: BOTH sides stream as Datasets (no ray.put of the
     interval table).  Temporal PBSM: each event lands in its single
     home hour-bucket, each interval replicates to every bucket it
-    spans, ONE groupby(bucket) co-locates them, and the per-bucket
+    spans, ONE groupby(hour) co-locates them, and the per-bucket
     kernel does a chunked vectorized containment — each pair emits
     exactly once because the event's home bucket is unique.  Same
     oracle as range_join (identical answer, different physical plan —
@@ -146,7 +137,7 @@ def q_range_join_big(sf_dir: str):
         local = np.arange(total, dtype=np.int64) - np.repeat(csum, nb)
         return pa.table(
             {
-                "bucket": pa.array(b0[rep] + local, pa.int64()),
+                "hour": pa.array(b0[rep] + local, pa.int64()),
                 "ts_us": pa.array(np.zeros(total, dtype=np.int64)),
                 "value_c": pa.array(np.zeros(total, dtype=np.int64)),
                 "interval_id": pa.array(sk[rep], pa.int64()),
@@ -161,7 +152,7 @@ def q_range_join_big(sf_dir: str):
         n = len(ts)
         return pa.table(
             {
-                "bucket": pa.array(ts // B_US, pa.int64()),
+                "hour": pa.array(ts // B_US, pa.int64()),
                 "ts_us": pa.array(ts, pa.int64()),
                 "value_c": pa.array(_cents(batch["value"].to_numpy())),
                 "interval_id": pa.array(np.zeros(n, dtype=np.int64)),
@@ -211,7 +202,7 @@ def q_range_join_big(sf_dir: str):
     )
     pairs = (
         points.union(intervals)
-        .groupby("bucket")
+        .groupby("hour")
         .map_groups(join_bucket, batch_format="pyarrow")
     )
     return _suppkey_count_sum(pairs)
@@ -285,7 +276,7 @@ def q_range_join(sf_dir: str):
         BroadcastIntervalJoin,
         fn_constructor_kwargs={"intervals": iref},
         batch_format="pyarrow",
-        concurrency=(2, 64),
+        concurrency=ACTOR_POOL,
     )
     pairs = joined.map_batches(
         lambda b: pa.table({"s_suppkey": b["interval_id"], "value_c": b["value_c"]}),
@@ -323,19 +314,14 @@ def q_table_diff(sf_dir: str):
     vectorized reduceat (key cardinality is ~rows — never one Python
     group call per key) and keeps the single-sided keys.  The exchange
     moves ≤ one row per (block, side, key) — never the raw rows."""
-    from ...stages.footprint import _splitmix64
-
-    N_BUCKETS = 64
 
     def tag(col_filter, mask):
         def fn(b: pa.Table) -> pa.Table:
             keys = np.unique(col_filter(b).to_numpy(zero_copy_only=False))
-            h = _splitmix64(keys.astype(np.uint64)) % np.uint64(N_BUCKETS)
             return pa.table(
                 {
                     "c_custkey": pa.array(keys, pa.int64()),
                     "mask": pa.array(np.full(len(keys), mask, dtype=np.int64)),
-                    "bucket": pa.array(h.astype(np.int64)),
                 }
             )
 
@@ -372,11 +358,7 @@ def q_table_diff(sf_dir: str):
             }
         )
 
-    return (
-        a.union(b)
-        .groupby("bucket")
-        .map_groups(resolve_bucket, batch_format="pyarrow")
-    )
+    return hash_exchange(a.union(b), "c_custkey", resolve_bucket)
 
 
 Q_TABLE_DIFF_SQL = """
@@ -609,14 +591,11 @@ def q_stream_join(sf_dir: str):
     TWO searchsorted calls bound each click's purchase slice — pair
     emission is the output size, not a nested scan.  Irrelevant event
     types shed before the exchange."""
-    N_BUCKETS = 64
 
     def prep(b: pa.Table) -> pa.Table:
-        from ...stages.footprint import _splitmix64
-
         et = b["event_type"].to_numpy(zero_copy_only=False)
         keep = (et == "click") | (et == "purchase")
-        u = b["user_id"].to_numpy()[keep].astype(np.uint64)
+        u = b["user_id"].to_numpy()[keep]
         ts = (
             b["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)[keep]
         )
@@ -626,9 +605,6 @@ def q_stream_join(sf_dir: str):
                 "event_id": pa.array(b["event_id"].to_numpy()[keep]),
                 "t": pa.array(ts),
                 "is_click": pa.array((et[keep] == "click").astype(np.int64)),
-                "bucket": pa.array(
-                    (_splitmix64(u) % np.uint64(N_BUCKETS)).astype(np.int64)
-                ),
             }
         )
 
@@ -675,11 +651,7 @@ def q_stream_join(sf_dir: str):
         )
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(join_bucket, batch_format="pyarrow")
-    )
+    return hash_exchange(ds.map_batches(prep, batch_format="pyarrow"), "user_id", join_bucket)
 
 
 Q_STREAM_JOIN_SQL = f"""

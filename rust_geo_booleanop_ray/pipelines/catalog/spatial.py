@@ -11,6 +11,8 @@ import pyarrow.compute as pc  # noqa: F401
 from ...sources.arrow_geom import shoelace_area  # noqa: F401
 from ...sources.arrow_geom import rects_to_arrow as _rect_mp_array  # noqa: F401
 from ...stages.boolean_batch import BooleanOpBatch  # noqa: F401
+from ...stages.exchange import hash_exchange
+from ...tuning import ACTOR_POOL
 from ._shared import MAX_CONTAIN_MATRIX, _cents, _read  # noqa: F401
 
 
@@ -459,9 +461,7 @@ def q_pip_join_rtree(sf_dir: str):
         RtreeContainsJoin,
         fn_constructor_kwargs={"zones_ref": zones_ref},
         batch_format="pyarrow",
-        # one actor to start: a minimum at the cluster's CPU count holds
-        # every CPU and starves the upstream read (a hang at 4 CPUs)
-        concurrency=(1, 64),
+        concurrency=ACTOR_POOL,
     )
     return out.map_batches(
         lambda b: pa.table({"p_partkey": b["zone_id"], "c_custkey": b["pid"]}),
@@ -681,7 +681,7 @@ def q_poly_clip(sf_dir: str):
         BroadcastPolyJoinClip,
         fn_constructor_kwargs={"polys": polys_ref},
         batch_format="pyarrow",
-        concurrency=(2, 64),
+        concurrency=ACTOR_POOL,
     )
 
     def to_int(batch: pa.Table) -> pa.Table:
@@ -786,7 +786,7 @@ def q_wkb_clip(sf_dir: str):
         BroadcastPolyJoinClip,
         fn_constructor_kwargs={"polys": polys_ref},
         batch_format="pyarrow",
-        concurrency=(2, 64),
+        concurrency=ACTOR_POOL,
     )
 
     def to_int(batch: pa.Table) -> pa.Table:
@@ -831,10 +831,10 @@ def q_poly_clip_quads(sf_dir: str):
         BroadcastPolyJoinClip,
         fn_constructor_kwargs={"polys": polys_ref},
         batch_format="pyarrow",
-        concurrency=(2, 64),
+        concurrency=ACTOR_POOL,
     )
     part = out.map_batches(RasterizePartial(px=16), batch_format="pyarrow")
-    merged = part.groupby("tile_id").map_groups(merge_rasters, batch_format="pyarrow")
+    merged = hash_exchange(part, "tile_id", merge_rasters)
 
     def finalize(batch: pa.Table) -> pa.Table:
         # coverage_fraction is covered / 256, exact in float64
@@ -1258,11 +1258,8 @@ def q_tile_coverage_rects(sf_dir: str):
     clipped = ds.map_batches(
         TileJoinClip(tile_res=COV_TILE_RES, mode="exact"), batch_format="pyarrow"
     )
-    merged = (
-        clipped.map_batches(RasterizePartial(px=COV_PX), batch_format="pyarrow")
-        .groupby("tile_id")
-        .map_groups(merge_rasters, batch_format="pyarrow")
-    )
+    partials = clipped.map_batches(RasterizePartial(px=COV_PX), batch_format="pyarrow")
+    merged = hash_exchange(partials, "tile_id", merge_rasters)
 
     def finish(batch: pa.Table) -> pa.Table:
         tiles = batch["tile_id"].to_numpy().view(np.uint64)

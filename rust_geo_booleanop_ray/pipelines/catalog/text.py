@@ -11,6 +11,7 @@ import pyarrow.compute as pc  # noqa: F401
 from ...sources.arrow_geom import shoelace_area  # noqa: F401
 from ...sources.arrow_geom import rects_to_arrow as _rect_mp_array  # noqa: F401
 from ...stages.boolean_batch import BooleanOpBatch  # noqa: F401
+from ...stages.exchange import hash_exchange
 from ._shared import _cents, _read  # noqa: F401
 from .spatial import STOPWORDS_SQL  # noqa: F401
 
@@ -258,10 +259,6 @@ def q_word_pairs(sf_dir: str):
     import ray
     from ray.data.aggregate import Sum
 
-    from ...stages.footprint import _splitmix64
-
-    N_BUCKETS = 64
-
     def term_rows(b: pa.Table) -> pa.Table:
         words = pc.split_pattern_regex(pc.utf8_lower(b["text"]), "[^a-z]+")
         n_per = pc.list_value_length(words).to_numpy().astype(np.int64)
@@ -298,20 +295,14 @@ def q_word_pairs(sf_dir: str):
     vocab = [r["term"] for r in vocab_rows]
     vocab_ref = ray.put({w: i for i, w in enumerate(vocab)})
 
-    def bucket(b: pa.Table) -> pa.Table:
+    def word_ids(b: pa.Table) -> pa.Table:
         vmap = ray.get(vocab_ref)
         ids = np.array(
             [vmap.get(t, -1) for t in b["term"].to_pylist()], dtype=np.int64
         )
         keep = ids >= 0
-        doc = b["doc_id"].to_numpy()[keep]
-        h = _splitmix64(doc.astype(np.uint64)) % np.uint64(N_BUCKETS)
         return pa.table(
-            {
-                "doc_id": pa.array(doc),
-                "wid": pa.array(ids[keep]),
-                "bucket": pa.array(h.astype(np.int64)),
-            }
+            {"doc_id": pa.array(b["doc_id"].to_numpy()[keep]), "wid": pa.array(ids[keep])}
         )
 
     def _triu(group_keys, values):
@@ -352,14 +343,7 @@ def q_word_pairs(sf_dir: str):
         a, b_ = _triu(doc, wid)
         key = a * COOC_VOCAB + b_
         key, cnt = np.unique(key, return_counts=True)
-        h = _splitmix64(key.astype(np.uint64)) % np.uint64(N_BUCKETS)
-        return pa.table(
-            {
-                "pair_key": pa.array(key),
-                "n": pa.array(cnt.astype(np.int64)),
-                "pbucket": pa.array(h.astype(np.int64)),
-            }
-        )
+        return pa.table({"pair_key": pa.array(key), "n": pa.array(cnt.astype(np.int64))})
 
     def merge_topk(group: pa.Table) -> pa.Table:
         vmap = ray.get(vocab_ref)
@@ -390,12 +374,9 @@ def q_word_pairs(sf_dir: str):
             }
         )
 
+    doc_words = terms.map_batches(word_ids, batch_format="pyarrow")
     return (
-        terms.map_batches(bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(doc_pairs, batch_format="pyarrow")
-        .groupby("pbucket")
-        .map_groups(merge_topk, batch_format="pyarrow")
+        hash_exchange(hash_exchange(doc_words, "doc_id", doc_pairs), "pair_key", merge_topk)
         .sort(["n", "word_a", "word_b"], descending=[True, False, False])
         .limit(COOC_WORD_TOP)
     )
@@ -854,11 +835,8 @@ def q_corpus_curation(sf_dir: str, scale_path: bool | None = None):
     import ray
 
     from ...stages.dedup import content_hash_batch
-    from ...stages.footprint import _splitmix64
     from ...stages.join import shuffle_hash_join
     from ...stages.text import _STOPWORDS, winnowed_hashes_batch
-
-    N_BUCKETS = 64
 
     # eval fingerprints computed DISTRIBUTED (never a driver-side read
     # of the corpus): filter to the eval split inside map_batches, one
@@ -900,7 +878,6 @@ def q_corpus_curation(sf_dir: str, scale_path: bool | None = None):
             .to_numpy()
             .astype(np.int64)
         )
-        h = _splitmix64(hashed["content_hash"].to_numpy().astype(np.uint64))
         return pa.table(
             {
                 "doc_id": kept["doc_id"],
@@ -908,7 +885,6 @@ def q_corpus_curation(sf_dir: str, scale_path: bool | None = None):
                 "tok": pa.array(toks_kept),
                 "h_lo": hashed["content_hash"],
                 "h_hi": hashed["content_hash_hi"],
-                "bucket": pa.array((h % np.uint64(N_BUCKETS)).astype(np.int64)),
             }
         )
 
@@ -972,22 +948,11 @@ def q_corpus_curation(sf_dir: str, scale_path: bool | None = None):
             ["doc_id"],
             [],
             how="semi",
-            n_buckets=N_BUCKETS,
             left_schema=pa.schema(
                 [pa.field("doc_id", pa.int64()), pa.field("hv", pa.int64())]
             ),
             right_schema=pa.schema([pa.field("hv", pa.int64())]),
         )
-
-        def add_doc_bucket(b: pa.Table) -> pa.Table:
-            d = b["doc_id"].to_numpy()
-            bk = _splitmix64(d.astype(np.uint64)) % np.uint64(N_BUCKETS)
-            return pa.table(
-                {
-                    "doc_id": b["doc_id"],
-                    "dbucket": pa.array(bk.astype(np.int64)),
-                }
-            )
 
         def dirty_in_bucket(group: pa.Table) -> pa.Table:
             d = np.sort(group["doc_id"].to_numpy())
@@ -997,11 +962,7 @@ def q_corpus_curation(sf_dir: str, scale_path: bool | None = None):
             dirty = d[starts[counts >= CURATION_CONTAM_MIN]]
             return pa.table({"doc_id": pa.array(dirty, pa.int64())})
 
-        dirty_ds = (
-            hits.map_batches(add_doc_bucket, batch_format="pyarrow")
-            .groupby("dbucket")
-            .map_groups(dirty_in_bucket, batch_format="pyarrow")
-        )
+        dirty_ds = hash_exchange(hits, "doc_id", dirty_in_bucket)
 
         clean = shuffle_hash_join(
             gated,
@@ -1010,7 +971,6 @@ def q_corpus_curation(sf_dir: str, scale_path: bool | None = None):
             ["source", "text"],
             [],
             how="anti",
-            n_buckets=N_BUCKETS,
             left_schema=pa.schema(
                 [
                     pa.field("doc_id", pa.int64()),
@@ -1022,9 +982,7 @@ def q_corpus_curation(sf_dir: str, scale_path: bool | None = None):
         )
         staged = clean.map_batches(finish, batch_format="pyarrow")
 
-    survivors = staged.groupby("bucket").map_groups(
-        dedup_merge, batch_format="pyarrow"
-    )
+    survivors = hash_exchange(staged, "h_lo", dedup_merge)
 
     def src_partial(b: pa.Table) -> pa.Table:
         t = pa.table(
@@ -1286,21 +1244,20 @@ def q_lm_score(sf_dir: str):
     Scale shape (the rules the repo profiles mandate): bigram types
     and doc ids are both ~rows-cardinality, so NEITHER is ever a
     groupby key.  Two bounded exchanges:
-      1. one row per bigram occurrence, shuffled by splitmix64(bigram)
-         % 64 — every occurrence of a bigram lands in one bucket, so
+      1. one row per bigram occurrence, hash-exchanged on the bigram
+         (ha, hb) — every occurrence of a bigram lands in one bucket, so
          ONE lexsort/run-length kernel per bucket yields each
          occurrence's global count (the LM lookup is free: counts and
          occurrences are co-located by construction, no join), then a
          second in-kernel lexsort emits per-(bucket, doc) partial
          sums — wire out ∝ docs × buckets-touched, not occurrences;
-      2. partials shuffled by splitmix64(doc_id) % 64 and merged with
+      2. partials hash-exchanged on doc_id and merged with
          the same reduceat kernel.
     At 10^12 docs the occurrence exchange is the same volume as the
     contamination window exchange (∝ total tokens); score sums stay
     < 2^63 for corpora up to ~10^6 mean bigram frequency × 10^9-token
     docs — far past any real corpus."""
-    from ...stages.footprint import _splitmix64
-    from ...stages.text import LM_BUCKETS, token_bigram_rows
+    from ...stages.text import token_bigram_rows
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     rows = ds.map_batches(token_bigram_rows, batch_format="pyarrow")
@@ -1342,16 +1299,7 @@ def q_lm_score(sf_dir: str):
             }
         )
 
-    partials = rows.groupby("bucket").map_groups(
-        bucket_partials, batch_format="pyarrow"
-    )
-
-    def add_doc_bucket(b: pa.Table) -> pa.Table:
-        db = (
-            _splitmix64(b["doc_id"].to_numpy().astype(np.uint64))
-            % np.uint64(LM_BUCKETS)
-        ).astype(np.int64)
-        return b.append_column("dbucket", pa.array(db, pa.int64()))
+    partials = hash_exchange(rows, ["ha", "hb"], bucket_partials)
 
     out_schema = pa.schema(
         [
@@ -1382,11 +1330,7 @@ def q_lm_score(sf_dir: str):
             }
         )
 
-    return (
-        partials.map_batches(add_doc_bucket, batch_format="pyarrow")
-        .groupby("dbucket")
-        .map_groups(merge_doc, batch_format="pyarrow")
-    )
+    return hash_exchange(partials, "doc_id", merge_doc)
 
 
 Q_LM_SCORE_SQL = f"""

@@ -11,8 +11,29 @@ import pyarrow.compute as pc  # noqa: F401
 from ...sources.arrow_geom import shoelace_area  # noqa: F401
 from ...sources.arrow_geom import rects_to_arrow as _rect_mp_array  # noqa: F401
 from ...stages.boolean_batch import BooleanOpBatch  # noqa: F401
+from ...stages.exchange import hash_exchange
 from ._shared import _cents, _read  # noqa: F401
 
+
+def _events(sf_dir: str, cols):
+    """The events table projected to ``cols``, where ``t`` is ``ts`` as
+    int64 microseconds and ``value_c`` is ``value`` in integer cents."""
+    src = {"t": "ts", "value_c": "value"}
+
+    def project(b: pa.Table) -> pa.Table:
+        out = {}
+        for c in cols:
+            if c == "t":
+                ts = b["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
+                out[c] = pa.array(ts, pa.int64())
+            elif c == "value_c":
+                out[c] = pa.array(_cents(b["value"].to_numpy()), pa.int64())
+            else:
+                out[c] = b[c]
+        return pa.table(out)
+
+    ds = _read(sf_dir, "events", [src.get(c, c) for c in cols])
+    return ds.map_batches(project, batch_format="pyarrow")
 
 
 def q_events_window(sf_dir: str):
@@ -130,22 +151,6 @@ def q_sessions(sf_dir: str):
     a session starts at a user change or a >30-min gap, so one cumsum
     labels all sessions and reduceat-style masks pull the bounds."""
     GAP_US = 30 * 60 * 1_000_000
-    N_BUCKETS = 64
-
-    def bucket(b: pa.Table) -> pa.Table:
-        from ...stages.footprint import _splitmix64
-
-        u = b["user_id"].to_numpy().astype(np.uint64)
-        ts = b["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        return pa.table(
-            {
-                "user_id": b["user_id"],
-                "t": pa.array(ts, pa.int64()),
-                "bucket": pa.array(
-                    (_splitmix64(u) % np.uint64(N_BUCKETS)).astype(np.int64)
-                ),
-            }
-        )
 
     def sessionize_bucket(group: pa.Table) -> pa.Table:
         u = group["user_id"].to_numpy()
@@ -167,12 +172,7 @@ def q_sessions(sf_dir: str):
             }
         )
 
-    ds = _read(sf_dir, "events", ["user_id", "ts"])
-    return (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(sessionize_bucket, batch_format="pyarrow")
-    )
+    return hash_exchange(_events(sf_dir, ["user_id", "t"]), "user_id", sessionize_bucket)
 
 
 Q_SESSIONS_SQL = """
@@ -209,25 +209,6 @@ def q_transitions(sf_dir: str):
     Sum-shuffle finishes."""
     from ray.data.aggregate import Sum
 
-    from ...stages.footprint import _splitmix64
-
-    N_BUCKETS = 64
-
-    def bucket(b: pa.Table) -> pa.Table:
-        u = b["user_id"].to_numpy().astype(np.uint64)
-        ts = b["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        return pa.table(
-            {
-                "user_id": b["user_id"],
-                "t": pa.array(ts, pa.int64()),
-                "event_id": b["event_id"],
-                "event_type": b["event_type"],
-                "bucket": pa.array(
-                    (_splitmix64(u) % np.uint64(N_BUCKETS)).astype(np.int64)
-                ),
-            }
-        )
-
     def pairs(group: pa.Table) -> pa.Table:
         u = group["user_id"].to_numpy()
         ts = group["t"].to_numpy()
@@ -247,11 +228,9 @@ def q_transitions(sf_dir: str):
         )
         return agg.rename_columns(["from_type", "to_type", "n"])
 
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
+    events = _events(sf_dir, ["user_id", "t", "event_id", "event_type"])
     return (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(pairs, batch_format="pyarrow")
+        hash_exchange(events, "user_id", pairs)
         .groupby(["from_type", "to_type"])
         .aggregate(Sum("n", alias_name="n"))
     )
@@ -280,25 +259,7 @@ def q_funnel(sf_dir: str):
     (ts, event_id)) — greedy-earliest is optimal for subsequence
     matching, and event_id uniqueness makes the walk deterministic."""
     STAGES = ("view", "click", "purchase")
-    N_BUCKETS = 64
     _INF = np.iinfo(np.int64).max
-
-    def bucket(b: pa.Table) -> pa.Table:
-        from ...stages.footprint import _splitmix64
-
-        u = b["user_id"].to_numpy().astype(np.uint64)
-        ts = b["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        return pa.table(
-            {
-                "user_id": b["user_id"],
-                "t": pa.array(ts, pa.int64()),
-                "event_id": b["event_id"],
-                "event_type": b["event_type"],
-                "bucket": pa.array(
-                    (_splitmix64(u) % np.uint64(N_BUCKETS)).astype(np.int64)
-                ),
-            }
-        )
 
     def funnel_bucket(group: pa.Table) -> pa.Table:
         # every user in the bucket walked at once: sort (user, ts, id);
@@ -331,12 +292,7 @@ def q_funnel(sf_dir: str):
             }
         )
 
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
-    return (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(funnel_bucket, batch_format="pyarrow")
-    )
+    return hash_exchange(_events(sf_dir, ["user_id", "t", "event_id", "event_type"]), "user_id", funnel_bucket)
 
 
 Q_FUNNEL_SQL = """
@@ -373,24 +329,6 @@ def q_user_journey(sf_dir: str):
     from the segment offsets, and joins with the vectorized Arrow
     binary_join kernel.  event_id is unique, so the order — and the
     hash — cannot depend on block boundaries."""
-    N_BUCKETS = 64
-
-    def bucket(b: pa.Table) -> pa.Table:
-        from ...stages.footprint import _splitmix64
-
-        u = b["user_id"].to_numpy().astype(np.uint64)
-        ts = b["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        return pa.table(
-            {
-                "user_id": b["user_id"],
-                "t": pa.array(ts, pa.int64()),
-                "event_id": b["event_id"],
-                "event_type": b["event_type"],
-                "bucket": pa.array(
-                    (_splitmix64(u) % np.uint64(N_BUCKETS)).astype(np.int64)
-                ),
-            }
-        )
 
     def journey_bucket(group: pa.Table) -> pa.Table:
         u = group["user_id"].to_numpy()
@@ -413,12 +351,7 @@ def q_user_journey(sf_dir: str):
             }
         )
 
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
-    return (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(journey_bucket, batch_format="pyarrow")
-    )
+    return hash_exchange(_events(sf_dir, ["user_id", "t", "event_id", "event_type"]), "user_id", journey_bucket)
 
 
 Q_USER_JOURNEY_SQL = """
@@ -479,22 +412,6 @@ def q_interval_union(sf_dir: str):
     bucket and reduceat folds the per-user outputs.  Integer-us
     arithmetic keeps it hash-exact."""
     IVL_US = 600_000_000  # 10-minute interval per event
-    N_BUCKETS = 64
-
-    def bucket(b: pa.Table) -> pa.Table:
-        from ...stages.footprint import _splitmix64
-
-        u = b["user_id"].to_numpy().astype(np.uint64)
-        ts = b["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        return pa.table(
-            {
-                "user_id": b["user_id"],
-                "t": pa.array(ts, pa.int64()),
-                "bucket": pa.array(
-                    (_splitmix64(u) % np.uint64(N_BUCKETS)).astype(np.int64)
-                ),
-            }
-        )
 
     def union_bucket(group: pa.Table) -> pa.Table:
         u = group["user_id"].to_numpy()
@@ -518,12 +435,7 @@ def q_interval_union(sf_dir: str):
             }
         )
 
-    ds = _read(sf_dir, "events", ["user_id", "ts"])
-    return (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(union_bucket, batch_format="pyarrow")
-    )
+    return hash_exchange(_events(sf_dir, ["user_id", "t"]), "user_id", union_bucket)
 
 
 Q_INTERVAL_UNION_SQL = """
@@ -567,25 +479,16 @@ def q_retention(sf_dir: str):
     from ray.data.aggregate import Sum
 
     WEEK_US = 7 * 24 * 3600 * 1_000_000
-    N_BUCKETS = 64
 
     def weeks(b: pa.Table) -> pa.Table:
-        from ...stages.footprint import _splitmix64
-
-        ts = b["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
         t = pa.table(
             {
                 "user_id": b["user_id"],
-                "week": pa.array(ts // WEEK_US, pa.int64()),
+                "week": pa.array(b["t"].to_numpy() // WEEK_US, pa.int64()),
             }
         )
         # block-local distinct (user, week) pairs
-        uniq = pa.TableGroupBy(t, ["user_id", "week"]).aggregate([])
-        u = uniq["user_id"].to_numpy().astype(np.uint64)
-        return uniq.append_column(
-            "bucket",
-            pa.array((_splitmix64(u) % np.uint64(N_BUCKETS)).astype(np.int64)),
-        )
+        return pa.TableGroupBy(t, ["user_id", "week"]).aggregate([])
 
     def cohort_bucket(group: pa.Table) -> pa.Table:
         u = group["user_id"].to_numpy()
@@ -604,12 +507,8 @@ def q_retention(sf_dir: str):
             }
         )
 
-    ds = _read(sf_dir, "events", ["user_id", "ts"])
-    pairs = (
-        ds.map_batches(weeks, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(cohort_bucket, batch_format="pyarrow")
-    )
+    weekly = _events(sf_dir, ["user_id", "t"]).map_batches(weeks, batch_format="pyarrow")
+    pairs = hash_exchange(weekly, "user_id", cohort_bucket)
 
     def count_partial(b: pa.Table) -> pa.Table:
         agg = pa.TableGroupBy(b, ["cohort_week", "offset_w"]).aggregate(
@@ -646,24 +545,6 @@ def q_running_total(sf_dir: str):
     history at once and a segment-rebased cumsum (cumsum minus each
     segment's starting offset) computes all running totals in one
     vectorized pass — never one Python group call per user."""
-    N_BUCKETS = 64
-
-    def bucket(b: pa.Table) -> pa.Table:
-        from ...stages.footprint import _splitmix64
-
-        u = b["user_id"].to_numpy().astype(np.uint64)
-        ts = b["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        return pa.table(
-            {
-                "user_id": b["user_id"],
-                "event_id": b["event_id"],
-                "t": pa.array(ts, pa.int64()),
-                "value_c": pa.array(_cents(b["value"].to_numpy()), pa.int64()),
-                "bucket": pa.array(
-                    (_splitmix64(u) % np.uint64(N_BUCKETS)).astype(np.int64)
-                ),
-            }
-        )
 
     def running_bucket(group: pa.Table) -> pa.Table:
         u = group["user_id"].to_numpy()
@@ -684,12 +565,7 @@ def q_running_total(sf_dir: str):
             }
         )
 
-    ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
-    return (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(running_bucket, batch_format="pyarrow")
-    )
+    return hash_exchange(_events(sf_dir, ["user_id", "event_id", "t", "value_c"]), "user_id", running_bucket)
 
 
 Q_RUNNING_TOTAL_SQL = """
@@ -707,23 +583,6 @@ def q_event_gaps(sf_dir: str):
     shape as running_total — user-hash buckets, ONE lexsort per bucket
     over every user's history, vectorized shift with the user-boundary
     rows masked to the sentinel.  No per-distinct-user Python call."""
-    N_BUCKETS = 64
-
-    def bucket(b: pa.Table) -> pa.Table:
-        from ...stages.footprint import _splitmix64
-
-        u = b["user_id"].to_numpy().astype(np.uint64)
-        ts = b["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        return pa.table(
-            {
-                "user_id": b["user_id"],
-                "event_id": b["event_id"],
-                "t": pa.array(ts, pa.int64()),
-                "bucket": pa.array(
-                    (_splitmix64(u) % np.uint64(N_BUCKETS)).astype(np.int64)
-                ),
-            }
-        )
 
     def gaps_bucket(group: pa.Table) -> pa.Table:
         u = group["user_id"].to_numpy()
@@ -749,12 +608,7 @@ def q_event_gaps(sf_dir: str):
             }
         )
 
-    ds = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
-    return (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(gaps_bucket, batch_format="pyarrow")
-    )
+    return hash_exchange(_events(sf_dir, ["user_id", "event_id", "t"]), "user_id", gaps_bucket)
 
 
 Q_EVENT_GAPS_SQL = """
@@ -775,30 +629,12 @@ def q_cum_distinct(sf_dir: str):
     (user, type, ts, id) marks first-seen rows, a second lexsort on
     (user, ts, id) turns the marks into a segment-rebased cumsum.  No
     per-distinct-user Python call (CLAUDE.md scale rule)."""
-    N_BUCKETS = 64
-
-    def bucket(b: pa.Table) -> pa.Table:
-        from ...stages.footprint import _splitmix64
-
-        u = b["user_id"].to_numpy().astype(np.uint64)
-        ts = b["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        return pa.table(
-            {
-                "user_id": b["user_id"],
-                "event_id": b["event_id"],
-                "t": pa.array(ts, pa.int64()),
-                "etype": b["event_type"],
-                "bucket": pa.array(
-                    (_splitmix64(u) % np.uint64(N_BUCKETS)).astype(np.int64)
-                ),
-            }
-        )
 
     def cumdist(group: pa.Table) -> pa.Table:
         u = group["user_id"].to_numpy()
         t = group["t"].to_numpy()
         eid = group["event_id"].to_numpy()
-        code = group["etype"].dictionary_encode().combine_chunks().indices.to_numpy()
+        code = group["event_type"].dictionary_encode().combine_chunks().indices.to_numpy()
         # pass 1: first occurrence of each (user, type) in (ts, id) order
         o1 = np.lexsort((eid, t, code, u))
         u1, c1 = u[o1], code[o1]
@@ -822,12 +658,7 @@ def q_cum_distinct(sf_dir: str):
             }
         )
 
-    ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
-    return (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(cumdist, batch_format="pyarrow")
-    )
+    return hash_exchange(_events(sf_dir, ["user_id", "event_id", "t", "event_type"]), "user_id", cumdist)
 
 
 Q_CUM_DISTINCT_SQL = """
@@ -854,27 +685,11 @@ def q_gap_fill(sf_dir: str):
     a bucket the fill is ONE vectorized pass: per-user span extents
     via reduceat, repeat/arange row synthesis, scatter-add of the
     observed counts (no per-user Python, no row loop)."""
-    N_BUCKETS = 64
     US_PER_HOUR = 3_600_000_000
-
-    def bucket(b: pa.Table) -> pa.Table:
-        from ...stages.footprint import _splitmix64
-
-        u = b["user_id"].to_numpy().astype(np.uint64)
-        ts = b["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        return pa.table(
-            {
-                "user_id": b["user_id"],
-                "hour": pa.array(ts // US_PER_HOUR, pa.int64()),
-                "bucket": pa.array(
-                    (_splitmix64(u) % np.uint64(N_BUCKETS)).astype(np.int64)
-                ),
-            }
-        )
 
     def fill(group: pa.Table) -> pa.Table:
         u = group["user_id"].to_numpy()
-        h = group["hour"].to_numpy()
+        h = group["t"].to_numpy() // US_PER_HOUR
         order = np.lexsort((h, u))
         u, h = u[order], h[order]
         new_u = np.concatenate(([True], u[1:] != u[:-1]))
@@ -901,12 +716,7 @@ def q_gap_fill(sf_dir: str):
             }
         )
 
-    ds = _read(sf_dir, "events", ["user_id", "ts"])
-    return (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(fill, batch_format="pyarrow")
-    )
+    return hash_exchange(_events(sf_dir, ["user_id", "t"]), "user_id", fill)
 
 
 Q_GAP_FILL_SQL = """
@@ -1004,23 +814,6 @@ def q_late_events(sf_dir: str):
     event's time.  One bucketed lexsort + segment-rebased cummax per
     user bucket (the running_total shape with maximum.accumulate);
     output per user: late-event count and max lateness µs."""
-    N_BUCKETS = 64
-
-    def bucket(b: pa.Table) -> pa.Table:
-        from ...stages.footprint import _splitmix64
-
-        u = b["user_id"].to_numpy().astype(np.uint64)
-        ts = b["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        return pa.table(
-            {
-                "user_id": b["user_id"],
-                "event_id": b["event_id"],
-                "t": pa.array(ts, pa.int64()),
-                "bucket": pa.array(
-                    (_splitmix64(u) % np.uint64(N_BUCKETS)).astype(np.int64)
-                ),
-            }
-        )
 
     def lateness(group: pa.Table) -> pa.Table:
         u = group["user_id"].to_numpy()
@@ -1050,12 +843,7 @@ def q_late_events(sf_dir: str):
             }
         )
 
-    ds = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
-    return (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(lateness, batch_format="pyarrow")
-    )
+    return hash_exchange(_events(sf_dir, ["user_id", "event_id", "t"]), "user_id", lateness)
 
 
 Q_LATE_EVENTS_SQL = """
@@ -1127,24 +915,6 @@ def q_moving_window(sf_dir: str):
     moving-aggregate feature extractor.  Same bucketed shape as
     running_total; the bounded window is one extra vectorized gather:
     m[i] = cumsum[i] − cumsum[j−1] with j = max(segment start, i−3)."""
-    N_BUCKETS = 64
-
-    def bucket(b: pa.Table) -> pa.Table:
-        from ...stages.footprint import _splitmix64
-
-        u = b["user_id"].to_numpy().astype(np.uint64)
-        ts = b["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        return pa.table(
-            {
-                "user_id": b["user_id"],
-                "event_id": b["event_id"],
-                "t": pa.array(ts, pa.int64()),
-                "value_c": pa.array(_cents(b["value"].to_numpy()), pa.int64()),
-            }
-        ).append_column(
-            "bucket",
-            pa.array((_splitmix64(u) % np.uint64(N_BUCKETS)).astype(np.int64)),
-        )
 
     def moving(group: pa.Table) -> pa.Table:
         u = group["user_id"].to_numpy()
@@ -1171,12 +941,7 @@ def q_moving_window(sf_dir: str):
             }
         )
 
-    ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
-    return (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(moving, batch_format="pyarrow")
-    )
+    return hash_exchange(_events(sf_dir, ["user_id", "event_id", "t", "value_c"]), "user_id", moving)
 
 
 Q_MOVING_WINDOW_SQL = f"""

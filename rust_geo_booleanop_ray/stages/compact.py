@@ -26,6 +26,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .exchange import hash_exchange
+
 
 def last_per_key(t: pa.Table, key: str, order_cols) -> pa.Table:
     """Keep the row with the lexicographically greatest ``order_cols``
@@ -62,39 +64,17 @@ def latest_by_key(ds, key: str, order_cols, out_cols=None):
         + [c for c in out_cols if c != key and c not in order_cols]
     )
 
-    N_BUCKETS = 64
-
-    def _bucket_vals(t: pa.Table) -> np.ndarray:
-        from .footprint import _splitmix64
-
-        col = t[key]
-        if pa.types.is_integer(col.type):
-            h = _splitmix64(col.to_numpy().astype(np.uint64))
-            return (h % np.uint64(N_BUCKETS)).astype(np.int64)
-        import zlib
-
-        return np.array(
-            [zlib.crc32(str(v).encode()) % N_BUCKETS for v in col.to_pylist()],
-            dtype=np.int64,
-        )
-
     def partial(batch: pa.Table) -> pa.Table:
         if cols is not None:
             batch = batch.select(cols)
-        red = last_per_key(batch, key, order_cols)
-        return red.append_column("__bucket", pa.array(_bucket_vals(red)))
+        return last_per_key(batch, key, order_cols)
 
     def merge(group: pa.Table) -> pa.Table:
-        # keys are rows-cardinality (users/content ids): the merge is
-        # hash-BUCKETED — one lexsort resolves every key in the bucket
-        # (CLAUDE.md scale rule), never one Python call per key
-        return last_per_key(group.drop_columns(["__bucket"]), key, order_cols)
+        # keys are rows-cardinality (users/content ids): one lexsort
+        # resolves every key in the bucket, never one call per key
+        return last_per_key(group.drop_columns(["bucket"]), key, order_cols)
 
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(merge, batch_format="pyarrow")
-    )
+    out = hash_exchange(ds.map_batches(partial, batch_format="pyarrow"), key, merge)
     if out_cols is not None:
         final = [key] + [c for c in out_cols if c != key]
         out = out.map_batches(

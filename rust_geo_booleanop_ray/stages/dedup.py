@@ -3,18 +3,18 @@ embedding-cosine near-dup.
 
 Scale shapes (ray_guide aggregation/dedup patterns):
   exact     — content-hash column (map_batches) → per-batch partial
-              (hash → min id, count) → groupby(hash) merge.  The
+              (hash → min id, count) → hash_exchange(hash) merge.  The
               shuffle moves one row per distinct hash per batch, not
               one per document.
   minhash   — shingle → 64 minhash perms → 8×8 bands → explode
-              (band_id, band_hash, doc_id) → groupby(bucket) →
+              (band_id, band_hash, doc_id) → hash_exchange(band) →
               candidate pairs → signature-estimated Jaccard ≥ τ.
   simhash   — 64-bit simhash → 4×16-bit band blocking → pairs with
               hamming ≤ max_hamming.
   embedding — unit-normalize → sign-LSH bucket (seeded hyperplanes) →
               within-bucket cosine ≥ τ.
   components— distributed min-label propagation with pointer jumping
-              (edges ⋈ labels shuffle join + groupby(node) min per
+              (edges ⋈ labels shuffle join + hash_exchange(node) min per
               round, O(log diameter) rounds); labels stay a Dataset —
               the driver only reads a per-round change counter.
 """
@@ -25,6 +25,8 @@ import hashlib
 
 import numpy as np
 import pyarrow as pa
+
+from .exchange import bucket_of, hash_exchange
 
 # Per-byte popcount lookup table for the vectorized hamming distance.
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
@@ -94,22 +96,6 @@ def exact_dedup_merge(group: pa.Table) -> pa.Table:
             "doc_id": pa.array([min(group["doc_id"].to_pylist())], pa.int64()),
             "n": pa.array([sum(group["n"].to_pylist())], pa.int64()),
         }
-    )
-
-
-DEDUP_BUCKETS = 64
-
-
-def exact_dedup_bucket_col(t: pa.Table) -> pa.Table:
-    """Append the shuffle bucket (low hash word % DEDUP_BUCKETS).
-    Content-hash cardinality is ~rows, so grouping by the hash itself
-    would make one Python group call per distinct document — the
-    per-key map_groups anti-pattern.  Bucketing keeps the exchange
-    identical (all rows of a hash pair share a bucket — equal pairs
-    have equal low words) with 64 group calls total."""
-    h = t["content_hash"].to_numpy().view(np.uint64)
-    return t.append_column(
-        "bucket", pa.array((h % np.uint64(DEDUP_BUCKETS)).astype(np.int64))
     )
 
 
@@ -751,7 +737,6 @@ def connected_components(pairs_ds, max_rounds: int = 30, a_col: str = "doc_a", b
          shuffle several times.  The driver pulls ONE scalar per
          round: Σ changed (0/1 per node); changed == 0 ⇒ fixpoint.
     """
-    from .footprint import _splitmix64
     from .join import shuffle_hash_join
 
     def _min_by_node(ds, value_cols, nb):
@@ -761,11 +746,6 @@ def connected_components(pairs_ds, max_rounds: int = 30, a_col: str = "doc_a", b
         at ~170 CPU-s for ~1M keys).  Bucket by node hash instead —
         the same single exchange, then one argsort+minimum.reduceat
         kernel per bucket."""
-
-        def add_bucket(b: pa.Table) -> pa.Table:
-            node = b["node"].to_numpy().astype(np.uint64)
-            h = _splitmix64(node) % np.uint64(nb)
-            return b.append_column("cc_bucket", pa.array(h.astype(np.int64)))
 
         def merge(group: pa.Table) -> pa.Table:
             node = group["node"].to_numpy()
@@ -780,11 +760,7 @@ def connected_components(pairs_ds, max_rounds: int = 30, a_col: str = "doc_a", b
                 )
             return pa.table(out)
 
-        return (
-            ds.map_batches(add_bucket, batch_format="pyarrow")
-            .groupby("cc_bucket")
-            .map_groups(merge, batch_format="pyarrow")
-        )
+        return hash_exchange(ds, "node", merge, nb)
 
     def _fresh(ds):
         """Materialize AND sever lineage.  Each round's shortcut join
@@ -925,7 +901,7 @@ def connected_components(pairs_ds, max_rounds: int = 30, a_col: str = "doc_a", b
     )
 
 
-def pair_reduce(pairs_ds, a_col: str, b_col: str, val_col: str, how: str = "min", n_buckets: int = 64):
+def pair_reduce(pairs_ds, a_col: str, b_col: str, val_col: str, how: str = "min"):
     """Merge duplicate candidate pairs (the same pair surfaces from
     several LSH bands/buckets) into one row carrying min/max of
     ``val_col``.  Pair cardinality is ~candidates — rows-scale — so
@@ -936,24 +912,7 @@ def pair_reduce(pairs_ds, a_col: str, b_col: str, val_col: str, how: str = "min"
     a splitmix64 bucket over the mixed pair co-locates all instances,
     and one lexsort + ufunc.reduceat per bucket merges at C speed.
     Column names and dtypes are preserved."""
-    from .footprint import _splitmix64
-
     ufunc = {"min": np.minimum, "max": np.maximum}[how]
-
-    def add_key(b: pa.Table) -> pa.Table:
-        a = b[a_col].to_numpy().astype(np.int64)
-        bb = b[b_col].to_numpy().astype(np.int64)
-        h = _splitmix64(
-            _splitmix64(a.view(np.uint64)) ^ bb.view(np.uint64)
-        ) % np.uint64(n_buckets)
-        return pa.table(
-            {
-                a_col: pa.array(a),
-                b_col: pa.array(bb),
-                val_col: b[val_col],
-                "bucket": pa.array(h.astype(np.int64)),
-            }
-        )
 
     def merge(group: pa.Table) -> pa.Table:
         a = group[a_col].to_numpy()
@@ -973,11 +932,10 @@ def pair_reduce(pairs_ds, a_col: str, b_col: str, val_col: str, how: str = "min"
             }
         )
 
-    return (
-        pairs_ds.map_batches(add_key, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(merge, batch_format="pyarrow")
+    pairs = pairs_ds.map_batches(
+        lambda b: b.select([a_col, b_col, val_col]), batch_format="pyarrow"
     )
+    return hash_exchange(pairs, [a_col, b_col], merge)
 
 
 # ------------------------------------------- bucketed banded candidates
@@ -993,7 +951,6 @@ def banded_pairs_bucketed(
     out_cols: tuple[str, str],
     val_col: str,
     val_type,
-    n_buckets: int = 64,
     pair_chunk: int = 1 << 16,
 ):
     """LSH candidate-pair stage WITHOUT per-band-bucket Python dispatch.
@@ -1002,7 +959,7 @@ def banded_pairs_bucketed(
     cardinality and is dominated by singletons, so
     ``groupby(band_cols).map_groups`` pays one Python call per distinct
     key (~170 CPU-s per 1M keys measured — the repo's forbidden
-    pattern).  Instead: shuffle by ``splitmix64(band key) % n_buckets``
+    pattern).  Instead: shuffle by ``bucket_of(band key)``
     — the exchange is identical (all rows of a band bucket share a
     shuffle bucket) — then ONE vectorized kernel per shuffle bucket:
 
@@ -1035,30 +992,7 @@ def banded_pairs_bucketed(
         pair_chunk=pair_chunk,
     )
 
-    def add_bucket(b: pa.Table) -> pa.Table:
-        return band_bucket_column(b, band_cols, n_buckets)
-
-    return (
-        exploded.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(kernel, batch_format="pyarrow")
-    )
-
-
-def band_bucket_column(b: pa.Table, band_cols, n_buckets: int) -> pa.Table:
-    """Append the splitmix64(band key) % n_buckets shuffle column —
-    shared by the in-flight exchange AND the persisted band store (the
-    store's hive partitioning must agree with the exchange's bucket)."""
-    from .footprint import _splitmix64
-
-    key = np.zeros(b.num_rows, dtype=np.uint64)
-    for c in band_cols:
-        key = _splitmix64(
-            key ^ b[c].to_numpy(zero_copy_only=False).astype(np.int64).view(np.uint64)
-        )
-    return b.append_column(
-        "bucket", pa.array((key % np.uint64(n_buckets)).astype(np.int64))
-    )
+    return hash_exchange(exploded, list(band_cols), kernel)
 
 
 def make_band_bucket_kernel(
@@ -1160,7 +1094,7 @@ def make_band_bucket_kernel(
     return bucket_kernel
 
 
-def minhash_candidate_pairs(exploded, threshold: float, n_buckets: int = 64):
+def minhash_candidate_pairs(exploded, threshold: float):
     """Bucketed replacement for ``groupby(band_id, band_hash).
     map_groups(LshCandidatePairs)``: same verified-pair output
     (signature-equality Jaccard estimate ≥ threshold), no per-band-
@@ -1182,7 +1116,6 @@ def minhash_candidate_pairs(exploded, threshold: float, n_buckets: int = 64):
         out_cols=("doc_a", "doc_b"),
         val_col="est_jaccard",
         val_type=pa.float64(),
-        n_buckets=n_buckets,
     )
 
 
@@ -1194,7 +1127,7 @@ def lsh_band_explode_lean(batch: pa.Table, bands: int = 8) -> pa.Table:
     return lsh_band_explode(batch, bands=bands).drop_columns(["sig"])
 
 
-def minhash_candidate_pairs_lean(sigs_ds, threshold: float, n_buckets: int = 64):
+def minhash_candidate_pairs_lean(sigs_ds, threshold: float):
     """Scale variant of ``minhash_candidate_pairs``: candidates from
     band equality alone (no payload on the band exchange), then ONE
     bucketed join ships each doc's signature once to its pairs and a
@@ -1207,7 +1140,6 @@ def minhash_candidate_pairs_lean(sigs_ds, threshold: float, n_buckets: int = 64)
     streaming-correct trade at 10⁹ rows, where materializing the sig
     table would pin docs × 520 B in the object store.  Same output as
     the compact variant (same oracle)."""
-    from .footprint import _splitmix64
     from .join import shuffle_hash_join
 
     n_perm = 64
@@ -1230,7 +1162,6 @@ def minhash_candidate_pairs_lean(sigs_ds, threshold: float, n_buckets: int = 64)
         out_cols=("doc_a", "doc_b"),
         val_col="one",
         val_type=pa.int64(),
-        n_buckets=n_buckets,
     )
     cand = pair_reduce(cand, "doc_a", "doc_b", "one", how="min")
 
@@ -1288,7 +1219,6 @@ def minhash_candidate_pairs_lean(sigs_ds, threshold: float, n_buckets: int = 64)
         "doc_id",
         ["pair_key", "slot"],
         ["sigb"],
-        n_buckets=n_buckets,
         left_schema=pa.schema(
             [
                 pa.field("doc_id", pa.int64()),
@@ -1303,19 +1233,6 @@ def minhash_candidate_pairs_lean(sigs_ds, threshold: float, n_buckets: int = 64)
             ]
         ),
     )
-
-    def add_pair_bucket(b: pa.Table) -> pa.Table:
-        k = b["pair_key"].to_numpy().view(np.uint64)
-        return pa.table(
-            {
-                "pair_key": b["pair_key"],
-                "slot": b["slot"],
-                "sigb": b["sigb"],
-                "vbucket": pa.array(
-                    (_splitmix64(k) % np.uint64(n_buckets)).astype(np.int64)
-                ),
-            }
-        )
 
     empty = pa.schema(
         [
@@ -1372,11 +1289,7 @@ def minhash_candidate_pairs_lean(sigs_ds, threshold: float, n_buckets: int = 64)
             }
         )
 
-    return (
-        joined.map_batches(add_pair_bucket, batch_format="pyarrow")
-        .groupby("vbucket")
-        .map_groups(verify_bucket, batch_format="pyarrow")
-    )
+    return hash_exchange(joined, "pair_key", verify_bucket)
 
 
 def hamming_candidate_pairs(
@@ -1386,7 +1299,6 @@ def hamming_candidate_pairs(
     key_col: str = "doc_id",
     sig_col: str = "simhash",
     out_cols: tuple[str, str] = ("doc_a", "doc_b"),
-    n_buckets: int = 64,
 ):
     """Bucketed replacement for ``groupby(band_id, band_val).
     map_groups(SimhashPairs)`` (text SimHash and image pHash paths):
@@ -1414,7 +1326,6 @@ def hamming_candidate_pairs(
         out_cols=out_cols,
         val_col="hamming",
         val_type=pa.int64(),
-        n_buckets=n_buckets,
     )
 
 
@@ -1426,7 +1337,6 @@ def incremental_hamming_pairs(
     key_col: str = "doc_id",
     sig_col: str = "simhash",
     out_cols: tuple[str, str] = ("doc_a", "doc_b"),
-    n_buckets: int = 64,
 ):
     """Incremental hamming near-dup (SimHash text / pHash image):
     candidate pairs touching AT LEAST ONE new id (ids ≥ ``new_min_id``
@@ -1462,11 +1372,10 @@ def incremental_hamming_pairs(
         out_cols=out_cols,
         val_col="hamming",
         val_type=pa.int64(),
-        n_buckets=n_buckets,
     )
 
 
-def incremental_exact_dedup(new_sigs, prior_sigs, n_buckets: int = DEDUP_BUCKETS):
+def incremental_exact_dedup(new_sigs, prior_sigs):
     """Incremental exact dedup against PERSISTED signatures: flag each
     NEW doc that duplicates (same 128-bit content hash) any PRIOR doc
     or a smaller-id new doc, without ever re-reading — let alone
@@ -1483,11 +1392,9 @@ def incremental_exact_dedup(new_sigs, prior_sigs, n_buckets: int = DEDUP_BUCKETS
     full-corpus drop decision, so incremental(old, new) flags on new
     docs == full-run flags restricted to new docs (prior-vs-prior dups
     are the previous run's business, by construction)."""
-    from .footprint import _splitmix64
 
     def tag(is_new: int):
         def fn(b: pa.Table) -> pa.Table:
-            h = b["content_hash"].to_numpy().astype(np.uint64)
             return pa.table(
                 {
                     "doc_id": b["doc_id"],
@@ -1495,9 +1402,6 @@ def incremental_exact_dedup(new_sigs, prior_sigs, n_buckets: int = DEDUP_BUCKETS
                     "h_hi": b["content_hash_hi"],
                     "is_new": pa.array(
                         np.full(b.num_rows, is_new, dtype=np.int8), pa.int8()
-                    ),
-                    "bucket": pa.array(
-                        (_splitmix64(h) % np.uint64(n_buckets)).astype(np.int64)
                     ),
                 }
             )
@@ -1546,13 +1450,12 @@ def incremental_exact_dedup(new_sigs, prior_sigs, n_buckets: int = DEDUP_BUCKETS
             }
         )
 
-    return unioned.groupby("bucket").map_groups(flag_bucket, batch_format="pyarrow")
+    return hash_exchange(unioned, "h_lo", flag_bucket)
 
 
-def write_band_store(sigs_ds, store_dir: str, n_buckets: int = 64):
+def write_band_store(sigs_ds, store_dir: str):
     """Persist a corpus's LSH band rows hash-partitioned by the SAME
-    splitmix64(band key) % n_buckets bucket the candidate exchange
-    uses: ``store_dir/bucket=K/*.parquet``.  A later append-only run
+    ``bucket_of(band key)`` the candidate exchange uses: ``store_dir/bucket=K/*.parquet``.  A later append-only run
     can then dedup new docs against the corpus with NO old-side
     shuffle at all — each bucket task reads its store partition
     directly (``incremental_minhash_pairs_store``).  At 10^12 docs
@@ -1560,9 +1463,8 @@ def write_band_store(sigs_ds, store_dir: str, n_buckets: int = 64):
     carries ONLY the append batch."""
 
     def explode_bucket(b: pa.Table) -> pa.Table:
-        return band_bucket_column(
-            lsh_band_explode(b), ("band_id", "band_hash"), n_buckets
-        )
+        b = lsh_band_explode(b)
+        return b.append_column("bucket", pa.array(bucket_of(b, ["band_id", "band_hash"])))
 
     sigs_ds.map_batches(explode_bucket, batch_format="pyarrow").write_parquet(
         store_dir, partition_cols=["bucket"]
@@ -1574,7 +1476,6 @@ def incremental_minhash_pairs_store(
     store_dir: str,
     threshold: float,
     new_min_id: int,
-    n_buckets: int = 64,
 ):
     """Incremental MinHash+LSH against a PERSISTED, bucket-partitioned
     band store (``write_band_store``): the append batch is signed,
@@ -1641,16 +1542,8 @@ def incremental_minhash_pairs_store(
             }
         )
 
-    def explode_bucket(b: pa.Table) -> pa.Table:
-        return band_bucket_column(
-            lsh_band_explode(b), ("band_id", "band_hash"), n_buckets
-        )
-
-    return (
-        new_sigs.map_batches(explode_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(bucket_with_store, batch_format="pyarrow")
-    )
+    exploded = new_sigs.map_batches(lsh_band_explode, batch_format="pyarrow")
+    return hash_exchange(exploded, ["band_id", "band_hash"], bucket_with_store)
 
 
 def incremental_minhash_pairs(
@@ -1658,7 +1551,6 @@ def incremental_minhash_pairs(
     prior_sigs,
     threshold: float,
     new_min_id: int,
-    n_buckets: int = 64,
 ):
     """Incremental MinHash+LSH near-dup: candidate pairs touching AT
     LEAST ONE new doc, over the union of a PERSISTED prior signature
@@ -1718,5 +1610,4 @@ def incremental_minhash_pairs(
         out_cols=("doc_a", "doc_b"),
         val_col="est_jaccard",
         val_type=pa.float64(),
-        n_buckets=n_buckets,
     )

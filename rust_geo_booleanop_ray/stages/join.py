@@ -9,8 +9,8 @@ additions a large-scale pipeline needs.  Two physical strategies:
   polygons, query matrices).
 
 - ``shuffle_hash_join``: both sides are tagged, unioned and
-  hash-partitioned by the key via ``groupby(key).map_groups``; each
-  group emits the local product.  One all-to-all exchange total (the
+  hash-partitioned by the key via ``exchange.hash_exchange``; each
+  bucket emits the local product.  One all-to-all exchange total (the
   union shuffles once, not once per side).  This is the scale path for
   big⋈big; key skew is the operator's documented hazard — pre-aggregate
   the probe side first (as q_revenue_by_nation does) or salt hot keys.
@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+
+from .exchange import N_BUCKETS, hash_exchange
 
 
 def broadcast_join(ds, small_table: pa.Table, key: str, value_cols, batch_format="pyarrow"):
@@ -139,7 +141,6 @@ class BroadcastIntervalJoin:
 
 
 _SIDE_COL = "__join_side"
-_BUCKET_COL = "__join_bucket"
 
 
 def shuffle_hash_join(
@@ -148,7 +149,7 @@ def shuffle_hash_join(
     key: str,
     left_cols,
     right_cols,
-    n_buckets: int = 64,
+    n_buckets: int = N_BUCKETS,
     distinct: str | None = None,
     left_schema: pa.Schema | None = None,
     right_schema: pa.Schema | None = None,
@@ -171,9 +172,8 @@ def shuffle_hash_join(
 
     Physical plan: project each side to (key, side-tag, own columns ⊕
     typed-null columns of the other side) so the union is
-    schema-aligned, add ``hash(key) % n_buckets``, then ONE hash shuffle
-    (``groupby(bucket)``) and a vectorized Arrow (Acero) hash join per
-    bucket.  Bucketing — not per-key grouping — is what scales: the
+    schema-aligned, then ONE ``hash_exchange`` on the key and a
+    vectorized Arrow (Acero) hash join per bucket.  Bucketing — not per-key grouping — is what scales: the
     shuffle moves each row once and the local join is C++, instead of
     one Python group call per distinct key.  Returns columns
     ``[key] + left_cols + right_cols``.
@@ -204,10 +204,7 @@ def shuffle_hash_join(
     for c in right_cols:
         types[c] = rschema.field(c).type
     key_type = lschema.field(key).type
-    # the Fibonacci bucket hash below assumes non-null integer keys:
-    # to_numpy on a null-bearing or non-integer key yields floats /
-    # objects and NaN→uint64 casting is platform-dependent (equal keys
-    # could land in different buckets and silently drop matches)
+    # bucket_of also rejects it, but only once the plan runs
     if not pa.types.is_integer(key_type):
         raise TypeError(
             f"shuffle_hash_join key {key!r} must be an integer column, got {key_type}"
@@ -216,20 +213,10 @@ def shuffle_hash_join(
     def tag_typed(side_cols, tag_value):
         def fn(batch: pa.Table) -> pa.Table:
             n = batch.num_rows
-            if batch[key].null_count:
-                raise ValueError(
-                    f"shuffle_hash_join key {key!r} contains nulls; "
-                    "filter or fill_null before joining"
-                )
-            keys = batch[key].to_numpy(zero_copy_only=False)
             cols = {key: batch[key]}
             for c in all_cols:
                 cols[c] = batch[c] if c in side_cols else pa.nulls(n, types[c])
             cols[_SIDE_COL] = pa.array(np.full(n, tag_value, dtype=np.int8))
-            # cheap deterministic int hash (Fibonacci multiply) — stable
-            # across processes, unlike Python hash()
-            h = (keys.astype(np.uint64, copy=False) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(40)
-            cols[_BUCKET_COL] = pa.array((h % np.uint64(n_buckets)).astype(np.int64))
             return pa.table(cols)
 
         return fn
@@ -284,11 +271,7 @@ def shuffle_hash_join(
         # Acero may reorder columns; project to the declared layout
         return joined.select([key] + out_cols)
 
-    return (
-        lt.union(rt)
-        .groupby(_BUCKET_COL)
-        .map_groups(join_bucket, batch_format="pyarrow")
-    )
+    return hash_exchange(lt.union(rt), key, join_bucket, n_buckets)
 
 
 # ------------------------------------------------------------ bloom filter

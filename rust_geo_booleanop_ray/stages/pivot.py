@@ -28,6 +28,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .exchange import hash_exchange
+
 
 def pivot_column_names(categories: Sequence[str]) -> list[str]:
     """Wide-column names, count then sum per category, category order
@@ -72,22 +74,13 @@ def make_pivot_partial(
     return partial
 
 
-def bucketed_wide_sum(ds, group_col: str, wide_cols: Sequence[str], n_buckets: int = 64):
+def bucketed_wide_sum(ds, group_col: str, wide_cols: Sequence[str]):
     """Merge per-block pivot partials WITHOUT the generic per-distinct-
-    key aggregate (group cardinality is ~rows at 100 TB — users): hash
-    the group key into ``n_buckets``, and merge each bucket with ONE
+    key aggregate (group cardinality is ~rows at 100 TB — users):
+    ``hash_exchange`` on the group key, and merge each bucket with ONE
     lexsort + reduceat pass over every wide column at once (CLAUDE.md
     scale shape).  Returns one exact row per distinct group."""
     wide_cols = list(wide_cols)
-
-    def bucket(b: pa.Table) -> pa.Table:
-        from .footprint import _splitmix64
-
-        k = b[group_col].to_numpy().astype(np.uint64)
-        return b.append_column(
-            "bucket",
-            pa.array((_splitmix64(k) % np.uint64(n_buckets)).astype(np.int64)),
-        )
 
     def merge(group: pa.Table) -> pa.Table:
         k = group[group_col].to_numpy()
@@ -102,8 +95,4 @@ def bucketed_wide_sum(ds, group_col: str, wide_cols: Sequence[str], n_buckets: i
             cols[c] = pa.array(np.add.reduceat(v, starts).astype(np.int64))
         return pa.table(cols)
 
-    return (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(merge, batch_format="pyarrow")
-    )
+    return hash_exchange(ds, group_col, merge)

@@ -431,8 +431,6 @@ def long_window_hashes_batch(batch: pa.Table, L: int = SUBSTR_RUN_LEN) -> pa.Tab
 
 # ------------------------------------------------------------ bigram LM
 
-LM_BUCKETS = 64
-
 
 def ascii_token_hashes(arr: pa.Array) -> np.ndarray:
     """Vectorized FNV-1a 64-bit hash of each token in a StringArray.
@@ -440,8 +438,10 @@ def ascii_token_hashes(arr: pa.Array) -> np.ndarray:
     Tokens come from ``split_pattern_regex(lower(text), '[^a-z]+')`` so
     they are pure ASCII — bytes ARE code points (the repo's hashing
     convention holds trivially).  Works straight off the Arrow offset +
-    data buffers in O(max_token_len) vectorized passes; no per-token
-    Python.  The hash is engine-internal only (the oracle groups by the
+    data buffers, no per-token Python: tokens are sorted by length once,
+    and pass ``p`` hashes byte ``p`` of only the prefix of tokens still
+    longer than ``p``, so the work is O(total token bytes) even when one
+    token is thousands of bytes long.  The hash is engine-internal only (the oracle groups by the
     actual bigram strings), so only collision-freeness matters:
     distinct-token space even at web scale (~10^7–10^8 types) is far
     below the 64-bit birthday bound.  A collision is not silent: it
@@ -457,27 +457,28 @@ def ascii_token_hashes(arr: pa.Array) -> np.ndarray:
     buf_off = np.frombuffer(arr.buffers()[1], dtype=odtype)
     off = buf_off[arr.offset : arr.offset + n + 1].astype(np.int64)
     data = np.frombuffer(arr.buffers()[2], dtype=np.uint8)
-    starts = off[:-1]
-    lens = off[1:] - starts
-    h = np.full(n, 0xCBF29CE484222325, dtype=np.uint64)
+    lens = off[1:] - off[:-1]
+    order = np.argsort(-lens, kind="stable")
+    starts, neg_lens = off[:-1][order], -lens[order]
+    hs = np.full(n, 0xCBF29CE484222325, dtype=np.uint64)
     prime = np.uint64(0x100000001B3)
     with np.errstate(over="ignore"):
-        for p in range(int(lens.max()) if n else 0):
-            m = lens > p
-            h[m] = (h[m] ^ data[starts[m] + p].astype(np.uint64)) * prime
+        for p in range(-int(neg_lens[0])):
+            k = int(np.searchsorted(neg_lens, -p))  # tokens longer than p
+            hs[:k] = (hs[:k] ^ data[starts[:k] + p].astype(np.uint64)) * prime
+    h = np.empty(n, dtype=np.uint64)
+    h[order] = hs
     return h
 
 
-def token_bigram_rows(batch: pa.Table, n_buckets: int = LM_BUCKETS) -> pa.Table:
-    """One row per adjacent-token bigram OCCURRENCE: (doc_id, ha, hb,
-    bucket).  ha/hb are the two token hashes (the bigram's identity is
-    the exact pair — no extra collision beyond token-hash collisions);
-    bucket is a splitmix64 mix of the pair, so every occurrence of the
-    same bigram lands in the same bucket and the per-bucket kernel sees
-    each bigram's FULL corpus count locally.  Wire volume ∝ total
-    token count — the same exchange the contamination queries pay."""
-    from .footprint import _splitmix64
-
+def token_bigram_rows(batch: pa.Table) -> pa.Table:
+    """One row per adjacent-token bigram OCCURRENCE: (doc_id, ha, hb).
+    ha/hb are the two token hashes (the bigram's identity is the exact
+    pair — no extra collision beyond token-hash collisions), so a
+    ``hash_exchange`` on (ha, hb) sends every occurrence of a bigram to
+    one bucket and the per-bucket kernel sees its FULL corpus count
+    locally.  Wire volume ∝ total token count — the same exchange the
+    contamination queries pay."""
     toks = pc.split_pattern_regex(pc.utf8_lower(batch["text"]), "[^a-z]+")
     flat = pc.list_flatten(toks)
     par = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
@@ -497,14 +498,10 @@ def token_bigram_rows(batch: pa.Table, n_buckets: int = LM_BUCKETS) -> pa.Table:
         if len(par)
         else np.empty(0, np.int64)
     )
-    with np.errstate(over="ignore"):
-        mix = _splitmix64(ha * np.uint64(0x9E3779B97F4A7C15) ^ hb)
-    bucket = (mix % np.uint64(n_buckets)).astype(np.int64)
     return pa.table(
         {
             "doc_id": pa.array(docs.astype(np.int64), pa.int64()),
             "ha": pa.array(ha.view(np.int64), pa.int64()),
             "hb": pa.array(hb.view(np.int64), pa.int64()),
-            "bucket": pa.array(bucket, pa.int64()),
         }
     )

@@ -61,16 +61,15 @@ def main(argv=None) -> int:
 
     rd.DataContext.get_current().enable_progress_bars = False
 
+    from rust_geo_booleanop_ray.stages.exchange import hash_exchange
     from rust_geo_booleanop_ray.tuning import tune_data_context
 
     tune_data_context()
 
     from rust_geo_booleanop_ray.stages.dedup import (
-        DEDUP_BUCKETS,
         LshCandidatePairs,
         MinHasher,
         content_hash_batch,
-        exact_dedup_bucket_col,
         exact_dedup_merge_bucket,
         exact_dedup_partial,
         lsh_band_explode,
@@ -142,15 +141,12 @@ def main(argv=None) -> int:
 
     # -------------------------------------------------- exact dedup
     t0 = time.time()
-    distinct = (
+    partials = (
         corpus()
         .map_batches(content_hash_batch, batch_format="pyarrow")
         .map_batches(exact_dedup_partial, batch_format="pyarrow")
-        .map_batches(exact_dedup_bucket_col, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(exact_dedup_merge_bucket, batch_format="pyarrow")
-        .count()
     )
+    distinct = hash_exchange(partials, "content_hash", exact_dedup_merge_bucket).count()
     wall_exact = time.time() - t0
 
     # ------------------------------------------------ minhash neardup

@@ -1,9 +1,14 @@
 """The block policy: ``tuning.tune_data_context()`` alone decides how many
 blocks a source has (two per CPU of the live cluster), engine code passes
-no block count, and no output depends on how the input is split."""
+no block count, and no output depends on how the input is split.  Also
+the two other cluster-shape rules: actor pools size from
+``tuning.ACTOR_POOL``, and rows-cardinality keys shuffle only through
+``stages/exchange.py::hash_exchange``."""
 
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pyarrow as pa
@@ -63,19 +68,62 @@ def test_sources_get_two_blocks_per_cpu(ray_session, images, tmp_path):
     assert read_synth_images(1024).materialize().num_blocks() == want
 
 
-def test_engine_passes_no_block_count():
-    """Block counts come from ``tune_data_context()`` only: no
-    ``num_blocks=``, ``override_num_blocks=`` or ``parallelism=`` in
-    the engine."""
-    pattern = re.compile(r"(?<![\w.])(override_num_blocks|num_blocks|parallelism)\s*=(?!=)")
+def _package_lines_matching(pattern, skip=()):
     offenders = []
     for root, _, files in os.walk(PACKAGE):
         for name in files:
-            if not name.endswith(".py"):
-                continue
             path = os.path.join(root, name)
+            if not name.endswith(".py") or os.path.relpath(path, PACKAGE) in skip:
+                continue
             with open(path, encoding="utf-8") as f:
                 for no, line in enumerate(f, 1):
                     if pattern.search(line):
                         offenders.append(f"{os.path.relpath(path, PACKAGE)}:{no}: {line.strip()}")
-    assert offenders == []
+    return offenders
+
+
+def test_engine_passes_no_block_count():
+    """Block counts come from ``tune_data_context()`` only: no
+    ``num_blocks=``, ``override_num_blocks=`` or ``parallelism=`` in
+    the engine; actor pool sizes come from ``tuning.ACTOR_POOL``, never
+    a literal ``concurrency=(...)``."""
+    pattern = re.compile(
+        r"(?<![\w.])(override_num_blocks|num_blocks|parallelism)\s*=(?!=)|concurrency\s*=\s*\("
+    )
+    assert _package_lines_matching(pattern) == []
+
+
+def test_no_hand_rolled_hash_exchange():
+    """Hash-bucket exchanges go through ``hash_exchange``: no module
+    groups by a bucket column of its own."""
+    pattern = re.compile(r"""groupby\(\s*(["'](bucket|kb|pbucket)["']|_BUCKET_COL)\s*\)""")
+    assert _package_lines_matching(pattern, skip={os.path.join("stages", "exchange.py")}) == []
+
+
+_POLY_CLIP_AT_2_CPUS = """
+import ray
+ray.init(address="local", num_cpus=2, include_dashboard=False, logging_level="ERROR")
+from rust_geo_booleanop_ray.pipelines.queries import build_queries
+print(build_queries()["poly_clip"]({sf!r}).count())
+"""
+
+
+def test_actor_pool_query_runs_on_two_cpus():
+    """An actor-pool query finishes on a 2-CPU cluster: a pool whose
+    minimum size is the CPU count holds every CPU and its upstream read
+    never runs (q_poly_clip at ``concurrency=(2, 64)`` made no progress)."""
+    from conftest import REPO, TESTDATA
+
+    script = _POLY_CLIP_AT_2_CPUS.format(sf=os.path.join(TESTDATA, "sf0.001"))
+    try:
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=180,
+            cwd=REPO,  # Ray workers import the package from the working directory
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("q_poly_clip made no progress in 180 s on a 2-CPU Ray cluster")
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert int(out.stdout.split()[-1]) > 0

@@ -526,10 +526,8 @@ def test_skyline_2d_matches_bruteforce_with_ties():
 
 
 def test_exact_dedup_bucketed_merge_matches_per_group():
-    from rust_geo_booleanop_ray.stages.dedup import (
-        exact_dedup_bucket_col,
-        exact_dedup_merge_bucket,
-    )
+    from rust_geo_booleanop_ray.stages.dedup import exact_dedup_merge_bucket
+    from rust_geo_booleanop_ray.stages.exchange import bucket_of
 
     rng = np.random.RandomState(59)
     texts = [f"doc-{i % 37}" for i in range(300)]  # 37 distinct contents
@@ -543,7 +541,8 @@ def test_exact_dedup_bucketed_merge_matches_per_group():
     # two partial blocks merged through the bucketed kernel
     p1 = exact_dedup_partial(hashed.slice(0, 150))
     p2 = exact_dedup_partial(hashed.slice(150))
-    both = exact_dedup_bucket_col(pa.concat_tables([p1, p2]))
+    both = pa.concat_tables([p1, p2])
+    both = both.append_column("bucket", pa.array(bucket_of(both, "content_hash")))
     out_parts = []
     for bkt in set(both["bucket"].to_pylist()):
         g = both.filter(pa.array(np.asarray(both["bucket"].to_pylist()) == bkt))

@@ -129,6 +129,7 @@ def test_token_bigram_rows_bucket_is_pair_function(ray_session):
     """Every occurrence of the same bigram must land in the same
     bucket (the per-bucket count kernel depends on it), across
     different docs and batches."""
+    from rust_geo_booleanop_ray.stages.exchange import bucket_of
     from rust_geo_booleanop_ray.stages.text import token_bigram_rows
 
     b1 = pa.table(
@@ -145,7 +146,7 @@ def test_token_bigram_rows_bucket_is_pair_function(ray_session):
     key = {}
     for t in (t1, t2):
         for ha, hb, bk in zip(
-            t["ha"].to_pylist(), t["hb"].to_pylist(), t["bucket"].to_pylist()
+            t["ha"].to_pylist(), t["hb"].to_pylist(), bucket_of(t, ["ha", "hb"])
         ):
             assert key.setdefault((ha, hb), bk) == bk
     # "the cat" occurs in both batches -> identical (ha, hb) appears twice
