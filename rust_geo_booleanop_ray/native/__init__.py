@@ -2,51 +2,66 @@
 
 Built on first import with the system compiler if available.  The
 library has one entry point, ``martinez_batch``: a whole batch of pairs
-through the Arrow offset buffers.  ``stages.boolean_batch.boolean_batch``
-is the one place that chooses between it and the pure-Python reference
+through the Arrow offset buffers, with one reusable workspace per call
+(no allocation per pair).  ``stages.boolean_batch.boolean_batch`` is
+the one place that chooses between it and the pure-Python reference
 kernel, which runs when the build fails or ``GEO_NATIVE=0``.  Parity
 with the Python kernel is enforced by the conformance corpus
 (tests/test_conformance.py runs both) and a seeded differential test
 (tests/test_boolean_dispatch.py) — the C code is an
-operation-for-operation port compiled with -ffp-contract=off so IEEE
-double arithmetic matches CPython bit-for-bit.
+operation-for-operation port compiled at -O3 with -ffp-contract=off and
+-fno-unsafe-math-optimizations so IEEE double arithmetic matches
+CPython bit-for-bit.  No -march=native: the library must run on every
+node that shares the file.
+
+The library file is named after a hash of the source and the flags, so
+a change to either builds a new one instead of loading a stale build.
 """
 
 from __future__ import annotations
 
 import ctypes
+import hashlib
 import os
 import subprocess
 import sys
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SRC = os.path.join(_HERE, "martinez.c")
-_LIB = os.path.join(_HERE, "_martinez.so")
+FLAGS = (
+    "-O3", "-fPIC", "-shared",
+    "-ffp-contract=off", "-fno-unsafe-math-optimizations",
+)
 
 _lib = None
 
 
-def _build() -> bool:
+def lib_path(source: bytes, flags=FLAGS) -> str:
+    """Where the library built from ``source`` with ``flags`` lives."""
+    digest = hashlib.sha256(source + "\0".join(flags).encode()).hexdigest()[:12]
+    return os.path.join(_HERE, f"_martinez.{digest}.so")
+
+
+def _build() -> str | None:
+    """Path of the built library, building it if it is missing."""
     try:
-        if os.path.isfile(_LIB) and os.path.getmtime(_LIB) >= os.path.getmtime(_SRC):
-            return True
+        with open(_SRC, "rb") as f:
+            path = lib_path(f.read())
+        if os.path.isfile(path):
+            return path
         # build to a unique temp path + atomic rename: many Ray workers
         # may import (and build) concurrently
-        tmp = f"{_LIB}.{os.getpid()}.tmp"
-        cmd = [
-            "cc", "-O2", "-fPIC", "-shared",
-            "-ffp-contract=off", "-fno-unsafe-math-optimizations",
-            _SRC, "-o", tmp, "-lm",
-        ]
+        tmp = f"{path}.{os.getpid()}.tmp"
+        cmd = ["cc", *FLAGS, _SRC, "-o", tmp, "-lm"]
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
         if proc.returncode != 0:
             print(f"native kernel build failed:\n{proc.stderr}", file=sys.stderr)
-            return False
-        os.replace(tmp, _LIB)
-        return True
+            return None
+        os.replace(tmp, path)
+        return path
     except Exception as exc:  # no compiler, read-only fs, ...
         print(f"native kernel unavailable: {exc}", file=sys.stderr)
-        return False
+        return None
 
 
 def _load():
@@ -55,9 +70,10 @@ def _load():
         return None
     if _lib is not None:
         return _lib
-    if not _build():
+    path = _build()
+    if path is None:
         return None
-    lib = ctypes.CDLL(_LIB)
+    lib = ctypes.CDLL(path)
     i64p = ctypes.POINTER(ctypes.c_int64)
     i32p = ctypes.POINTER(ctypes.c_int32)
     dp = ctypes.POINTER(ctypes.c_double)

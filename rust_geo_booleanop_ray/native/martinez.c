@@ -12,8 +12,15 @@
  *   - compute_fields / in_result                     geom/compute_fields.py
  *   - order_events / iteration map / connect_edges   geom/connect_edges.py
  *
- * Compile WITHOUT fp-contraction (-ffp-contract=off) so double
- * arithmetic is IEEE op-for-op identical to CPython.
+ * Compile WITHOUT fp-contraction (-ffp-contract=off) and without
+ * unsafe math so double arithmetic is IEEE op-for-op identical to
+ * CPython.  -O3 is fine under those two flags; -march=native is not
+ * used, so one build runs on every node that shares the file.
+ *
+ * martinez_batch allocates per call, not per pair: one Workspace holds
+ * the event and splay-node pools, the queue, the sorted events, the
+ * output contours and connect_edges' arrays.  Each pair resets their
+ * counts and keeps their buffers; the call frees them once at its end.
  */
 
 #include <stdint.h>
@@ -45,35 +52,51 @@ enum { EDGE_NORMAL = 0, EDGE_NON_CONTRIBUTING = 1, EDGE_SAME_TRANSITION = 2,
 enum { TRANS_NONE = 0, TRANS_IN_OUT = 1, TRANS_OUT_IN = 2 };
 enum { OP_INTERSECTION = 0, OP_DIFFERENCE = 1, OP_UNION = 2, OP_XOR = 3 };
 
-/* ------------------------------------------------------------ event arena */
+/* ------------------------------------------------------------ bump pools */
 
-typedef struct Arena {
-    Event **chunks;
+/* Chunks of POOL_CHUNK fixed-size items: the sweep's events and its
+ * splay nodes.  Items live until the pair is done; pool_reset keeps
+ * every chunk for the next pair and rewinds the bump index, so chunks
+ * are allocated once per batch call and freed once at its end. */
+typedef struct {
+    char **chunks;
     int64_t n_chunks, cap_chunks;
-    int64_t used_in_last;        /* events used in last chunk */
-} Arena;
+    int64_t cur;                 /* chunk being filled, -1 before the first */
+    int64_t used_in_cur;         /* items used in chunks[cur] */
+    size_t item_size;
+} Pool;
 
-#define ARENA_CHUNK 4096
+#define POOL_CHUNK 4096
 
-static Event *arena_new_event(Arena *a) {
-    if (a->n_chunks == 0 || a->used_in_last == ARENA_CHUNK) {
-        if (a->n_chunks == a->cap_chunks) {
-            a->cap_chunks = a->cap_chunks ? a->cap_chunks * 2 : 8;
-            a->chunks = (Event **)realloc(a->chunks, a->cap_chunks * sizeof(Event *));
+static void *pool_alloc(Pool *p) {
+    if (p->cur < 0 || p->used_in_cur == POOL_CHUNK) {
+        if (++p->cur == p->n_chunks) {
+            if (p->n_chunks == p->cap_chunks) {
+                p->cap_chunks = p->cap_chunks ? p->cap_chunks * 2 : 8;
+                p->chunks = (char **)realloc(p->chunks, p->cap_chunks * sizeof(char *));
+            }
+            p->chunks[p->n_chunks++] = (char *)malloc(POOL_CHUNK * p->item_size);
         }
-        a->chunks[a->n_chunks++] = (Event *)malloc(ARENA_CHUNK * sizeof(Event));
-        a->used_in_last = 0;
+        p->used_in_cur = 0;
     }
-    Event *e = &a->chunks[a->n_chunks - 1][a->used_in_last++];
+    return p->chunks[p->cur] + p->item_size * p->used_in_cur++;
+}
+
+static void pool_reset(Pool *p) {
+    p->cur = -1;
+    p->used_in_cur = 0;
+}
+
+static void pool_free(Pool *p) {
+    for (int64_t i = 0; i < p->n_chunks; i++) free(p->chunks[i]);
+    free(p->chunks);
+}
+
+static Event *arena_new_event(Pool *arena) {
+    Event *e = (Event *)pool_alloc(arena);
     memset(e, 0, sizeof(Event));
     e->output_contour_id = -1;
     return e;
-}
-
-static void arena_free(Arena *a) {
-    for (int64_t i = 0; i < a->n_chunks; i++) free(a->chunks[i]);
-    free(a->chunks);
-    memset(a, 0, sizeof(Arena));
 }
 
 /* --------------------------------------------------- Shewchuk predicates */
@@ -536,7 +559,7 @@ struct SNode { Event *key; SNode *left, *right; };
 typedef struct {
     SNode *root;
     SNode header;             /* scratch reused by every splay */
-    int64_t size;
+    Pool *nodes;              /* removed nodes are reclaimed at pool_reset */
 } Splay;
 
 static void splay_splay(Splay *s, const Event *key) {
@@ -583,17 +606,16 @@ static void splay_splay(Splay *s, const Event *key) {
 
 static void splay_insert(Splay *s, Event *key) {
     if (s->root == NULL) {
-        SNode *n = (SNode *)malloc(sizeof(SNode));
+        SNode *n = (SNode *)pool_alloc(s->nodes);
         n->key = key; n->left = n->right = NULL;
         s->root = n;
-        s->size++;
         return;
     }
     splay_splay(s, key);
     SNode *root = s->root;
     int c = compare_segments(key, root->key);
     if (c == 0) return;   /* identical object: value replace (no-op) */
-    SNode *n = (SNode *)malloc(sizeof(SNode));
+    SNode *n = (SNode *)pool_alloc(s->nodes);
     n->key = key;
     if (c < 0) {
         n->left = root->left;
@@ -605,7 +627,6 @@ static void splay_insert(Splay *s, Event *key) {
         root->right = NULL;
     }
     s->root = n;
-    s->size++;
 }
 
 static int splay_remove(Splay *s, const Event *key) {
@@ -621,8 +642,6 @@ static int splay_remove(Splay *s, const Event *key) {
         splay_splay(s, key);   /* splays max of left subtree to root */
         s->root->right = right;
     }
-    free(old);
-    s->size--;
     return 1;
 }
 
@@ -668,16 +687,9 @@ static Event *splay_prev(Splay *s, const Event *key) {
     return predecessor;
 }
 
-static void splay_free_nodes(SNode *n) {
-    if (n == NULL) return;
-    splay_free_nodes(n->left);
-    splay_free_nodes(n->right);
-    free(n);
-}
-
 /* ----------------------------------------------- divide / possible-inter */
 
-static void divide_segment(Arena *arena, Event *se_l, double ix, double iy,
+static void divide_segment(Pool *arena, Event *se_l, double ix, double iy,
                            Heap *queue) {
     Event *se_r = se_l->other;
     if (se_r == NULL) return;
@@ -711,7 +723,7 @@ static void divide_segment(Arena *arena, Event *se_l, double ix, double iy,
     heap_push(queue, r);
 }
 
-static int possible_intersection(Arena *arena, Event *se1, Event *se2,
+static int possible_intersection(Pool *arena, Event *se1, Event *se2,
                                  Heap *queue) {
     Event *other1 = se1->other;
     Event *other2 = se2->other;
@@ -880,7 +892,7 @@ static void evvec_push(EvVec *v, Event *e) {
 /* Returns 0, or -1 when the sweep exceeds its event budget (see
  * geom/subdivide.py: the 1-ULP intersection nudge creeping along a
  * segment, where the reference never ends). */
-static int subdivide(Arena *arena, Heap *queue,
+static int subdivide(Pool *arena, Heap *queue,
                      const double sbbox[4], const double cbbox[4],
                      int op, EvVec *sorted_events, Splay *sweep_line) {
     double rightbound = (sbbox[2] < cbbox[2]) ? sbbox[2] : cbbox[2];
@@ -945,17 +957,26 @@ typedef struct {
 
 typedef struct {
     Contour *data;
-    int64_t n, cap;
+    int64_t n;
+    int64_t n_init;        /* entries holding buffers, kept across pairs */
+    int64_t cap;
 } ContourVec;
 
+/* The next contour, empty.  An entry an earlier pair used keeps its
+ * point and hole-id buffers; only their counts are reset. */
 static Contour *contourvec_push(ContourVec *v) {
-    if (v->n == v->cap) {
-        v->cap = v->cap ? v->cap * 2 : 32;
-        v->data = (Contour *)realloc(v->data, v->cap * sizeof(Contour));
+    if (v->n == v->n_init) {
+        if (v->n_init == v->cap) {
+            v->cap = v->cap ? v->cap * 2 : 32;
+            v->data = (Contour *)realloc(v->data, v->cap * sizeof(Contour));
+        }
+        memset(&v->data[v->n_init++], 0, sizeof(Contour));
     }
     Contour *c = &v->data[v->n++];
-    memset(c, 0, sizeof(Contour));
+    c->n = 0;
+    c->nh = 0;
     c->hole_of = -1;
+    c->depth = 0;
     return c;
 }
 
@@ -977,9 +998,26 @@ static void contour_add_hole(Contour *c, int32_t hid) {
     c->hole_ids[c->nh++] = hid;
 }
 
-static int64_t order_events(EvVec *sorted_events, Event ***out) {
-    int64_t n = 0, cap = sorted_events->n;
-    Event **r = (Event **)malloc(cap * sizeof(Event *));
+/* connect_edges' per-pair arrays, grown once and kept across pairs */
+typedef struct {
+    Event **result_events;
+    int64_t *iteration_map;
+    uint8_t *processed;
+    int64_t cap;
+} ConnectBufs;
+
+static void connect_reserve(ConnectBufs *b, int64_t need) {
+    if (b->cap > 0 && b->cap >= need) return;
+    int64_t cap = b->cap ? 2 * b->cap : 256;
+    if (cap < need) cap = need;
+    b->result_events = (Event **)realloc(b->result_events, cap * sizeof(Event *));
+    b->iteration_map = (int64_t *)realloc(b->iteration_map, cap * sizeof(int64_t));
+    b->processed = (uint8_t *)realloc(b->processed, cap);
+    b->cap = cap;
+}
+
+static int64_t order_events(EvVec *sorted_events, Event **r) {
+    int64_t n = 0;
     for (int64_t i = 0; i < sorted_events->n; i++) {
         Event *e = sorted_events->data[i];
         if ((e->left && ev_is_in_result(e)) ||
@@ -1007,7 +1045,6 @@ static int64_t order_events(EvVec *sorted_events, Event ***out) {
             e->other->other_pos = tmp;
         }
     }
-    *out = r;
     return n;
 }
 
@@ -1053,12 +1090,15 @@ static int64_t get_next_pos(int64_t pos, const uint8_t *processed,
 /* Returns 0, or -1 when a result event's predecessor has no output
  * contour yet: the reference indexes contours[id as usize] there and
  * panics. */
-static int connect_edges(EvVec *sorted_events, ContourVec *contours) {
-    int status = 0;
-    Event **result_events;
-    int64_t n = order_events(sorted_events, &result_events);
-    int64_t *iteration_map = (int64_t *)calloc(n ? n : 1, sizeof(int64_t));
-    uint8_t *processed = (uint8_t *)calloc(n ? n : 1, 1);
+static int connect_edges(EvVec *sorted_events, ContourVec *contours,
+                         ConnectBufs *bufs) {
+    connect_reserve(bufs, sorted_events->n);
+    Event **result_events = bufs->result_events;
+    int64_t *iteration_map = bufs->iteration_map;
+    uint8_t *processed = bufs->processed;
+    int64_t n = order_events(sorted_events, result_events);
+    memset(processed, 0, n);
+    /* writes every slot of iteration_map[0, n) */
     precompute_iteration_order(result_events, n, iteration_map);
 
     for (int64_t i = 0; i < n; i++) {
@@ -1067,40 +1107,30 @@ static int connect_edges(EvVec *sorted_events, ContourVec *contours) {
         int32_t contour_id = (int32_t)contours->n;
 
         /* initialize_contour_from_context (connect_edges.rs:166-210) */
-        Contour proto;
-        memset(&proto, 0, sizeof(proto));
-        proto.hole_of = -1;
-        proto.depth = 0;
+        int32_t hole_of = -1, depth = 0;
         Event *prev_in_result = result_events[i]->prev_in_result;
         if (prev_in_result != NULL) {
             int32_t lower = prev_in_result->output_contour_id;
             if (prev_in_result->result_transition == TRANS_OUT_IN) {
-                if (lower < 0) {
-                    status = -1;
-                    break;
-                }
+                if (lower < 0) return -1;
                 Contour *lc = &contours->data[lower];
                 if (lc->hole_of >= 0) {
                     int32_t parent = lc->hole_of;
                     contour_add_hole(&contours->data[parent], contour_id);
-                    proto.hole_of = parent;
-                    proto.depth = contours->data[lower].depth;
+                    hole_of = parent;
+                    depth = contours->data[lower].depth;
                 } else {
                     contour_add_hole(&contours->data[lower], contour_id);
-                    proto.hole_of = lower;
-                    proto.depth = contours->data[lower].depth + 1;
+                    hole_of = lower;
+                    depth = contours->data[lower].depth + 1;
                 }
             } else if (lower >= 0 && lower < contours->n) {
-                proto.hole_of = -1;
-                proto.depth = contours->data[lower].depth;
+                depth = contours->data[lower].depth;
             }
         }
         Contour *contour = contourvec_push(contours);
-        contour->hole_of = proto.hole_of;
-        contour->depth = proto.depth;
-        contour->hole_ids = proto.hole_ids;
-        contour->nh = proto.nh;
-        contour->caph = proto.caph;
+        contour->hole_of = hole_of;
+        contour->depth = depth;
 
         int64_t pos = i;
         double initial_x = result_events[pos]->x;
@@ -1126,11 +1156,7 @@ static int connect_edges(EvVec *sorted_events, ContourVec *contours) {
                 break;
         }
     }
-
-    free(iteration_map);
-    free(processed);
-    free(result_events);
-    return status;
+    return 0;
 }
 
 /* -------------------------------------------------------------- driver */
@@ -1191,7 +1217,7 @@ typedef struct {
     const int32_t *ring_off, *poly_off, *mp_off;
 } ArrowSide;
 
-static void fill_side(Arena *arena, Heap *queue, const ArrowSide *side,
+static void fill_side(Pool *arena, Heap *queue, const ArrowSide *side,
                       int64_t row, int is_subject, int32_t *contour_id,
                       int inc_contour, int mark_exterior, double bbox[4]) {
     for (int32_t p = side->mp_off[row]; p < side->mp_off[row + 1]; p++) {
@@ -1249,6 +1275,49 @@ static void append_side_polys(GrowResult *g, const ArrowSide *side, int64_t row,
     }
 }
 
+/* Everything one pair's sweep needs, allocated once per batch call.
+ * Each pair resets the counts and keeps the buffers; workspace_free
+ * releases them once, whether the call succeeds or fails. */
+typedef struct {
+    Pool events;                 /* Event */
+    Pool nodes;                  /* SNode of the sweep line */
+    Heap queue;
+    EvVec sorted_events;
+    ContourVec contours;
+    ConnectBufs connect;
+} Workspace;
+
+static void workspace_init(Workspace *w) {
+    memset(w, 0, sizeof(*w));
+    w->events.item_size = sizeof(Event);
+    w->nodes.item_size = sizeof(SNode);
+    pool_reset(&w->events);
+    pool_reset(&w->nodes);
+}
+
+static void workspace_reset(Workspace *w) {
+    pool_reset(&w->events);
+    pool_reset(&w->nodes);
+    w->queue.n = 0;
+    w->sorted_events.n = 0;
+    w->contours.n = 0;
+}
+
+static void workspace_free(Workspace *w) {
+    pool_free(&w->events);
+    pool_free(&w->nodes);
+    free(w->queue.data);
+    free(w->sorted_events.data);
+    for (int64_t ci = 0; ci < w->contours.n_init; ci++) {
+        free(w->contours.data[ci].pts);
+        free(w->contours.data[ci].hole_ids);
+    }
+    free(w->contours.data);
+    free(w->connect.result_events);
+    free(w->connect.iteration_map);
+    free(w->connect.processed);
+}
+
 /* Batch entry point: n_pairs independent boolean ops in one call,
  * consuming both geometry columns through their Arrow offsets.
  * out_pair_poly_counts[i] = polygons in pair i's result.  Returns 0, or,
@@ -1272,11 +1341,13 @@ int martinez_batch(
     grow_result_init(&g);
     int64_t *pair_polys = (int64_t *)malloc((n_pairs ? n_pairs : 1) *
                                             sizeof(int64_t));
+    Workspace ws;
+    workspace_init(&ws);
+    int failed = 0;
 
-    for (int64_t i = 0; i < n_pairs; i++) {
+    for (int64_t i = 0; i < n_pairs && !failed; i++) {
         int32_t op = ops[i];
-        Arena arena; memset(&arena, 0, sizeof(arena));
-        Heap queue; memset(&queue, 0, sizeof(queue));
+        workspace_reset(&ws);
         double sbbox[4] = {INFINITY, INFINITY, -INFINITY, -INFINITY};
         double cbbox[4] = {INFINITY, INFINITY, -INFINITY, -INFINITY};
         int32_t contour_id = 0;
@@ -1284,15 +1355,13 @@ int martinez_batch(
 
         /* fill_queue.rs:10-43: subject polys always increment the
            contour id; clipping only when op != Difference */
-        fill_side(&arena, &queue, &S, i, 1, &contour_id, 1, 1, sbbox);
+        fill_side(&ws.events, &ws.queue, &S, i, 1, &contour_id, 1, 1, sbbox);
         int inc = (op != OP_DIFFERENCE);
-        fill_side(&arena, &queue, &C, i, 0, &contour_id, inc, inc, cbbox);
+        fill_side(&ws.events, &ws.queue, &C, i, 0, &contour_id, inc, inc, cbbox);
 
         if (sbbox[0] > cbbox[2] || cbbox[0] > sbbox[2] ||
             sbbox[1] > cbbox[3] || cbbox[1] > sbbox[3]) {
             /* trivial result (mod.rs:132-141) */
-            free(queue.data);
-            arena_free(&arena);
             if (op != OP_INTERSECTION) {
                 append_side_polys(&g, &S, i, &npolys);
                 if (op != OP_DIFFERENCE)
@@ -1302,52 +1371,45 @@ int martinez_batch(
             continue;
         }
 
-        EvVec sorted_events; memset(&sorted_events, 0, sizeof(sorted_events));
-        Splay sweep_line; memset(&sweep_line, 0, sizeof(sweep_line));
-
-        ContourVec contours; memset(&contours, 0, sizeof(contours));
-        int failed = 0;
-        if (subdivide(&arena, &queue, sbbox, cbbox, op, &sorted_events,
-                      &sweep_line) != 0)
+        Splay sweep_line;
+        memset(&sweep_line, 0, sizeof(sweep_line));
+        sweep_line.nodes = &ws.nodes;
+        if (subdivide(&ws.events, &ws.queue, sbbox, cbbox, op,
+                      &ws.sorted_events, &sweep_line) != 0) {
             failed = 3;
-        else if (connect_edges(&sorted_events, &contours) != 0)
+            break;
+        }
+        if (connect_edges(&ws.sorted_events, &ws.contours, &ws.connect) != 0) {
             failed = 2;
+            break;
+        }
 
-        for (int64_t ci = 0; ci < contours.n && !failed; ci++) {
-            Contour *c = &contours.data[ci];
+        ContourVec *contours = &ws.contours;
+        for (int64_t ci = 0; ci < contours->n; ci++) {
+            Contour *c = &contours->data[ci];
             if (c->hole_of >= 0) continue;
             result_append_ring(&g.res, c->pts, c->n, &g.cap_v, &g.cap_r);
             for (int64_t hi = 0; hi < c->nh; hi++) {
-                Contour *h = &contours.data[c->hole_ids[hi]];
+                Contour *h = &contours->data[c->hole_ids[hi]];
                 result_append_ring(&g.res, h->pts, h->n, &g.cap_v, &g.cap_r);
             }
             grow_result_poly(&g, 1 + c->nh);
             npolys++;
         }
-
-        for (int64_t ci = 0; ci < contours.n; ci++) {
-            free(contours.data[ci].pts);
-            free(contours.data[ci].hole_ids);
-        }
-        free(contours.data);
-        free(sorted_events.data);
-        splay_free_nodes(sweep_line.root);
-        free(queue.data);
-        arena_free(&arena);
-
-        if (failed) {
-            free(g.res.xy);
-            free(g.res.ring_sizes);
-            free(g.res.poly_ring_counts);
-            free(pair_polys);
-            *out_xy = NULL; *out_ring_sizes = NULL;
-            *out_poly_ring_counts = NULL; *out_pair_poly_counts = NULL;
-            *out_n_vertices = 0; *out_n_rings = 0; *out_n_polys = 0;
-            return failed;
-        }
         pair_polys[i] = npolys;
     }
+    workspace_free(&ws);
 
+    if (failed) {
+        free(g.res.xy);
+        free(g.res.ring_sizes);
+        free(g.res.poly_ring_counts);
+        free(pair_polys);
+        *out_xy = NULL; *out_ring_sizes = NULL;
+        *out_poly_ring_counts = NULL; *out_pair_poly_counts = NULL;
+        *out_n_vertices = 0; *out_n_rings = 0; *out_n_polys = 0;
+        return failed;
+    }
     *out_xy = g.res.xy;
     *out_ring_sizes = g.res.ring_sizes;
     *out_poly_ring_counts = g.res.poly_ring_counts;

@@ -696,9 +696,10 @@ def q_bloom_join(sf_dir: str):
     result equals the plain join — the oracle doesn't even see the
     bloom.  Output: revenue cents per partkey for the brand's parts."""
     import ray
-    from ray.data.aggregate import AggregateFn, Sum
+    from ray.data.aggregate import AggregateFn
 
     from ...stages.join import shuffle_hash_join
+    from ...stages.pivot import bucketed_wide_sum
 
     brand = "Brand#13"
 
@@ -755,9 +756,7 @@ def q_bloom_join(sf_dir: str):
     joined = shuffle_hash_join(
         probe, part, key="l_partkey", left_cols=["rev_c"], right_cols=[]
     )
-    from ray.data.aggregate import Sum as _Sum
-
-    return joined.groupby("l_partkey").aggregate(_Sum("rev_c", alias_name="rev_c"))
+    return bucketed_wide_sum(joined, "l_partkey", ["rev_c"])
 
 
 Q_BLOOM_JOIN_SQL = """

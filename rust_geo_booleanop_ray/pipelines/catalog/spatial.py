@@ -1934,13 +1934,12 @@ def q_zonal_stats(sf_dir: str):
     """Zonal statistics: per-rect (zone) count and sum of a customer
     point metric — the spatial-aggregate pattern (join + aggregate in
     one pass).  The per-cell group kernel pre-aggregates matches per
-    zone BEFORE the final groupby, so the second shuffle moves one
+    zone BEFORE the final zone exchange, so the second shuffle moves one
     partial row per (cell, zone), never the raw pairs; a point
     belongs to one home cell, so partials are disjoint and sum
     exactly.  Metric = c_custkey % 1000 (integer-exact)."""
-    from ray.data.aggregate import Sum
-
     from ...stages.cells import cell_encode, explode_to_cells
+    from ...stages.pivot import bucketed_wide_sum
 
     def point_rows(batch: pa.Table) -> pa.Table:
         batch = _customer_point_batch(batch)
@@ -2033,10 +2032,7 @@ def q_zonal_stats(sf_dir: str):
     partials = points.union(rects).groupby("cell").map_groups(
         zonal_group, batch_format="pyarrow"
     )
-    return partials.groupby("p_partkey").aggregate(
-        Sum("n_points", alias_name="n_points"),
-        Sum("sum_metric", alias_name="sum_metric"),
-    )
+    return bucketed_wide_sum(partials, "p_partkey", ["n_points", "sum_metric"])
 
 
 Q_ZONAL_STATS_SQL = f"""

@@ -75,8 +75,9 @@ def make_pivot_partial(
 
 
 def bucketed_wide_sum(ds, group_col: str, wide_cols: Sequence[str]):
-    """Merge per-block pivot partials WITHOUT the generic per-distinct-
-    key aggregate (group cardinality is ~rows at 100 TB — users):
+    """Sum integer partials (pivot partials, per-key revenue, zone
+    counts) per ``group_col`` WITHOUT the generic per-distinct-key
+    aggregate (group cardinality is ~rows at 100 TB — users):
     ``hash_exchange`` on the group key, and merge each bucket with ONE
     lexsort + reduceat pass over every wide column at once (CLAUDE.md
     scale shape).  Returns one exact row per distinct group."""

@@ -184,3 +184,19 @@ def test_unknown_op_raises_naming_it(monkeypatch, geo_native):
         boolean_batch(subj, clip, ["intersection", "not_an_op"])
     with pytest.raises(ValueError, match="bogus"):
         boolean_batch(subj, clip, "bogus")
+
+
+@pytest.mark.parametrize("geo_native", ["1", "0"])
+def test_corner_touching_bboxes_can_intersect(monkeypatch, geo_native):
+    """A gate that skips `intersection` when the two bboxes share no
+    interior is unsound on invalid input: these bboxes touch only at
+    (1, 1), yet the self-intersecting clipping ring gives a non-empty
+    result on both kernels."""
+    monkeypatch.setenv("GEO_NATIVE", geo_native)
+    holed = [[
+        _ring([(1, 1), (5, 1), (5, 5), (1, 5)]),
+        _ring([(2, 2), (2, 4), (4, 4), (4, 2)]),
+    ]]
+    crossing = [[_ring([(1, 0), (0, 1), (-2, -2), (1, -3), (0, 1), (-2, -2)])]]
+    res = boolean_batch(mps_to_arrow([holed]), mps_to_arrow([crossing]), "intersection")
+    assert arrow_to_mps(res) == [[[[(1.0, 5.0), (1.0, 5.0)]]]]

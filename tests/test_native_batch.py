@@ -1,49 +1,35 @@
 """Native batch kernel: whole-corpus golden equality through the
-Arrow-offsets batch entry point, trivial-path semantics, and the
-BooleanOpBatch stage routing."""
-
-import glob
+Arrow-offsets batch entry point, trivial-path semantics, the
+BooleanOpBatch stage routing, per-pair isolation of the batch
+workspace, and the library's build path."""
 
 import numpy as np
 import pyarrow as pa
 import pytest
+from kernel_cases import (
+    CONNECT_FAIL_PAIR,
+    CREEP_PAIR,
+    circle,
+    golden_rows,
+    holed_grid,
+    rect,
+)
 
+from rust_geo_booleanop_ray import native
 from rust_geo_booleanop_ray.native import (
     native_available,
     native_boolean_batch,
 )
 from rust_geo_booleanop_ray.sources.arrow_geom import arrow_to_mps, mps_to_arrow
-from rust_geo_booleanop_ray.sources.geojson_fixtures import OP_TAGS, load_fixture
 from rust_geo_booleanop_ray.stages.boolean_batch import BooleanOpBatch
 
 pytestmark = pytest.mark.skipif(
     not native_available(), reason="native kernel not built"
 )
 
-FIXTURES = sorted(
-    glob.glob(
-        __import__(
-            "rust_geo_booleanop_ray.sources.fixture_pairs", fromlist=["DEFAULT_FIXTURE_DIR"]
-        ).DEFAULT_FIXTURE_DIR
-        + "/*.geojson"
-    )
-)
-
 
 def test_batch_corpus_bit_for_bit():
-    subs, clips, ops, expected = [], [], [], []
-    for p in FIXTURES:
-        case = load_fixture(p)
-        for exp in case.expected:
-            op, swap = OP_TAGS[exp.op_tag]
-            s, c = (
-                (case.clipping, case.subject) if swap else (case.subject, case.clipping)
-            )
-            subs.append(s)
-            clips.append(c)
-            ops.append(op)
-            expected.append(exp.result)
-
+    subs, clips, ops, expected = golden_rows()
     res = native_boolean_batch(mps_to_arrow(subs), mps_to_arrow(clips), ops)
     mps = arrow_to_mps(res)
     assert len(mps) == len(expected)
@@ -86,3 +72,69 @@ def test_batch_empty_inputs_match_python():
                 native_boolean_batch(mps_to_arrow([s]), mps_to_arrow([c]), [op])
             )[0]
             assert got == boolean_op_python(s, c, op)
+
+
+def _bits(mp):
+    return [[np.asarray(ring, np.float64).view(np.uint64).tolist() for ring in poly] for poly in mp]
+
+
+def _alone(s, c, op):
+    return arrow_to_mps(native_boolean_batch(mps_to_arrow([s]), mps_to_arrow([c]), op))[0]
+
+
+def test_batch_workspace_does_not_leak_between_pairs():
+    """The batch call reuses one workspace across its pairs.  Each row
+    is bit-identical to the same pair run alone: after a pair with
+    many contours and holes, after one that needs a second event-pool
+    chunk (> 4,096 events), and before smaller pairs."""
+    small = (rect(0, 0, 4, 4), rect(2, 2, 6, 6))
+    holed = (holed_grid(6), rect(0.5, 0.5, 18.0, 18.5))
+    big = (circle(0, 0, 10, 1200), circle(3, 1, 10, 1100))
+    rows = [
+        (*small, "intersection"),
+        (*holed, "intersection"),
+        (*small, "union"),
+        (*holed, "xor"),
+        (*small, "xor"),
+        (*big, "xor"),
+        (*small, "difference"),
+        (*holed, "difference"),
+        (rect(1, 1, 2, 2), rect(1.5, 0, 3, 1.5), "intersection"),
+        (*big, "intersection"),
+        (*small, "intersection"),
+    ]
+    subs, clips, ops = map(list, zip(*rows))
+    got = arrow_to_mps(native_boolean_batch(mps_to_arrow(subs), mps_to_arrow(clips), ops))
+    assert len(got) == len(rows)
+    assert len(got[3]) == 31 and len(got[1][0]) == 31  # many contours, many holes
+    for i, (s, c, op) in enumerate(rows):
+        assert _bits(got[i]) == _bits(_alone(s, c, op)), f"row {i} ({op}) differs from the pair alone"
+
+
+@pytest.mark.parametrize(
+    "pair, op, reason",
+    [
+        (CONNECT_FAIL_PAIR, "difference", "previous result event has no output contour"),
+        (CREEP_PAIR, "intersection", "sweep exceeded its event budget"),
+    ],
+)
+def test_failing_pair_mid_batch_raises_as_alone(pair, op, reason):
+    with pytest.raises(RuntimeError, match=reason):
+        _alone(*pair, op)
+    small = (rect(0, 0, 4, 4), rect(2, 2, 6, 6), "union")
+    holed = (holed_grid(6), rect(0.5, 0.5, 18.0, 18.5), "intersection")
+    subs, clips, ops = map(list, zip(small, holed, (*pair, op), small))
+    with pytest.raises(RuntimeError, match=reason):
+        native_boolean_batch(mps_to_arrow(subs), mps_to_arrow(clips), ops)
+
+
+def test_library_path_names_source_and_flags():
+    """A change to the source or to the flags builds a new library
+    instead of loading a stale one."""
+    src = b"int f(void) { return 0; }\n"
+    o2 = tuple("-O2" if f == "-O3" else f for f in native.FLAGS)
+    assert native.lib_path(src) == native.lib_path(src, native.FLAGS)
+    assert native.lib_path(src, o2) != native.lib_path(src)
+    assert native.lib_path(src + b"\n") != native.lib_path(src)
+    with open(native._SRC, "rb") as f:
+        assert native._build() == native.lib_path(f.read())
