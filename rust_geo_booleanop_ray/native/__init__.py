@@ -16,15 +16,22 @@ node that shares the file.
 
 The library file is named after a hash of the source and the flags, so
 a change to either builds a new one instead of loading a stale build.
+The builds of other hashes are removed once the current build is
+``PRUNE_AFTER_S`` old, so that on a filesystem that every node shares,
+workers still running the code of a superseded build keep their mapped
+file while a change rolls out.  A process that outlives that grace and
+still maps an old build may fault when it is removed.
 """
 
 from __future__ import annotations
 
 import ctypes
+import glob
 import hashlib
 import os
 import subprocess
 import sys
+import time
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SRC = os.path.join(_HERE, "martinez.c")
@@ -32,6 +39,9 @@ FLAGS = (
     "-O3", "-fPIC", "-shared",
     "-ffp-contract=off", "-fno-unsafe-math-optimizations",
 )
+
+# how long a superseded build outlives the current one
+PRUNE_AFTER_S = 3600.0
 
 _lib = None
 
@@ -47,21 +57,38 @@ def _build() -> str | None:
     try:
         with open(_SRC, "rb") as f:
             path = lib_path(f.read())
-        if os.path.isfile(path):
-            return path
-        # build to a unique temp path + atomic rename: many Ray workers
-        # may import (and build) concurrently
-        tmp = f"{path}.{os.getpid()}.tmp"
-        cmd = ["cc", *FLAGS, _SRC, "-o", tmp, "-lm"]
-        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
-        if proc.returncode != 0:
-            print(f"native kernel build failed:\n{proc.stderr}", file=sys.stderr)
-            return None
-        os.replace(tmp, path)
-        return path
+        if not os.path.isfile(path):
+            # build to a unique temp path + atomic rename: many Ray
+            # workers may import (and build) concurrently
+            tmp = f"{path}.{os.getpid()}.tmp"
+            cmd = ["cc", *FLAGS, _SRC, "-o", tmp, "-lm"]
+            proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+            if proc.returncode != 0:
+                print(f"native kernel build failed:\n{proc.stderr}", file=sys.stderr)
+                return None
+            os.replace(tmp, path)
     except Exception as exc:  # no compiler, read-only fs, ...
         print(f"native kernel unavailable: {exc}", file=sys.stderr)
         return None
+    _prune(path)
+    return path
+
+
+def _prune(keep: str) -> None:
+    """Remove the libraries built from another source or other flags,
+    once ``keep`` is ``PRUNE_AFTER_S`` old.  Builds in flight (``.tmp``)
+    stay, and so does any file that cannot be removed."""
+    try:
+        if time.time() - os.path.getmtime(keep) < PRUNE_AFTER_S:
+            return
+    except OSError:
+        return
+    for old in glob.glob(os.path.join(_HERE, "_martinez.*.so")):
+        if old != keep:
+            try:
+                os.remove(old)
+            except OSError:
+                pass
 
 
 def _load():

@@ -1340,9 +1340,13 @@ def q_poly_join_big(sf_dir: str):
     × supplier rects where NEITHER side is broadcast — the 100-TB
     shape.  Both sides explode to their covering cells, ONE shuffle on
     the shared cell key co-locates them, and each cell group joins
-    locally via STR-tree candidates + whole-batch native Martinez clip
-    (stages/join_clip.py::join_cells_within_group — the engine lift of
-    the bbox gate at /root/reference/lib/src/boolean/mod.rs:106-109).
+    locally via STR-tree candidates + one ``boolean_batch`` call
+    (stages/join_clip.py::join_cells_within_group).  Every candidate
+    is a rect ∩ rect row, so ``boolean_batch`` answers it with the
+    closed-form overlap rect or the empty result
+    (stages/known_answers.py, the lift of the bbox gate at
+    lib/src/boolean/mod.rs:106-109), bit-identical to the Martinez
+    kernel, and the sweep never runs.
     Geometries spanning several cells are replicated, so the same pair
     is FOUND in every shared cell: PBSM reference-cell duplicate
     avoidance (keep a pair only in the cell holding the min corner of

@@ -10,6 +10,12 @@ batch entry point when the C library is available, else the pure-Python
 reference kernel row by row (``GEO_NATIVE=0`` or no compiler).  Both
 produce the same bits; every stage that clips calls it.
 
+Before either kernel runs, one known-answer pass
+(stages/known_answers.py) classifies the non-null rows of an
+``intersection``: a rect ∩ rect row gets its overlap rect or the empty
+result, bit-identical to the kernels.  Every other row goes to the
+kernel unchanged; results are scattered back in row order.
+
 Usage:
     ds.map_batches(BooleanOpBatch("intersection"), batch_format="pyarrow")
     ds.map_batches(BooleanOpBatch(op_column="op"), batch_format="pyarrow")
@@ -24,6 +30,7 @@ from .. import native
 from ..geom import OPERATIONS
 from ..geom.boolean_op import boolean_op_python
 from ..sources.arrow_geom import MULTIPOLYGON_T, arrow_to_mps, mps_to_arrow
+from .known_answers import KERNEL, known_answers
 
 
 def boolean_batch(subject, clipping, op):
@@ -37,23 +44,42 @@ def boolean_batch(subject, clipping, op):
         subject = subject.combine_chunks()
     if isinstance(clipping, pa.ChunkedArray):
         clipping = clipping.combine_chunks()
-    if not isinstance(op, (str, pa.Array, pa.ChunkedArray)):
+    if isinstance(op, pa.ChunkedArray):
+        op = op.combine_chunks()
+    elif not isinstance(op, (str, pa.Array)):
         op = pa.array(op, pa.string())
     if not (subject.null_count or clipping.null_count):
-        return _kernel(subject, clipping, op)
+        return _known_then_kernel(subject, clipping, op)
 
     valid = np.logical_and(
         subject.is_valid().to_numpy(zero_copy_only=False),
         clipping.is_valid().to_numpy(zero_copy_only=False),
     )
     rows = pa.array(np.flatnonzero(valid))
-    res = _kernel(
-        subject.take(rows),
-        clipping.take(rows),
-        op if isinstance(op, str) else op.take(rows),
-    )
+    res = _known_then_kernel(subject.take(rows), clipping.take(rows), _take(op, rows))
     # scatter back: a null index takes a null result
     return res.take(pa.array(np.cumsum(valid) - 1, mask=~valid))
+
+
+def _take(op, rows):
+    return op if isinstance(op, str) else op.take(rows)
+
+
+def _known_then_kernel(subject, clipping, op):
+    """Known answers for the rows that have one, the kernel for the
+    rest, scattered back in row order."""
+    cls, known = known_answers(subject, clipping, op)
+    if known is None:
+        return _kernel(subject, clipping, op)
+    rest = np.flatnonzero(cls == KERNEL)
+    if not len(rest):
+        return known
+    idx = pa.array(rest)
+    res = _kernel(subject.take(idx), clipping.take(idx), _take(op, idx))
+    order = np.empty(len(cls), np.int64)
+    order[cls != KERNEL] = np.arange(len(known))
+    order[rest] = len(known) + np.arange(len(rest))
+    return pa.concat_arrays([known, res]).take(pa.array(order))
 
 
 def _kernel(subject, clipping, op):

@@ -40,7 +40,12 @@ def bucket_of(table: pa.Table, key, n_buckets: int = N_BUCKETS) -> np.ndarray:
 def hash_exchange(ds, key, kernel, n_buckets: int = N_BUCKETS):
     """Append ``bucket = bucket_of(key)``, run one sort shuffle on it and
     call ``kernel(group)`` (pyarrow in, pyarrow out) once per bucket;
-    the group keeps its ``bucket`` column."""
+    the group keeps its ``bucket`` column.
+
+    A kernel returns a typed table for every group, empty ones
+    included.  Ray's sort still emits a schema-less empty block for each
+    partition no row reaches, and never calls the kernel on it, so
+    such blocks pass through without a schema."""
 
     def tag(batch: pa.Table) -> pa.Table:
         return batch.append_column("bucket", pa.array(bucket_of(batch, key, n_buckets)))

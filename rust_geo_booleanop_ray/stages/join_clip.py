@@ -4,9 +4,10 @@ Three join strategies, picked by data shape (ray_guide join patterns):
 
 1. ``TileJoinClip`` — footprints × the regular tile grid.  Tiles are
    cells (stages/cells.py) at ``tile_res``; the cover is computed
-   arithmetically (no index needed).  A footprint whose bbox lies
-   strictly inside its tile passes through; every other pair is clipped
-   exactly against the tile rect.  Stateless map_batches.
+   arithmetically (no index needed).  Every (footprint, tile) pair,
+   also one whose bbox lies strictly inside its tile, is clipped
+   exactly against the tile rect in one ``boolean_batch`` call.
+   Stateless map_batches.
 2. ``BroadcastPolyJoinClip`` — footprints × an *irregular* polygon set
    small enough to broadcast (``ray.put`` once).  Actor-pool stage: the
    STR-tree over the polygon bboxes is built ONCE per actor in
@@ -33,7 +34,7 @@ import pyarrow.compute as pc
 from ..functions.rtree import STRtree
 from ..sources.arrow_geom import MULTIPOLYGON_T, arrow_mp_areas, rects_to_arrow
 from .boolean_batch import boolean_batch
-from .cells import cell_bounds_array, cell_polygon, cover_bbox
+from .cells import cell_bounds_array, cover_bbox
 
 _EMPTY_JOIN_SCHEMA = pa.schema(
     [
@@ -89,64 +90,19 @@ class TileJoinClip:
             row_idx = row_idx[keep_mask]
             tiles = tiles[keep_mask]
         image_ids = batch["image_id"].take(pa.array(row_idx))
-        tile_col = pa.array(tiles.view(np.int64), pa.int64())
-
         if self.mode == "assign":
-            return pa.table({"image_id": image_ids, "tile_id": tile_col})
+            return pa.table(
+                {"image_id": image_ids, "tile_id": pa.array(tiles.view(np.int64), pa.int64())}
+            )
 
-        bminx = batch["minx"].to_numpy()
-        bminy = batch["miny"].to_numpy()
-        bmaxx = batch["maxx"].to_numpy()
-        bmaxy = batch["maxy"].to_numpy()
-
-        # a footprint bbox strictly inside its tile means the
-        # intersection is the footprint itself; every other pair is
-        # clipped in one batch call
         tx0, ty0, tx1, ty1 = cell_bounds_array(tiles)
-        contained = (
-            (bminx[row_idx] > tx0)
-            & (bmaxx[row_idx] < tx1)
-            & (bminy[row_idx] > ty0)
-            & (bmaxy[row_idx] < ty1)
-        )
-        need = ~contained
-        fp_all = batch["footprint"]
-        if isinstance(fp_all, pa.ChunkedArray):
-            fp_all = fp_all.combine_chunks()
-        res = boolean_batch(
-            fp_all.take(pa.array(row_idx[need])),
-            rects_to_arrow(tx0[need], ty0[need], tx1[need], ty1[need]),
+        return _clip_pairs(
+            image_ids,
+            tiles.view(np.int64),
+            batch["footprint"].take(pa.array(row_idx)),
+            rects_to_arrow(tx0, ty0, tx1, ty1),
             "intersection",
         )
-
-        # empty clips are dropped; contained and clipped rows merge
-        # back in candidate order
-        cont_j = np.flatnonzero(contained)
-        keep_need = _non_empty(res)
-        res_kept = res.filter(pa.array(keep_need))
-        kept_need_j = np.flatnonzero(need)[keep_need]
-        cont_clips = fp_all.take(pa.array(row_idx[cont_j]))
-        cont_areas = np.abs(arrow_mp_areas(cont_clips))
-        need_areas = np.abs(arrow_mp_areas(res_kept))
-        all_j = np.concatenate([cont_j, kept_need_j])
-        order = np.argsort(all_j, kind="stable")
-        keep_arr = pa.array(all_j[order])
-        clips = pa.concat_arrays(
-            [cont_clips.cast(MULTIPOLYGON_T), res_kept.cast(MULTIPOLYGON_T)]
-        ).take(pa.array(order))
-        areas = np.concatenate([cont_areas, need_areas])[order]
-        return pa.table(
-            {
-                "image_id": image_ids.take(keep_arr),
-                "tile_id": tile_col.take(keep_arr),
-                "clip": clips,
-                "clip_area": pa.array(areas, pa.float64()),
-            }
-        )
-
-
-# tile id → closed tile-rect multipolygon (the tests' build geometries)
-_tile_multipolygon = cell_polygon
 
 
 def _non_empty(res: pa.Array) -> np.ndarray:
@@ -154,18 +110,16 @@ def _non_empty(res: pa.Array) -> np.ndarray:
     return pc.list_value_length(res).to_numpy(zero_copy_only=False) > 0
 
 
-def _clip_pairs(image_ids, subjects, cand_row, tile_ids, clippings, cand_clip, op):
-    """Candidate (subject row, clipping row) pairs → exact clip → the
-    join table; pairs whose result is empty are dropped."""
-    res = boolean_batch(
-        subjects.take(pa.array(cand_row)), clippings.take(pa.array(cand_clip)), op
-    )
+def _clip_pairs(image_ids, tile_ids, subjects, clippings, op):
+    """Aligned (subject, clipping) pairs → exact clip → the join table;
+    pairs whose result is empty are dropped."""
+    res = boolean_batch(subjects, clippings, op)
     keep = _non_empty(res)
     res = res.filter(pa.array(keep))
     return pa.table(
         {
-            "image_id": image_ids.take(pa.array(cand_row[keep])),
-            "tile_id": pa.array(tile_ids[cand_clip[keep]], pa.int64()),
+            "image_id": image_ids.filter(pa.array(keep)),
+            "tile_id": pa.array(tile_ids[keep], pa.int64()),
             "clip": res,
             "clip_area": pa.array(np.abs(arrow_mp_areas(res)), pa.float64()),
         }
@@ -214,12 +168,10 @@ class BroadcastPolyJoinClip:
             return _EMPTY_JOIN_SCHEMA.empty_table()
 
         return _clip_pairs(
-            batch["image_id"],
-            batch["footprint"],
-            cand_row,
-            self.tile_ids,
-            self.geom_arr,
-            cand_poly,
+            batch["image_id"].take(pa.array(cand_row)),
+            self.tile_ids[cand_poly],
+            batch["footprint"].take(pa.array(cand_row)),
+            self.geom_arr.take(pa.array(cand_poly)),
             self.op,
         )
 
@@ -284,12 +236,10 @@ def join_cells_within_group(group: pa.Table, pbsm_dedup: bool = False) -> pa.Tab
             return _EMPTY_JOIN_SCHEMA.empty_table()
 
     return _clip_pairs(
-        probe["image_id"],
-        probe["footprint"],
-        cand_row,
-        build["tile_id"].to_numpy(),
-        build["geom"],
-        cand_build,
+        probe["image_id"].take(pa.array(cand_row)),
+        build["tile_id"].to_numpy()[cand_build],
+        probe["footprint"].take(pa.array(cand_row)),
+        build["geom"].take(pa.array(cand_build)),
         "intersection",
     )
 

@@ -22,6 +22,7 @@ aggregation layer; this is part of the Ray engine lift
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -81,19 +82,21 @@ def bucketed_wide_sum(ds, group_col: str, wide_cols: Sequence[str]):
     ``hash_exchange`` on the group key, and merge each bucket with ONE
     lexsort + reduceat pass over every wide column at once (CLAUDE.md
     scale shape).  Returns one exact row per distinct group."""
-    wide_cols = list(wide_cols)
+    return hash_exchange(
+        ds, group_col, partial(wide_sum, group_col=group_col, wide_cols=list(wide_cols))
+    )
 
-    def merge(group: pa.Table) -> pa.Table:
-        k = group[group_col].to_numpy()
-        order = np.argsort(k, kind="stable")
-        ks = k[order]
-        starts = np.concatenate(([0], np.flatnonzero(ks[1:] != ks[:-1]) + 1))
-        cols: dict[str, object] = {
-            group_col: pa.array(ks[starts].astype(np.int64))
-        }
-        for c in wide_cols:
-            v = group[c].to_numpy()[order]
-            cols[c] = pa.array(np.add.reduceat(v, starts).astype(np.int64))
-        return pa.table(cols)
 
-    return hash_exchange(ds, group_col, merge)
+def wide_sum(group: pa.Table, group_col: str, wide_cols: Sequence[str]) -> pa.Table:
+    """``bucketed_wide_sum``'s kernel: one int64 row per distinct
+    ``group_col`` value with each wide column summed; an empty group
+    gives an empty table of the same schema."""
+    k = group[group_col].to_numpy()
+    order = np.argsort(k, kind="stable")
+    ks = k[order]
+    starts = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]]) if len(ks) else np.empty(0, np.int64)
+    cols: dict[str, object] = {group_col: pa.array(ks[starts].astype(np.int64), pa.int64())}
+    for c in wide_cols:
+        v = group[c].to_numpy()[order]
+        cols[c] = pa.array(np.add.reduceat(v, starts).astype(np.int64), pa.int64())
+    return pa.table(cols)

@@ -15,7 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
+import tempfile
 import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -27,6 +29,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Contamination stress")
     parser.add_argument("--n-docs", type=int, default=100_000)
     args = parser.parse_args(argv)
+    work = tempfile.mkdtemp(prefix="contamination_stress_")
+    try:
+        return _run(args, work)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+
+
+def _run(args, work: str) -> int:
 
     import numpy as np
     import pyarrow as pa
@@ -80,11 +90,10 @@ def main(argv=None) -> int:
         )
 
     blocks = max(16, min(256, n // 2048))
-    corpus_dir = f"/tmp/contam_stress_corpus_v3_{n}"
-    if not os.path.isdir(corpus_dir) or not os.listdir(corpus_dir):
-        rd.range(n, override_num_blocks=blocks).map_batches(
-            gen, batch_format="pyarrow", batch_size=None
-        ).write_parquet(os.path.join(corpus_dir, "documents.parquet"))
+    corpus_dir = os.path.join(work, "corpus")
+    rd.range(n, override_num_blocks=blocks).map_batches(
+        gen, batch_format="pyarrow", batch_size=None
+    ).write_parquet(os.path.join(corpus_dir, "documents.parquet"))
 
     # q_contamination reads {sf_dir}/documents.parquet
     from rust_geo_booleanop_ray.pipelines.queries import build_queries

@@ -22,6 +22,7 @@ import json
 import os
 import shutil
 import sys
+import tempfile
 import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -63,6 +64,14 @@ def main(argv=None) -> int:
         "incremental path's savings show",
     )
     args = parser.parse_args(argv)
+    work = tempfile.mkdtemp(prefix="dedup_incremental_stress_")
+    try:
+        return _run(args, work)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+
+
+def _run(args, work: str) -> int:
     n_tok = args.tokens
 
     import ray
@@ -149,8 +158,7 @@ def main(argv=None) -> int:
                 write_band_store,
             )
 
-            store_dir = f"/tmp/incr_band_store_stress_{old_n}"
-            shutil.rmtree(store_dir, ignore_errors=True)
+            store_dir = os.path.join(work, "band_store")
 
             # untimed warmup (see below)
             band_pairs(
@@ -222,8 +230,7 @@ def main(argv=None) -> int:
             ray.shutdown()
             return 0
 
-        sig_dir = f"/tmp/incr_minhash_sigs_{old_n}"
-        shutil.rmtree(sig_dir, ignore_errors=True)
+        sig_dir = os.path.join(work, "minhash_sigs")
 
         # untimed warmup: the first pipeline in a fresh Ray session
         # pays worker-pool spin-up (measured ~2-3x on this box); don't
@@ -282,8 +289,7 @@ def main(argv=None) -> int:
         ray.shutdown()
         return 0
 
-    sig_dir = f"/tmp/incr_dedup_sigs_{old_n}"
-    shutil.rmtree(sig_dir, ignore_errors=True)
+    sig_dir = os.path.join(work, "dedup_sigs")
 
     # ---- prior run: sign the old corpus ONCE and persist (24 B/doc)
     t0 = time.time()

@@ -23,7 +23,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
+import tempfile
 import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -44,6 +46,14 @@ def main(argv=None) -> int:
                         help="payload-free band exchange + deferred sig-join verify")
     parser.add_argument("--num-cpus", type=int, default=int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0)))))
     args = parser.parse_args(argv)
+    work = tempfile.mkdtemp(prefix="dedup_stress_")
+    try:
+        return _run(args, work)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+
+
+def _run(args, work: str) -> int:
 
     import ray
 
@@ -128,11 +138,10 @@ def main(argv=None) -> int:
     # then measure the ENGINE over a parquet read — like a real job —
     # instead of folding the per-doc Python generator's CPU cost into
     # the dedup numbers (it distorts small-CPU scaling measurements).
-    corpus_dir = f"/tmp/dedup_stress_corpus_{n}"
-    if not os.path.isdir(corpus_dir) or not os.listdir(corpus_dir):
-        rd.range(n, override_num_blocks=blocks).map_batches(
-            gen, batch_format="pyarrow", batch_size=None
-        ).write_parquet(corpus_dir)
+    corpus_dir = os.path.join(work, "corpus")
+    rd.range(n, override_num_blocks=blocks).map_batches(
+        gen, batch_format="pyarrow", batch_size=None
+    ).write_parquet(corpus_dir)
 
     def corpus():
         return rd.read_parquet(

@@ -21,7 +21,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
+import tempfile
 import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -75,8 +77,20 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Window stress")
     parser.add_argument("--n-events", type=int, default=5_000_000)
     parser.add_argument("--n-users", type=int, default=100_000)
-    parser.add_argument("--out", default="/tmp/window_stress_sf")
+    parser.add_argument(
+        "--out", default=None, help="keep the generated tables here (default: a temp dir, removed)"
+    )
     args = parser.parse_args(argv)
+    if args.out is not None:
+        return _run(args, args.out)
+    work = tempfile.mkdtemp(prefix="window_stress_")
+    try:
+        return _run(args, work)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+
+
+def _run(args, work: str) -> int:
 
     import ray
 
@@ -92,7 +106,7 @@ def main(argv=None) -> int:
     rd.DataContext.get_current().enable_progress_bars = False
 
     t0 = time.time()
-    write_events(args.out, args.n_events, args.n_users)
+    write_events(work, args.n_events, args.n_users)
     gen_sec = round(time.time() - t0, 2)
 
     from rust_geo_booleanop_ray.pipelines.queries import build_queries
@@ -108,7 +122,7 @@ def main(argv=None) -> int:
         "stream_join",
     ]:
         t0 = time.time()
-        res = qs[name](args.out)
+        res = qs[name](work)
         n = res.count() if hasattr(res, "count") else len(res)
         out[name] = {"sec": round(time.time() - t0, 2), "rows": n}
     print(json.dumps(out))

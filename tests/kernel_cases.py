@@ -1,12 +1,14 @@
 """Inputs shared by the native-kernel tests: the golden corpus as
 (subject, clipping, op) rows, the two pairs on which both kernels fail,
-and generators of pairs that exercise the batch workspace (many events,
-many contours and holes)."""
+generators of pairs that exercise the batch workspace (many events,
+many contours and holes), and the bit-for-bit comparison of two result
+arrays."""
 
 import glob
 
 import numpy as np
 
+from rust_geo_booleanop_ray.sources.arrow_geom import arrow_mp_offsets
 from rust_geo_booleanop_ray.sources.fixture_pairs import DEFAULT_FIXTURE_DIR
 from rust_geo_booleanop_ray.sources.geojson_fixtures import OP_TAGS, load_fixture
 
@@ -70,3 +72,20 @@ def holed_grid(k):
             x, y = 3.0 * i + 1.0, 3.0 * j + 1.0
             rings.append(_closed([(x, y), (x, y + 2), (x + 2, y + 2), (x + 2, y)]))
     return [rings]
+
+
+def bits(arr):
+    """A multipolygon array's coordinates as uint64 (so -0.0 != 0.0,
+    unlike ``pa.Array.equals``) and its offsets, rebased to the slice."""
+    xy, ring_off, poly_off, mp_off = arrow_mp_offsets(arr)
+    poly_off = poly_off[mp_off[0] : mp_off[-1] + 1]
+    ring_off = ring_off[poly_off[0] : poly_off[-1] + 1]
+    xy = xy[ring_off[0] : ring_off[-1]]
+    return [xy.view(np.uint64), ring_off - ring_off[0], poly_off - poly_off[0], mp_off - mp_off[0]]
+
+
+def assert_bit_identical(a, b):
+    assert a.type == b.type and len(a) == len(b)
+    assert a.is_valid().equals(b.is_valid())
+    for x, y in zip(bits(a), bits(b)):
+        np.testing.assert_array_equal(x, y)

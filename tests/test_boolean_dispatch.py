@@ -6,14 +6,11 @@ kernels, and op names translate in one vectorized lookup."""
 import numpy as np
 import pyarrow as pa
 import pytest
+from kernel_cases import assert_bit_identical
 
 from rust_geo_booleanop_ray import native
 from rust_geo_booleanop_ray.geom.boolean_op import boolean_op_python
-from rust_geo_booleanop_ray.sources.arrow_geom import (
-    arrow_mp_offsets,
-    arrow_to_mps,
-    mps_to_arrow,
-)
+from rust_geo_booleanop_ray.sources.arrow_geom import arrow_to_mps, mps_to_arrow
 from rust_geo_booleanop_ray.stages.boolean_batch import BooleanOpBatch, boolean_batch
 
 OPS = ("intersection", "difference", "union", "xor")
@@ -97,18 +94,6 @@ def _pairs(seed=20261017, n=300):
     return subs, clips
 
 
-def _bits(arr):
-    xy, ring_off, poly_off, mp_off = arrow_mp_offsets(arr)
-    return [xy.view(np.uint64), ring_off, poly_off, mp_off]
-
-
-def _assert_bit_identical(a, b):
-    assert a.type == b.type and len(a) == len(b)
-    assert a.is_valid().equals(b.is_valid())
-    for x, y in zip(_bits(a), _bits(b)):
-        np.testing.assert_array_equal(x, y)
-
-
 def _run(batch):
     out = BooleanOpBatch(op_column="op", on_error="null")(batch)
     return out["result"].combine_chunks(), out["result_error"].to_pylist()
@@ -130,7 +115,7 @@ def test_native_matches_reference_kernel_bit_for_bit(monkeypatch):
     got, got_err = _run(batch)
     monkeypatch.setenv("GEO_NATIVE", "0")
     ref, ref_err = _run(batch)
-    _assert_bit_identical(got, ref)
+    assert_bit_identical(got, ref)
     for g, r in zip(got_err, ref_err):
         assert (g is None) == (r is None)
         if r is not None:  # "RuntimeError: <reason>" on both kernels
@@ -141,7 +126,7 @@ def test_native_matches_reference_kernel_bit_for_bit(monkeypatch):
     ok = np.array([e is None for e in got_err])
     for k, op in enumerate(OPS):
         rows = pa.array(k * n + np.flatnonzero(ok[k * n : (k + 1) * n]))
-        _assert_bit_identical(
+        assert_bit_identical(
             boolean_batch(batch["subject"].take(rows), batch["clipping"].take(rows), op),
             got.take(rows),
         )
@@ -163,7 +148,9 @@ def test_null_rows_give_null_results(monkeypatch, geo_native):
     ops = ["intersection", "union", "xor", "union", "difference"]
 
     res = boolean_batch(subj, clip, pa.array(ops))
-    assert kernel_rows == [2]  # only the valid rows reach the kernel
+    # of the two valid rows, the rect ∩ rect one has a known answer
+    # (stages/known_answers.py): only the union row reaches the kernel
+    assert kernel_rows == [1]
     assert arrow_to_mps(res) == [
         boolean_op_python(A, B, "intersection"),
         None,

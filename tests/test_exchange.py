@@ -119,3 +119,19 @@ def test_ascii_token_hashes_match_per_token_fnv1a(str_type):
     assert ascii_token_hashes(arr.slice(15, 700)).tolist() == _fnv1a_reference(tokens[15:715])
     chunked = pa.chunked_array([arr.slice(0, 10), arr.slice(10)])
     assert ascii_token_hashes(chunked).tolist() == _fnv1a_reference(tokens)
+
+
+def test_empty_group_keeps_the_wide_sum_schema():
+    """``bucketed_wide_sum``'s kernel gives a typed table for a group
+    with no rows, with the schema of a full group's output."""
+    from rust_geo_booleanop_ray.stages.pivot import wide_sum
+
+    group = pa.table(
+        {
+            "k": pa.array([1, 2, 2, 3], pa.int64()),
+            "a": pa.array([10, 20, 30, 40], pa.int64()),
+        }
+    )
+    summed = wide_sum(group, "k", ["a"])
+    assert summed.to_pydict() == {"k": [1, 2, 3], "a": [10, 50, 40]}
+    assert wide_sum(group.slice(0, 0), "k", ["a"]).schema == summed.schema

@@ -11,12 +11,11 @@ from rust_geo_booleanop_ray.sources.arrow_geom import (
     shoelace_area,
 )
 from rust_geo_booleanop_ray.sources.images import synth_image_batch
-from rust_geo_booleanop_ray.stages.cells import cell_bounds, cell_encode
+from rust_geo_booleanop_ray.stages.cells import cell_bounds, cell_encode, cell_polygon
 from rust_geo_booleanop_ray.stages.footprint import derive_footprints
 from rust_geo_booleanop_ray.stages.join_clip import (
     BroadcastPolyJoinClip,
     TileJoinClip,
-    _tile_multipolygon,
     join_cells_within_group,
 )
 from rust_geo_booleanop_ray.stages.tiles import RasterizeTile, raster_to_rects
@@ -64,7 +63,7 @@ def test_clip_stays_inside_tile():
 
 
 def _poly_table(tile_ids):
-    geoms = [_tile_multipolygon(t) for t in tile_ids]
+    geoms = [cell_polygon(t) for t in tile_ids]
     bounds = [mp_bounds(g) for g in geoms]
     return pa.table(
         {
@@ -120,7 +119,7 @@ def test_within_cell_group_join():
 def test_rasterize_and_vectorize():
     # one tile fully covered by one clip = the tile rect itself
     tile = int(cell_encode(np.array([10.0]), np.array([10.0]), 4)[0])
-    tile_poly = _tile_multipolygon(tile)
+    tile_poly = cell_polygon(tile)
     g = pa.table(
         {
             "tile_id": pa.array([tile], pa.int64()),

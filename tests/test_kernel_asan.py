@@ -21,12 +21,13 @@ import pytest
 from kernel_cases import (
     CONNECT_FAIL_PAIR,
     CREEP_PAIR,
+    assert_bit_identical,
     circle,
     golden_rows,
     holed_grid,
     rect,
 )
-from test_boolean_dispatch import OPS, _assert_bit_identical, _pairs, _run
+from test_boolean_dispatch import OPS, _pairs, _run
 
 from rust_geo_booleanop_ray import native
 from rust_geo_booleanop_ray.sources.arrow_geom import arrow_mp_offsets, flat_to_arrow, mps_to_arrow
@@ -125,4 +126,4 @@ def test_kernel_is_sanitizer_clean(driver, tmp_path):
     results = _read_results(dst, len(batches))
     assert [rc for rc, _ in results] == [rc for _, rc in batches]
     # the sanitized -O1 build gives the same bits as the engine's kernel
-    _assert_bit_identical(results[0][1], want.take(pa.array(ok)))
+    assert_bit_identical(results[0][1], want.take(pa.array(ok)))

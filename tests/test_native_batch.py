@@ -3,6 +3,10 @@ Arrow-offsets batch entry point, trivial-path semantics, the
 BooleanOpBatch stage routing, per-pair isolation of the batch
 workspace, and the library's build path."""
 
+import os
+import shutil
+import time
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -138,3 +142,37 @@ def test_library_path_names_source_and_flags():
     assert native.lib_path(src + b"\n") != native.lib_path(src)
     with open(native._SRC, "rb") as f:
         assert native._build() == native.lib_path(f.read())
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_build_prunes_builds_of_other_hashes(tmp_path, monkeypatch):
+    """Once the current library is PRUNE_AFTER_S old, a build or a load
+    removes the libraries of other hashes; the current one, builds in
+    flight and files that cannot be removed stay, and none of it fails
+    the build.  A younger current library leaves them all in place."""
+    src = tmp_path / "martinez.c"
+    src.write_bytes(b"int f(void) { return 0; }\n")
+    monkeypatch.setattr(native, "_HERE", str(tmp_path))
+    monkeypatch.setattr(native, "_SRC", str(src))
+    stale = tmp_path / "_martinez.000000000000.so"
+    in_flight = tmp_path / "_martinez.111111111111.so.4242.tmp"
+    stuck = tmp_path / "_martinez.222222222222.so"  # a directory: os.remove fails
+    other = tmp_path / "notes.txt"
+    for f in (stale, in_flight, other):
+        f.write_bytes(b"x")
+    stuck.mkdir()
+    every = {"martinez.c", stale.name, in_flight.name, stuck.name, other.name}
+
+    path = native._build()  # builds; the new library is too young to prune
+    assert path == native.lib_path(src.read_bytes())
+    assert {p.name for p in tmp_path.iterdir()} == every | {os.path.basename(path)}
+
+    old = time.time() - native.PRUNE_AFTER_S - 60
+    os.utime(path, (old, old))
+    assert native._build() == path  # loads the existing build, then prunes
+    names = {p.name for p in tmp_path.iterdir()}
+    assert names == every - {stale.name} | {os.path.basename(path)}
+
+    stale.write_bytes(b"x")
+    assert native._build() == path
+    assert not stale.exists() and os.path.isfile(path)
