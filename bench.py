@@ -79,8 +79,6 @@ def bench_list():
         "clip_area",
         "tile_assign",
         "pip_join",
-        "pip_join_skew",
-        "pip_join_rtree",
         "poly_join_big",
         "spatial_knn",
         "pricing_summary",
@@ -111,7 +109,6 @@ def bench_list():
         "ann_rerank",
         "asof_join",
         "minhash_near_dup",
-        "minhash_lean",
         "simhash_pairs",
         "image_features",
         "image_quality",
@@ -139,7 +136,6 @@ def bench_list():
         "regex_tokens",
         "props_extract",
         "range_join",
-        "range_join_big",
         "stream_join",
         "bloom_join",
         "dissolve",

@@ -29,8 +29,8 @@ def _cents(x: np.ndarray) -> np.ndarray:
 # bound on the dense pts×rects candidate matrix inside one cell group:
 # one pathological hot cell must never allocate an unbounded bool
 # matrix, so the product is evaluated in rect chunks of at most
-# MAX_CONTAIN_MATRIX elements (skew splitting changes the partitioning
-# upstream; this guard caps the worst case regardless)
+# MAX_CONTAIN_MATRIX elements.  Hot cells are not re-partitioned, so
+# this guard is what bounds a hot cell's memory.
 MAX_CONTAIN_MATRIX = 1 << 22
 
 

@@ -181,16 +181,15 @@ Q_PRICE_HISTOGRAM_SQL = """
 def q_distinct_users(sf_dir: str):
     """Exact COUNT(DISTINCT user) per event type — a 5-value grouping
     key over the whole log, i.e. the canonical hot-key aggregate.
-    Salting keeps it skew-proof AND exact: users are hash-partitioned
-    into 32 disjoint salt buckets, each (type, salt) cell counts its
-    distinct users locally, and a trivial Sum folds the salts.  The
-    wide exchange is spread over type×salt tasks instead of one task
-    per type; contrast `hll_distinct`, the approximate path when even
-    a salt cell's distinct set is too large."""
+    Kept skew-proof AND exact by exchanging on the user, not the type:
+    ``hash_exchange(user_id)`` puts every row of a user in one bucket,
+    each bucket counts its distinct (type, user) pairs, and a trivial
+    Sum folds the buckets.  Contrast `hll_distinct`, the approximate
+    path when even a bucket's distinct set is too large."""
     from ...stages.distinct import salted_distinct_count
 
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
-    return salted_distinct_count(ds, "event_type", "user_id", n_salt=32)
+    return salted_distinct_count(ds, "event_type", "user_id")
 
 
 Q_DISTINCT_USERS_SQL = """

@@ -632,7 +632,8 @@ def q_minhash_near_dup(sf_dir: str):
     ≥ 0.5); value-exact vs the full SQL pipeline mirror.  The candidate
     stage is the BUCKETED kernel (hash(band key) % 64 shuffle + one
     lexsort/run-boundary pass per bucket) — never one Python group call
-    per distinct band bucket (cardinality ~8×docs at scale)."""
+    per distinct band bucket (cardinality ~8×docs at scale).  The one
+    plan of the minhash oracle: the ``minhash_lean`` name runs it too."""
     from ...stages.dedup import MinHasher, lsh_band_explode, minhash_candidate_pairs
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
@@ -642,21 +643,6 @@ def q_minhash_near_dup(sf_dir: str):
     from ...stages.dedup import pair_reduce
 
     return pair_reduce(pairs, "doc_a", "doc_b", "est_jaccard", how="max")
-
-
-def q_minhash_lean(sf_dir: str):
-    """The SCALE variant of minhash_near_dup: the band exchange carries
-    (band_id, band_hash, doc_id) only — 24 B/row instead of the 536 B
-    sig-bearing row (an 8× signature duplication that dominates the
-    shuffle at 10⁹ docs; measured 8.8 GB → ~3.5 GB at 2M) — and ONE
-    bucketed join ships each signature once to its candidate pairs for
-    the deferred verify.  Same answer as the compact variant, checked
-    against the SAME full-pipeline SQL mirror."""
-    from ...stages.dedup import MinHasher, minhash_candidate_pairs_lean
-
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    sigs = ds.map_batches(MinHasher(), batch_format="pyarrow")
-    return minhash_candidate_pairs_lean(sigs, threshold=0.5)
 
 
 def _build_simhash_pairs_sql() -> str:
@@ -1474,7 +1460,9 @@ def q_incremental_minhash(sf_dir: str, prior_sigs=None):
     rides the payload); the keeper rollup is one more splitmix64(doc)
     % 64 bucketed lexsort/reduceat merge.  ``prior_sigs`` defaults to
     signing the corpus inline, standing in for the persisted-parquet
-    read that scripts/dedup_incremental_stress.py exercises."""
+    read that scripts/dedup_incremental_stress.py exercises.  The one
+    plan of this oracle: the ``incremental_minhash_store`` name runs it
+    too.  It keeps no state between runs."""
     from ...stages.dedup import (
         MinHasher,
         incremental_minhash_pairs,
@@ -1490,49 +1478,6 @@ def q_incremental_minhash(sf_dir: str, prior_sigs=None):
         prior_sigs = docs.map_batches(MinHasher(), batch_format="pyarrow")
     pairs = incremental_minhash_pairs(
         new_sigs, prior_sigs, threshold=0.5, new_min_id=M
-    )
-    pairs = pair_reduce(pairs, "doc_a", "doc_b", "est_jaccard", how="max")
-    return _incr_keeper_rollup(pairs)
-
-
-def q_incremental_minhash_store(sf_dir: str):
-    """The band-store physical plan of ``incremental_minhash`` — SAME
-    oracle, third plan (cross-checks the union-exchange path exactly
-    like minhash_lean cross-checks the compact plan): the prior run
-    persists its band rows hash-partitioned by the exchange's own
-    bucket (stages/dedup.write_band_store); the append batch is the
-    ONLY thing shuffled, and each bucket task concatenates its store
-    partition via a direct parquet read.  Old band rows never re-enter
-    an exchange — the wire cost of the incremental run is ∝ append
-    size, not corpus size (the 10^12-doc design point; measured 1.9×
-    over the union-exchange plan at 1M prior docs and wire ∝ corpus
-    eliminated, scripts/dedup_incremental_stress.py --store)."""
-    import atexit
-    import shutil
-    import tempfile
-
-    from ...stages.dedup import (
-        MinHasher,
-        incremental_minhash_pairs_store,
-        pair_reduce,
-        write_band_store,
-    )
-
-    M = INCR_ID_OFFSET
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    new_sigs = docs.map_batches(
-        _incr_split_texts_fn(M), batch_format="pyarrow"
-    ).map_batches(MinHasher(), batch_format="pyarrow")
-
-    # one store per invocation, so concurrent runs never share it; the
-    # returned Dataset is lazy and reads the store when it executes, so
-    # the directory lives until the process exits
-    store = tempfile.mkdtemp(prefix="incr_band_store_")
-    atexit.register(shutil.rmtree, store, ignore_errors=True)
-    write_band_store(docs.map_batches(MinHasher(), batch_format="pyarrow"), store)
-
-    pairs = incremental_minhash_pairs_store(
-        new_sigs, store, threshold=0.5, new_min_id=M
     )
     pairs = pair_reduce(pairs, "doc_a", "doc_b", "est_jaccard", how="max")
     return _incr_keeper_rollup(pairs)

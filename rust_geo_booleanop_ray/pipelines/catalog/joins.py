@@ -12,7 +12,6 @@ from ...sources.arrow_geom import shoelace_area  # noqa: F401
 from ...sources.arrow_geom import rects_to_arrow as _rect_mp_array  # noqa: F401
 from ...stages.boolean_batch import BooleanOpBatch  # noqa: F401
 from ...stages.exchange import hash_exchange
-from ...tuning import ACTOR_POOL
 from ._shared import MAX_CONTAIN_MATRIX, _EPOCH_2024_US, _cents, _read  # noqa: F401
 
 
@@ -109,18 +108,18 @@ Q_ASOF_JOIN_SQL = """
 """
 
 
-def q_range_join_big(sf_dir: str):
-    """Big×big range join — the scale path the broadcast variant
-    documents: BOTH sides stream as Datasets (no ray.put of the
-    interval table).  Temporal PBSM: each event lands in its single
-    home hour-bucket, each interval replicates to every bucket it
-    spans, ONE groupby(hour) co-locates them, and the per-bucket
-    kernel does a chunked vectorized containment — each pair emits
-    exactly once because the event's home bucket is unique.  Same
-    oracle as range_join (identical answer, different physical plan —
-    use this one when the interval side outgrows a worker heap)."""
-    from ray.data.aggregate import Count, Sum
-
+def q_range_join(sf_dir: str):
+    """Range (interval) join — a custom operator Ray Data lacks:
+    events are matched into deterministic supplier maintenance windows
+    (integer-microsecond bounds derived from s_suppkey, both
+    inclusive); per-window event counts + cents-exact value sums.
+    BOTH sides stream as Datasets (no ray.put of the interval table).
+    Temporal PBSM: each event lands in its single home hour-bucket,
+    each interval replicates to every bucket it spans, ONE
+    groupby(hour) co-locates them, and the per-bucket kernel does a
+    chunked vectorized containment — each pair emits exactly once
+    because the event's home bucket is unique.  The one plan of the
+    range_join oracle: the ``range_join_big`` name runs it too."""
     B_US = 3_600_000_000  # 1-hour buckets
 
     def interval_rows(batch: pa.Table) -> pa.Table:
@@ -233,56 +232,6 @@ def _suppkey_count_sum(pairs_ds):
         "s_suppkey",
         ["n_events", "sum_value_c"],
     )
-
-
-def q_range_join(sf_dir: str):
-    """Range (interval) join — a custom operator Ray Data lacks:
-    events are matched into deterministic supplier maintenance windows
-    (integer-microsecond bounds derived from s_suppkey), via the
-    broadcast interval join with a warm per-actor time-bucket index.
-    Per-window event counts + cents-exact value sums."""
-    import pyarrow.parquet as pq
-    import ray
-    from ray.data.aggregate import Count, Sum
-
-    from ...stages.join import BroadcastIntervalJoin
-
-    supp = pq.read_table(f"{sf_dir}/supplier.parquet", columns=["s_suppkey"])
-    sk = supp["s_suppkey"].to_numpy()
-    start = _EPOCH_2024_US + ((sk * 7919) % 720) * 3_600_000_000
-    end = start + (1 + sk % 6) * 3_600_000_000
-    intervals = pa.table(
-        {
-            "interval_id": pa.array(sk, pa.int64()),
-            "start_us": pa.array(start, pa.int64()),
-            "end_us": pa.array(end, pa.int64()),
-        }
-    )
-    iref = ray.put(intervals)
-
-    def points(batch: pa.Table) -> pa.Table:
-        ts = batch["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        return pa.table(
-            {
-                "ts_us": pa.array(ts, pa.int64()),
-                "value_c": pa.array(_cents(batch["value"].to_numpy())),
-            }
-        )
-
-    ds = _read(sf_dir, "events", ["ts", "value"]).map_batches(
-        points, batch_format="pyarrow"
-    )
-    joined = ds.map_batches(
-        BroadcastIntervalJoin,
-        fn_constructor_kwargs={"intervals": iref},
-        batch_format="pyarrow",
-        concurrency=ACTOR_POOL,
-    )
-    pairs = joined.map_batches(
-        lambda b: pa.table({"s_suppkey": b["interval_id"], "value_c": b["value_c"]}),
-        batch_format="pyarrow",
-    )
-    return _suppkey_count_sum(pairs)
 
 
 Q_RANGE_JOIN_SQL = f"""

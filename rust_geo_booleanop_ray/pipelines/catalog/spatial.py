@@ -174,7 +174,10 @@ def q_pip_join(sf_dir: str):
 
     The engine path: both sides keyed by the shared cell space
     (points → home cell, rects → covering cells), groupby(cell), exact
-    containment within the group, then distinct (PBSM replica dedup)."""
+    containment within the group.  The one plan of the pip_join oracle:
+    the ``pip_join_skew`` and ``pip_join_rtree`` names run it too.  A
+    hot cell's memory is bounded by ``_contain_join_group``'s
+    ``MAX_CONTAIN_MATRIX`` chunking, not by re-partitioning it."""
     import ray.data as rd
 
     from ...stages.cells import cell_encode, explode_to_cells
@@ -286,187 +289,6 @@ Q_PIP_JOIN_SQL = f"""
     FROM r, p
     WHERE p.px >= r.minx AND p.px <= r.maxx AND p.py >= r.miny AND p.py <= r.maxy
 """
-
-
-HOT_CELL_THRESHOLD = 64
-
-
-def q_pip_join_skew(sf_dir: str):
-    """q_pip_join with explicit hot-cell skew splitting: a cheap
-    counting pre-pass finds cells holding > HOT_CELL_THRESHOLD rect
-    replicas; both sides re-explode those cells one resolution finer
-    before the shuffle.  Same DuckDB oracle as pip_join — skew handling
-    must change the partitioning, never the answer."""
-    from ray.data.aggregate import Count
-
-    from ...stages.cells import cell_encode, explode_to_cells, split_hot_cells
-
-    def point_rows(batch: pa.Table) -> pa.Table:
-        batch = _customer_point_batch(batch)
-        px = batch["px"].to_numpy()
-        py = batch["py"].to_numpy()
-        cells = cell_encode(px, py, KNN_RES)
-        return pa.table(
-            {
-                "cell": pa.array(cells.view(np.int64), pa.int64()),
-                "c_custkey": batch["c_custkey"],
-                "px": batch["px"],
-                "py": batch["py"],
-                "p_partkey": pa.array(np.zeros(batch.num_rows, dtype=np.int64)),
-                # real degenerate bbox so hot-cell re-explode lands the
-                # point in the correct child cell
-                "minx": batch["px"],
-                "miny": batch["py"],
-                "maxx": batch["px"],
-                "maxy": batch["py"],
-                "side": pa.array(["point"] * batch.num_rows),
-            }
-        )
-
-    def rect_rows(batch: pa.Table) -> pa.Table:
-        batch = _part_rect_batch(batch)
-        exploded = explode_to_cells(batch, KNN_RES)
-        n = exploded.num_rows
-        return pa.table(
-            {
-                "cell": exploded["cell"],
-                "c_custkey": pa.array(np.zeros(n, dtype=np.int64)),
-                "px": pa.array(np.zeros(n)),
-                "py": pa.array(np.zeros(n)),
-                "p_partkey": exploded["p_partkey"],
-                "minx": exploded["minx"],
-                "miny": exploded["miny"],
-                "maxx": exploded["maxx"],
-                "maxy": exploded["maxy"],
-                "side": pa.array(["rect"] * n),
-            }
-        )
-
-    # NOT materialized: the exploded rect side would otherwise sit in
-    # the object store as the memory ceiling of the whole query.  The
-    # counting pre-pass and the join each stream their own pass over
-    # the column-pruned read + explode — recomputing one cheap
-    # map_batches beats holding the widest intermediate resident.
-    rects = _read(sf_dir, "part", ["p_partkey", "p_size"]).map_batches(
-        rect_rows, batch_format="pyarrow"
-    )
-
-    # ---- pre-pass: SAMPLED per-batch partial cell counts → tiny driver
-    # merge.  A deterministic hash-sample of the rect side estimates
-    # per-cell density; the threshold is scaled by the sampling rate.
-    # Mis-detecting a hot cell only changes the partitioning (the
-    # oracle pins that the ANSWER is invariant); at 100-TB scale this
-    # replaces a second full pass over the data with a 25% one.
-    SAMPLE_MOD, SAMPLE_KEEP = 4, 1  # keep keys with hash%4 == 1 (25%)
-
-    def cell_counts(batch: pa.Table) -> pa.Table:
-        keys = batch["p_partkey"].to_numpy().astype(np.uint64)
-        h = (keys * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(40)
-        keep = (h % np.uint64(SAMPLE_MOD)) == SAMPLE_KEEP
-        cells, counts = np.unique(
-            batch["cell"].to_numpy()[keep], return_counts=True
-        )
-        return pa.table(
-            {"cell": pa.array(cells, pa.int64()), "n": pa.array(counts, pa.int64())}
-        )
-
-    # Merge partials with a groupby BEFORE pulling to the driver: the
-    # driver receives ≤ one row per distinct cell (≤ 4^res), bounded
-    # regardless of block count — never O(n_batches × cells).
-    from ray.data.aggregate import Sum
-
-    totals = (
-        rects.map_batches(cell_counts, batch_format="pyarrow")
-        .groupby("cell")
-        .aggregate(Sum("n", alias_name="n"))
-        .take_all()
-    )
-    hot = {
-        np.uint64(row["cell"])
-        for row in totals
-        if row["n"] * SAMPLE_MOD > HOT_CELL_THRESHOLD
-    }
-
-    def split(batch: pa.Table) -> pa.Table:
-        return split_hot_cells(batch, hot, steps=1)
-
-    hot_arr = np.array(sorted(hot), dtype=np.uint64) if hot else np.array([], np.uint64)
-
-    def split_points(batch: pa.Table) -> pa.Table:
-        # A point must stay in exactly ONE cell — re-ENCODE at the finer
-        # resolution (split_hot_cells' bbox cover would replicate points
-        # sitting exactly on child boundaries → duplicate join pairs).
-        cells = batch["cell"].to_numpy().view(np.uint64).copy()
-        is_hot = np.isin(cells, hot_arr)
-        if is_hot.any():
-            fine = cell_encode(
-                batch["px"].to_numpy()[is_hot],
-                batch["py"].to_numpy()[is_hot],
-                KNN_RES + 1,
-            )
-            cells[is_hot] = fine
-        idx = batch.column_names.index("cell")
-        return batch.set_column(
-            idx, "cell", pa.array(cells.view(np.int64), pa.int64())
-        )
-
-    points = _read(sf_dir, "customer", ["c_custkey"]).map_batches(
-        point_rows, batch_format="pyarrow"
-    ).map_batches(split_points, batch_format="pyarrow")
-    rects = rects.map_batches(split, batch_format="pyarrow")
-
-    pairs = points.union(rects).groupby("cell").map_groups(
-        _contain_join_group, batch_format="pyarrow"
-    )
-    # As in q_pip_join: points land in exactly one (possibly finer)
-    # cell and hot-cell children tile the hot cell disjointly, so no
-    # replica dedup shuffle is needed.
-    return pairs.select_columns(["p_partkey", "c_custkey"])
-
-
-def q_pip_join_rtree(sf_dir: str):
-    """Same join as pip_join via the OTHER physical strategy: the rect
-    side is broadcast once and each actor keeps a warm STR R-tree over
-    it (built in __init__); customer-point batches probe the index —
-    zero shuffles.  Right when one side fits in a worker heap."""
-    import pyarrow.parquet as pq
-    import ray
-
-    from ...stages.rtree_join import RtreeContainsJoin
-
-    rects = _part_rect_batch(
-        pq.read_table(f"{sf_dir}/part.parquet", columns=["p_partkey", "p_size"])
-    )
-    zones = pa.table(
-        {
-            "zone_id": rects["p_partkey"],
-            "minx": rects["minx"],
-            "miny": rects["miny"],
-            "maxx": rects["maxx"],
-            "maxy": rects["maxy"],
-        }
-    )
-    zones_ref = ray.put(zones)
-
-    def points(batch: pa.Table) -> pa.Table:
-        b = _customer_point_batch(batch)
-        return pa.table(
-            {"pid": b["c_custkey"], "px": b["px"], "py": b["py"]}
-        )
-
-    ds = _read(sf_dir, "customer", ["c_custkey"]).map_batches(
-        points, batch_format="pyarrow"
-    )
-    out = ds.map_batches(
-        RtreeContainsJoin,
-        fn_constructor_kwargs={"zones_ref": zones_ref},
-        batch_format="pyarrow",
-        concurrency=ACTOR_POOL,
-    )
-    return out.map_batches(
-        lambda b: pa.table({"p_partkey": b["zone_id"], "c_custkey": b["pid"]}),
-        batch_format="pyarrow",
-    )
 
 
 def q_nearest_facility(sf_dir: str):

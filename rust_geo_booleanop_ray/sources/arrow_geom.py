@@ -39,6 +39,9 @@ def arrow_to_mps(arr: pa.Array):
     """Arrow multipolygon array → list of multipolygons with tuple points.
 
     Uses the flat coordinate buffer + offsets (no per-value Arrow calls).
+    Coordinates come out as Python floats: the reference kernel's sweep
+    runs ~1.7× faster on them than on ``numpy.float64`` scalars, with
+    the same bits.
     """
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
@@ -50,7 +53,8 @@ def arrow_to_mps(arr: pa.Array):
     ring_off = ring_arr.offsets.to_numpy(zero_copy_only=False)
     coord_arr = ring_arr.values  # fixed_size_list<double,2>
     flat = coord_arr.values.to_numpy(zero_copy_only=False)
-    coords = flat.reshape(-1, 2)
+    xs = flat[0::2].tolist()
+    ys = flat[1::2].tolist()
 
     valid = None
     if arr.null_count:
@@ -66,8 +70,7 @@ def arrow_to_mps(arr: pa.Array):
             poly = []
             for r in range(poly_off[p], poly_off[p + 1]):
                 lo, hi = ring_off[r], ring_off[r + 1]
-                ring = [(coords[k, 0], coords[k, 1]) for k in range(lo, hi)]
-                poly.append(ring)
+                poly.append(list(zip(xs[lo:hi], ys[lo:hi])))
             mp.append(poly)
         out.append(mp)
     return out

@@ -8,9 +8,10 @@ S2/H3 cell tokens).  All encoders are vectorized numpy; this is the ONE
 partitioning key reused across every wide stage (groupby, join,
 tiling, kNN), per the single-key design rule.
 
-Skew: ``cover_bbox`` replicates a geometry to every cell its bbox
-overlaps (PBSM replicate-to-cells); hot cells (count above threshold)
-are split to finer resolution via ``split_hot_cells``.
+``cover_bbox`` replicates a geometry to every cell its bbox overlaps
+(PBSM replicate-to-cells).  Hot cells are not re-split: the
+within-cell kernels bound their memory by chunking instead
+(``pipelines/catalog/_shared.py::MAX_CONTAIN_MATRIX``).
 """
 
 from __future__ import annotations
@@ -153,51 +154,3 @@ def explode_to_cells(batch: pa.Table, res: int, bbox_cols=("minx", "miny", "maxx
     )
     out = batch.take(pa.array(row_idx))
     return out.append_column(cell_col, pa.array(cells.view(np.int64), pa.int64()))
-
-
-def split_hot_cells(batch: pa.Table, hot_cells: set, steps: int = 1, cell_col: str = "cell", bbox_cols=("minx", "miny", "maxx", "maxy")) -> pa.Table:
-    """Re-key rows in hot cells to finer resolution (skew splitting).
-
-    Rows whose cell is in ``hot_cells`` are re-exploded at res+steps,
-    clipped to the hot cell's extent so replicas stay inside it; other
-    rows pass through.  ``hot_cells`` is a small broadcast set (ray.put
-    once, read per actor).
-    """
-    cells = batch[cell_col].to_numpy().view(np.uint64)
-    if not hot_cells:
-        return batch
-    hot_arr = np.frombuffer(
-        np.array(sorted(hot_cells), dtype=np.uint64).tobytes(), dtype=np.uint64
-    )
-    is_hot = np.isin(cells, hot_arr)
-    if not is_hot.any():
-        return batch
-    cold = batch.filter(pa.array(~is_hot))
-    hot = batch.filter(pa.array(is_hot))
-    hot_cell_ids = cells[is_hot]
-    res = int(cell_res(hot_cell_ids[:1])[0])
-    # clamp bboxes into the parent cell so re-explode stays within it
-    bx0 = np.empty(hot.num_rows)
-    by0 = np.empty(hot.num_rows)
-    bx1 = np.empty(hot.num_rows)
-    by1 = np.empty(hot.num_rows)
-    for j in range(hot.num_rows):  # hot rows are few by definition
-        cx0, cy0, cx1, cy1 = cell_bounds(int(hot_cell_ids[j]))
-        bx0[j] = max(hot[bbox_cols[0]][j].as_py(), cx0)
-        by0[j] = max(hot[bbox_cols[1]][j].as_py(), cy0)
-        bx1[j] = min(hot[bbox_cols[2]][j].as_py(), cx1)
-        by1[j] = min(hot[bbox_cols[3]][j].as_py(), cy1)
-    row_idx, new_cells = cover_bbox(bx0, by0, bx1, by1, res + steps)
-    # a clamped bbox edge lying exactly on the parent boundary makes the
-    # inclusive cover leak one child column/row into the neighboring
-    # coarse cell — keep only true children of each row's hot parent,
-    # otherwise replicas duplicate across the boundary
-    keep = cell_parent(new_cells, steps) == hot_cell_ids[row_idx]
-    row_idx = row_idx[keep]
-    new_cells = new_cells[keep]
-    hot_out = hot.drop_columns([cell_col]).take(pa.array(row_idx))
-    hot_out = hot_out.append_column(
-        cell_col, pa.array(new_cells.view(np.int64), pa.int64())
-    )
-    cold_cols = cold.column_names
-    return pa.concat_tables([cold, hot_out.select(cold_cols)])

@@ -26,7 +26,7 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 
-from .exchange import bucket_of, hash_exchange
+from .exchange import hash_exchange
 
 # Per-byte popcount lookup table for the vectorized hamming distance.
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
@@ -981,35 +981,6 @@ def banded_pairs_bucketed(
     each pair; duplicate pair rows across bands survive (merge with
     ``pair_reduce``, exactly like the per-group stages did).
     """
-    kernel = make_band_bucket_kernel(
-        band_cols=band_cols,
-        id_col=id_col,
-        payload_extract=payload_extract,
-        pair_eval=pair_eval,
-        out_cols=out_cols,
-        val_col=val_col,
-        val_type=val_type,
-        pair_chunk=pair_chunk,
-    )
-
-    return hash_exchange(exploded, list(band_cols), kernel)
-
-
-def make_band_bucket_kernel(
-    *,
-    band_cols,
-    id_col,
-    payload_extract,
-    pair_eval,
-    out_cols,
-    val_col,
-    val_type,
-    pair_chunk: int = 1 << 16,
-):
-    """The ONE-vectorized-pass-per-bucket candidate kernel of
-    ``banded_pairs_bucketed``, exposed so other physical plans (the
-    persisted band-store incremental path) can run the identical
-    logic over a bucket they assembled themselves."""
     empty = pa.schema(
         [
             pa.field(out_cols[0], pa.int64()),
@@ -1091,7 +1062,7 @@ def make_band_bucket_kernel(
             }
         )
 
-    return bucket_kernel
+    return hash_exchange(exploded, list(band_cols), bucket_kernel)
 
 
 def minhash_candidate_pairs(exploded, threshold: float):
@@ -1117,179 +1088,6 @@ def minhash_candidate_pairs(exploded, threshold: float):
         val_col="est_jaccard",
         val_type=pa.float64(),
     )
-
-
-def lsh_band_explode_lean(batch: pa.Table, bands: int = 8) -> pa.Table:
-    """(doc_id, sig) → (band_id, band_hash, doc_id) WITHOUT the
-    signature payload: 24 bytes/row on the candidate exchange instead
-    of ~536 (the sig rides once per band otherwise — an 8× duplication
-    that dominates the shuffle at scale)."""
-    return lsh_band_explode(batch, bands=bands).drop_columns(["sig"])
-
-
-def minhash_candidate_pairs_lean(sigs_ds, threshold: float):
-    """Scale variant of ``minhash_candidate_pairs``: candidates from
-    band equality alone (no payload on the band exchange), then ONE
-    bucketed join ships each doc's signature once to its pairs and a
-    pair-bucketed kernel verifies the (sig_a == sig_b) estimate.
-
-    Exchange volume is ∝ docs + pairs (24 B band rows + one sig copy
-    per doc + pair rows) instead of ∝ docs × bands × sig — measured
-    8.8 GB → ~3.5 GB at 2M docs.  The signature stage runs twice (once
-    for bands, once for the verify join) — recompute is the
-    streaming-correct trade at 10⁹ rows, where materializing the sig
-    table would pin docs × 520 B in the object store.  Same output as
-    the compact variant (same oracle)."""
-    from .join import shuffle_hash_join
-
-    n_perm = 64
-
-    bands = sigs_ds.map_batches(lsh_band_explode_lean, batch_format="pyarrow")
-
-    def extract(group: pa.Table) -> np.ndarray:
-        # no payload: candidate emission only, verification deferred
-        return np.empty((group.num_rows, 0), dtype=np.int64)
-
-    def ev(p: np.ndarray, ia: np.ndarray, ib: np.ndarray):
-        return np.ones(len(ia), dtype=np.int64), np.ones(len(ia), dtype=bool)
-
-    cand = banded_pairs_bucketed(
-        bands,
-        band_cols=("band_id", "band_hash"),
-        id_col="doc_id",
-        payload_extract=extract,
-        pair_eval=ev,
-        out_cols=("doc_a", "doc_b"),
-        val_col="one",
-        val_type=pa.int64(),
-    )
-    cand = pair_reduce(cand, "doc_a", "doc_b", "one", how="min")
-
-    def explode_pairs(b: pa.Table) -> pa.Table:
-        a64 = b["doc_a"].to_numpy()
-        b64 = b["doc_b"].to_numpy()
-        # pair_key packs (doc_a, doc_b) as two uint32 halves; ids outside
-        # [0, 2^32) would silently collide — raise loudly instead (carry the
-        # pair as two columns / a two-word key, like content_hash, if a
-        # corpus ever needs wider ids).
-        if len(a64) and (
-            a64.min() < 0
-            or b64.min() < 0
-            or a64.max() >= 1 << 32
-            or b64.max() >= 1 << 32
-        ):
-            raise ValueError(
-                "minhash_candidate_pairs_lean packs doc ids as uint32 halves; "
-                "got ids outside [0, 2^32)"
-            )
-        a = a64.astype(np.uint64)
-        bb = b64.astype(np.uint64)
-        key = ((a << np.uint64(32)) | bb).view(np.int64)
-        m = len(a)
-        return pa.table(
-            {
-                "doc_id": pa.array(
-                    np.concatenate([a, bb]).astype(np.int64), pa.int64()
-                ),
-                "pair_key": pa.array(np.concatenate([key, key]), pa.int64()),
-                "slot": pa.array(
-                    np.concatenate([np.zeros(m, np.int64), np.ones(m, np.int64)]),
-                    pa.int64(),
-                ),
-            }
-        )
-
-    pair_docs = cand.map_batches(explode_pairs, batch_format="pyarrow")
-
-    def pack_sig(b: pa.Table) -> pa.Table:
-        # Acero joins don't carry nested payloads — pack the signature
-        # as fixed_size_binary for the join leg (zero-copy reinterpret)
-        sig = b["sig"]
-        if isinstance(sig, pa.ChunkedArray):
-            sig = sig.combine_chunks()
-        flat = sig.values.to_numpy(zero_copy_only=False).astype(np.int64)
-        fsb = pa.Array.from_buffers(
-            pa.binary(8 * n_perm), len(sig), [None, pa.py_buffer(flat.tobytes())]
-        )
-        return pa.table({"doc_id": b["doc_id"], "sigb": fsb})
-
-    joined = shuffle_hash_join(
-        pair_docs,
-        sigs_ds.map_batches(pack_sig, batch_format="pyarrow"),
-        "doc_id",
-        ["pair_key", "slot"],
-        ["sigb"],
-        left_schema=pa.schema(
-            [
-                pa.field("doc_id", pa.int64()),
-                pa.field("pair_key", pa.int64()),
-                pa.field("slot", pa.int64()),
-            ]
-        ),
-        right_schema=pa.schema(
-            [
-                pa.field("doc_id", pa.int64()),
-                pa.field("sigb", pa.binary(8 * n_perm)),
-            ]
-        ),
-    )
-
-    empty = pa.schema(
-        [
-            pa.field("doc_a", pa.int64()),
-            pa.field("doc_b", pa.int64()),
-            pa.field("est_jaccard", pa.float64()),
-        ]
-    ).empty_table()
-
-    def verify_bucket(group: pa.Table) -> pa.Table:
-        k = group["pair_key"].to_numpy()
-        slot = group["slot"].to_numpy()
-        order = np.lexsort((slot, k))
-        k = k[order]
-        sb = group["sigb"]
-        if isinstance(sb, pa.ChunkedArray):
-            sb = sb.combine_chunks()
-        sig = (
-            np.frombuffer(sb.buffers()[1], dtype=np.int64)[
-                sb.offset * n_perm : (sb.offset + len(sb)) * n_perm
-            ].reshape(len(sb), n_perm)
-        )[order]
-        slot = slot[order]
-        # rows must alternate (slot 0, slot 1) per pair_key — a duplicate
-        # doc_id in the signatures dataset would make the join emit >2 rows
-        # for a pair and silently misalign every later pair in the bucket.
-        # Cheap invariant check: fail loudly instead.
-        if (
-            len(k) % 2 != 0
-            or not (k[0::2] == k[1::2]).all()
-            or not (slot[0::2] == 0).all()
-            or not (slot[1::2] == 1).all()
-        ):
-            raise ValueError(
-                "verify_bucket: pair rows not strictly (slot0, slot1) per "
-                "pair_key — duplicate doc_id in the signatures dataset?"
-            )
-        a = sig[0::2]
-        b = sig[1::2]
-        est = (a == b).mean(axis=1)
-        keep = est >= threshold
-        if not keep.any():
-            return empty
-        uk = k[0::2][keep].view(np.uint64)
-        return pa.table(
-            {
-                "doc_a": pa.array(
-                    (uk >> np.uint64(32)).astype(np.int64), pa.int64()
-                ),
-                "doc_b": pa.array(
-                    (uk & np.uint64(0xFFFFFFFF)).astype(np.int64), pa.int64()
-                ),
-                "est_jaccard": pa.array(est[keep]),
-            }
-        )
-
-    return hash_exchange(joined, "pair_key", verify_bucket)
 
 
 def hamming_candidate_pairs(
@@ -1451,99 +1249,6 @@ def incremental_exact_dedup(new_sigs, prior_sigs):
         )
 
     return hash_exchange(unioned, "h_lo", flag_bucket)
-
-
-def write_band_store(sigs_ds, store_dir: str):
-    """Persist a corpus's LSH band rows hash-partitioned by the SAME
-    ``bucket_of(band key)`` the candidate exchange uses: ``store_dir/bucket=K/*.parquet``.  A later append-only run
-    can then dedup new docs against the corpus with NO old-side
-    shuffle at all — each bucket task reads its store partition
-    directly (``incremental_minhash_pairs_store``).  At 10^12 docs
-    the store is ~0.4% of corpus bytes and the incremental exchange
-    carries ONLY the append batch."""
-
-    def explode_bucket(b: pa.Table) -> pa.Table:
-        b = lsh_band_explode(b)
-        return b.append_column("bucket", pa.array(bucket_of(b, ["band_id", "band_hash"])))
-
-    sigs_ds.map_batches(explode_bucket, batch_format="pyarrow").write_parquet(
-        store_dir, partition_cols=["bucket"]
-    )
-
-
-def incremental_minhash_pairs_store(
-    new_sigs,
-    store_dir: str,
-    threshold: float,
-    new_min_id: int,
-):
-    """Incremental MinHash+LSH against a PERSISTED, bucket-partitioned
-    band store (``write_band_store``): the append batch is signed,
-    exploded and shuffled by band bucket — the ONLY exchange — and
-    each bucket task concatenates its store partition (a direct
-    parquet read, no shuffle) with the new rows and runs the identical
-    ``make_band_bucket_kernel`` logic.  Buckets where no new doc lands
-    are never read at all; old×old pairs are skipped before the
-    64-wide verify exactly as in ``incremental_minhash_pairs``.
-    Output pairs are identical to the union-exchange plan."""
-    import os
-
-    import pyarrow.parquet as pq_mod
-
-    def extract(group: pa.Table) -> np.ndarray:
-        m = _list_matrix(group["sig"], group.num_rows)
-        flag = (group["doc_id"].to_numpy() >= new_min_id).astype(m.dtype)
-        return np.concatenate([m, flag[:, None]], axis=1)
-
-    def ev(p: np.ndarray, ia: np.ndarray, ib: np.ndarray):
-        touch = (p[ia, -1] + p[ib, -1]) > 0
-        est = np.zeros(len(ia), dtype=np.float64)
-        if touch.any():
-            est[touch] = (p[ia[touch], :-1] == p[ib[touch], :-1]).mean(axis=1)
-        return est, touch & (est >= threshold)
-
-    kernel = make_band_bucket_kernel(
-        band_cols=("band_id", "band_hash"),
-        id_col="doc_id",
-        payload_extract=extract,
-        pair_eval=ev,
-        out_cols=("doc_a", "doc_b"),
-        val_col="est_jaccard",
-        val_type=pa.float64(),
-    )
-    cols = ["band_id", "band_hash", "doc_id", "sig"]
-
-    def bucket_with_store(group: pa.Table) -> pa.Table:
-        k = int(group["bucket"][0].as_py())
-        part = os.path.join(store_dir, f"bucket={k}")
-        new_rows = _fix_sig_cols(group.select(cols))
-        if os.path.isdir(part):
-            old = _fix_sig_cols(pq_mod.read_table(part, columns=cols))
-            comb = pa.concat_tables([old, new_rows])
-        else:
-            comb = new_rows
-        return kernel(comb)
-
-    def _fix_sig_cols(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        sig = t["sig"]
-        if isinstance(sig, pa.ChunkedArray):
-            sig = sig.combine_chunks()
-        if not pa.types.is_fixed_size_list(sig.type):
-            n_perm = len(sig[0]) if len(sig) else 64
-            sig = pa.FixedSizeListArray.from_arrays(pc.list_flatten(sig), n_perm)
-        return pa.table(
-            {
-                "band_id": t["band_id"],
-                "band_hash": t["band_hash"],
-                "doc_id": t["doc_id"],
-                "sig": sig,
-            }
-        )
-
-    exploded = new_sigs.map_batches(lsh_band_explode, batch_format="pyarrow")
-    return hash_exchange(exploded, ["band_id", "band_hash"], bucket_with_store)
 
 
 def incremental_minhash_pairs(

@@ -13,9 +13,9 @@ pair is duplicated or dropped.
 
 Scale shape: one shuffle (the cell groupby), ≤ 9× replication on the
 wire, chunked pairwise distance matrices inside each cell (bounded
-memory regardless of cell population).  Skewed cells are the operator
-hazard — split hot cells one res step (stages/cells.py::
-split_hot_cells) before the groupby when a pre-pass shows skew.
+memory regardless of cell population).  A skewed cell is the operator
+hazard: it costs one task more time, while its chunked matrices keep
+the memory bounded.
 
 Reference analogue: the engine lift of the bbox-overlap gate at
 /root/reference/lib/src/boolean/mod.rs:106-109 applied to point

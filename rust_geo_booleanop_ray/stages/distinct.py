@@ -1,65 +1,73 @@
-"""Exact COUNT(DISTINCT) under hot grouping keys, via salting.
+"""Exact COUNT(DISTINCT) under hot grouping keys.
 
 The hazard: ``groupby(group_col)`` with a low-cardinality key (e.g.
 5 event types over 100 TB of events) lands each key's ENTIRE row set
-on one task — the canonical skew stall.  Salting fixes the shape
-without approximation: partition the *distinct* column by a
-deterministic hash into ``n_salt`` disjoint buckets, count exactly
-within each (group, salt) cell, then Sum the per-salt counts.  The
-counts are exact because a value's salt is a pure function of the
-value — no value can be counted in two cells.
+on one task — the canonical skew stall.  Partitioning by the *distinct*
+column instead fixes the shape without approximation: every row of a
+value meets in one ``hash_exchange`` bucket, so each bucket counts its
+(group, value) pairs exactly and no value is counted in two buckets.
 
-Three-step plan, one real exchange:
-1. per-batch combiner: unique (group, distinct) pairs + salt column —
-   shrinks each block to its local distinct set before any shuffle;
-2. ``groupby(group, salt)`` → exact local distinct count per cell
-   (the exchange is spread over n_salt × n_groups tasks);
-3. ``groupby(group).aggregate(Sum)`` over ≤ n_salt rows per group —
+Plan, one real exchange:
+1. per-batch combiner: unique (group, distinct) pairs — shrinks each
+   block to its local distinct set before any shuffle;
+2. ``hash_exchange(distinct_col)`` → one ``np.unique`` over (group,
+   value) per bucket → one (group, count) row per group in the bucket;
+3. ``groupby(group).aggregate(Sum)`` over ≤ n_buckets rows per group —
    negligible.
 
 Compare ``stages/sketch.py::hll`` for the approximate path when the
-distinct sets themselves are too big to co-locate per (group, salt).
+distinct sets themselves are too big to co-locate per bucket.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from .footprint import _splitmix64
+from .exchange import hash_exchange
 
 
-def salted_distinct_count(ds, group_col: str, distinct_col: str, n_salt: int = 32):
+def salted_distinct_count(ds, group_col: str, distinct_col: str):
     """Exact per-group distinct count of an integer column, skew-proof.
 
     Returns a Dataset with columns ``(group_col, n_distinct)``.
     """
 
     def partial(batch: pa.Table) -> pa.Table:
-        g = batch[group_col]
-        d = batch[distinct_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        # local distinct set per block: group by (group, distinct) once
-        t = pa.table({group_col: g, distinct_col: pa.array(d)})
-        uniq = pa.TableGroupBy(t, [group_col, distinct_col]).aggregate([])
-        dv = uniq[distinct_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        salt = (_splitmix64(dv) % np.uint64(n_salt)).astype(np.int64)
-        return uniq.append_column("salt", pa.array(salt))
+        t = batch.select([group_col, distinct_col])
+        return pa.TableGroupBy(t, [group_col, distinct_col]).aggregate([])
 
-    def count_cell(group: pa.Table) -> pa.Table:
-        vals = group[distinct_col].to_numpy(zero_copy_only=False)
+    def count_bucket(group: pa.Table) -> pa.Table:
+        codes = pc.dictionary_encode(
+            group[group_col].combine_chunks(), null_encoding="encode"
+        )
+        pairs = np.unique(
+            np.stack(
+                [
+                    codes.indices.to_numpy().astype(np.int64),
+                    group[distinct_col].to_numpy().astype(np.int64),
+                ],
+                axis=1,
+            ),
+            axis=0,
+        )
+        gi, n = np.unique(pairs[:, 0], return_counts=True)
         return pa.table(
             {
-                group_col: group[group_col].slice(0, 1),
-                "n_distinct": pa.array([len(np.unique(vals))], pa.int64()),
+                group_col: codes.dictionary.take(pa.array(gi)),
+                "n_distinct": pa.array(n, pa.int64()),
             }
         )
 
     from ray.data.aggregate import Sum
 
     return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby([group_col, "salt"])
-        .map_groups(count_cell, batch_format="pyarrow")
+        hash_exchange(
+            ds.map_batches(partial, batch_format="pyarrow"),
+            distinct_col,
+            count_bucket,
+        )
         .groupby(group_col)
         .aggregate(Sum("n_distinct", alias_name="n_distinct"))
     )

@@ -15,6 +15,11 @@ additions a large-scale pipeline needs.  Two physical strategies:
   big⋈big; key skew is the operator's documented hazard — pre-aggregate
   the probe side first (as q_revenue_by_nation does) or salt hot keys.
 
+Range (interval) joins are not here: ``q_range_join`` in
+pipelines/catalog/joins.py is a temporal PBSM (events to their home
+hour bucket, intervals replicated to every bucket they span, one
+shuffle), with no broadcast interval index.
+
 Ray ≥2.46 ships an experimental ``Dataset.join`` (hash shuffle via
 aggregator actors); measured head-to-head on a 600k⋈150k int join at 32
 CPUs it runs ~1.5× slower than this union+sort+Acero plan (6.9 s vs
@@ -65,79 +70,6 @@ def broadcast_join(ds, small_table: pa.Table, key: str, value_cols, batch_format
         return batch
 
     return ds.map_batches(attach, batch_format=batch_format)
-
-
-class BroadcastIntervalJoin:
-    """Actor-pool range join: points (timestamps) × a broadcast
-    interval table — the temporal analogue of the broadcast spatial
-    join (north_star: warm per-actor interval index).
-
-    ``intervals``: pyarrow Table or ray.ObjectRef with columns
-    (interval_id: int64, start_us: int64, end_us: int64), inclusive
-    bounds.  A time-bucket index (bucket → interval ids overlapping
-    it) is built ONCE per actor in __init__; per batch, points are
-    grouped by bucket and compared vectorized against that bucket's
-    intervals only.  Emits one row per (point, containing interval).
-
-    Scale shape: the interval side must fit a worker heap (ray.put
-    once); for big×big range joins use the bucketed groupby pattern
-    (tag + union + groupby(time bucket), as the spatial
-    join_cells_within_group does for cells).
-    """
-
-    def __init__(self, intervals, ts_col: str = "ts_us", bucket_us: int = 3_600_000_000):
-        try:
-            import ray
-
-            if isinstance(intervals, ray.ObjectRef):
-                intervals = ray.get(intervals)
-        except ImportError:
-            pass
-        self.ts_col = ts_col
-        self.bucket_us = bucket_us
-        self.ids = intervals["interval_id"].to_numpy()
-        self.starts = intervals["start_us"].to_numpy()
-        self.ends = intervals["end_us"].to_numpy()
-        self.buckets: dict = {}
-        for i in range(len(self.ids)):
-            for b in range(
-                int(self.starts[i]) // bucket_us, int(self.ends[i]) // bucket_us + 1
-            ):
-                self.buckets.setdefault(b, []).append(i)
-        self.buckets = {b: np.asarray(v, dtype=np.int64) for b, v in self.buckets.items()}
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ts = batch[self.ts_col].to_numpy()
-        pb = ts // self.bucket_us
-        order = np.argsort(pb, kind="stable")
-        out_point, out_interval = [], []
-        lo = 0
-        n = len(ts)
-        while lo < n:
-            b = pb[order[lo]]
-            hi = lo
-            while hi < n and pb[order[hi]] == b:
-                hi += 1
-            cand = self.buckets.get(int(b))
-            if cand is not None:
-                pts = order[lo:hi]
-                t = ts[pts]
-                inside = (t[:, None] >= self.starts[cand][None, :]) & (
-                    t[:, None] <= self.ends[cand][None, :]
-                )
-                pi, ci = np.nonzero(inside)
-                out_point.append(pts[pi])
-                out_interval.append(cand[ci])
-            lo = hi
-        if not out_point:
-            out = batch.slice(0, 0)
-            return out.append_column("interval_id", pa.array([], pa.int64()))
-        take = pa.array(np.concatenate(out_point))
-        out = batch.take(take)
-        return out.append_column(
-            "interval_id",
-            pa.array(self.ids[np.concatenate(out_interval)], pa.int64()),
-        )
 
 
 _SIDE_COL = "__join_side"

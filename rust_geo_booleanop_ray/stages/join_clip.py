@@ -195,10 +195,9 @@ def join_cells_within_group(group: pa.Table, pbsm_dedup: bool = False) -> pa.Tab
     clamped grid index used by ``cover_bbox``, so boundary corners
     resolve to the same cell the cover replicated to.
     """
-    side = group["side"].to_pylist()
-    is_build = np.array([s == "build" for s in side])
-    build = group.filter(pa.array(is_build))
-    probe = group.filter(pa.array(~is_build))
+    is_build = pc.equal(group["side"], "build")
+    build = group.filter(is_build)
+    probe = group.filter(pc.invert(is_build))
     if build.num_rows == 0 or probe.num_rows == 0:
         return _EMPTY_JOIN_SCHEMA.empty_table()
 

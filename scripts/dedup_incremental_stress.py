@@ -49,13 +49,6 @@ def main(argv=None) -> int:
         "--minhash", action="store_true", help="near-dup (MinHash+LSH) variant"
     )
     parser.add_argument(
-        "--store",
-        action="store_true",
-        help="with --minhash: persist the band store (bucket-partitioned) "
-        "and run the no-old-side-shuffle incremental plan, cross-checked "
-        "pair-for-pair against the union-exchange plan",
-    )
-    parser.add_argument(
         "--tokens",
         type=int,
         default=24,
@@ -151,84 +144,6 @@ def _run(args, work: str) -> int:
                 new_sigs, prior_sigs, threshold=0.5, new_min_id=old_n
             )
             return pair_reduce(p, "doc_a", "doc_b", "est_jaccard", how="max")
-
-        if args.store:
-            from rust_geo_booleanop_ray.stages.dedup import (
-                incremental_minhash_pairs_store,
-                write_band_store,
-            )
-
-            store_dir = os.path.join(work, "band_store")
-
-            # untimed warmup (see below)
-            band_pairs(
-                corpus(0, 5000).map_batches(MinHasher(), batch_format="pyarrow"),
-                corpus(5000, 10000).map_batches(MinHasher(), batch_format="pyarrow"),
-            ).count()
-
-            # ---- prior run: sign + persist the BUCKET-PARTITIONED band
-            # store (old band rows never enter a shuffle again)
-            t0 = time.time()
-            write_band_store(
-                corpus(0, old_n).map_batches(MinHasher(), batch_format="pyarrow"),
-                store_dir,
-            )
-            prior_sec = round(time.time() - t0, 2)
-
-            # ---- incremental, store plan: the append batch is the ONLY
-            # exchange; each bucket task reads its store partition
-            t0 = time.time()
-            inc_rows = pair_reduce(
-                incremental_minhash_pairs_store(
-                    corpus(old_n, old_n + new_n).map_batches(
-                        MinHasher(), batch_format="pyarrow"
-                    ),
-                    store_dir,
-                    threshold=0.5,
-                    new_min_id=old_n,
-                ),
-                "doc_a",
-                "doc_b",
-                "est_jaccard",
-                how="max",
-            ).take_all()
-            inc_sec = round(time.time() - t0, 2)
-
-            # ---- cross-check: union-exchange incremental plan
-            t0 = time.time()
-            ref_rows = band_pairs(
-                corpus(old_n, old_n + new_n).map_batches(
-                    MinHasher(), batch_format="pyarrow"
-                ),
-                corpus(0, old_n).map_batches(MinHasher(), batch_format="pyarrow"),
-            ).take_all()
-            ref_sec = round(time.time() - t0, 2)
-
-            inc_map = {(r["doc_a"], r["doc_b"]): r["est_jaccard"] for r in inc_rows}
-            ref_map = {(r["doc_a"], r["doc_b"]): r["est_jaccard"] for r in ref_rows}
-            assert inc_map == ref_map, (
-                f"store plan diverges from union-exchange plan: "
-                f"{len(inc_map)} vs {len(ref_map)}"
-            )
-            print(
-                json.dumps(
-                    {
-                        "mode": "minhash_store",
-                        "old_docs": old_n,
-                        "new_docs": new_n,
-                        "store_build_sec": prior_sec,
-                        "incremental_store_sec": inc_sec,
-                        "union_exchange_sec": ref_sec,
-                        "speedup_vs_union_plan": (
-                            round(ref_sec / inc_sec, 2) if inc_sec else None
-                        ),
-                        "pairs_touching_new": len(inc_map),
-                        "pairs_match_union_plan": True,
-                    }
-                )
-            )
-            ray.shutdown()
-            return 0
 
         sig_dir = os.path.join(work, "minhash_sigs")
 

@@ -42,8 +42,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Dedup stress")
     parser.add_argument("--n-docs", type=int, default=125_000)
     parser.add_argument("--legacy", action="store_true")
-    parser.add_argument("--lean", action="store_true",
-                        help="payload-free band exchange + deferred sig-join verify")
     parser.add_argument("--num-cpus", type=int, default=int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0)))))
     args = parser.parse_args(argv)
     work = tempfile.mkdtemp(prefix="dedup_stress_")
@@ -167,28 +165,23 @@ def _run(args, work: str) -> int:
     sigs = corpus().map_batches(
         MinHasher(), batch_format="pyarrow", batch_size=4096
     )
-    if args.lean:
-        from rust_geo_booleanop_ray.stages.dedup import minhash_candidate_pairs_lean
-
-        n_pairs = minhash_candidate_pairs_lean(sigs, threshold=0.5).count()
+    exploded = sigs.map_batches(lsh_band_explode, batch_format="pyarrow")
+    if args.legacy:
+        pairs = exploded.groupby(["band_id", "band_hash"]).map_groups(
+            LshCandidatePairs(threshold=0.5), batch_format="pyarrow"
+        )
     else:
-        exploded = sigs.map_batches(lsh_band_explode, batch_format="pyarrow")
-        if args.legacy:
-            pairs = exploded.groupby(["band_id", "band_hash"]).map_groups(
-                LshCandidatePairs(threshold=0.5), batch_format="pyarrow"
-            )
-        else:
-            pairs = minhash_candidate_pairs(exploded, threshold=0.5)
-        n_pairs = pair_reduce(
-            pairs, "doc_a", "doc_b", "est_jaccard", how="max"
-        ).count()
+        pairs = minhash_candidate_pairs(exploded, threshold=0.5)
+    n_pairs = pair_reduce(
+        pairs, "doc_a", "doc_b", "est_jaccard", how="max"
+    ).count()
     wall_neardup = time.time() - t0
 
     print(
         json.dumps(
             {
                 "n_docs": n,
-                "candidate_stage": ("legacy_per_band_map_groups" if args.legacy else ("lean_sig_join" if args.lean else "bucketed_kernel")),
+                "candidate_stage": "legacy_per_band_map_groups" if args.legacy else "bucketed_kernel",
                 "distinct_docs": distinct,
                 "near_dup_pairs": n_pairs,
                 "wall_exact_sec": round(wall_exact, 2),

@@ -180,37 +180,3 @@ def test_minhasher_batch_kernel_matches_per_doc():
     for i, txt in enumerate(texts):
         want = mh.signature(txt)
         assert (got[i] == want).all(), f"doc {i} ({txt!r}) signature mismatch"
-
-
-def test_minhash_lean_plan_matches_compact(ray_session):
-    """The lean physical plan (payload-free band exchange + deferred
-    sig-join verify) must produce exactly the compact plan's verified
-    pair set — same pairs, same estimates."""
-    import ray.data as rd
-
-    from rust_geo_booleanop_ray.stages.dedup import (
-        minhash_candidate_pairs_lean,
-    )
-
-    docs = _rand_docs(n=150, seed=9)
-    sigs_t = MinHasher()(docs)
-
-    def sigs():
-        return rd.from_arrow(sigs_t).repartition(4)
-
-    exploded = sigs().map_batches(lsh_band_explode, batch_format="pyarrow")
-    compact = pa.Table.from_pylist(
-        pair_reduce(
-            minhash_candidate_pairs(exploded, threshold=0.5),
-            "doc_a",
-            "doc_b",
-            "est_jaccard",
-            how="max",
-        ).take_all()
-    )
-    lean = pa.Table.from_pylist(
-        minhash_candidate_pairs_lean(sigs(), threshold=0.5).take_all()
-    )
-    want = _pairs_dict(compact, "doc_a", "doc_b", "est_jaccard")
-    got = _pairs_dict(lean, "doc_a", "doc_b", "est_jaccard")
-    assert got == want and len(want) > 0

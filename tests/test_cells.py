@@ -1,4 +1,4 @@
-"""Cell index, cover/explode, hot-cell split, PIP, R-tree unit tests."""
+"""Cell index, cover/explode, PIP, R-tree unit tests."""
 
 import numpy as np
 import pyarrow as pa
@@ -17,7 +17,6 @@ from rust_geo_booleanop_ray.stages.cells import (
     cell_xy,
     cover_bbox,
     explode_to_cells,
-    split_hot_cells,
 )
 
 
@@ -55,30 +54,6 @@ def test_cover_bbox_explode():
     assert len(cells) == 4
     assert (row_idx == 0).all()
     assert len(set(cells.tolist())) == 4
-
-
-def test_split_hot_cells():
-    t = pa.table(
-        {
-            "id": pa.array([1, 2, 3], pa.int64()),
-            "minx": pa.array([1.0, 1.0, 100.0]),
-            "miny": pa.array([1.0, 1.0, 50.0]),
-            "maxx": pa.array([2.0, 40.0, 101.0]),
-            "maxy": pa.array([2.0, 40.0, 51.0]),
-        }
-    )
-    e = explode_to_cells(t, 3)
-    hot = int(cell_encode(np.array([1.5]), np.array([1.5]), 3)[0])
-    out = split_hot_cells(e, {hot})
-    cells = out["cell"].to_numpy().view(np.uint64)
-    # no row keyed to the hot cell anymore; replacements are at res 4
-    assert hot not in set(cells.tolist())
-    assert (cell_res(cells[cells >> np.uint64(58) == 4]) == 4).all()
-    # untouched rows keep res 3
-    assert (cell_res(cells) >= 3).all()
-    # row 3 (far away) still present at res 3
-    ids = out["id"].to_numpy()
-    assert 3 in ids
 
 
 def test_pip():

@@ -149,40 +149,6 @@ def test_shuffle_hash_join_rejects_null_keys():
         out.take_all()
 
 
-def test_broadcast_interval_join_matches_bruteforce():
-    """Time-bucket interval index == brute-force containment, including
-    boundary timestamps (inclusive bounds) and bucket-spanning
-    intervals."""
-    import numpy as np
-
-    from rust_geo_booleanop_ray.stages.join import BroadcastIntervalJoin
-
-    rng = np.random.Generator(np.random.PCG64(31))
-    B = 1000  # tiny bucket to force multi-bucket intervals
-    starts = rng.integers(0, 50_000, 40)
-    ends = starts + rng.integers(0, 7_000, 40)  # spans up to 7 buckets
-    intervals = pa.table(
-        {
-            "interval_id": pa.array(np.arange(40), pa.int64()),
-            "start_us": pa.array(starts, pa.int64()),
-            "end_us": pa.array(ends, pa.int64()),
-        }
-    )
-    ts = np.concatenate([rng.integers(0, 60_000, 500), starts[:5], ends[:5]])
-    batch = pa.table(
-        {"pid": pa.array(np.arange(len(ts)), pa.int64()), "ts_us": pa.array(ts, pa.int64())}
-    )
-    out = BroadcastIntervalJoin(intervals, bucket_us=B)(batch)
-    got = sorted(zip(out["pid"].to_pylist(), out["interval_id"].to_pylist()))
-    expect = sorted(
-        (int(p), int(i))
-        for p in range(len(ts))
-        for i in range(40)
-        if starts[i] <= ts[p] <= ends[i]
-    )
-    assert got == expect
-
-
 def test_shuffle_hash_join_semi_anti_match_bruteforce():
     import numpy as np
 
@@ -290,3 +256,49 @@ def test_bloom_no_false_negatives_and_prefilter_keeps_matches(ray_session):
     kept = bloom_prefilter(rd.from_arrow(probe), words, "k").take_all()
     kept_keys = {r["k"] for r in kept}
     assert set(member.tolist()) <= kept_keys
+
+
+def test_range_join_matches_bruteforce_at_edges(ray_session, tmp_path):
+    """q_range_join (temporal PBSM) == brute-force containment on a tiny
+    sf dir: events on both inclusive interval bounds, one µs outside
+    them, on every hour-bucket edge an interval spans, and inside."""
+    import math
+
+    import numpy as np
+
+    from rust_geo_booleanop_ray.pipelines.catalog._shared import _EPOCH_2024_US
+    from rust_geo_booleanop_ray.pipelines.queries import q_range_join
+
+    H = 3_600_000_000
+    sk = np.arange(1, 13, dtype=np.int64)  # spans of 2..7 hour buckets
+    start = _EPOCH_2024_US + ((sk * 7919) % 720) * H
+    end = start + (1 + sk % 6) * H
+    assert (start % H == 0).all()  # bounds sit on bucket edges
+    ts = [_EPOCH_2024_US - 1]
+    for s, e in zip(start.tolist(), end.tolist()):
+        ts += [s - 1, s, s + 1, e - 1, e, e + 1, (s + e) // 2]
+        ts += list(range(s + H, e, H))  # interior bucket edges
+    ts = np.array(ts, dtype=np.int64)
+    value = (np.arange(len(ts)) % 997) * 0.37 + 0.125
+    pq.write_table(
+        pa.table(
+            {
+                "ts": pa.array(ts.astype("datetime64[us]")),
+                "value": pa.array(value),
+            }
+        ),
+        str(tmp_path / "events.parquet"),
+    )
+    pq.write_table(pa.table({"s_suppkey": pa.array(sk)}), str(tmp_path / "supplier.parquet"))
+
+    want = {}
+    for k, s, e in zip(sk.tolist(), start.tolist(), end.tolist()):
+        inside = [(t, v) for t, v in zip(ts.tolist(), value.tolist()) if s <= t <= e]
+        want[k] = (len(inside), sum(math.floor(v * 100.0 + 0.5) for _, v in inside))
+    got = {
+        r["s_suppkey"]: (r["n_events"], r["sum_value_c"])
+        for r in q_range_join(str(tmp_path)).take_all()
+    }
+    assert got == want
+    # every interval spans ≥ 2 buckets and sees both of its bounds
+    assert all(n >= 6 for n, _ in got.values())

@@ -362,103 +362,6 @@ def test_keep_best_planted(ray_session, tmp_path):
     assert kept == [3, 10]
 
 
-def test_incremental_store_missing_partitions(ray_session, tmp_path):
-    """A band store may lack partitions for buckets only NEW docs hash
-    to (and an empty/first-run store has none at all): the store plan
-    must degrade to new-only banding, which with new_min_id=0 equals a
-    plain full run over the batch."""
-    import ray
-
-    from rust_geo_booleanop_ray.stages.dedup import (
-        MinHasher,
-        incremental_minhash_pairs,
-        incremental_minhash_pairs_store,
-        pair_reduce,
-    )
-
-    docs = pa.table(
-        {
-            "doc_id": pa.array([1, 2, 3, 4], pa.int64()),
-            "text": pa.array(
-                ["alpha beta gamma delta"] * 2 + ["zz yy xx ww vv", "unrelated"],
-                pa.string(),
-            ),
-        }
-    )
-    sigs = lambda: ray.data.from_arrow(docs).map_batches(  # noqa: E731
-        MinHasher(), batch_format="pyarrow"
-    )
-    got = sorted(
-        (r["doc_a"], r["doc_b"], r["est_jaccard"])
-        for r in pair_reduce(
-            incremental_minhash_pairs_store(
-                sigs(), str(tmp_path / "no_store"), threshold=0.5, new_min_id=0
-            ),
-            "doc_a",
-            "doc_b",
-            "est_jaccard",
-            how="max",
-        ).take_all()
-    )
-    empty = ray.data.from_arrow(
-        pa.table({"doc_id": pa.array([], pa.int64())}).add_column(
-            1, "sig", pa.array([], pa.list_(pa.int64()))
-        )
-    )
-    want = sorted(
-        (r["doc_a"], r["doc_b"], r["est_jaccard"])
-        for r in pair_reduce(
-            incremental_minhash_pairs(sigs(), empty, threshold=0.5, new_min_id=0),
-            "doc_a",
-            "doc_b",
-            "est_jaccard",
-            how="max",
-        ).take_all()
-    )
-    assert got == want
-    assert got and got[0][:2] == (1, 2) and got[0][2] == 1.0
-
-
-def test_incremental_minhash_store_runs_do_not_share_a_store(ray_session, monkeypatch, tmp_path):
-    """Two invocations write separate band stores, so one run can never
-    read or delete the other's; both match the oracle.  The corpus is
-    the first 40 documents: the SQL MinHash oracle costs ~0.15 s a doc."""
-    import duckdb
-    import pyarrow.parquet as pq
-
-    from rust_geo_booleanop_ray.pipelines.catalog.dedup import (
-        _build_incremental_minhash_sql,
-        q_incremental_minhash_store,
-    )
-    from rust_geo_booleanop_ray.stages import dedup as stages_dedup
-
-    stores = []
-    write = stages_dedup.write_band_store
-
-    def recording_write(sigs_ds, store_dir, *args, **kwargs):
-        stores.append(store_dir)
-        return write(sigs_ds, store_dir, *args, **kwargs)
-
-    sf = tmp_path / "sf"
-    sf.mkdir()
-    docs = pq.read_table(f"{SF}/documents.parquet").slice(0, 40)
-    pq.write_table(docs, str(sf / "documents.parquet"))
-
-    monkeypatch.setattr(stages_dedup, "write_band_store", recording_write)
-    first = q_incremental_minhash_store(str(sf))
-    second = q_incremental_minhash_store(str(sf))
-    assert len(stores) == 2 and stores[0] != stores[1]
-
-    con = duckdb.connect()
-    con.execute(f"CREATE VIEW documents AS SELECT * FROM read_parquet('{sf}/documents.parquet')")
-    cols = ["doc_id", "keeper", "n_dups"]
-    want = sorted(con.execute(_build_incremental_minhash_sql()).df()[cols].itertuples(index=False, name=None))
-    assert want
-    for ds in (first, second):
-        got = sorted(ds.to_pandas()[cols].itertuples(index=False, name=None))
-        assert got == want
-
-
 def test_short_text_shingle_hash_wraps_without_warning():
     """Texts of at most k code points hash as one polynomial over all
     their code points, wrapping mod 2^64 on purpose: no overflow warning,
