@@ -240,6 +240,9 @@ def bench_list():
         fn = Q.build_queries()[name]
         items.append((name, lambda fn=fn: _consume(fn(sf))))
     if ONLY:
+        unknown = sorted(set(ONLY) - {n for n, _ in items})
+        if unknown:
+            raise ValueError(f"GRAFT_BENCH_ONLY names entries not in bench_list(): {unknown}")
         items = [(n, f) for n, f in items if n in ONLY]
     return items
 
@@ -260,6 +263,8 @@ def main():
         # advertised CPU budget (children inherit affinity) so the run is
         # a faithful stand-in for a machine of that size
         os.sched_setaffinity(0, range(NUM_CPUS))
+
+    items = bench_list()  # an unknown GRAFT_BENCH_ONLY name raises here, before Ray starts
 
     import ray
 
@@ -287,7 +292,7 @@ def main():
     per_query = {}
     rows = {}
     total = 0.0
-    for name, fn in bench_list():
+    for name, fn in items:
         if warmup:
             # untimed pilot: spawns the worker pool and compiles the
             # pipeline so the timed run measures steady-state throughput

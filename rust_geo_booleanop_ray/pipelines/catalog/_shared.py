@@ -26,14 +26,6 @@ def _cents(x: np.ndarray) -> np.ndarray:
     return np.floor(x * 100.0 + 0.5).astype(np.int64)
 
 
-# bound on the dense pts×rects candidate matrix inside one cell group:
-# one pathological hot cell must never allocate an unbounded bool
-# matrix, so the product is evaluated in rect chunks of at most
-# MAX_CONTAIN_MATRIX elements.  Hot cells are not re-partitioned, so
-# this guard is what bounds a hot cell's memory.
-MAX_CONTAIN_MATRIX = 1 << 22
-
-
 # ------------------------------------------------------------------ documents
 
 

@@ -11,8 +11,9 @@ import pyarrow.compute as pc  # noqa: F401
 from ...sources.arrow_geom import shoelace_area  # noqa: F401
 from ...sources.arrow_geom import rects_to_arrow as _rect_mp_array  # noqa: F401
 from ...stages.boolean_batch import BooleanOpBatch  # noqa: F401
+from ...stages.cells import MAX_CONTAIN_MATRIX
 from ...stages.exchange import hash_exchange
-from ._shared import MAX_CONTAIN_MATRIX, _EPOCH_2024_US, _cents, _read  # noqa: F401
+from ._shared import _EPOCH_2024_US, _cents, _read  # noqa: F401
 
 
 

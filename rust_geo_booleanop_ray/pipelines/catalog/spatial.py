@@ -11,9 +11,10 @@ import pyarrow.compute as pc  # noqa: F401
 from ...sources.arrow_geom import shoelace_area  # noqa: F401
 from ...sources.arrow_geom import rects_to_arrow as _rect_mp_array  # noqa: F401
 from ...stages.boolean_batch import BooleanOpBatch  # noqa: F401
+from ...stages.cells import BUILD, PROBE, contain_chunks, side_table, split_sides
 from ...stages.exchange import hash_exchange
 from ...tuning import ACTOR_POOL
-from ._shared import MAX_CONTAIN_MATRIX, _cents, _read  # noqa: F401
+from ._shared import _cents, _read  # noqa: F401
 
 
 # ------------------------------------------------------------------ helpers
@@ -53,6 +54,21 @@ PART_RECT_SQL = """
            CAST((p_partkey * 31) % 89 AS DOUBLE) + CAST(1 + ((p_size * 3) % 7) AS DOUBLE) AS maxy
     FROM part
 """
+
+
+def _sql_gidx(expr: str, lo: float, span: float, n_side: int) -> str:
+    """DuckDB mirror of ``stages/cells.py::_grid_index`` on one axis:
+    offset, scale, clamp at 0, truncate, clamp at ``n_side - 1``."""
+    return (
+        f"least(CAST(floor(greatest((({expr}) - {lo!r}) / {span!r}, 0.0)"
+        f" * {float(n_side)!r}) AS BIGINT), {n_side - 1})"
+    )
+
+
+def _sql_spread(v: str) -> str:
+    """DuckDB Morton spread of a grid index of at most 4 bits
+    (``stages/cells.py::_part1by1``)."""
+    return f"(({v} & 1) | (({v} & 2) << 1) | (({v} & 4) << 2) | (({v} & 8) << 3))"
 
 
 def _customer_point_batch(batch: pa.Table) -> pa.Table:
@@ -169,116 +185,78 @@ Q_TILE_ASSIGN_SQL = f"""
 """
 
 
+def _customer_points(batch: pa.Table) -> pa.Table:
+    """customer rows → the point side of a cell join: each point a
+    degenerate bbox, id = c_custkey."""
+    p = _customer_point_batch(batch)
+    px, py = p["px"], p["py"]
+    return side_table(PROBE, p["c_custkey"], px, py, px, py)
+
+
+def _part_rects(batch: pa.Table, side: int = BUILD, geom: bool = False) -> pa.Table:
+    """part rows → a rect side of a cell join, id = p_partkey; ``geom``
+    adds the rect polygon (polygon joins only)."""
+    b = _part_rect_batch(batch)
+    return side_table(
+        side, b["p_partkey"], b["minx"], b["miny"], b["maxx"], b["maxy"],
+        b["footprint"] if geom else None,
+    )
+
+
+_CUSTOMER_POINTS = ("customer", ["c_custkey"], _customer_points)
+_PART_RECTS = ("part", ["p_partkey", "p_size"], _part_rects)
+
+
+def _cell_join(sf_dir: str, probe, build, kernel):
+    """The one two-sided PBSM cell join.  ``probe`` and ``build`` are
+    (table, columns, batch → ``side_table``) triples; both sides are
+    exploded to their ``KNN_RES`` cells, ONE shuffle on ``cell``
+    co-locates them, and ``kernel`` runs on each cell group.
+
+    ``explode_to_cells`` is imported here, when the plan is built, so
+    the map tasks carry the function bound at that moment: a wrapper
+    installed before the plan is built (perfbench/trace.py's) reaches
+    the workers."""
+    from ...stages.cells import explode_to_cells
+
+    def side(table: str, columns, to_side):
+        return _read(sf_dir, table, columns).map_batches(
+            lambda b: explode_to_cells(to_side(b), KNN_RES), batch_format="pyarrow"
+        )
+
+    return side(*probe).union(side(*build)).groupby("cell").map_groups(
+        kernel, batch_format="pyarrow"
+    )
+
+
 def q_pip_join(sf_dir: str):
     """Cell-partitioned spatial join: customer points inside part rects.
 
-    The engine path: both sides keyed by the shared cell space
-    (points → home cell, rects → covering cells), groupby(cell), exact
-    containment within the group.  The one plan of the pip_join oracle:
-    the ``pip_join_skew`` and ``pip_join_rtree`` names run it too.  A
-    hot cell's memory is bounded by ``_contain_join_group``'s
-    ``MAX_CONTAIN_MATRIX`` chunking, not by re-partitioning it."""
-    import ray.data as rd
-
-    from ...stages.cells import cell_encode, explode_to_cells
-
-    def point_rows(batch: pa.Table) -> pa.Table:
-        batch = _customer_point_batch(batch)
-        cells = cell_encode(batch["px"].to_numpy(), batch["py"].to_numpy(), KNN_RES)
-        return pa.table(
-            {
-                "cell": pa.array(cells.view(np.int64), pa.int64()),
-                "c_custkey": batch["c_custkey"],
-                "px": batch["px"],
-                "py": batch["py"],
-                "p_partkey": pa.array(np.zeros(batch.num_rows, dtype=np.int64)),
-                "minx": pa.array(np.zeros(batch.num_rows)),
-                "miny": pa.array(np.zeros(batch.num_rows)),
-                "maxx": pa.array(np.zeros(batch.num_rows)),
-                "maxy": pa.array(np.zeros(batch.num_rows)),
-                "side": pa.array(["point"] * batch.num_rows),
-            }
-        )
-
-    def rect_rows(batch: pa.Table) -> pa.Table:
-        batch = _part_rect_batch(batch)
-        exploded = explode_to_cells(batch, KNN_RES)
-        n = exploded.num_rows
-        return pa.table(
-            {
-                "cell": exploded["cell"],
-                "c_custkey": pa.array(np.zeros(n, dtype=np.int64)),
-                "px": pa.array(np.zeros(n)),
-                "py": pa.array(np.zeros(n)),
-                "p_partkey": exploded["p_partkey"],
-                "minx": exploded["minx"],
-                "miny": exploded["miny"],
-                "maxx": exploded["maxx"],
-                "maxy": exploded["maxy"],
-                "side": pa.array(["rect"] * n),
-            }
-        )
-
-    points = _read(sf_dir, "customer", ["c_custkey"]).map_batches(
-        point_rows, batch_format="pyarrow"
-    )
-    rects = _read(sf_dir, "part", ["p_partkey", "p_size"]).map_batches(
-        rect_rows, batch_format="pyarrow"
-    )
-    pairs = points.union(rects).groupby("cell").map_groups(
-        _contain_join_group, batch_format="pyarrow"
-    )
+    The engine path: both sides in the one cell-join layout (points →
+    their home cell as degenerate bboxes, rects → covering cells),
+    groupby(cell), exact containment within the group.  The one plan of
+    the pip_join oracle: the ``pip_join_skew`` and ``pip_join_rtree``
+    names run it too.  A hot cell's memory is bounded by
+    ``cells.contain_chunks``, not by re-partitioning it."""
     # No PBSM replica dedup needed: a point lives in exactly ONE home
     # cell, so each (rect, point) pair is emitted exactly once — the
     # oracle cross-check pins this invariant.
-    return pairs.select_columns(["p_partkey", "c_custkey"])
+    return _cell_join(sf_dir, _CUSTOMER_POINTS, _PART_RECTS, _pip_group)
 
 
-def _contain_join_group(group: pa.Table) -> pa.Table:
-    """groupby(cell) kernel: points-in-rects within one cell, chunked."""
-    is_pt = pc.equal(group["side"], "point")
-    pts = group.filter(is_pt)
-    rects = group.filter(pc.invert(is_pt))
-    if pts.num_rows == 0 or rects.num_rows == 0:
-        return pa.schema(
-            [pa.field("p_partkey", pa.int64()), pa.field("c_custkey", pa.int64())]
-        ).empty_table()
-    px = pts["px"].to_numpy()
-    py = pts["py"].to_numpy()
-    rminx = rects["minx"].to_numpy()
-    rminy = rects["miny"].to_numpy()
-    rmaxx = rects["maxx"].to_numpy()
-    rmaxy = rects["maxy"].to_numpy()
-    if len(px) * len(rminx) <= MAX_CONTAIN_MATRIX:
-        # fast path: the whole product fits under the guard — one dense
-        # evaluation, no chunk loop, no concatenate copies
-        inside = (
-            (px[None, :] >= rminx[:, None])
-            & (px[None, :] <= rmaxx[:, None])
-            & (py[None, :] >= rminy[:, None])
-            & (py[None, :] <= rmaxy[:, None])
-        )
-        ri, pi = np.nonzero(inside)
-    else:
-        chunk = max(1, MAX_CONTAIN_MATRIX // max(1, len(px)))
-        out_ri, out_pi = [], []
-        for lo in range(0, len(rminx), chunk):
-            hi = min(lo + chunk, len(rminx))
-            inside = (
-                (px[None, :] >= rminx[lo:hi, None])
-                & (px[None, :] <= rmaxx[lo:hi, None])
-                & (py[None, :] >= rminy[lo:hi, None])
-                & (py[None, :] <= rmaxy[lo:hi, None])
-            )
-            ri, pi = np.nonzero(inside)
-            out_ri.append(ri + lo)
-            out_pi.append(pi)
-        ri = np.concatenate(out_ri)
-        pi = np.concatenate(out_pi)
+def _pip_group(group: pa.Table) -> pa.Table:
+    """groupby(cell) kernel of pip_join: every (rect, point) pair with
+    the point inside the rect."""
+    pts, rects = split_sides(group)
+    ri, pi = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for lo, inside in contain_chunks(pts, rects):
+        r, p = np.nonzero(inside)
+        ri.append(r + lo)
+        pi.append(p)
     return pa.table(
         {
-            "p_partkey": rects["p_partkey"].take(pa.array(ri)),
-            "c_custkey": pts["c_custkey"].take(pa.array(pi)),
+            "p_partkey": rects["id"].take(pa.array(np.concatenate(ri))),
+            "c_custkey": pts["id"].take(pa.array(np.concatenate(pi))),
         }
     )
 
@@ -366,18 +344,21 @@ def q_spatial_knn(sf_dir: str):
 
     from ...stages.knn import knn_pipeline
 
-    pts = _read(sf_dir, "customer", ["c_custkey"]).map_batches(
-        lambda b: pa.table(
+    def points(b: pa.Table) -> pa.Table:
+        p = _customer_point_batch(b)
+        return pa.table(
             {
-                "c_custkey": b["c_custkey"],
-                "cx": _customer_point_batch(b)["px"],
-                "cy": _customer_point_batch(b)["py"],
+                "c_custkey": p["c_custkey"],
+                "cx": p["px"],
+                "cy": p["py"],
                 # query predicate pushed INTO the operator: replicas and
                 # the per-query merge stay O(|queries|), not O(corpus)
-                "is_query": pc.less_equal(b["c_custkey"], 20),
+                "is_query": pc.less_equal(p["c_custkey"], 20),
             }
-        ),
-        batch_format="pyarrow",
+        )
+
+    pts = _read(sf_dir, "customer", ["c_custkey"]).map_batches(
+        points, batch_format="pyarrow"
     )
     return knn_pipeline(
         pts, k=KNN_K, res=KNN_RES, id_col="c_custkey", query_col="is_query"
@@ -764,7 +745,7 @@ def _build_tile_coverage_sql(n_images: int = 1000, tile_res: int = 4, px: int = 
     """SQL mirror of q_tile_coverage (see its docstring).  The quad
     parameter literals come from footprint_params — the same
     deterministic generator math the engine runs, NOT engine output."""
-    assert tile_res == 4, "Morton spread below is written for 4-bit indices"
+    assert tile_res == 4, "_sql_spread is written for 4-bit indices"
     from ...stages.footprint import footprint_params
 
     cx, cy, ct, st, hw, hh = footprint_params(np.arange(n_images, dtype=np.int64))
@@ -781,15 +762,6 @@ def _build_tile_coverage_sql(n_images: int = 1000, tile_res: int = 4, px: int = 
     sx = wx / px  # 1.40625, exact dyadic
     sy = wy / px  # 0.703125, exact dyadic
 
-    def gidx(expr: str, lo: float, span: float) -> str:
-        return (
-            f"least(CAST(floor(greatest((({expr}) - {lo!r}) / {span!r}, 0.0)"
-            f" * {float(n_side)!r}) AS BIGINT), {n_side - 1})"
-        )
-
-    def spread(v: str) -> str:
-        return f"(({v} & 1) | (({v} & 2) << 1) | (({v} & 4) << 2) | (({v} & 8) << 3))"
-
     return f"""
     WITH q(cx, cy, ct, st, hw, hh) AS (VALUES
       {rows}
@@ -801,10 +773,10 @@ def _build_tile_coverage_sql(n_images: int = 1000, tile_res: int = 4, px: int = 
     ),
     g AS (
       SELECT *,
-             {gidx("cx - ex", -180.0, 360.0)} AS ix0,
-             {gidx("cx + ex", -180.0, 360.0)} AS ix1,
-             {gidx("cy - ey", -90.0, 180.0)} AS iy0,
-             {gidx("cy + ey", -90.0, 180.0)} AS iy1
+             {_sql_gidx("cx - ex", -180.0, 360.0, n_side)} AS ix0,
+             {_sql_gidx("cx + ex", -180.0, 360.0, n_side)} AS ix1,
+             {_sql_gidx("cy - ey", -90.0, 180.0, n_side)} AS iy0,
+             {_sql_gidx("cy + ey", -90.0, 180.0, n_side)} AS iy1
       FROM qb
     ),
     pairs AS (
@@ -815,7 +787,7 @@ def _build_tile_coverage_sql(n_images: int = 1000, tile_res: int = 4, px: int = 
     tiles AS (
       SELECT *,
              (CAST({tile_res} AS BIGINT) << 58)
-               | {spread("ix")} | ({spread("iy")} << 1) AS tile_id,
+               | {_sql_spread("ix")} | ({_sql_spread("iy")} << 1) AS tile_id,
              -180.0 + CAST(ix AS DOUBLE) * {wx!r} AS tx0,
              -90.0 + CAST(iy AS DOUBLE) * {wy!r} AS ty0
       FROM pairs
@@ -984,7 +956,7 @@ def _build_tile_mosaic_sql(n_images: int = MOSAIC_N, tile_res: int = 4) -> str:
     stats from the generator math (never engine output), the same
     integer grid-cover + Morton arithmetic as the tile_coverage
     oracle, then ROW_NUMBER argmax per tile."""
-    assert tile_res == 4, "Morton spread below is written for 4-bit indices"
+    assert tile_res == 4, "_sql_spread is written for 4-bit indices"
     from ...sources.images import expected_quality_stats
     from ...stages.footprint import footprint_params
 
@@ -1000,15 +972,6 @@ def _build_tile_mosaic_sql(n_images: int = MOSAIC_N, tile_res: int = 4) -> str:
     )
     n_side = 2**tile_res
 
-    def gidx(expr: str, lo: float, span: float) -> str:
-        return (
-            f"least(CAST(floor(greatest((({expr}) - {lo!r}) / {span!r}, 0.0)"
-            f" * {float(n_side)!r}) AS BIGINT), {n_side - 1})"
-        )
-
-    def spread(v: str) -> str:
-        return f"(({v} & 1) | (({v} & 2) << 1) | (({v} & 4) << 2) | (({v} & 8) << 3))"
-
     return f"""
     WITH q(idx, cx, cy, ct, st, hw, hh, bright) AS (VALUES
       {rows}
@@ -1020,10 +983,10 @@ def _build_tile_mosaic_sql(n_images: int = MOSAIC_N, tile_res: int = 4) -> str:
     ),
     g AS (
       SELECT *,
-             {gidx("cx - ex", -180.0, 360.0)} AS ix0,
-             {gidx("cx + ex", -180.0, 360.0)} AS ix1,
-             {gidx("cy - ey", -90.0, 180.0)} AS iy0,
-             {gidx("cy + ey", -90.0, 180.0)} AS iy1
+             {_sql_gidx("cx - ex", -180.0, 360.0, n_side)} AS ix0,
+             {_sql_gidx("cx + ex", -180.0, 360.0, n_side)} AS ix1,
+             {_sql_gidx("cy - ey", -90.0, 180.0, n_side)} AS iy0,
+             {_sql_gidx("cy + ey", -90.0, 180.0, n_side)} AS iy1
       FROM qb
     ),
     pairs AS (
@@ -1034,7 +997,7 @@ def _build_tile_mosaic_sql(n_images: int = MOSAIC_N, tile_res: int = 4) -> str:
     tiles AS (
       SELECT idx, bright,
              (CAST({tile_res} AS BIGINT) << 58)
-               | {spread("ix")} | ({spread("iy")} << 1) AS tile_id
+               | {_sql_spread("ix")} | ({_sql_spread("iy")} << 1) AS tile_id
       FROM pairs
     )
     SELECT tile_id, idx AS img_idx, bright AS bright_sum
@@ -1160,9 +1123,11 @@ def _supplier_rect_batch(batch: pa.Table) -> pa.Table:
 def q_poly_join_big(sf_dir: str):
     """Big×big cell-partitioned spatial join + clip (PBSM): part rects
     × supplier rects where NEITHER side is broadcast — the 100-TB
-    shape.  Both sides explode to their covering cells, ONE shuffle on
-    the shared cell key co-locates them, and each cell group joins
-    locally via STR-tree candidates + one ``boolean_batch`` call
+    shape.  Both sides, in the one cell-join layout (int64 ids = the
+    keys, one ``geom`` each), explode to their covering cells, ONE
+    shuffle on the shared cell key co-locates them (``_cell_join``), and
+    each cell group joins locally via STR-tree candidates + one
+    ``boolean_batch`` call
     (stages/join_clip.py::join_cells_within_group).  Every candidate
     is a rect ∩ rect row, so ``boolean_batch`` answers it with the
     closed-form overlap rect or the empty result
@@ -1178,69 +1143,38 @@ def q_poly_join_big(sf_dir: str):
     make the exact Martinez clip area closed-form for the oracle; only
     positive-area intersections are kept (edge-touching rects clip to
     an empty multipolygon)."""
-    from ...stages.cells import explode_to_cells
     from ...stages.join_clip import join_cells_within_group_dedup
 
-    def probe_rows(batch: pa.Table) -> pa.Table:
-        batch = _part_rect_batch(batch)
-        n = batch.num_rows
-        t = pa.table(
-            {
-                "image_id": pc.cast(batch["p_partkey"], pa.string()),
-                "tile_id": pa.array(np.zeros(n, dtype=np.int64)),
-                "footprint": batch["footprint"],
-                "geom": batch["footprint"],
-                "minx": batch["minx"],
-                "miny": batch["miny"],
-                "maxx": batch["maxx"],
-                "maxy": batch["maxy"],
-                "side": pa.array(["probe"] * n),
-            }
-        )
-        return explode_to_cells(t, KNN_RES)
-
-    def build_rows(batch: pa.Table) -> pa.Table:
-        batch = _supplier_rect_batch(batch)
-        n = batch.num_rows
-        t = pa.table(
-            {
-                "image_id": pa.array([""] * n, pa.string()),
-                "tile_id": batch["s_suppkey"],
-                "footprint": batch["geom"],
-                "geom": batch["geom"],
-                "minx": batch["minx"],
-                "miny": batch["miny"],
-                "maxx": batch["maxx"],
-                "maxy": batch["maxy"],
-                "side": pa.array(["build"] * n),
-            }
-        )
-        return explode_to_cells(t, KNN_RES)
-
-    probe = _read(sf_dir, "part", ["p_partkey", "p_size"]).map_batches(
-        probe_rows, batch_format="pyarrow"
-    )
-    build = _read(sf_dir, "supplier", ["s_suppkey"]).map_batches(
-        build_rows, batch_format="pyarrow"
-    )
-    joined = (
-        probe.union(build)
-        .groupby("cell")
-        .map_groups(join_cells_within_group_dedup, batch_format="pyarrow")
+    joined = _cell_join(
+        sf_dir,
+        ("part", ["p_partkey", "p_size"], _part_polys),
+        ("supplier", ["s_suppkey"], _supplier_polys),
+        join_cells_within_group_dedup,
     )
 
     def finalize(batch: pa.Table) -> pa.Table:
         area = batch["clip_area"].to_numpy().astype(np.int64)
         out = pa.table(
             {
-                "p_partkey": pc.cast(batch["image_id"], pa.int64()),
-                "s_suppkey": batch["tile_id"],
+                "p_partkey": batch["probe_id"],
+                "s_suppkey": batch["build_id"],
                 "clip_area": pa.array(area, pa.int64()),
             }
         )
         return out.filter(pc.greater_equal(out["clip_area"], 1))
 
     return joined.map_batches(finalize, batch_format="pyarrow")
+
+
+def _part_polys(batch: pa.Table) -> pa.Table:
+    return _part_rects(batch, PROBE, geom=True)
+
+
+def _supplier_polys(batch: pa.Table) -> pa.Table:
+    b = _supplier_rect_batch(batch)
+    return side_table(
+        BUILD, b["s_suppkey"], b["minx"], b["miny"], b["maxx"], b["maxy"], b["geom"]
+    )
 
 
 Q_POLY_JOIN_BIG_SQL = f"""
@@ -1382,19 +1316,10 @@ def q_focal_sum(sf_dir: str):
 def _build_focal_sum_sql() -> str:
     n_side = 2**FOCAL_RES
 
-    def spread(v: str) -> str:
-        return f"(({v} & 1) | (({v} & 2) << 1) | (({v} & 4) << 2) | (({v} & 8) << 3))"
-
-    def gidx(expr: str, lo: float, span: float) -> str:
-        return (
-            f"least(CAST(floor(greatest((({expr}) - {lo!r}) / {span!r}, 0.0)"
-            f" * {float(n_side)!r}) AS BIGINT), {n_side - 1})"
-        )
-
     return f"""
     WITH p AS ({CUSTOMER_POINT_SQL}),
     g AS (
-      SELECT {gidx("px", -180.0, 360.0)} AS ix, {gidx("py", -90.0, 180.0)} AS iy
+      SELECT {_sql_gidx("px", -180.0, 360.0, n_side)} AS ix, {_sql_gidx("py", -90.0, 180.0, n_side)} AS iy
       FROM p
     ),
     h AS (SELECT ix, iy, CAST(COUNT(*) AS BIGINT) AS n FROM g GROUP BY ix, iy),
@@ -1408,7 +1333,7 @@ def _build_focal_sum_sql() -> str:
         AND h.iy + dy.o BETWEEN 0 AND {n_side - 1}
     )
     SELECT (CAST({FOCAL_RES} AS BIGINT) << 58)
-             | {spread("ix")} | ({spread("iy")} << 1) AS cell,
+             | {_sql_spread("ix")} | ({_sql_spread("iy")} << 1) AS cell,
            CAST(SUM(n_self) AS BIGINT) AS n_self,
            CAST(SUM(n_focal) AS BIGINT) AS n_focal
     FROM f GROUP BY 1
@@ -1458,23 +1383,14 @@ def _build_cell_rollup_sql() -> str:
     ((x-lo)/span, clamp, truncate) and 4-bit Morton spread per level,
     unioned, then COUNT per cell."""
 
-    def spread(v: str) -> str:
-        return f"(({v} & 1) | (({v} & 2) << 1) | (({v} & 4) << 2) | (({v} & 8) << 3))"
-
-    def gidx(expr: str, lo: float, span: float, n_side: int) -> str:
-        return (
-            f"least(CAST(floor(greatest((({expr}) - {lo!r}) / {span!r}, 0.0)"
-            f" * {float(n_side)!r}) AS BIGINT), {n_side - 1})"
-        )
-
     parts = []
     for r in CELL_ROLLUP_LEVELS:
         n_side = 2**r
-        gx = gidx("px", -180.0, 360.0, n_side)
-        gy = gidx("py", -90.0, 180.0, n_side)
+        gx = _sql_gidx("px", -180.0, 360.0, n_side)
+        gy = _sql_gidx("py", -90.0, 180.0, n_side)
         parts.append(
-            f"SELECT (CAST({r} AS BIGINT) << 58) | {spread(gx)}"
-            f" | ({spread(gy)} << 1) AS cell FROM pts"
+            f"SELECT (CAST({r} AS BIGINT) << 58) | {_sql_spread(gx)}"
+            f" | ({_sql_spread(gy)} << 1) AS cell FROM pts"
         )
     union = "\n      UNION ALL\n      ".join(parts)
     return f"""
@@ -1576,44 +1492,26 @@ def q_cell_uncompact(sf_dir: str):
 
 
 def _build_cell_uncompact_sql() -> str:
-    def spread(v: str) -> str:
-        return f"(({v} & 1) | (({v} & 2) << 1) | (({v} & 4) << 2) | (({v} & 8) << 3))"
-
-    def gidx(expr: str, lo: float, span: float, n_side: int) -> str:
-        return (
-            f"least(CAST(floor(greatest((({expr}) - {lo!r}) / {span!r}, 0.0)"
-            f" * {float(n_side)!r}) AS BIGINT), {n_side - 1})"
-        )
-
     R = CELL_COMPACT_RES
     n_side = 2**R
-    gx = gidx("px", -180.0, 360.0, n_side)
-    gy = gidx("py", -90.0, 180.0, n_side)
+    gx = _sql_gidx("px", -180.0, 360.0, n_side)
+    gy = _sql_gidx("py", -90.0, 180.0, n_side)
     return f"""
     WITH pts AS ({CUSTOMER_POINT_SQL})
     SELECT DISTINCT (CAST({R} AS BIGINT) << 58)
-           | {spread(gx)} | ({spread(gy)} << 1) AS cell
+           | {_sql_spread(gx)} | ({_sql_spread(gy)} << 1) AS cell
     FROM pts
 """
 
 
 def _build_cell_compact_sql() -> str:
-    def spread(v: str) -> str:
-        return f"(({v} & 1) | (({v} & 2) << 1) | (({v} & 4) << 2) | (({v} & 8) << 3))"
-
-    def gidx(expr: str, lo: float, span: float, n_side: int) -> str:
-        return (
-            f"least(CAST(floor(greatest((({expr}) - {lo!r}) / {span!r}, 0.0)"
-            f" * {float(n_side)!r}) AS BIGINT), {n_side - 1})"
-        )
-
     R = CELL_COMPACT_RES
     n_side = 2**R
-    gx = gidx("px", -180.0, 360.0, n_side)
-    gy = gidx("py", -90.0, 180.0, n_side)
+    gx = _sql_gidx("px", -180.0, 360.0, n_side)
+    gy = _sql_gidx("py", -90.0, 180.0, n_side)
     return f"""
     WITH pts AS ({CUSTOMER_POINT_SQL}),
-    c4 AS (SELECT DISTINCT {spread(gx)} | ({spread(gy)} << 1) AS m FROM pts),
+    c4 AS (SELECT DISTINCT {_sql_spread(gx)} | ({_sql_spread(gy)} << 1) AS m FROM pts),
     f3 AS (SELECT m >> 2 AS m FROM c4 GROUP BY m >> 2 HAVING COUNT(*) = 4),
     k4 AS (SELECT m FROM c4 WHERE m >> 2 NOT IN (SELECT m FROM f3)),
     f2 AS (SELECT m >> 2 AS m FROM f3 GROUP BY m >> 2 HAVING COUNT(*) = 4),
@@ -1635,79 +1533,22 @@ def q_spatial_antijoin(sf_dir: str):
     dedup.  The rect side is a keyed subset (p_partkey % 29 == 0) so
     the anti-set is non-trivial at every tested scale — full coverage
     would make the query vacuous."""
-    from ...stages.cells import cell_encode, explode_to_cells
+    rects = ("part", ["p_partkey", "p_size"], _antijoin_rects)
+    return _cell_join(sf_dir, _CUSTOMER_POINTS, rects, _antijoin_group)
 
-    def point_rows(batch: pa.Table) -> pa.Table:
-        batch = _customer_point_batch(batch)
-        cells = cell_encode(batch["px"].to_numpy(), batch["py"].to_numpy(), KNN_RES)
-        n = batch.num_rows
-        return pa.table(
-            {
-                "cell": pa.array(cells.view(np.int64), pa.int64()),
-                "c_custkey": batch["c_custkey"],
-                "px": batch["px"],
-                "py": batch["py"],
-                "minx": pa.array(np.zeros(n)),
-                "miny": pa.array(np.zeros(n)),
-                "maxx": pa.array(np.zeros(n)),
-                "maxy": pa.array(np.zeros(n)),
-                "side": pa.array(["point"] * n),
-            }
-        )
 
-    def rect_rows(batch: pa.Table) -> pa.Table:
-        batch = batch.filter(pa.array(batch["p_partkey"].to_numpy() % 29 == 0))
-        batch = _part_rect_batch(batch)
-        exploded = explode_to_cells(batch, KNN_RES)
-        n = exploded.num_rows
-        return pa.table(
-            {
-                "cell": exploded["cell"],
-                "c_custkey": pa.array(np.zeros(n, dtype=np.int64)),
-                "px": pa.array(np.zeros(n)),
-                "py": pa.array(np.zeros(n)),
-                "minx": exploded["minx"],
-                "miny": exploded["miny"],
-                "maxx": exploded["maxx"],
-                "maxy": exploded["maxy"],
-                "side": pa.array(["rect"] * n),
-            }
-        )
+def _antijoin_rects(batch: pa.Table) -> pa.Table:
+    return _part_rects(batch.filter(pa.array(batch["p_partkey"].to_numpy() % 29 == 0)))
 
-    def anti_group(group: pa.Table) -> pa.Table:
-        is_pt = pc.equal(group["side"], "point")
-        pts = group.filter(is_pt)
-        if pts.num_rows == 0:
-            return pa.schema([pa.field("c_custkey", pa.int64())]).empty_table()
-        rects = group.filter(pc.invert(is_pt))
-        px = pts["px"].to_numpy()
-        py = pts["py"].to_numpy()
-        matched = np.zeros(len(px), dtype=bool)
-        rminx = rects["minx"].to_numpy()
-        rminy = rects["miny"].to_numpy()
-        rmaxx = rects["maxx"].to_numpy()
-        rmaxy = rects["maxy"].to_numpy()
-        chunk = max(1, MAX_CONTAIN_MATRIX // max(1, len(px)))
-        for lo in range(0, len(rminx), chunk):
-            hi = min(lo + chunk, len(rminx))
-            inside = (
-                (px[None, :] >= rminx[lo:hi, None])
-                & (px[None, :] <= rmaxx[lo:hi, None])
-                & (py[None, :] >= rminy[lo:hi, None])
-                & (py[None, :] <= rmaxy[lo:hi, None])
-            )
-            matched |= inside.any(axis=0)
-        return pa.table({"c_custkey": pts["c_custkey"].filter(pa.array(~matched))})
 
-    points = _read(sf_dir, "customer", ["c_custkey"]).map_batches(
-        point_rows, batch_format="pyarrow"
-    )
-    rects = _read(sf_dir, "part", ["p_partkey", "p_size"]).map_batches(
-        rect_rows, batch_format="pyarrow"
-    )
-    return points.union(rects).groupby("cell").map_groups(
-        anti_group, batch_format="pyarrow"
-    )
+def _antijoin_group(group: pa.Table) -> pa.Table:
+    """groupby(cell) kernel of spatial_antijoin: the points of the cell
+    that no rect contains."""
+    pts, rects = split_sides(group)
+    matched = np.zeros(pts.num_rows, dtype=bool)
+    for _, inside in contain_chunks(pts, rects):
+        matched |= inside.any(axis=0)
+    return pa.table({"c_custkey": pts["id"].filter(pa.array(~matched))})
 
 
 Q_SPATIAL_ANTIJOIN_SQL = f"""
@@ -1729,15 +1570,9 @@ def q_dist_join(sf_dir: str):
     are integer lattice points so d² is integer-exact."""
     from ...stages.dist_join import dist_join_pipeline
 
+    # customer is read as c_custkey only, so this is (c_custkey, px, py)
     pts = _read(sf_dir, "customer", ["c_custkey"]).map_batches(
-        lambda b: pa.table(
-            {
-                "c_custkey": b["c_custkey"],
-                "px": _customer_point_batch(b)["px"],
-                "py": _customer_point_batch(b)["py"],
-            }
-        ),
-        batch_format="pyarrow",
+        _customer_point_batch, batch_format="pyarrow"
     )
     return dist_join_pipeline(
         pts, eps=5.0, res=5, id_col="c_custkey", x_col="px", y_col="py"
@@ -1764,101 +1599,31 @@ def q_zonal_stats(sf_dir: str):
     partial row per (cell, zone), never the raw pairs; a point
     belongs to one home cell, so partials are disjoint and sum
     exactly.  Metric = c_custkey % 1000 (integer-exact)."""
-    from ...stages.cells import cell_encode, explode_to_cells
     from ...stages.pivot import bucketed_wide_sum
 
-    def point_rows(batch: pa.Table) -> pa.Table:
-        batch = _customer_point_batch(batch)
-        cells = cell_encode(batch["px"].to_numpy(), batch["py"].to_numpy(), KNN_RES)
-        n = batch.num_rows
-        metric = (batch["c_custkey"].to_numpy() % 1000).astype(np.int64)
-        return pa.table(
-            {
-                "cell": pa.array(cells.view(np.int64), pa.int64()),
-                "metric": pa.array(metric),
-                "px": batch["px"],
-                "py": batch["py"],
-                "p_partkey": pa.array(np.zeros(n, dtype=np.int64)),
-                "minx": pa.array(np.zeros(n)),
-                "miny": pa.array(np.zeros(n)),
-                "maxx": pa.array(np.zeros(n)),
-                "maxy": pa.array(np.zeros(n)),
-                "side": pa.array(["point"] * n),
-            }
-        )
-
-    def rect_rows(batch: pa.Table) -> pa.Table:
-        batch = _part_rect_batch(batch)
-        exploded = explode_to_cells(batch, KNN_RES)
-        n = exploded.num_rows
-        return pa.table(
-            {
-                "cell": exploded["cell"],
-                "metric": pa.array(np.zeros(n, dtype=np.int64)),
-                "px": pa.array(np.zeros(n)),
-                "py": pa.array(np.zeros(n)),
-                "p_partkey": exploded["p_partkey"],
-                "minx": exploded["minx"],
-                "miny": exploded["miny"],
-                "maxx": exploded["maxx"],
-                "maxy": exploded["maxy"],
-                "side": pa.array(["rect"] * n),
-            }
-        )
-
-    def zonal_group(group: pa.Table) -> pa.Table:
-        empty = pa.schema(
-            [
-                pa.field("p_partkey", pa.int64()),
-                pa.field("n_points", pa.int64()),
-                pa.field("sum_metric", pa.int64()),
-            ]
-        ).empty_table()
-        is_pt = pc.equal(group["side"], "point")
-        pts = group.filter(is_pt)
-        rects = group.filter(pc.invert(is_pt))
-        if pts.num_rows == 0 or rects.num_rows == 0:
-            return empty
-        px = pts["px"].to_numpy()
-        py = pts["py"].to_numpy()
-        metric = pts["metric"].to_numpy()
-        rminx = rects["minx"].to_numpy()
-        rminy = rects["miny"].to_numpy()
-        rmaxx = rects["maxx"].to_numpy()
-        rmaxy = rects["maxy"].to_numpy()
-        n_r = len(rminx)
-        counts = np.zeros(n_r, dtype=np.int64)
-        sums = np.zeros(n_r, dtype=np.int64)
-        chunk = max(1, MAX_CONTAIN_MATRIX // max(1, len(px)))
-        for lo in range(0, n_r, chunk):
-            hi = min(lo + chunk, n_r)
-            inside = (
-                (px[None, :] >= rminx[lo:hi, None])
-                & (px[None, :] <= rmaxx[lo:hi, None])
-                & (py[None, :] >= rminy[lo:hi, None])
-                & (py[None, :] <= rmaxy[lo:hi, None])
-            )
-            counts[lo:hi] = inside.sum(axis=1)
-            sums[lo:hi] = inside @ metric
-        keep = counts > 0
-        return pa.table(
-            {
-                "p_partkey": rects["p_partkey"].filter(pa.array(keep)),
-                "n_points": pa.array(counts[keep]),
-                "sum_metric": pa.array(sums[keep]),
-            }
-        )
-
-    points = _read(sf_dir, "customer", ["c_custkey"]).map_batches(
-        point_rows, batch_format="pyarrow"
-    )
-    rects = _read(sf_dir, "part", ["p_partkey", "p_size"]).map_batches(
-        rect_rows, batch_format="pyarrow"
-    )
-    partials = points.union(rects).groupby("cell").map_groups(
-        zonal_group, batch_format="pyarrow"
-    )
+    partials = _cell_join(sf_dir, _CUSTOMER_POINTS, _PART_RECTS, _zonal_group)
     return bucketed_wide_sum(partials, "p_partkey", ["n_points", "sum_metric"])
+
+
+def _zonal_group(group: pa.Table) -> pa.Table:
+    """groupby(cell) kernel of zonal_stats: per rect of the cell, the
+    count and metric sum of the cell's points inside it (rects with no
+    point dropped)."""
+    pts, rects = split_sides(group)
+    metric = pts["id"].to_numpy() % 1000
+    counts = np.zeros(rects.num_rows, dtype=np.int64)
+    sums = np.zeros(rects.num_rows, dtype=np.int64)
+    for lo, inside in contain_chunks(pts, rects):
+        counts[lo : lo + len(inside)] = inside.sum(axis=1)
+        sums[lo : lo + len(inside)] = inside @ metric
+    keep = counts > 0
+    return pa.table(
+        {
+            "p_partkey": rects["id"].filter(pa.array(keep)),
+            "n_points": pa.array(counts[keep]),
+            "sum_metric": pa.array(sums[keep]),
+        }
+    )
 
 
 Q_ZONAL_STATS_SQL = f"""
@@ -2271,80 +2036,19 @@ def q_areal_interp(sf_dir: str):
     kept integer-exact by per-pair floor division at ×10⁶ scale
     (mirrored op-for-op in the SQL).
 
-    Scale shape end-to-end: the pair stream comes from the same PBSM
-    cell-partitioned join as poly_join_big (both sides exploded to
-    cells, ONE shuffle, reference-cell duplicate avoidance, whole-batch
-    native clip); source attributes rejoin by key through ONE bucketed
+    Scale shape end-to-end: the pair stream IS poly_join_big's (the
+    same rows, ``clip_area`` renamed ``inter_area``: both sides exploded
+    to cells, ONE shuffle, reference-cell duplicate avoidance,
+    whole-batch exact clip); source attributes rejoin by key through ONE bucketed
     hash join (pair streams never carry payloads through the spatial
     shuffle); and the per-target rollup is block partials + the shared
     key-hash bucketed reduceat merge — suppliers are rows-cardinality
     at scale, never a generic per-key aggregate.  Nothing lands on the
     driver."""
-    from ...stages.cells import explode_to_cells
     from ...stages.join import shuffle_hash_join
-    from ...stages.join_clip import join_cells_within_group_dedup
     from ...stages.pivot import bucketed_wide_sum
 
-    def probe_rows(batch: pa.Table) -> pa.Table:
-        batch = _part_rect_batch(batch)
-        n = batch.num_rows
-        t = pa.table(
-            {
-                "image_id": pc.cast(batch["p_partkey"], pa.string()),
-                "tile_id": pa.array(np.zeros(n, dtype=np.int64)),
-                "footprint": batch["footprint"],
-                "geom": batch["footprint"],
-                "minx": batch["minx"],
-                "miny": batch["miny"],
-                "maxx": batch["maxx"],
-                "maxy": batch["maxy"],
-                "side": pa.array(["probe"] * n),
-            }
-        )
-        return explode_to_cells(t, KNN_RES)
-
-    def build_rows(batch: pa.Table) -> pa.Table:
-        batch = _supplier_rect_batch(batch)
-        n = batch.num_rows
-        t = pa.table(
-            {
-                "image_id": pa.array([""] * n, pa.string()),
-                "tile_id": batch["s_suppkey"],
-                "footprint": batch["geom"],
-                "geom": batch["geom"],
-                "minx": batch["minx"],
-                "miny": batch["miny"],
-                "maxx": batch["maxx"],
-                "maxy": batch["maxy"],
-                "side": pa.array(["build"] * n),
-            }
-        )
-        return explode_to_cells(t, KNN_RES)
-
-    probe = _read(sf_dir, "part", ["p_partkey", "p_size"]).map_batches(
-        probe_rows, batch_format="pyarrow"
-    )
-    build = _read(sf_dir, "supplier", ["s_suppkey"]).map_batches(
-        build_rows, batch_format="pyarrow"
-    )
-    pairs = (
-        probe.union(build)
-        .groupby("cell")
-        .map_groups(join_cells_within_group_dedup, batch_format="pyarrow")
-    )
-
-    def pair_rows(batch: pa.Table) -> pa.Table:
-        area = batch["clip_area"].to_numpy().astype(np.int64)
-        out = pa.table(
-            {
-                "p_partkey": pc.cast(batch["image_id"], pa.int64()),
-                "s_suppkey": batch["tile_id"],
-                "inter_area": pa.array(area, pa.int64()),
-            }
-        )
-        return out.filter(pc.greater_equal(out["inter_area"], 1))
-
-    pairs = pairs.map_batches(pair_rows, batch_format="pyarrow")
+    pairs = q_poly_join_big(sf_dir).rename_columns({"clip_area": "inter_area"})
 
     # source attribute table: value (retail-price cents) + exact rect area
     def src_attrs(batch: pa.Table) -> pa.Table:

@@ -9,18 +9,37 @@ partitioning key reused across every wide stage (groupby, join,
 tiling, kNN), per the single-key design rule.
 
 ``cover_bbox`` replicates a geometry to every cell its bbox overlaps
-(PBSM replicate-to-cells).  Hot cells are not re-split: the
+(PBSM replicate-to-cells).
+
+Two-sided cell joins (PBSM: pip, antijoin, zonal stats, poly join,
+areal interpolation) share one side layout, built by ``side_table``
+and exploded by ``explode_to_cells``: ``side`` int8 (``PROBE`` = 0 for
+points and probe polygons, ``BUILD`` = 1 for rects and build
+polygons), one int64 ``id``, the bbox ``minx miny maxx maxy`` and, for
+polygon joins only, ``geom``.  A point is a degenerate bbox, so it
+lands in exactly the cell ``cell_encode`` gives it.  ``split_sides``
+takes one cell group apart again.  Hot cells are not re-split: the
 within-cell kernels bound their memory by chunking instead
-(``pipelines/catalog/_shared.py::MAX_CONTAIN_MATRIX``).
+(``contain_chunks`` and ``MAX_CONTAIN_MATRIX``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 WORLD = (-180.0, -90.0, 180.0, 90.0)
 MAX_RES = 28  # 2*28 = 56 morton bits + 6 resolution bits
+
+# side tags of a two-sided cell join (the int8 ``side`` column)
+PROBE, BUILD = 0, 1
+
+# bound on one dense candidate matrix inside a cell group: a hot cell
+# must never allocate an unbounded bool matrix, so within-cell kernels
+# evaluate their products in chunks of at most this many elements.
+# Hot cells are not re-partitioned, so this is what bounds their memory.
+MAX_CONTAIN_MATRIX = 1 << 22
 
 
 def _part1by1(v: np.ndarray) -> np.ndarray:
@@ -143,14 +162,60 @@ def cover_bbox(minx, miny, maxx, maxy, res: int):
     return row_idx, cells
 
 
-def explode_to_cells(batch: pa.Table, res: int, bbox_cols=("minx", "miny", "maxx", "maxy"), cell_col: str = "cell") -> pa.Table:
-    """Batch transform: replicate each row to every covering cell."""
+def explode_to_cells(batch: pa.Table, res: int, cell_col: str = "cell") -> pa.Table:
+    """Batch transform: replicate each row to every cell its
+    ``minx miny maxx maxy`` bbox covers."""
     row_idx, cells = cover_bbox(
-        batch[bbox_cols[0]].to_numpy(),
-        batch[bbox_cols[1]].to_numpy(),
-        batch[bbox_cols[2]].to_numpy(),
-        batch[bbox_cols[3]].to_numpy(),
+        batch["minx"].to_numpy(),
+        batch["miny"].to_numpy(),
+        batch["maxx"].to_numpy(),
+        batch["maxy"].to_numpy(),
         res,
     )
     out = batch.take(pa.array(row_idx))
     return out.append_column(cell_col, pa.array(cells.view(np.int64), pa.int64()))
+
+
+def side_table(side: int, ids, minx, miny, maxx, maxy, geom=None) -> pa.Table:
+    """One side of a two-sided cell join, ready for ``explode_to_cells``:
+    ``side`` (``PROBE`` or ``BUILD``), int64 ``id``, bbox, and ``geom``
+    when given.  Pass a point as ``minx = maxx = x``, ``miny = maxy = y``."""
+    cols = {
+        "side": pa.array(np.full(len(ids), side, np.int8)),
+        "id": pa.array(ids, pa.int64()),
+        "minx": pa.array(minx, pa.float64()),
+        "miny": pa.array(miny, pa.float64()),
+        "maxx": pa.array(maxx, pa.float64()),
+        "maxy": pa.array(maxy, pa.float64()),
+    }
+    if geom is not None:
+        cols["geom"] = geom
+    return pa.table(cols)
+
+
+def split_sides(group: pa.Table):
+    """One cell group of a two-sided join → (probe rows, build rows)."""
+    is_build = pc.equal(group["side"], BUILD)
+    return group.filter(pc.invert(is_build)), group.filter(is_build)
+
+
+def contain_chunks(points: pa.Table, rects: pa.Table):
+    """Yield ``(lo, inside)`` over chunks of ``rects``: ``inside[i, j]``
+    says point j lies in rect ``lo + i``, bounds included.  Points are
+    degenerate bboxes (their ``minx``/``miny``); each matrix holds at
+    most ``MAX_CONTAIN_MATRIX`` elements, or one rect row."""
+    px = points["minx"].to_numpy()
+    py = points["miny"].to_numpy()
+    rminx = rects["minx"].to_numpy()
+    rminy = rects["miny"].to_numpy()
+    rmaxx = rects["maxx"].to_numpy()
+    rmaxy = rects["maxy"].to_numpy()
+    chunk = max(1, MAX_CONTAIN_MATRIX // max(1, len(px)))
+    for lo in range(0, len(rminx), chunk):
+        hi = lo + chunk
+        yield lo, (
+            (px[None, :] >= rminx[lo:hi, None])
+            & (px[None, :] <= rmaxx[lo:hi, None])
+            & (py[None, :] >= rminy[lo:hi, None])
+            & (py[None, :] <= rmaxy[lo:hi, None])
+        )

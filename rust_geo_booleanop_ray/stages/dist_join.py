@@ -12,8 +12,9 @@ replica; and the rule fires in exactly one (cell, orientation), so no
 pair is duplicated or dropped.
 
 Scale shape: one shuffle (the cell groupby), ≤ 9× replication on the
-wire, chunked pairwise distance matrices inside each cell (bounded
-memory regardless of cell population).  A skewed cell is the operator
+wire, chunked pairwise distance matrices inside each cell (at most
+``cells.MAX_CONTAIN_MATRIX`` elements each: bounded memory regardless
+of cell population).  A skewed cell is the operator
 hazard: it costs one task more time, while its chunked matrices keep
 the memory bounded.
 
@@ -27,10 +28,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .cells import WORLD, cell_encode
+from .cells import MAX_CONTAIN_MATRIX, WORLD, cell_encode
 from .knn import _neighbor_cells
-
-_MAX_PAIR_MATRIX = 1 << 22
 
 
 def check_eps_fits(res: int, eps: float) -> None:
@@ -93,7 +92,7 @@ class DistPairsWithinCell:
         y = group["y"].to_numpy()
         hx, hy, hid = x[home], y[home], pid[home]
         outs = []
-        chunk = max(1, _MAX_PAIR_MATRIX // max(1, len(pid)))
+        chunk = max(1, MAX_CONTAIN_MATRIX // max(1, len(pid)))
         for s in range(0, len(hid), chunk):
             cx, cy, cid = hx[s : s + chunk], hy[s : s + chunk], hid[s : s + chunk]
             d2 = (cx[:, None] - x[None, :]) ** 2 + (cy[:, None] - y[None, :]) ** 2

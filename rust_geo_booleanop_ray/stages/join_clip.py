@@ -12,17 +12,21 @@ Three join strategies, picked by data shape (ray_guide join patterns):
    small enough to broadcast (``ray.put`` once).  Actor-pool stage: the
    STR-tree over the polygon bboxes is built ONCE per actor in
    __init__, batches stream through __call__.
-3. ``join_cells_within_group`` — both sides large: tag + union both
-   datasets, groupby(cell), join inside each cell group with a local
-   STR-tree on the smaller side.  Used via
-   ``ds.groupby("cell").map_groups(join_cells_within_group,
+3. ``join_cells_within_group`` — both sides large: both datasets in
+   the one cell-join side layout (``cells.side_table``: int8 ``side``,
+   int64 ``id``, bbox, ``geom``), exploded to cells, unioned,
+   groupby(cell), joined inside each cell group with a local STR-tree
+   on the build side.  Used via
+   ``ds.groupby("cell").map_groups(join_cells_within_group_dedup,
    batch_format="pyarrow")``.
 
-All outputs carry (image_id, tile_id, cell, clip geometry, clip_area)
-— deduplicate PBSM replicas downstream on (image_id, tile_id) when
-geometries were replicated to multiple cells.  Every exact clip is one
-``boolean_batch`` call per batch (stages/boolean_batch.py), which picks
-the native or the reference kernel.
+The first two emit (image_id, tile_id, clip, clip_area); the cell join
+emits (probe_id, build_id, clip, clip_area), the two sides' int64 ids.
+Deduplicate PBSM replicas downstream when geometries were replicated
+to multiple cells, or use ``join_cells_within_group_dedup``.  Every
+exact clip is one ``boolean_batch`` call per batch
+(stages/boolean_batch.py), which picks the native or the reference
+kernel.
 """
 
 from __future__ import annotations
@@ -34,15 +38,14 @@ import pyarrow.compute as pc
 from ..functions.rtree import STRtree
 from ..sources.arrow_geom import MULTIPOLYGON_T, arrow_mp_areas, rects_to_arrow
 from .boolean_batch import boolean_batch
-from .cells import cell_bounds_array, cover_bbox
+from .cells import cell_bounds_array, cover_bbox, split_sides
 
+_CLIP_FIELDS = [pa.field("clip", MULTIPOLYGON_T), pa.field("clip_area", pa.float64())]
 _EMPTY_JOIN_SCHEMA = pa.schema(
-    [
-        pa.field("image_id", pa.string()),
-        pa.field("tile_id", pa.int64()),
-        pa.field("clip", MULTIPOLYGON_T),
-        pa.field("clip_area", pa.float64()),
-    ]
+    [pa.field("image_id", pa.string()), pa.field("tile_id", pa.int64())] + _CLIP_FIELDS
+)
+_EMPTY_CELL_JOIN_SCHEMA = pa.schema(
+    [pa.field("probe_id", pa.int64()), pa.field("build_id", pa.int64())] + _CLIP_FIELDS
 )
 
 
@@ -97,8 +100,7 @@ class TileJoinClip:
 
         tx0, ty0, tx1, ty1 = cell_bounds_array(tiles)
         return _clip_pairs(
-            image_ids,
-            tiles.view(np.int64),
+            {"image_id": image_ids, "tile_id": pa.array(tiles.view(np.int64), pa.int64())},
             batch["footprint"].take(pa.array(row_idx)),
             rects_to_arrow(tx0, ty0, tx1, ty1),
             "intersection",
@@ -110,16 +112,16 @@ def _non_empty(res: pa.Array) -> np.ndarray:
     return pc.list_value_length(res).to_numpy(zero_copy_only=False) > 0
 
 
-def _clip_pairs(image_ids, tile_ids, subjects, clippings, op):
-    """Aligned (subject, clipping) pairs → exact clip → the join table;
-    pairs whose result is empty are dropped."""
+def _clip_pairs(ids: dict, subjects, clippings, op):
+    """Aligned (subject, clipping) pairs → exact clip → the join table:
+    the ``ids`` columns (name → array aligned with the pairs), ``clip``
+    and ``clip_area``; pairs whose result is empty are dropped."""
     res = boolean_batch(subjects, clippings, op)
-    keep = _non_empty(res)
-    res = res.filter(pa.array(keep))
+    keep = pa.array(_non_empty(res))
+    res = res.filter(keep)
     return pa.table(
         {
-            "image_id": image_ids.filter(pa.array(keep)),
-            "tile_id": pa.array(tile_ids[keep], pa.int64()),
+            **{name: col.filter(keep) for name, col in ids.items()},
             "clip": res,
             "clip_area": pa.array(np.abs(arrow_mp_areas(res)), pa.float64()),
         }
@@ -168,8 +170,10 @@ class BroadcastPolyJoinClip:
             return _EMPTY_JOIN_SCHEMA.empty_table()
 
         return _clip_pairs(
-            batch["image_id"].take(pa.array(cand_row)),
-            self.tile_ids[cand_poly],
+            {
+                "image_id": batch["image_id"].take(pa.array(cand_row)),
+                "tile_id": pa.array(self.tile_ids[cand_poly], pa.int64()),
+            },
             batch["footprint"].take(pa.array(cand_row)),
             self.geom_arr.take(pa.array(cand_poly)),
             self.op,
@@ -179,10 +183,13 @@ class BroadcastPolyJoinClip:
 def join_cells_within_group(group: pa.Table, pbsm_dedup: bool = False) -> pa.Table:
     """Large×large within-cell join for groupby(cell).map_groups.
 
-    Input: one cell's rows from BOTH sides, tagged by ``side`` column
-    ('probe' carries image_id+footprint, 'build' carries tile_id+geom).
-    Builds an STR-tree on the build side (small per cell), probes with
-    the probe side, emits exact clipped intersections.
+    Input: one cell's rows from BOTH sides in the cell-join side layout
+    (stages/cells.py::side_table with ``geom``).  Builds an STR-tree on
+    the build side (small per cell), probes with the probe side, and
+    emits (probe_id, build_id, clip, clip_area): the exact clip of each
+    candidate pair, probe ``geom`` ∩ build ``geom``, empty ones dropped.
+    An empty group or a group without candidates gives the same column
+    types.
 
     ``pbsm_dedup=True`` applies PBSM reference-cell duplicate
     avoidance (Patel & DeWitt's partition-based spatial merge): a
@@ -195,11 +202,9 @@ def join_cells_within_group(group: pa.Table, pbsm_dedup: bool = False) -> pa.Tab
     clamped grid index used by ``cover_bbox``, so boundary corners
     resolve to the same cell the cover replicated to.
     """
-    is_build = pc.equal(group["side"], "build")
-    build = group.filter(is_build)
-    probe = group.filter(pc.invert(is_build))
+    probe, build = split_sides(group)
     if build.num_rows == 0 or probe.num_rows == 0:
-        return _EMPTY_JOIN_SCHEMA.empty_table()
+        return _EMPTY_CELL_JOIN_SCHEMA.empty_table()
 
     bminx = build["minx"].to_numpy()
     bminy = build["miny"].to_numpy()
@@ -216,7 +221,7 @@ def join_cells_within_group(group: pa.Table, pbsm_dedup: bool = False) -> pa.Tab
 
     cand_row, cand_build = tree.query_many(pminx, pminy, pmaxx, pmaxy)
     if not len(cand_row):
-        return _EMPTY_JOIN_SCHEMA.empty_table()
+        return _EMPTY_CELL_JOIN_SCHEMA.empty_table()
 
     if pbsm_dedup:
         from .cells import cell_encode
@@ -232,13 +237,14 @@ def join_cells_within_group(group: pa.Table, pbsm_dedup: bool = False) -> pa.Tab
         cand_row = cand_row[mine]
         cand_build = cand_build[mine]
         if not len(cand_row):
-            return _EMPTY_JOIN_SCHEMA.empty_table()
+            return _EMPTY_CELL_JOIN_SCHEMA.empty_table()
 
+    cand_row = pa.array(cand_row)
+    cand_build = pa.array(cand_build)
     return _clip_pairs(
-        probe["image_id"].take(pa.array(cand_row)),
-        build["tile_id"].to_numpy()[cand_build],
-        probe["footprint"].take(pa.array(cand_row)),
-        build["geom"].take(pa.array(cand_build)),
+        {"probe_id": probe["id"].take(cand_row), "build_id": build["id"].take(cand_build)},
+        probe["geom"].take(cand_row),
+        build["geom"].take(cand_build),
         "intersection",
     )
 

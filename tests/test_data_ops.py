@@ -294,42 +294,60 @@ def test_connected_components_matches_union_find(ray_session):
 
 def test_contain_join_group_chunks_hot_cell(monkeypatch):
     """One hot cell must never allocate an unbounded pts×rects matrix:
-    with the chunk cap forced tiny, the output is identical to the
-    single-matrix evaluation."""
-    # patch on the defining (catalog family) module: the kernel resolves
-    # MAX_CONTAIN_MATRIX in its own globals, not the façade's
-    import sys
-
-    from rust_geo_booleanop_ray.pipelines.queries import _contain_join_group
-
-    Q = sys.modules[_contain_join_group.__module__]
+    with ``cells.MAX_CONTAIN_MATRIX`` forced tiny, ``contain_chunks``
+    yields many small matrices, and each of the three point-in-rect
+    kernels (pip, antijoin, zonal stats) gives the same table as with
+    one matrix, and as a brute-force loop."""
+    from rust_geo_booleanop_ray.pipelines.catalog import spatial as S
+    from rust_geo_booleanop_ray.stages import cells
 
     rng = np.random.Generator(np.random.PCG64(17))
     n_pts, n_rects = 400, 300
-    px, py = rng.uniform(0, 100, n_pts), rng.uniform(0, 100, n_pts)
-    cx, cy = rng.uniform(0, 100, n_rects), rng.uniform(0, 100, n_rects)
-    hw, hh = rng.uniform(1, 8, n_rects), rng.uniform(1, 8, n_rects)
-    group = pa.table(
-        {
-            "side": pa.array(["point"] * n_pts + ["rect"] * n_rects),
-            "c_custkey": pa.array(
-                list(range(n_pts)) + [0] * n_rects, pa.int64()
-            ),
-            "px": pa.array(np.concatenate([px, np.zeros(n_rects)])),
-            "py": pa.array(np.concatenate([py, np.zeros(n_rects)])),
-            "p_partkey": pa.array([0] * n_pts + list(range(n_rects)), pa.int64()),
-            "minx": pa.array(np.concatenate([np.zeros(n_pts), cx - hw])),
-            "miny": pa.array(np.concatenate([np.zeros(n_pts), cy - hh])),
-            "maxx": pa.array(np.concatenate([np.zeros(n_pts), cx + hw])),
-            "maxy": pa.array(np.concatenate([np.zeros(n_pts), cy + hh])),
-        }
+    px, py = rng.integers(0, 100, n_pts), rng.integers(0, 100, n_pts)
+    # integer rects: many points sit exactly on a rect edge (bounds count)
+    cx, cy = rng.integers(0, 100, n_rects), rng.integers(0, 100, n_rects)
+    hw, hh = rng.integers(1, 8, n_rects), rng.integers(1, 8, n_rects)
+    pt_ids = np.arange(n_pts, dtype=np.int64) * 7 + 3
+    rect_ids = np.arange(n_rects, dtype=np.int64) + 10_000
+    group = pa.concat_tables(
+        [
+            cells.side_table(cells.PROBE, pt_ids, px, py, px, py),
+            cells.side_table(cells.BUILD, rect_ids, cx - hw, cy - hh, cx + hw, cy + hh),
+        ]
     )
-    full = Q._contain_join_group(group)
-    monkeypatch.setattr(Q, "MAX_CONTAIN_MATRIX", 1000)  # forces ~120 chunks
-    chunked = Q._contain_join_group(group)
-    key = lambda t: sorted(zip(t["p_partkey"].to_pylist(), t["c_custkey"].to_pylist()))
-    assert full.num_rows > 0
-    assert key(full) == key(chunked)
+    inside = (
+        (px[None, :] >= (cx - hw)[:, None])
+        & (px[None, :] <= (cx + hw)[:, None])
+        & (py[None, :] >= (cy - hh)[:, None])
+        & (py[None, :] <= (cy + hh)[:, None])
+    )
+    ri, pi = np.nonzero(inside)
+    brute_pip = sorted(zip(rect_ids[ri].tolist(), pt_ids[pi].tolist()))
+    brute_anti = sorted(pt_ids[~inside.any(axis=0)].tolist())
+    metric = pt_ids % 1000
+    hit = inside.any(axis=1)
+    brute_zonal = sorted(
+        zip(rect_ids[hit].tolist(), inside.sum(axis=1)[hit].tolist(), (inside @ metric)[hit].tolist())
+    )
+    assert brute_pip and brute_anti and brute_zonal
+
+    def outputs():
+        return {
+            "pip": sorted(zip(*(S._pip_group(group)[c].to_pylist() for c in ("p_partkey", "c_custkey")))),
+            "anti": sorted(S._antijoin_group(group)["c_custkey"].to_pylist()),
+            "zonal": sorted(
+                zip(*(S._zonal_group(group)[c].to_pylist() for c in ("p_partkey", "n_points", "sum_metric")))
+            ),
+        }
+
+    pts, rects = cells.split_sides(group)
+    assert len(list(cells.contain_chunks(pts, rects))) == 1
+    full = outputs()
+    monkeypatch.setattr(cells, "MAX_CONTAIN_MATRIX", 1000)  # 2 rects a chunk
+    chunks = list(cells.contain_chunks(pts, rects))
+    assert len(chunks) == 150 and all(m.size <= 1000 for _, m in chunks)
+    chunked = outputs()
+    assert full == chunked == {"pip": brute_pip, "anti": brute_anti, "zonal": brute_zonal}
 
 
 def test_utf8_codepoints_vectorized_decoder():

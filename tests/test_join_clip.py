@@ -11,7 +11,14 @@ from rust_geo_booleanop_ray.sources.arrow_geom import (
     shoelace_area,
 )
 from rust_geo_booleanop_ray.sources.images import synth_image_batch
-from rust_geo_booleanop_ray.stages.cells import cell_bounds, cell_encode, cell_polygon
+from rust_geo_booleanop_ray.stages.cells import (
+    BUILD,
+    PROBE,
+    cell_bounds,
+    cell_encode,
+    cell_polygon,
+    side_table,
+)
 from rust_geo_booleanop_ray.stages.footprint import derive_footprints
 from rust_geo_booleanop_ray.stages.join_clip import (
     BroadcastPolyJoinClip,
@@ -95,25 +102,62 @@ def test_broadcast_join_matches_tile_join():
         assert abs(ga[k] - ea[k]) < 1e-12
 
 
+def _side(side, ids, t, geom_col):
+    """One cell-join side from a table with a bbox and a geometry."""
+    return side_table(side, ids, t["minx"], t["miny"], t["maxx"], t["maxy"], t[geom_col])
+
+
+def _footprint_probe(f):
+    """Footprints as the probe side: id = row index into ``f``."""
+    return _side(PROBE, np.arange(f.num_rows), f, "footprint")
+
+
+def _as_image_tile(out, f):
+    """Cell-join output → (image_id, tile_id) pairs, probe ids mapped
+    back to ``f``'s image ids."""
+    image_ids = f["image_id"].to_pylist()
+    return {
+        (image_ids[p], b)
+        for p, b in zip(out["probe_id"].to_pylist(), out["build_id"].to_pylist())
+    }
+
+
 def test_within_cell_group_join():
     f = _footprints(40)
     exact = TileJoinClip(tile_res=4, mode="exact")(f)
     tile_ids = sorted(set(exact["tile_id"].to_pylist()))
     build = _poly_table(tile_ids)
     # one mega-group (single cell) exercises the group-join path
-    probe = f.select(["image_id", "footprint", "minx", "miny", "maxx", "maxy"])
-    probe = probe.append_column("side", pa.array(["probe"] * probe.num_rows))
-    probe = probe.append_column("tile_id", pa.array([0] * probe.num_rows, pa.int64()))
-    probe = probe.append_column("geom", probe["footprint"])
-    build2 = build.append_column("side", pa.array(["build"] * build.num_rows))
-    build2 = build2.append_column("image_id", pa.array([""] * build.num_rows))
-    build2 = build2.append_column("footprint", build2["geom"])
-    cols = ["image_id", "tile_id", "footprint", "geom", "minx", "miny", "maxx", "maxy", "side"]
-    group = pa.concat_tables([probe.select(cols), build2.select(cols)])
+    group = pa.concat_tables(
+        [_footprint_probe(f), _side(BUILD, build["tile_id"], build, "geom")]
+    )
     out = join_cells_within_group(group)
-    got = set(zip(out["image_id"].to_pylist(), out["tile_id"].to_pylist()))
+    got = _as_image_tile(out, f)
     exp = set(zip(exact["image_id"].to_pylist(), exact["tile_id"].to_pylist()))
     assert got == exp
+
+
+def test_within_cell_group_join_empty_keeps_types():
+    """A group with one side missing, or without candidate pairs, gives
+    the column types of a non-empty group."""
+    f = _footprints(40)
+    polys = _region_polys()
+    build = _side(BUILD, polys["tile_id"], polys, "geom")
+    full = join_cells_within_group(pa.concat_tables([_footprint_probe(f), build]))
+    assert full.num_rows > 0
+    # the same rects with their bboxes moved far east: no candidates
+    far = side_table(
+        BUILD, polys["tile_id"], polys["minx"].to_numpy() + 1000.0, polys["miny"],
+        polys["maxx"].to_numpy() + 1000.0, polys["maxy"], polys["geom"],
+    )
+    for group in (
+        _footprint_probe(f),
+        build,
+        pa.concat_tables([_footprint_probe(f), far]),
+    ):
+        out = join_cells_within_group(group)
+        assert out.num_rows == 0
+        assert out.schema == full.schema
 
 
 def test_rasterize_and_vectorize():
@@ -201,11 +245,11 @@ def _region_polys(res=3):
     )
 
 
-def _rows_key(t):
+def _rows_key(t, a="image_id", b="tile_id"):
     return sorted(
         (
-            t["image_id"][i].as_py(),
-            t["tile_id"][i].as_py(),
+            t[a][i].as_py(),
+            t[b][i].as_py(),
             round(t["clip_area"][i].as_py(), 12),
         )
         for i in range(t.num_rows)
@@ -248,35 +292,17 @@ def test_tile_join_native_matches_python_fallback(monkeypatch):
 def test_join_cells_within_group_native_matches_python(monkeypatch):
     f = _footprints(60)
     polys = _region_polys()
-    n_b = polys.num_rows
-    n_p = f.num_rows
-    group = pa.table(
-        {
-            "side": pa.array(["build"] * n_b + ["probe"] * n_p),
-            "tile_id": pa.array(
-                polys["tile_id"].to_pylist() + [0] * n_p, pa.int64()
-            ),
-            "geom": pa.concat_arrays(
-                [polys["geom"].combine_chunks() if isinstance(polys["geom"], pa.ChunkedArray) else polys["geom"],
-                 mps_to_arrow([None] * n_p).cast(polys["geom"].type)]
-            ),
-            "image_id": pa.array([""] * n_b + f["image_id"].to_pylist()),
-            "footprint": pa.concat_arrays(
-                [mps_to_arrow([None] * n_b).cast(f["footprint"].type),
-                 f["footprint"].combine_chunks() if isinstance(f["footprint"], pa.ChunkedArray) else f["footprint"]]
-            ),
-            "minx": pa.array(polys["minx"].to_pylist() + f["minx"].to_pylist()),
-            "miny": pa.array(polys["miny"].to_pylist() + f["miny"].to_pylist()),
-            "maxx": pa.array(polys["maxx"].to_pylist() + f["maxx"].to_pylist()),
-            "maxy": pa.array(polys["maxy"].to_pylist() + f["maxy"].to_pylist()),
-        }
+    group = pa.concat_tables(
+        [_side(BUILD, polys["tile_id"], polys, "geom"), _footprint_probe(f)]
     )
     native_out = join_cells_within_group(group)
     monkeypatch.setenv("GEO_NATIVE", "0")
     py_out = join_cells_within_group(group)
     monkeypatch.delenv("GEO_NATIVE")
     assert native_out.num_rows > 0
-    assert _rows_key(native_out) == _rows_key(py_out)
+    assert _rows_key(native_out, "probe_id", "build_id") == _rows_key(
+        py_out, "probe_id", "build_id"
+    )
 
 
 def test_pbsm_dedup_matches_emit_all_plus_dedup():
@@ -289,37 +315,11 @@ def test_pbsm_dedup_matches_emit_all_plus_dedup():
     )
 
     f = _footprints(120)  # includes a giant (idx 0) spanning many cells
-    n_p = f.num_rows
-    probe = pa.table(
-        {
-            "image_id": f["image_id"],
-            "tile_id": pa.array([0] * n_p, pa.int64()),
-            "footprint": f["footprint"],
-            "geom": f["footprint"],
-            "minx": f["minx"],
-            "miny": f["miny"],
-            "maxx": f["maxx"],
-            "maxy": f["maxy"],
-            "side": pa.array(["probe"] * n_p),
-        }
-    )
+    probe = _footprint_probe(f)
     # build side: offset copies of the same quads so bboxes straddle
     # cell boundaries differently from the probe side
     g = _footprints(90)
-    n_b = g.num_rows
-    build = pa.table(
-        {
-            "image_id": pa.array([""] * n_b),
-            "tile_id": pa.array(np.arange(n_b), pa.int64()),
-            "footprint": g["footprint"],
-            "geom": g["footprint"],
-            "minx": g["minx"],
-            "miny": g["miny"],
-            "maxx": g["maxx"],
-            "maxy": g["maxy"],
-            "side": pa.array(["build"] * n_b),
-        }
-    )
+    build = _side(BUILD, np.arange(g.num_rows), g, "footprint")
     res = 4
     both = pa.concat_tables([explode_to_cells(probe, res), explode_to_cells(build, res)])
     cells = both["cell"].to_numpy()
@@ -330,12 +330,12 @@ def test_pbsm_dedup_matches_emit_all_plus_dedup():
         grp = both.filter(pa.array(cells == c))
         out_d = join_cells_within_group_dedup(grp)
         for i in range(out_d.num_rows):
-            key = (out_d["image_id"][i].as_py(), out_d["tile_id"][i].as_py())
+            key = (out_d["probe_id"][i].as_py(), out_d["build_id"][i].as_py())
             assert key not in dedup_pairs, f"pair {key} emitted twice"
             dedup_pairs[key] = out_d["clip_area"][i].as_py()
         out_a = join_cells_within_group(grp)
         for i in range(out_a.num_rows):
-            key = (out_a["image_id"][i].as_py(), out_a["tile_id"][i].as_py())
+            key = (out_a["probe_id"][i].as_py(), out_a["build_id"][i].as_py())
             all_pairs[key] = out_a["clip_area"][i].as_py()
 
     assert set(dedup_pairs) == set(all_pairs)
