@@ -92,52 +92,45 @@ def simplify_stats(i: int, min_area2: int) -> tuple[int, int, int, int]:
     return len(xs), int(keep.sum()), a_before, a_after
 
 
-def _orient(ax, ay, bx, by, cx, cy) -> int:
-    v = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    return 0 if v == 0 else (1 if v > 0 else -1)
-
-
-def _on_segment(ax, ay, bx, by, px, py) -> bool:
-    return (
-        min(ax, bx) <= px <= max(ax, bx)
-        and min(ay, by) <= py <= max(ay, by)
-        and _orient(ax, ay, bx, by, px, py) == 0
-    )
-
-
-def _segments_intersect(a, b, c, d) -> bool:
-    """Exact integer segment intersection (touch counts)."""
-    o1 = _orient(*a, *b, *c)
-    o2 = _orient(*a, *b, *d)
-    o3 = _orient(*c, *d, *a)
-    o4 = _orient(*c, *d, *b)
-    if o1 != o2 and o3 != o4:
-        return True
-    if o1 == 0 and _on_segment(*a, *b, *c):
-        return True
-    if o2 == 0 and _on_segment(*a, *b, *d):
-        return True
-    if o3 == 0 and _on_segment(*c, *d, *a):
-        return True
-    if o4 == 0 and _on_segment(*c, *d, *b):
-        return True
-    return False
+# |coordinate| bound of ring_self_intersections: an orientation is a
+# difference of two products of coordinate differences, at most
+# 8·M² < 2^63 for every |coordinate| < M = 2^30
+ORIENT_COORD_LIMIT = 2**30
 
 
 def ring_self_intersections(xs: np.ndarray, ys: np.ndarray) -> int:
     """Count of NON-ADJACENT edge pairs of the closed ring that touch
     or cross — 0 ⇔ the ring is simple (the ST_IsValid core test).
-    Exact integer orientation predicates; O(n²) pairs per feature
-    (features are small; at scale the per-feature sweep replaces
-    this, same predicates)."""
+    Exact int64 orientation predicates over every non-adjacent pair at
+    once (features are small; at scale the per-feature sweep replaces
+    this, same predicates).  Raises ``ValueError`` for a coordinate
+    whose products could overflow int64."""
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    if len(xs) and max(np.abs(xs).max(), np.abs(ys).max()) >= ORIENT_COORD_LIMIT:
+        raise ValueError(f"ring coordinate beyond ±{ORIENT_COORD_LIMIT} overflows int64 orientations")
     n = len(xs)
-    pts = [(int(xs[i]), int(ys[i])) for i in range(n)]
-    edges = [(pts[i], pts[(i + 1) % n]) for i in range(n)]
-    bad = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i + 1 or (i == 0 and j == n - 1):
-                continue  # adjacent edges share a vertex by design
-            if _segments_intersect(*edges[i], *edges[j]):
-                bad += 1
-    return bad
+    x, y = xs.astype(np.int64), ys.astype(np.int64)
+    i, j = np.triu_indices(n, 2)
+    keep = ~((i == 0) & (j == n - 1))  # adjacent edges share a vertex by design
+    i, j = i[keep], j[keep]
+    nxt = (np.arange(n) + 1) % n
+    a, b, c, d = (np.stack([x[k], y[k]]) for k in (i, nxt[i], j, nxt[j]))
+
+    def orient(p, q, r):
+        v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+        return np.sign(v)
+
+    def on_segment(p, q, r, o):
+        """r lies on segment pq, given o = orient(p, q, r)."""
+        lo, hi = np.minimum(p, q), np.maximum(p, q)
+        return (o == 0) & (lo <= r).all(0) & (r <= hi).all(0)
+
+    o1, o2, o3, o4 = orient(a, b, c), orient(a, b, d), orient(c, d, a), orient(c, d, b)
+    touch = (
+        ((o1 != o2) & (o3 != o4))
+        | on_segment(a, b, c, o1)
+        | on_segment(a, b, d, o2)
+        | on_segment(c, d, a, o3)
+        | on_segment(c, d, b, o4)
+    )
+    return int(touch.sum())

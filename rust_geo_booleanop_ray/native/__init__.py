@@ -14,6 +14,16 @@ operation-for-operation port compiled at -O3 with -ffp-contract=off and
 CPython bit-for-bit.  No -march=native: the library must run on every
 node that shares the file.
 
+Before its sweep, ``martinez_batch`` answers the `intersection` pairs
+whose result has a closed form (rect ∩ rect, and a convex ring
+strictly inside a rect) and reports a class per pair: ``martinez``
+returns it next to the result, and ``native_boolean_batch`` adds it to
+this process's ``gate_counts()``.  The Python kernel has no such gate:
+it is the ungated reference every known answer is tested against
+(tests/test_known_answers.py), so under ``GEO_NATIVE=0`` those pairs
+are swept, with the same bits.  ``COORD_MIN``, ``COORD_MAX`` and
+``SPREAD_MAX``, the gate's bounds, are read from martinez.c.
+
 The library file is named after a hash of the source and the flags, so
 a change to either builds a new one instead of loading a stale build.
 The builds of other hashes are removed once the current build is
@@ -29,9 +39,12 @@ import ctypes
 import glob
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import time
+
+import numpy as np
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SRC = os.path.join(_HERE, "martinez.c")
@@ -42,6 +55,19 @@ FLAGS = (
 
 # how long a superseded build outlives the current one
 PRUNE_AFTER_S = 3600.0
+
+
+def _c_constant(name: str) -> float:
+    """A ``#define NAME <hex float>`` of martinez.c."""
+    with open(_SRC) as f:
+        return float.fromhex(re.search(rf"^#define {name} (\S+)$", f.read(), re.M).group(1))
+
+
+# the known-answer gate's bounds, defined in martinez.c
+COORD_MIN, COORD_MAX, SPREAD_MAX = map(_c_constant, ("COORD_MIN", "COORD_MAX", "SPREAD_MAX"))
+# martinez_batch's class per pair (martinez.c GATE_*)
+GATE_CLASSES = ("swept", "rect", "contained")
+_gate_counts = np.zeros(len(GATE_CLASSES), np.int64)
 
 _lib = None
 
@@ -112,6 +138,7 @@ def _load():
         ctypes.POINTER(dp), ctypes.POINTER(i64p), ctypes.POINTER(i64p),
         ctypes.POINTER(i64p),
         i64p, i64p, i64p,
+        ctypes.POINTER(ctypes.c_int8),
     ]
     lib.martinez_free_batch.restype = None
     lib.martinez_free_batch.argtypes = [dp, i64p, i64p, i64p]
@@ -136,7 +163,6 @@ _ERRORS = {
 def _op_codes(ops, n: int):
     """Op name (scalar) or names (one per row) → int32 op codes, by one
     vectorized lookup."""
-    import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
 
@@ -166,20 +192,41 @@ def native_boolean_op(subject, clipping, operation):
 
 
 def native_boolean_batch(subject_arr, clipping_arr, ops):
-    """Whole-batch boolean ops on two Arrow multipolygon columns.
+    """Whole-batch boolean ops on two Arrow multipolygon columns →
+    Arrow multipolygon array: ``martinez``'s result, its classes added
+    to this process's ``gate_counts``.  Returns None only when the
+    native library is unavailable."""
+    out = martinez(subject_arr, clipping_arr, ops)
+    if out is None:
+        return None
+    res, classes = out
+    _gate_counts[:] += np.bincount(classes, minlength=len(GATE_CLASSES))
+    return res
+
+
+def gate_counts() -> dict:
+    """Pairs this process sent through ``native_boolean_batch``, by
+    ``GATE_CLASSES`` name."""
+    return dict(zip(GATE_CLASSES, _gate_counts.tolist()))
+
+
+def martinez(subject_arr, clipping_arr, ops):
+    """(result, classes) of ``martinez_batch`` over two Arrow
+    multipolygon columns.
 
     ``ops`` is one op name for every row, or one name per row (a list
     or an Arrow string array); an unknown name raises ``ValueError``.
     Consumes the columns' offset chains directly (zero marshal-in) and
     returns the result as an Arrow multipolygon array (offsets built by
-    cumsum — zero per-row Python).  Both columns must be free of nulls;
-    ``boolean_batch`` strips null rows before calling here.  Returns
-    None only when the native library is unavailable."""
+    cumsum — zero per-row Python) and an int8 class per pair (an index
+    into ``GATE_CLASSES``: swept, or answered by the known-answer gate).
+    Both columns must be free of nulls; ``boolean_batch`` strips null
+    rows before calling here.  Returns None only when the native
+    library is unavailable."""
     lib = _load()
     if lib is None:
         return None
 
-    import numpy as np
     import pyarrow as pa
 
     from ..sources.arrow_geom import arrow_mp_offsets, flat_to_arrow
@@ -208,6 +255,7 @@ def native_boolean_batch(subject_arr, clipping_arr, ops):
     n_v = ctypes.c_int64()
     n_r = ctypes.c_int64()
     n_p = ctypes.c_int64()
+    classes = np.zeros(max(n, 1), np.int8)
 
     rc = lib.martinez_batch(
         s_xy.ctypes.data_as(dp), s_ro.ctypes.data_as(i32p),
@@ -218,6 +266,7 @@ def native_boolean_batch(subject_arr, clipping_arr, ops):
         ctypes.byref(out_xy), ctypes.byref(out_rs), ctypes.byref(out_prc),
         ctypes.byref(out_ppc),
         ctypes.byref(n_v), ctypes.byref(n_r), ctypes.byref(n_p),
+        classes.ctypes.data_as(ctypes.POINTER(ctypes.c_int8)),
     )
     if rc != 0:
         raise RuntimeError(f"martinez_batch failed: {_ERRORS.get(rc, rc)}")
@@ -240,6 +289,6 @@ def native_boolean_batch(subject_arr, clipping_arr, ops):
             else np.empty(0, np.int64)
         )
         ppc = np.ctypeslib.as_array(out_ppc, shape=(n,)).copy() if n else np.empty(0, np.int64)
-        return flat_to_arrow(xy, sizes, prc, ppc)
+        return flat_to_arrow(xy, sizes, prc, ppc), classes[:n]
     finally:
         lib.martinez_free_batch(out_xy, out_rs, out_prc, out_ppc)

@@ -1275,6 +1275,225 @@ static void append_side_polys(GrowResult *g, const ArrowSide *side, int64_t row,
     }
 }
 
+/* ---------------------------------------------------------- known answers */
+
+/* An `intersection` pair whose result has a closed form is answered
+ * before fill_side builds any event: the lift of the reference's bbox
+ * gate (mod.rs:106-109) from "disjoint → empty" to two row shapes.
+ *
+ *   GATE_RECT       both operands are CCW axis-aligned rects: the
+ *                   kernel clamps every crossing into the bbox shared
+ *                   by the two segments, which for a horizontal and a
+ *                   vertical edge is one point, so its answer is the
+ *                   overlap rect from its least corner, or empty.
+ *   GATE_CONTAINED  the clipping operand is such a rect and the subject
+ *                   is one strictly convex CCW ring that winds once,
+ *                   every vertex strictly inside the rect: no edge
+ *                   meets the rect, and the kernel returns the ring
+ *                   from its least vertex (least x, then least y).
+ *
+ * Each answer is bit-identical to the Python reference kernel
+ * (tests/test_known_answers.py).  A pair with a non-finite or -0.0
+ * coordinate, a non-zero magnitude outside [COORD_MIN, COORD_MAX], or
+ * a largest magnitude more than SPREAD_MAX times its smallest non-zero
+ * magnitude or extent is swept: there the kernel mixes signed zeros,
+ * nudges in collinear vertices, fails or runs on, and a known answer
+ * must never replace any of those.
+ *
+ * The kernel's highest-degree product (sqr_kross) is 4th degree in
+ * coordinate differences.  With every non-zero |coordinate| in
+ * [2^-200, 2^200] and differences down to one ULP, those products stay
+ * finite and normal: (2^201)^4 < 2^1024 and (2^-252)^4 > 2^-1022.
+ * Rect pairs first differ from the kernel at spreads near 2^54: mixing
+ * 1 with 1e20 or 1e-20 fails, 1e8 does not. */
+#define COORD_MIN 0x1p-200
+#define COORD_MAX 0x1p200
+#define SPREAD_MAX 0x1p26
+
+enum { GATE_SWEPT = 0, GATE_RECT = 1, GATE_CONTAINED = 2 };
+
+/* The one ring of `row` when the row is one polygon with one ring:
+ * its first coordinate and its point count. */
+static int single_ring(const ArrowSide *side, int64_t row,
+                       const double **xy, int32_t *n) {
+    int32_t p = side->mp_off[row];
+    if (side->mp_off[row + 1] - p != 1) return 0;
+    int32_t r = side->poly_off[p];
+    if (side->poly_off[p + 1] - r != 1) return 0;
+    *xy = side->xy + 2 * (int64_t)side->ring_off[r];
+    *n = side->ring_off[r + 1] - side->ring_off[r];
+    return 1;
+}
+
+static int is_neg_zero(double v) { return v == 0.0 && signbit(v); }
+
+static int sgn(double v) { return (v > 0.0) - (v < 0.0); }
+
+/* A closed 5-point ring of alternating horizontal and vertical edges
+ * whose first turn is a left turn, with no -0.0 vertex (0.0 - -0.0 ==
+ * 0, so such an edge would still look straight): its bbox. */
+static int rect_shape(const double *xy, int32_t n, BBox4 *b) {
+    if (n != 5 || xy[8] != xy[0] || xy[9] != xy[1]) return 0;
+    for (int k = 0; k < 5; k++)
+        if (is_neg_zero(xy[2 * k]) || is_neg_zero(xy[2 * k + 1])) return 0;
+    int prev_h = -1;
+    for (int k = 0; k < 4; k++) {
+        double dx = xy[2 * k + 2] - xy[2 * k], dy = xy[2 * k + 3] - xy[2 * k + 1];
+        int h = dy == 0.0, v = dx == 0.0;
+        if (h == v || h == prev_h) return 0;
+        prev_h = h;
+    }
+    double dx0 = xy[2] - xy[0], dy0 = xy[3] - xy[1];
+    double dx1 = xy[4] - xy[2], dy1 = xy[5] - xy[3];
+    if (sgn(dx0) * sgn(dy1) - sgn(dy0) * sgn(dx1) <= 0) return 0;
+    b->x0 = b->x1 = xy[0];
+    b->y0 = b->y1 = xy[1];
+    for (int k = 1; k < 4; k++) {
+        double x = xy[2 * k], y = xy[2 * k + 1];
+        if (x < b->x0) b->x0 = x;
+        if (x > b->x1) b->x1 = x;
+        if (y < b->y0) b->y0 = y;
+        if (y > b->y1) b->y1 = y;
+    }
+    return 1;
+}
+
+/* The largest magnitude and the smallest non-zero magnitude or extent
+ * of one pair; `ok` drops on a non-finite or too large coordinate. */
+typedef struct { double big, small; int ok; } Spread;
+
+static void spread_coord(Spread *s, double v) {
+    double a = fabs(v);
+    if (!(a <= COORD_MAX)) s->ok = 0;
+    if (a > s->big) s->big = a;
+    if (a > 0.0 && a < s->small) s->small = a;
+}
+
+static void spread_box(Spread *s, const BBox4 *b) {
+    spread_coord(s, b->x0);
+    spread_coord(s, b->y0);
+    spread_coord(s, b->x1);
+    spread_coord(s, b->y1);
+}
+
+static void spread_extent(Spread *s, double e) {
+    if (e < s->small) s->small = e;
+}
+
+static int spread_ok(const Spread *s) {
+    return s->ok && s->small >= COORD_MIN && s->big <= SPREAD_MAX * s->small;
+}
+
+/* rect ∩ rect: the overlap rect from its least corner, or empty.  A
+ * positive overlap a few ULPs wide makes the kernel nudge in a
+ * collinear vertex, so it counts as an extent. */
+static int gate_rect(GrowResult *g, const BBox4 *s, const BBox4 *c, int64_t *npolys) {
+    double lx = s->x0 > c->x0 ? s->x0 : c->x0, ly = s->y0 > c->y0 ? s->y0 : c->y0;
+    double hx = s->x1 < c->x1 ? s->x1 : c->x1, hy = s->y1 < c->y1 ? s->y1 : c->y1;
+    Spread sp = {0.0, INFINITY, 1};
+    spread_box(&sp, s);
+    spread_box(&sp, c);
+    spread_extent(&sp, s->x1 - s->x0);
+    spread_extent(&sp, s->y1 - s->y0);
+    spread_extent(&sp, c->x1 - c->x0);
+    spread_extent(&sp, c->y1 - c->y0);
+    if (hx > lx) spread_extent(&sp, hx - lx);
+    if (hy > ly) spread_extent(&sp, hy - ly);
+    if (!spread_ok(&sp)) return GATE_SWEPT;
+    if (lx < hx && ly < hy) {
+        double ring[10] = {lx, ly, hx, ly, hx, hy, lx, hy, lx, ly};
+        result_append_ring(&g->res, ring, 5, &g->cap_v, &g->cap_r);
+        grow_result_poly(g, 1);
+        (*npolys)++;
+    }
+    return GATE_RECT;
+}
+
+/* A closed ring strictly inside rect `c`, strictly convex and CCW
+ * under signed_area at every vertex, whose edges' x-direction changes
+ * sign exactly twice (a pentagram turns left everywhere too): the ring
+ * from its least vertex.  The subject's bbox extents, its gaps to the
+ * rect and the longer side of each edge's bbox count as extents.  A
+ * gap is positive only when every vertex lies strictly inside the
+ * rect, so the extents also decide containment.  The neighbours of an
+ * edge a few ULPs long meet in the kernel's float crossing test, and it
+ * splits the ring there. */
+static int gate_contained(GrowResult *g, const double *xy, int32_t n,
+                          const BBox4 *c, int64_t *npolys) {
+    int32_t m = n - 1;  /* distinct vertices */
+    if (m < 3 || xy[2 * m] != xy[0] || xy[2 * m + 1] != xy[1] ||
+        is_neg_zero(xy[2 * m]) || is_neg_zero(xy[2 * m + 1]))
+        return GATE_SWEPT;
+    Spread sp = {0.0, INFINITY, 1};
+    spread_box(&sp, c);
+    BBox4 s = {xy[0], xy[1], xy[0], xy[1], 1};
+    int32_t least = 0;
+    int changes = 0, last_dir = 0;
+    for (int32_t k = 0; k < m; k++) {
+        double x = xy[2 * k], y = xy[2 * k + 1];
+        if (is_neg_zero(x) || is_neg_zero(y)) return GATE_SWEPT;
+        spread_coord(&sp, x);
+        spread_coord(&sp, y);
+        const double *prev = xy + 2 * (k ? k - 1 : m - 1);
+        const double *next = xy + 2 * (k + 1);
+        if (!(signed_area(prev[0], prev[1], x, y, next[0], next[1]) > 0.0))
+            return GATE_SWEPT;
+        int dir = sgn(next[0] - x);
+        if (dir) {
+            if (last_dir && dir != last_dir) changes++;
+            last_dir = dir;
+        }
+        double ex = fabs(next[0] - x), ey = fabs(next[1] - y);
+        spread_extent(&sp, ex > ey ? ex : ey);
+        if (x < s.x0) s.x0 = x;
+        if (x > s.x1) s.x1 = x;
+        if (y < s.y0) s.y0 = y;
+        if (y > s.y1) s.y1 = y;
+        if (x < xy[2 * least] || (x == xy[2 * least] && y < xy[2 * least + 1]))
+            least = k;
+    }
+    /* close the cycle: the first non-zero direction against the last */
+    for (int32_t k = 0; k < m; k++) {
+        int dir = sgn(xy[2 * k + 2] - xy[2 * k]);
+        if (dir) {
+            if (dir != last_dir) changes++;
+            break;
+        }
+    }
+    if (changes != 2) return GATE_SWEPT;
+    spread_extent(&sp, c->x1 - c->x0);
+    spread_extent(&sp, c->y1 - c->y0);
+    spread_extent(&sp, s.x1 - s.x0);
+    spread_extent(&sp, s.y1 - s.y0);
+    spread_extent(&sp, s.x0 - c->x0);
+    spread_extent(&sp, s.y0 - c->y0);
+    spread_extent(&sp, c->x1 - s.x1);
+    spread_extent(&sp, c->y1 - s.y1);
+    if (!spread_ok(&sp)) return GATE_SWEPT;
+
+    /* one ring in two runs: v[least..m-1], then v[0..least] */
+    result_append_ring(&g->res, xy + 2 * least, m - least, &g->cap_v, &g->cap_r);
+    result_append_ring(&g->res, xy, least + 1, &g->cap_v, &g->cap_r);
+    g->res.ring_sizes[--g->res.n_rings - 1] = n;
+    grow_result_poly(g, 1);
+    (*npolys)++;
+    return GATE_CONTAINED;
+}
+
+/* The class of pair `row` of an `intersection`; a known answer is
+ * appended to `g`. */
+static int known_answer(GrowResult *g, const ArrowSide *S, const ArrowSide *C,
+                        int64_t row, int64_t *npolys) {
+    const double *cxy, *sxy;
+    int32_t cn, sn;
+    BBox4 c, s;
+    if (!single_ring(C, row, &cxy, &cn) || !rect_shape(cxy, cn, &c))
+        return GATE_SWEPT;
+    if (!single_ring(S, row, &sxy, &sn)) return GATE_SWEPT;
+    if (rect_shape(sxy, sn, &s)) return gate_rect(g, &s, &c, npolys);
+    return gate_contained(g, sxy, sn, &c, npolys);
+}
+
 /* Everything one pair's sweep needs, allocated once per batch call.
  * Each pair resets the counts and keeps the buffers; workspace_free
  * releases them once, whether the call succeeds or fails. */
@@ -1320,7 +1539,9 @@ static void workspace_free(Workspace *w) {
 
 /* Batch entry point: n_pairs independent boolean ops in one call,
  * consuming both geometry columns through their Arrow offsets.
- * out_pair_poly_counts[i] = polygons in pair i's result.  Returns 0, or,
+ * out_pair_poly_counts[i] = polygons in pair i's result; classes[i] =
+ * GATE_RECT or GATE_CONTAINED when pair i has a known answer, else
+ * GATE_SWEPT (caller-allocated, n_pairs entries).  Returns 0, or,
  * with every output NULL, 2 when a pair fails in connect_edges (where
  * the reference panics) and 3 when its sweep exceeds the event budget
  * (where the reference never ends). */
@@ -1332,7 +1553,8 @@ int martinez_batch(
     int64_t n_pairs, const int32_t *ops,
     double **out_xy, int64_t **out_ring_sizes, int64_t **out_poly_ring_counts,
     int64_t **out_pair_poly_counts,
-    int64_t *out_n_vertices, int64_t *out_n_rings, int64_t *out_n_polys)
+    int64_t *out_n_vertices, int64_t *out_n_rings, int64_t *out_n_polys,
+    int8_t *classes)
 {
     ArrowSide S = {s_xy, s_ring_off, s_poly_off, s_mp_off};
     ArrowSide C = {c_xy, c_ring_off, c_poly_off, c_mp_off};
@@ -1347,11 +1569,18 @@ int martinez_batch(
 
     for (int64_t i = 0; i < n_pairs && !failed; i++) {
         int32_t op = ops[i];
+        int64_t npolys = 0;
+        classes[i] = op == OP_INTERSECTION
+            ? (int8_t)known_answer(&g, &S, &C, i, &npolys) : GATE_SWEPT;
+        if (classes[i] != GATE_SWEPT) {
+            pair_polys[i] = npolys;
+            continue;
+        }
+
         workspace_reset(&ws);
         double sbbox[4] = {INFINITY, INFINITY, -INFINITY, -INFINITY};
         double cbbox[4] = {INFINITY, INFINITY, -INFINITY, -INFINITY};
         int32_t contour_id = 0;
-        int64_t npolys = 0;
 
         /* fill_queue.rs:10-43: subject polys always increment the
            contour id; clipping only when op != Difference */

@@ -27,18 +27,21 @@ KNN_RES = 4
 STOPWORDS_SQL = "('the','a','of','and','to','in','is')"
 
 
-def _part_rect_batch(batch: pa.Table) -> pa.Table:
-    """part rows → deterministic integer-valued rects (+ geometry)."""
+def _part_rect_bounds(batch: pa.Table) -> tuple:
+    """part rows → (minx, miny, maxx, maxy) of their deterministic
+    integer-valued rects."""
     pk = batch["p_partkey"].to_numpy()
     size = batch["p_size"].to_numpy().astype(np.int64)
     cx = (pk % 97).astype(np.float64)
     cy = ((pk * 31) % 89).astype(np.float64)
     hw = (1 + (size % 5)).astype(np.float64)
     hh = (1 + ((size * 3) % 7)).astype(np.float64)
-    minx = cx - hw
-    miny = cy - hh
-    maxx = cx + hw
-    maxy = cy + hh
+    return cx - hw, cy - hh, cx + hw, cy + hh
+
+
+def _part_rect_batch(batch: pa.Table) -> pa.Table:
+    """part rows → their rects' bounds and ``footprint`` polygons."""
+    minx, miny, maxx, maxy = _part_rect_bounds(batch)
     out = batch.append_column("minx", pa.array(minx))
     out = out.append_column("miny", pa.array(miny))
     out = out.append_column("maxx", pa.array(maxx))
@@ -140,11 +143,7 @@ def q_tile_assign(sf_dir: str):
     """Tile cover of each part rect (arithmetic tiling, closed-open)."""
 
     def assign(batch: pa.Table) -> pa.Table:
-        batch = _part_rect_batch(batch)
-        minx = batch["minx"].to_numpy()
-        miny = batch["miny"].to_numpy()
-        maxx = batch["maxx"].to_numpy()
-        maxy = batch["maxy"].to_numpy()
+        minx, miny, maxx, maxy = _part_rect_bounds(batch)
         tx0 = np.floor(minx / TILE).astype(np.int64)
         ty0 = np.floor(miny / TILE).astype(np.int64)
         tx1 = np.floor(maxx / TILE).astype(np.int64)
@@ -196,10 +195,9 @@ def _customer_points(batch: pa.Table) -> pa.Table:
 def _part_rects(batch: pa.Table, side: int = BUILD, geom: bool = False) -> pa.Table:
     """part rows → a rect side of a cell join, id = p_partkey; ``geom``
     adds the rect polygon (polygon joins only)."""
-    b = _part_rect_batch(batch)
+    bounds = _part_rect_bounds(batch)
     return side_table(
-        side, b["p_partkey"], b["minx"], b["miny"], b["maxx"], b["maxy"],
-        b["footprint"] if geom else None,
+        side, batch["p_partkey"], *bounds, _rect_mp_array(*bounds) if geom else None
     )
 
 
@@ -1129,11 +1127,11 @@ def q_poly_join_big(sf_dir: str):
     each cell group joins locally via STR-tree candidates + one
     ``boolean_batch`` call
     (stages/join_clip.py::join_cells_within_group).  Every candidate
-    is a rect ∩ rect row, so ``boolean_batch`` answers it with the
-    closed-form overlap rect or the empty result
-    (stages/known_answers.py, the lift of the bbox gate at
-    lib/src/boolean/mod.rs:106-109), bit-identical to the Martinez
-    kernel, and the sweep never runs.
+    is a rect ∩ rect pair, so the native kernel answers it with the
+    closed-form overlap rect or the empty result before its sweep
+    (native/martinez.c's known-answer gate, the lift of the bbox gate
+    at lib/src/boolean/mod.rs:106-109), bit-identical to the sweep; the
+    Python kernel (``GEO_NATIVE=0``) sweeps it.
     Geometries spanning several cells are replicated, so the same pair
     is FOUND in every shared cell: PBSM reference-cell duplicate
     avoidance (keep a pair only in the cell holding the min corner of

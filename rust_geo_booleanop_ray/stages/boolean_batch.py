@@ -8,13 +8,11 @@ sweep stays sequential per row.
 ``boolean_batch`` is the one place that chooses the kernel: the native
 batch entry point when the C library is available, else the pure-Python
 reference kernel row by row (``GEO_NATIVE=0`` or no compiler).  Both
-produce the same bits; every stage that clips calls it.
-
-Before either kernel runs, one known-answer pass
-(stages/known_answers.py) classifies the non-null rows of an
-``intersection``: a rect ∩ rect row gets its overlap rect or the empty
-result, bit-identical to the kernels.  Every other row goes to the
-kernel unchanged; results are scattered back in row order.
+produce the same bits; every stage that clips calls it.  The native
+kernel answers the `intersection` pairs whose result has a closed form
+(rect ∩ rect, a convex ring inside a rect) without its sweep
+(native/martinez.c, the known-answer gate); the Python kernel sweeps
+them, with the same bits.
 
 Usage:
     ds.map_batches(BooleanOpBatch("intersection"), batch_format="pyarrow")
@@ -30,7 +28,6 @@ from .. import native
 from ..geom import OPERATIONS
 from ..geom.boolean_op import boolean_op_python
 from ..sources.arrow_geom import MULTIPOLYGON_T, arrow_to_mps, mps_to_arrow
-from .known_answers import KERNEL, known_answers
 
 
 def boolean_batch(subject, clipping, op):
@@ -49,37 +46,18 @@ def boolean_batch(subject, clipping, op):
     elif not isinstance(op, (str, pa.Array)):
         op = pa.array(op, pa.string())
     if not (subject.null_count or clipping.null_count):
-        return _known_then_kernel(subject, clipping, op)
+        return _kernel(subject, clipping, op)
 
     valid = np.logical_and(
         subject.is_valid().to_numpy(zero_copy_only=False),
         clipping.is_valid().to_numpy(zero_copy_only=False),
     )
     rows = pa.array(np.flatnonzero(valid))
-    res = _known_then_kernel(subject.take(rows), clipping.take(rows), _take(op, rows))
+    res = _kernel(
+        subject.take(rows), clipping.take(rows), op if isinstance(op, str) else op.take(rows)
+    )
     # scatter back: a null index takes a null result
     return res.take(pa.array(np.cumsum(valid) - 1, mask=~valid))
-
-
-def _take(op, rows):
-    return op if isinstance(op, str) else op.take(rows)
-
-
-def _known_then_kernel(subject, clipping, op):
-    """Known answers for the rows that have one, the kernel for the
-    rest, scattered back in row order."""
-    cls, known = known_answers(subject, clipping, op)
-    if known is None:
-        return _kernel(subject, clipping, op)
-    rest = np.flatnonzero(cls == KERNEL)
-    if not len(rest):
-        return known
-    idx = pa.array(rest)
-    res = _kernel(subject.take(idx), clipping.take(idx), _take(op, idx))
-    order = np.empty(len(cls), np.int64)
-    order[cls != KERNEL] = np.arange(len(known))
-    order[rest] = len(known) + np.arange(len(rest))
-    return pa.concat_arrays([known, res]).take(pa.array(order))
 
 
 def _kernel(subject, clipping, op):

@@ -6,8 +6,10 @@ Three join strategies, picked by data shape (ray_guide join patterns):
    cells (stages/cells.py) at ``tile_res``; the cover is computed
    arithmetically (no index needed).  Every (footprint, tile) pair,
    also one whose bbox lies strictly inside its tile, is clipped
-   exactly against the tile rect in one ``boolean_batch`` call.
-   Stateless map_batches.
+   exactly against the tile rect in one ``boolean_batch`` call; the
+   native kernel answers a convex footprint strictly inside its tile
+   without the sweep (its CONTAINED known answer, bit-identical to the
+   sweep).  Stateless map_batches.
 2. ``BroadcastPolyJoinClip`` — footprints × an *irregular* polygon set
    small enough to broadcast (``ray.put`` once).  Actor-pool stage: the
    STR-tree over the polygon bboxes is built ONCE per actor in
@@ -26,7 +28,9 @@ Deduplicate PBSM replicas downstream when geometries were replicated
 to multiple cells, or use ``join_cells_within_group_dedup``.  Every
 exact clip is one ``boolean_batch`` call per batch
 (stages/boolean_batch.py), which picks the native or the reference
-kernel.
+kernel.  The native kernel answers rect ∩ rect pairs (the cell join's
+rect sides) by their closed form, before its sweep
+(native/martinez.c's known-answer gate).
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@
  *      clipping sides (each: xy f64, ring/poly/multipolygon offsets
  *      i32, every array preceded by its int64 length), int32 ops[n].
  * OUT: per batch: int64 rc; when rc == 0, int64 n_vertices, n_rings,
- *      n_polys, n_pairs, then xy, ring sizes, rings per polygon and
- *      polygons per pair.
+ *      n_polys, n_pairs, then xy, ring sizes, rings per polygon,
+ *      polygons per pair and the int8 gate class of each pair.
  * All little-endian, as written by numpy on x86-64 and arm64.
  */
 
@@ -25,7 +25,8 @@ int martinez_batch(
     int64_t n_pairs, const int32_t *ops,
     double **out_xy, int64_t **out_ring_sizes, int64_t **out_poly_ring_counts,
     int64_t **out_pair_poly_counts,
-    int64_t *out_n_vertices, int64_t *out_n_rings, int64_t *out_n_polys);
+    int64_t *out_n_vertices, int64_t *out_n_rings, int64_t *out_n_polys,
+    int8_t *classes);
 void martinez_free_batch(double *xy, int64_t *ring_sizes,
                          int64_t *poly_ring_counts, int64_t *pair_poly_counts);
 
@@ -57,6 +58,7 @@ int main(int argc, char **argv) {
         for (int k = 0; k < 8; k++) side[k] = read_array(k % 4 == 0 ? 8 : 4);
         int32_t *ops = (int32_t *)malloc(n ? n * 4 : 1);
         if ((int64_t)fread(ops, 4, n, in) != n) return 2;
+        int8_t *classes = (int8_t *)malloc(n ? n : 1);
 
         double *xy;
         int64_t *ring_sizes, *poly_ring_counts, *pair_poly_counts;
@@ -64,7 +66,7 @@ int main(int argc, char **argv) {
         int64_t rc = martinez_batch(
             side[0], side[1], side[2], side[3], side[4], side[5], side[6], side[7],
             n, ops, &xy, &ring_sizes, &poly_ring_counts, &pair_poly_counts,
-            &nv, &nr, &np);
+            &nv, &nr, &np, classes);
         write_all(out, &rc, 8, 1);
         if (rc == 0) {
             int64_t counts[4] = {nv, nr, np, n};
@@ -73,10 +75,12 @@ int main(int argc, char **argv) {
             write_all(out, ring_sizes, 8, nr);
             write_all(out, poly_ring_counts, 8, np);
             write_all(out, pair_poly_counts, 8, n);
+            write_all(out, classes, 1, n);
             martinez_free_batch(xy, ring_sizes, poly_ring_counts, pair_poly_counts);
         }
         for (int k = 0; k < 8; k++) free(side[k]);
         free(ops);
+        free(classes);
     }
     fclose(in);
     return fclose(out) == 0 ? 0 : 2;

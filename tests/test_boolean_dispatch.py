@@ -148,9 +148,9 @@ def test_null_rows_give_null_results(monkeypatch, geo_native):
     ops = ["intersection", "union", "xor", "union", "difference"]
 
     res = boolean_batch(subj, clip, pa.array(ops))
-    # of the two valid rows, the rect ∩ rect one has a known answer
-    # (stages/known_answers.py): only the union row reaches the kernel
-    assert kernel_rows == [1]
+    # the two valid rows reach the kernel in one call; under
+    # GEO_NATIVE=1 the rect ∩ rect one takes the native known-answer gate
+    assert kernel_rows == [2]
     assert arrow_to_mps(res) == [
         boolean_op_python(A, B, "intersection"),
         None,

@@ -5,7 +5,8 @@ and LeakSanitizer.
 `-fsanitize=address,undefined` into a temp dir.  The driver runs
 `martinez_batch` over batches written here: the golden corpus, the
 seeded degenerate pairs of `test_boolean_dispatch` under all four ops,
-pairs that grow the batch workspace, and two batches with a failing
+pairs that grow the batch workspace, pairs the known-answer gate
+answers (RECT, CONTAINED) and its near-misses, and two batches with a failing
 pair in the middle (event budget, code 3; `connect_edges`, code 2).
 Any sanitizer report fails the test, a leak at exit included: the
 splay node `splay_remove` drops under an inconsistent comparator (the
@@ -28,6 +29,7 @@ from kernel_cases import (
     rect,
 )
 from test_boolean_dispatch import OPS, _pairs, _run
+from test_known_answers import CONTAINED_PENTAGON, NEAR_MISSES
 
 from rust_geo_booleanop_ray import native
 from rust_geo_booleanop_ray.sources.arrow_geom import arrow_mp_offsets, flat_to_arrow, mps_to_arrow
@@ -56,7 +58,7 @@ def _write_batch(f, table):
 
 
 def _read_results(path, n_batches):
-    """(return code, result array or None) per batch."""
+    """(return code, (result array, gate classes) or None) per batch."""
     out = []
     with open(path, "rb") as f:
         for _ in range(n_batches):
@@ -67,7 +69,8 @@ def _read_results(path, n_batches):
             nv, nr, npolys, n = np.frombuffer(f.read(32), np.int64)
             xy = np.frombuffer(f.read(16 * nv), np.float64).reshape(-1, 2)
             sizes, prc, ppc = (np.frombuffer(f.read(8 * k), np.int64) for k in (nr, npolys, n))
-            out.append((rc, flat_to_arrow(xy, sizes, prc, ppc)))
+            classes = np.frombuffer(f.read(n), np.int8)
+            out.append((rc, (flat_to_arrow(xy, sizes, prc, ppc), classes)))
     return out
 
 
@@ -98,6 +101,16 @@ def test_kernel_is_sanitizer_clean(driver, tmp_path):
         (circle(0, 0, 10, 1200), circle(3, 1, 10, 1100), "xor"),
         (rect(0, 0, 4, 4), rect(2, 2, 6, 6), "intersection"),
     ]
+    # the known-answer gate: RECT and CONTAINED pairs, and near-misses
+    rows += [
+        (rect(0, 0, 4, 4), rect(4, 0, 6, 6), "intersection"),
+        (rect(0, 0, 4, 4), rect(1, 1, 3, 3), "intersection"),
+        (rect(0, 0, 4, 4), rect(5, 5, 6, 6), "intersection"),
+        (circle(0.5, 0.25, 10, 12), rect(-11, -11, 12, 12), "intersection"),
+        (*CONTAINED_PENTAGON, "intersection"),
+        (*CONTAINED_PENTAGON, "union"),
+    ]
+    rows += [(s, c, "intersection") for s, c in NEAR_MISSES.values()]
     # the pairs both kernels fail are left out of the clean batch
     want, err = _run(_table(rows))
     ok = [i for i, e in enumerate(err) if e is None]
@@ -125,5 +138,10 @@ def test_kernel_is_sanitizer_clean(driver, tmp_path):
 
     results = _read_results(dst, len(batches))
     assert [rc for rc, _ in results] == [rc for _, rc in batches]
-    # the sanitized -O1 build gives the same bits as the engine's kernel
-    assert_bit_identical(results[0][1], want.take(pa.array(ok)))
+    # the sanitized -O1 build gives the same bits and classes as the
+    # engine's kernel
+    res, classes = results[0][1]
+    assert_bit_identical(res, want.take(pa.array(ok)))
+    table = batches[0][0]
+    engine = native.martinez(table["subject"], table["clipping"], table["op"])[1]
+    assert (classes == engine).all() and set(classes) == {0, 1, 2}

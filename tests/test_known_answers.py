@@ -1,10 +1,15 @@
-"""Known answers (stages/known_answers.py): the rect ∩ rect rows that
-`boolean_batch` answers without the sweep carry the kernel's bits, on
-the native and on the Python kernel.
-Near-misses, pairs outside the coordinate bounds and every other op go
-to the kernel, and rows the kernel fails on still fail the same way.
-Bits are compared as uint64 views (kernel_cases.bits), never with
-``pa.Array.equals``, which treats -0.0 as 0.0."""
+"""Known answers (the gate of native/martinez.c's `martinez_batch`): the
+`intersection` pairs the native kernel answers without its sweep carry
+the bits of the ungated Python reference kernel (geom/boolean_op.py).
+
+Every case runs the pairs through `native_boolean_batch` and compares
+a sample of at most ``PY_ROWS`` rows with the reference kernel, bit for
+bit; `boolean_batch` under the parametrized ``GEO_NATIVE`` gives the
+same bits.  Classes (swept, RECT, CONTAINED) come from
+`native.martinez`.  Near-misses, pairs outside the coordinate bounds
+and every other op are swept, and pairs the kernel fails on still fail
+the same way.  Bits are compared as uint64 views (kernel_cases.bits),
+never with ``pa.Array.equals``, which treats -0.0 as 0.0."""
 
 import numpy as np
 import pyarrow as pa
@@ -15,29 +20,25 @@ from test_boolean_dispatch import _pairs
 
 from rust_geo_booleanop_ray import native
 from rust_geo_booleanop_ray.functions.rtree import STRtree
+from rust_geo_booleanop_ray.geom.boolean_op import boolean_op_python
 from rust_geo_booleanop_ray.pipelines.catalog.spatial import (
     _part_rect_batch,
     _supplier_rect_batch,
 )
-from rust_geo_booleanop_ray.sources.arrow_geom import flat_to_arrow, mps_to_arrow
+from rust_geo_booleanop_ray.sources.arrow_geom import arrow_to_mps, flat_to_arrow, mps_to_arrow
 from rust_geo_booleanop_ray.sources.images import _SIZES
-from rust_geo_booleanop_ray.stages import boolean_batch as dispatch
 from rust_geo_booleanop_ray.stages.boolean_batch import BooleanOpBatch, boolean_batch
 from rust_geo_booleanop_ray.stages.cells import cell_bounds_array, cover_bbox
 from rust_geo_booleanop_ray.stages.footprint import derive_footprints
 from rust_geo_booleanop_ray.stages.join_clip import TileJoinClip
-from rust_geo_booleanop_ray.stages.known_answers import (
-    COORD_MAX,
-    COORD_MIN,
-    KERNEL,
-    RECT,
-    SPREAD_MAX,
-    known_answers,
-)
+
+pytestmark = pytest.mark.skipif(not native.native_available(), reason="native kernel not built")
 
 KERNELS = pytest.mark.parametrize("geo_native", ["1", "0"])
 # the Python kernel takes ~0.1-1 ms a pair: it checks a sample
 PY_ROWS = 300
+SWEPT, RECT, CONTAINED = range(len(native.GATE_CLASSES))
+COORD_MIN, COORD_MAX, SPREAD_MAX = native.COORD_MIN, native.COORD_MAX, native.SPREAD_MAX
 
 NO_OUTPUT_CONTOUR = "previous result event has no output contour"
 
@@ -57,17 +58,49 @@ def _rect(x0, y0, x1, y1, start=0, cw=False):
     return np.array(pts + pts[:1], dtype=np.float64)
 
 
+def _take(op, rows):
+    return op if isinstance(op, str) else op.take(rows)
+
+
+def _reference(s, c, op):
+    """The ungated Python reference kernel, row by row."""
+    ops = [op] * len(s) if isinstance(op, str) else op.to_pylist()
+    return mps_to_arrow(
+        [boolean_op_python(a, b, o) for a, b, o in zip(arrow_to_mps(s), arrow_to_mps(c), ops)]
+    )
+
+
+def _sample(n):
+    """At most PY_ROWS row indices, spread over ``n`` rows."""
+    return pa.array(np.unique(np.linspace(0, n - 1, min(n, PY_ROWS)).astype(np.int64)))
+
+
 def _check(monkeypatch, geo_native, s, c, op="intersection"):
-    """boolean_batch ≡ the kernel it dispatches to, bit for bit (the
-    Python kernel on a sample of the rows); the class of every row."""
+    """native_boolean_batch ≡ the Python reference kernel, bit for bit,
+    on a sample of the rows; boolean_batch under ``geo_native`` gives
+    the same bits (the Python kernel on the sample).  Returns the class
+    of every row."""
+    monkeypatch.delenv("GEO_NATIVE", raising=False)
+    got, cls = native.martinez(s, c, op)
+    assert_bit_identical(native.native_boolean_batch(s, c, op), got)
+    rows = _sample(len(s))
+    s_, c_, op_ = s.take(rows), c.take(rows), _take(op, rows)
+    assert_bit_identical(got.take(rows), _reference(s_, c_, op_))
     monkeypatch.setenv("GEO_NATIVE", geo_native)
-    cls = known_answers(s, c, op)[0]
-    if geo_native == "0" and len(s) > PY_ROWS:
-        rows = pa.array(np.linspace(0, len(s) - 1, PY_ROWS).astype(np.int64))
-        s, c = s.take(rows), c.take(rows)
-        op = op if isinstance(op, str) else op.take(rows)
-    assert_bit_identical(boolean_batch(s, c, op), dispatch._kernel(s, c, op))
+    if geo_native == "1":
+        assert_bit_identical(boolean_batch(s, c, op), got)
+    else:
+        assert_bit_identical(boolean_batch(s_, c_, op_), got.take(rows))
     return cls
+
+
+def _counted(s, c, op="intersection"):
+    """(result, how many pairs of each class native_boolean_batch added
+    to gate_counts)."""
+    before = native.gate_counts()
+    res = native.native_boolean_batch(s, c, op)
+    after = native.gate_counts()
+    return res, {k: after[k] - before[k] for k in native.GATE_CLASSES}
 
 
 def _rect_pairs(rng, values, n):
@@ -88,12 +121,13 @@ def _with_ulp_neighbours(v):
     return np.unique(np.concatenate([v, np.nextafter(v, np.inf), np.nextafter(v, -np.inf)]))
 
 
-@KERNELS
-def test_polyjoin_pairs(monkeypatch, geo_native):
-    """The poly_join_big pairs: STR-tree candidates of part × supplier
-    rects, every one a RECT row, empty where they only touch."""
-    rng = np.random.default_rng(131)
-    n = 2_000
+def _polyjoin_pairs(seed):
+    """The polyjoin benchmark's part × supplier rects for ``seed`` (20,000
+    parts, sizes drawn after brands) paired by STR-tree candidates, and
+    each pair's overlap rect as (lo, hi) corners."""
+    rng = np.random.default_rng(seed)
+    n = 20_000
+    rng.integers(1, 26, n)  # brands
     part = _part_rect_batch(
         pa.table(
             {
@@ -108,11 +142,40 @@ def test_polyjoin_pairs(monkeypatch, geo_native):
     row, build = tree.query_many(*(part[k].to_numpy() for k in bounds))
     s = part["footprint"].combine_chunks().take(pa.array(row))
     c = sup["geom"].combine_chunks().take(pa.array(build))
-    assert len(s) > 50_000
-    assert (_check(monkeypatch, geo_native, s, c) == RECT).all()
-    res = boolean_batch(s, c, "intersection")
+    pb = np.stack([part[k].to_numpy()[row] for k in bounds])
+    sb = np.stack([sup[k].to_numpy()[build] for k in bounds])
+    return s, c, np.maximum(pb[:2], sb[:2]), np.minimum(pb[2:], sb[2:])
+
+
+def _overlap_rects(lo, hi):
+    """The closed form of rect ∩ rect: the CCW overlap rect from its
+    least corner, or the empty multipolygon."""
+    full = (lo[0] < hi[0]) & (lo[1] < hi[1])
+    (x0, y0), (x1, y1) = lo[:, full], hi[:, full]
+    xy = np.stack([x0, y0, x1, y0, x1, y1, x0, y1, x0, y0], axis=1).reshape(-1, 2)
+    n = int(full.sum())
+    return flat_to_arrow(xy, np.full(n, 5), np.ones(n, np.int64), full.astype(np.int64))
+
+
+@KERNELS
+def test_polyjoin_pairs(monkeypatch, geo_native):
+    """The seed-131 polyjoin pairs: every one is a RECT pair, counted as
+    such by gate_counts, its result the closed-form overlap rect (all
+    rows natively, a sample through the Python kernel), empty where the
+    rects only touch."""
+    s, c, lo, hi = _polyjoin_pairs(131)
+    assert len(s) > 500_000
+    want = _overlap_rects(lo, hi)
+    res, counts = _counted(s, c)
+    assert counts == {"swept": 0, "rect": len(s), "contained": 0}
+    assert_bit_identical(res, want)
     empty = pc.list_value_length(res).to_numpy() == 0
     assert 0.1 < empty.mean() < 0.5
+
+    rows = _sample(len(s))
+    s, c, want = s.take(rows), c.take(rows), want.take(rows)
+    assert (_check(monkeypatch, geo_native, s, c) == RECT).all()
+    assert_bit_identical(boolean_batch(s, c, "intersection"), want)
 
 
 @KERNELS
@@ -128,6 +191,8 @@ def test_ulp_and_shared_edge_fuzz(monkeypatch, geo_native, scale):
     s, c = pa.concat_arrays(subs), pa.concat_arrays(clips)
     cls = _check(monkeypatch, geo_native, s, c)
     assert (cls == RECT).mean() > 0.2
+    # the Python kernel's sample holds both classes
+    assert set(cls[_sample(len(s)).to_numpy()]) == {SWEPT, RECT}
 
 
 @KERNELS
@@ -151,30 +216,32 @@ def test_touching_pairs_are_empty(monkeypatch, geo_native):
         subs.append(_rect(x0, y0, x1, y1, start=rng.integers(4)))
         clips.append(_rect(*clip, start=rng.integers(4)))
     s, c = _rings(subs), _rings(clips)
+    assert (pc.list_value_length(native.native_boolean_batch(s, c, "intersection")).to_numpy() == 0).all()
     assert (_check(monkeypatch, geo_native, s, c) == RECT).all()
-    assert (pc.list_value_length(boolean_batch(s, c, "intersection")).to_numpy() == 0).all()
+
+
+def _negate_zeros(arr):
+    xy = bits(arr)[0].view(np.float64).copy()
+    xy[xy == 0] = -0.0
+    sizes = np.diff(bits(arr)[1])
+    return flat_to_arrow(xy, sizes, np.ones(len(arr)), np.ones(len(arr)))
 
 
 @KERNELS
 def test_signed_zero_ties(monkeypatch, geo_native):
-    """Small-integer ties with +0.0 are RECT rows; a -0.0 anywhere in
-    the pair sends it to the kernel, whose output then mixes signed
+    """Small-integer ties with +0.0 are RECT pairs; a -0.0 anywhere in
+    the pair sends it to the sweep, whose output then mixes signed
     zeros."""
     rng = np.random.default_rng(11)
     s, c = _rect_pairs(rng, np.arange(-2.0, 3.0), 1_500)
     assert (_check(monkeypatch, geo_native, s, c) == RECT).all()
 
-    def negate_zeros(arr):
-        xy = bits(arr)[0].view(np.float64).copy()
-        xy[xy == 0] = -0.0
-        return flat_to_arrow(xy, np.full(len(arr), 5), np.ones(len(arr)), np.ones(len(arr)))
-
     has_zero = np.array(
         [(np.asarray(a.as_py()) == 0).any() or (np.asarray(b.as_py()) == 0).any() for a, b in zip(s, c)]
     )
-    s, c = negate_zeros(s), negate_zeros(c)
+    s, c = _negate_zeros(s), _negate_zeros(c)
     cls = _check(monkeypatch, geo_native, s, c)
-    assert (cls[has_zero] == KERNEL).all() and (cls[~has_zero] == RECT).all()
+    assert (cls[has_zero] == SWEPT).all() and (cls[~has_zero] == RECT).all()
 
 
 @KERNELS
@@ -182,23 +249,24 @@ def test_rect_mixing_signed_zeros_goes_to_the_kernel(monkeypatch, geo_native):
     """A rect whose zero coordinates mix 0.0 and -0.0 still has straight
     edges (0.0 - -0.0 == 0), and its bbox may show +0.0: at every start
     corner, with the -0.0 at any one zero coordinate of the subject or
-    of the clipping, the row goes to the kernel."""
+    of the clipping, closing vertex included, the pair is swept."""
     subs, clips = [], []
     for start in range(4):
         for role in (0, 1):
             pair = [_rect(0, 0, 1, 1, start), _rect(0, 0, 2, 2, start)]
-            for v in range(4):
+            for v in range(5):
                 for axis in (0, 1):
                     if pair[role][v, axis] != 0:
                         continue
                     mixed = pair[role].copy()
                     mixed[v, axis] = -0.0
-                    mixed[4] = mixed[0]
+                    if v == 0:
+                        mixed[4] = mixed[0]
                     subs.append(mixed if role == 0 else pair[0])
                     clips.append(mixed if role == 1 else pair[1])
     s, c = _rings(subs), _rings(clips)
-    assert len(s) == 32
-    assert (_check(monkeypatch, geo_native, s, c) == KERNEL).all()
+    assert len(s) == 40
+    assert (_check(monkeypatch, geo_native, s, c) == SWEPT).all()
 
 
 def _spread_pair(big):
@@ -209,28 +277,32 @@ def _spread_pair(big):
 def _scaled(pair, k):
     s, c = pair
     return tuple(
-        flat_to_arrow(bits(a)[0].view(np.float64) * k, [5], [1], [1]) for a in (s, c)
+        flat_to_arrow(bits(a)[0].view(np.float64) * k, [5], [1], [1])
+        for a in (s, c)
     )
 
 
 @KERNELS
 def test_magnitude_bounds(monkeypatch, geo_native):
     """A pair at SPREAD_MAX, COORD_MAX or COORD_MIN exactly is a RECT
-    row with the kernel's bits; one ULP past each bound goes to the
-    kernel."""
+    pair with the kernel's bits; one ULP past each bound is swept."""
     past = np.nextafter(SPREAD_MAX, np.inf)
     assert _check(monkeypatch, geo_native, *_spread_pair(SPREAD_MAX)).tolist() == [RECT]
-    assert _check(monkeypatch, geo_native, *_spread_pair(past)).tolist() == [KERNEL]
+    assert _check(monkeypatch, geo_native, *_spread_pair(past)).tolist() == [SWEPT]
 
     # largest magnitude 2: scaled to COORD_MAX, and one ULP past it
     unit = (_rings([_rect(0.0, 0.0, 1.0, 2.0)]), _rings([_rect(1.0, 1.0, 2.0, 2.0)]))
     top = _scaled(unit, COORD_MAX / 2)
     assert _check(monkeypatch, geo_native, *top).tolist() == [RECT]
-    assert _check(monkeypatch, geo_native, *_scaled(top, past / SPREAD_MAX)).tolist() == [KERNEL]
+    assert _check(monkeypatch, geo_native, *_scaled(top, past / SPREAD_MAX)).tolist() == [SWEPT]
     # smallest magnitude and extent 1: scaled to COORD_MIN, one ULP below
     assert _check(monkeypatch, geo_native, *_scaled(unit, COORD_MIN)).tolist() == [RECT]
     below = np.nextafter(COORD_MIN, 0.0)
-    assert _check(monkeypatch, geo_native, *_scaled(unit, below)).tolist() == [KERNEL]
+    assert _check(monkeypatch, geo_native, *_scaled(unit, below)).tolist() == [SWEPT]
+
+
+def test_bounds_mirror_martinez_c():
+    assert (COORD_MIN, COORD_MAX, SPREAD_MAX) == (2.0**-200, 2.0**200, 2.0**26)
 
 
 @KERNELS
@@ -238,7 +310,7 @@ def test_kernel_past_the_spread_bound_is_not_the_closed_form(monkeypatch, geo_na
     """Why the spread bound exists: mixing 1 with 1e20, the kernel adds
     a collinear vertex at (0, -1) to the overlap rect."""
     s, c = _rings([_rect(-1e20, -1.0, 2.0, 1.0)]), _rings([_rect(-1.0, -1.0, 1.0, 1.0)])
-    assert _check(monkeypatch, geo_native, s, c).tolist() == [KERNEL]
+    assert _check(monkeypatch, geo_native, s, c).tolist() == [SWEPT]
     assert boolean_batch(s, c, "intersection").to_pylist() == [
         [[[[-1.0, -1.0], [0.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0]]]]
     ]
@@ -251,7 +323,7 @@ def test_overlap_a_few_ulps_wide_goes_to_the_kernel(monkeypatch, geo_native):
     x0, x1 = -0.3297699076995742, -0.3297699076995741
     s = _rings([_rect(-0.8400905336196427, -0.8400905336196427, x1, -0.3297699076995741, start=3)])
     c = _rings([_rect(x0, -0.8400905336196427, 0.8644531840952338, 0.8644531840952338, start=1)])
-    assert _check(monkeypatch, geo_native, s, c).tolist() == [KERNEL]
+    assert _check(monkeypatch, geo_native, s, c).tolist() == [SWEPT]
     ring = boolean_batch(s, c, "intersection").to_pylist()[0][0][0]
     assert len(ring) == 6 and ring[1] == [np.nextafter(x0, 0.0), -0.8400905336196427]
 
@@ -282,24 +354,27 @@ FAILING_RECT_PAIRS = [
 @KERNELS
 @pytest.mark.parametrize("pair", range(len(FAILING_RECT_PAIRS)))
 def test_kernel_failures_still_raise(monkeypatch, geo_native, pair):
-    """A rect pair the kernel fails on is a KERNEL row: it still raises,
-    and under on_error="null" it alone becomes null with the kernel's
-    error while its RECT neighbours keep their answers."""
-    monkeypatch.setenv("GEO_NATIVE", geo_native)
+    """A rect pair the kernel fails on is swept: it still raises, also
+    between RECT neighbours, and under on_error="null" it alone becomes
+    null with the kernel's error while its neighbours keep their
+    answers."""
     bad_s, bad_c = FAILING_RECT_PAIRS[pair]
     good_s, good_c = _rect(0.0, 0.0, 4.0, 4.0), _rect(2.0, 2.0, 6.0, 6.0)
     s, c = _rings([good_s, bad_s, good_s]), _rings([good_c, bad_c, good_c])
-    assert known_answers(s, c, "intersection")[0].tolist() == [RECT, KERNEL, RECT]
+    good = pa.array([0, 2])
+    assert native.martinez(s.take(good), c.take(good), "intersection")[1].tolist() == [RECT, RECT]
+    with pytest.raises(RuntimeError, match=NO_OUTPUT_CONTOUR):
+        native.martinez(s, c, "intersection")
+
+    monkeypatch.setenv("GEO_NATIVE", geo_native)
     with pytest.raises(RuntimeError, match=NO_OUTPUT_CONTOUR):
         boolean_batch(s, c, "intersection")
-
     out = BooleanOpBatch("intersection", on_error="null")(pa.table({"subject": s, "clipping": c}))
     assert out["result"].is_valid().to_pylist() == [True, False, True]
     assert NO_OUTPUT_CONTOUR in out["result_error"][1].as_py()
-    good = pa.array([0, 2])
     assert_bit_identical(
         out["result"].combine_chunks().take(good),
-        dispatch._kernel(s.take(good), c.take(good), "intersection"),
+        _reference(s.take(good), c.take(good), "intersection"),
     )
 
 
@@ -318,12 +393,13 @@ def _footprints(first, n):
 
 @KERNELS
 def test_flagship_contained_footprints(monkeypatch, geo_native):
-    """The tiles workload's seed-131 footprints at tile_res 5, many with
-    their bbox strictly inside their tile: TileJoinClip's clips equal
-    the kernel's bits.  For a contained footprint that is not the ring
-    as stored; the kernel starts it at its least vertex."""
-    monkeypatch.setenv("GEO_NATIVE", geo_native)
-    f = _footprints(131 * 40_000, 4_000 if geo_native == "1" else 150)
+    """The tiles workload's seed-131 footprints (40,000 images) at
+    tile_res 5: exactly the clips whose footprint bbox lies strictly
+    inside the tile are CONTAINED pairs, counted as such by
+    gate_counts, and TileJoinClip's clips carry the reference kernel's
+    bits.  A contained footprint's result is not the ring as stored:
+    the kernel starts it at its least vertex."""
+    f = _footprints(131 * 40_000, 40_000)
     row, tiles = cover_bbox(*(f[k].to_numpy() for k in ("minx", "miny", "maxx", "maxy")), 5)
     tx0, ty0, tx1, ty1 = cell_bounds_array(tiles)
     b = [f[k].to_numpy()[row] for k in ("minx", "miny", "maxx", "maxy")]
@@ -332,12 +408,56 @@ def test_flagship_contained_footprints(monkeypatch, geo_native):
     c = _rings([_rect(*r) for r in zip(tx0, ty0, tx1, ty1)])
     assert inside.sum() > 0.4 * len(row)
 
-    want = dispatch._kernel(s, c, "intersection")
+    got, cls = native.martinez(s, c, "intersection")
+    assert (cls == np.where(inside, CONTAINED, SWEPT)).all()
+    counts = _counted(s, c)[1]
+    assert counts == {"swept": int((~inside).sum()), "rect": 0, "contained": int(inside.sum())}
     rows = pa.array(np.flatnonzero(inside))
-    stored, clipped = bits(s.take(rows))[0], bits(want.take(rows))[0]
+    stored, clipped = bits(s.take(rows))[0], bits(got.take(rows))[0]
     assert len(stored) == len(clipped) and (stored != clipped).any()
+
+    # a sample of each class through the Python kernel
+    few = np.concatenate([np.flatnonzero(inside)[:150], np.flatnonzero(~inside)[:150]])
+    assert (_check(monkeypatch, geo_native, s.take(few), c.take(few)) == cls[few]).all()
+    f = f.take(pa.array(np.unique(row[few])))
+    picked = np.isin(row, row[few])
+    want = got.filter(pa.array(picked))
     want = want.filter(pc.greater(pc.list_value_length(want), 0))
     assert_bit_identical(TileJoinClip(5)(f)["clip"].combine_chunks(), want)
+
+
+def _convex(rng, k, scale):
+    """A CCW convex k-gon on a random ellipse, its bbox about ``scale``
+    wide, at an offset of a few ``scale``s."""
+    t = np.sort(rng.uniform(0.0, 2.0 * np.pi, k))
+    a, b, rot = 1.0, rng.uniform(0.1, 1.0), rng.uniform(0.0, 2.0 * np.pi)
+    x, y = a * np.cos(t), b * np.sin(t)
+    pts = np.column_stack([x * np.cos(rot) - y * np.sin(rot), x * np.sin(rot) + y * np.cos(rot)])
+    return (pts + rng.uniform(-3.0, 3.0, 2)) * scale
+
+
+@KERNELS
+@pytest.mark.parametrize("scale", [2.0**-100, 1e-9, 1.0, 1e3, 1e12, 2.0**120])
+def test_contained_convex_polygons(monkeypatch, geo_native, scale):
+    """Convex 3- to 12-gons strictly inside a rect are CONTAINED pairs
+    with the reference kernel's bits; a third of them sit one ULP inside
+    the rect's edges, where the gap is an extent past the spread bound
+    and the pair is swept."""
+    rng = np.random.default_rng(int(np.log2(scale)) + 1000)
+    subs, clips, tight = [], [], []
+    for i in range(PY_ROWS):
+        pts = _convex(rng, 3 + i % 10, scale)
+        lo, hi = pts.min(0), pts.max(0)
+        if i % 3 == 0:
+            lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        else:
+            lo, hi = lo - rng.uniform(0.01, 2.0, 2) * scale, hi + rng.uniform(0.01, 2.0, 2) * scale
+        subs.append(np.concatenate([pts, pts[:1]]))
+        clips.append(_rect(*lo, *hi, start=rng.integers(4)))
+        tight.append(i % 3 == 0)
+    cls = _check(monkeypatch, geo_native, _rings(subs), _rings(clips))
+    tight = np.array(tight)
+    assert (cls[~tight] == CONTAINED).all() and (cls[tight] == SWEPT).all()
 
 
 def _closed(pts):
@@ -346,6 +466,7 @@ def _closed(pts):
 
 
 SQUARE = [[_closed([(0, 0), (8, 0), (8, 8), (0, 8)])]]
+PENTAGON = [(4, 1), (7, 3), (6, 7), (2, 7), (1, 3)]
 NEAR_MISSES = {
     "non-axis-aligned clipping": ([[_closed([(1, 1), (5, 1), (5, 5), (1, 5)])]],
                                   [[_closed([(4, 0), (8, 4), (4, 8), (0, 4)])]]),
@@ -359,7 +480,35 @@ NEAR_MISSES = {
     "multipolygon of two rects": ([[_closed([(1, 1), (3, 1), (3, 3), (1, 3)])],
                                    [_closed([(5, 5), (7, 5), (7, 7), (5, 7)])]], SQUARE),
     "open rect": ([[[(2.0, 2.0), (10.0, 2.0), (10.0, 10.0), (2.0, 10.0)]]], SQUARE),
+    # a convex ring inside the square, but not a CONTAINED pair
+    "contained: vertex on the rect boundary": ([[_closed([(4, 0), (7, 3), (6, 7), (2, 7), (1, 3)])]], SQUARE),
+    "contained: collinear vertex": ([[_closed([(4, 1), (7, 3), (6, 7), (4, 7), (2, 7), (1, 3)])]], SQUARE),
+    "contained: repeated vertex": ([[_closed([(4, 1), (7, 3), (7, 3), (6, 7), (2, 7), (1, 3)])]], SQUARE),
+    "contained: CW ring": ([[_closed(PENTAGON[::-1])]], SQUARE),
+    "contained: reflex vertex": ([[_closed([(4, 1), (7, 3), (6, 7), (4, 5), (2, 7), (1, 3)])]], SQUARE),
+    "contained: doubly wound pentagram": ([[_closed([PENTAGON[i] for i in (0, 2, 4, 1, 3)])]], SQUARE),
+    "contained: ring with a hole": ([[_closed(PENTAGON), _closed([(3, 3), (3, 4), (4, 4), (4, 3)])]], SQUARE),
+    "contained: two polygons": ([[_closed(PENTAGON)], [_closed([(1, 5), (2, 5), (2, 6)])]], SQUARE),
+    "contained: -0.0 vertex": ([[_closed([(0.5, 1), (1, -0.0), (1.5, 1)])]],
+                               [[_closed([(-1, -1), (2, -1), (2, 2), (-1, 2)])]]),
+    "contained: -0.0 closing vertex": ([[[(1.0, 0.0), (1.5, 1.0), (0.5, 1.0), (1.0, -0.0)]]],
+                                       [[_closed([(-1, -1), (2, -1), (2, 2), (-1, 2)])]]),
+    "contained: below COORD_MIN": ([[_closed([(4e-62, 1e-62), (7e-62, 3e-62), (6e-62, 7e-62)])]],
+                                   [[_closed([(0, 0), (8e-62, 0), (8e-62, 8e-62), (0, 8e-62)])]]),
+    "contained: above COORD_MAX": ([[_closed(np.array(PENTAGON) * 2.0**199)]],
+                                   [[_closed(np.array([(0, 0), (8, 0), (8, 8), (0, 8)]) * 2.0**199)]]),
+    "contained: spread past SPREAD_MAX": ([[_closed([(4, 1), (7, 3), (6, 7)])]],
+                                          [[_closed([(0, 0), (1e9, 0), (1e9, 8), (0, 8)])]]),
+    # the neighbours of a one-ULP edge meet in the kernel's float
+    # crossing test: it splits the ring into two polygons there
+    "contained: one-ULP edge": (
+        [[_closed([(7390330431553137.0, 4729156982111889.0), (7390330431553138.0, 4729156982111889.0),
+                   (2031883581885910.5, 1.028723168603691e16), (-3415857396899442.0, 8739035202127605.0)])]],
+        [[_closed([(-5237481079001508.0, 2341688941094172.5), (1.797992660442645e16, 2341688941094172.5),
+                   (1.797992660442645e16, 1.265170191786874e16), (-5237481079001508.0, 1.265170191786874e16)])]],
+    ),
 }
+CONTAINED_PENTAGON = ([[_closed(PENTAGON)]], SQUARE)
 
 
 @KERNELS
@@ -367,47 +516,55 @@ NEAR_MISSES = {
 def test_near_misses_go_to_the_kernel(monkeypatch, geo_native, name):
     subject, clipping = NEAR_MISSES[name]
     s, c = mps_to_arrow([subject]), mps_to_arrow([clipping])
-    assert _check(monkeypatch, geo_native, s, c).tolist() == [KERNEL]
+    assert _check(monkeypatch, geo_native, s, c).tolist() == [SWEPT]
+
+
+@KERNELS
+def test_contained_pentagon_starts_at_its_least_vertex(monkeypatch, geo_native):
+    """The near-misses' control: the pentagon they bend is CONTAINED,
+    its result the ring from (1, 3)."""
+    s, c = (mps_to_arrow([g]) for g in CONTAINED_PENTAGON)
+    assert _check(monkeypatch, geo_native, s, c).tolist() == [CONTAINED]
+    ring = [tuple(p) for p in boolean_batch(s, c, "intersection").to_pylist()[0][0][0]]
+    assert ring == _closed(PENTAGON[4:] + PENTAGON[:4])
 
 
 @KERNELS
 def test_other_ops_go_to_the_kernel(monkeypatch, geo_native):
-    """Only `intersection` rows have known answers: a scalar op other
-    than it sends every row to the kernel, and a per-row op array sends
-    its other rows there, with results in row order."""
-    monkeypatch.setenv("GEO_NATIVE", geo_native)
+    """Only `intersection` pairs have known answers: a scalar op other
+    than it sweeps every pair, and a per-row op array sweeps its other
+    rows, with results in row order."""
     rng = np.random.default_rng(2)
     s, c = _rect_pairs(rng, np.arange(0.0, 6.0), 40)
-    for op in ("union", "difference", "xor"):
-        assert (_check(monkeypatch, geo_native, s, c, op) == KERNEL).all()
-
+    inside = _rings([np.array(PENTAGON + PENTAGON[:1], np.float64)] * 40)
+    square = mps_to_arrow([SQUARE] * 40)
+    s, c = pa.concat_arrays([s, inside]), pa.concat_arrays([c, square])
     ops = pa.array(rng.choice(["intersection", "union", "difference", "xor"], len(s)))
-    is_inter = (ops.to_numpy(zero_copy_only=False) == "intersection")
-    assert (_check(monkeypatch, geo_native, s, c, ops) == np.where(is_inter, RECT, KERNEL)).all()
+    is_inter = ops.to_numpy(zero_copy_only=False) == "intersection"
+    assert _counted(s, c, ops)[1] == {
+        "swept": int((~is_inter).sum()),
+        "rect": int(is_inter[:40].sum()),
+        "contained": int(is_inter[40:].sum()),
+    }
 
-    kernel_rows = []
-    real = native.native_boolean_batch
-
-    def spy(subject, clipping, op):
-        kernel_rows.append(len(subject))
-        return real(subject, clipping, op)
-
-    monkeypatch.setattr(native, "native_boolean_batch", spy)
-    boolean_batch(s, c, ops)
-    assert kernel_rows == [int((~is_inter).sum())]
-    kernel_rows.clear()
-    boolean_batch(s, c, "intersection")  # every row known: no kernel call
-    assert kernel_rows == []
+    for op in ("union", "difference", "xor"):
+        assert (_check(monkeypatch, geo_native, s, c, op) == SWEPT).all()
+    known = np.where(np.arange(len(s)) < 40, RECT, CONTAINED)
+    assert (_check(monkeypatch, geo_native, s, c, ops) == np.where(is_inter, known, SWEPT)).all()
 
 
 @KERNELS
 def test_differential_pairs(monkeypatch, geo_native):
-    """The dispatch test's degenerate pairs: the rows with a known
-    answer carry the kernel's bits."""
-    monkeypatch.setenv("GEO_NATIVE", geo_native)
+    """The dispatch test's degenerate pairs: the pairs with a known
+    answer carry the reference kernel's bits."""
     subs, clips = _pairs()
     s, c = mps_to_arrow(subs), mps_to_arrow(clips)
-    cls, known = known_answers(s, c, "intersection")
-    rows = pa.array(np.flatnonzero(cls != KERNEL))
+    cls = []
+    for i in range(len(s)):  # alone, as some of them fail the sweep
+        try:
+            cls.append(native.martinez(s.slice(i, 1), c.slice(i, 1), "intersection")[1][0])
+        except RuntimeError:
+            cls.append(SWEPT)
+    rows = pa.array(np.flatnonzero(np.array(cls) != SWEPT))
     assert len(rows) > 5
-    assert_bit_identical(known, dispatch._kernel(s.take(rows), c.take(rows), "intersection"))
+    _check(monkeypatch, geo_native, s.take(rows), c.take(rows))
