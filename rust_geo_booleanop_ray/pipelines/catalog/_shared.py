@@ -8,11 +8,6 @@ import numpy as np  # noqa: F401
 import pyarrow as pa  # noqa: F401
 import pyarrow.compute as pc  # noqa: F401
 
-from ...sources.arrow_geom import shoelace_area  # noqa: F401
-from ...sources.arrow_geom import rects_to_arrow as _rect_mp_array  # noqa: F401
-from ...stages.boolean_batch import BooleanOpBatch  # noqa: F401
-
-
 
 def _read(sf_dir: str, table: str, columns=None):
     """Column-pruned parquet read; ``tune_data_context()`` sizes it to

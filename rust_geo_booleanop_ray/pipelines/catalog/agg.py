@@ -8,12 +8,8 @@ import numpy as np  # noqa: F401
 import pyarrow as pa  # noqa: F401
 import pyarrow.compute as pc  # noqa: F401
 
-from ...sources.arrow_geom import shoelace_area  # noqa: F401
-from ...sources.arrow_geom import rects_to_arrow as _rect_mp_array  # noqa: F401
-from ...stages.boolean_batch import BooleanOpBatch  # noqa: F401
 from ...stages.exchange import hash_exchange
 from ._shared import GRAM_DIM, KMEANS_ITERS, KMEANS_K, _EPOCH_2024_US, _cents, _read, triu_pairs_in_runs  # noqa: F401
-
 
 
 # ------------------------------------------------------------------ batch/agg

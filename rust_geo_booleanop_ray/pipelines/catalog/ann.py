@@ -8,9 +8,6 @@ import numpy as np  # noqa: F401
 import pyarrow as pa  # noqa: F401
 import pyarrow.compute as pc  # noqa: F401
 
-from ...sources.arrow_geom import shoelace_area  # noqa: F401
-from ...sources.arrow_geom import rects_to_arrow as _rect_mp_array  # noqa: F401
-from ...stages.boolean_batch import BooleanOpBatch  # noqa: F401
 from ._shared import GRAM_DIM, _read  # noqa: F401
 
 ANN_K = 10

@@ -8,14 +8,10 @@ import numpy as np  # noqa: F401
 import pyarrow as pa  # noqa: F401
 import pyarrow.compute as pc  # noqa: F401
 
-from ...sources.arrow_geom import shoelace_area  # noqa: F401
-from ...sources.arrow_geom import rects_to_arrow as _rect_mp_array  # noqa: F401
-from ...stages.boolean_batch import BooleanOpBatch  # noqa: F401
 from ...stages.exchange import hash_exchange
 from ._shared import GRAM_DIM, KMEANS_ITERS, KMEANS_K, _dedup_edge_union, _read  # noqa: F401
 from .agg import _kmeans_ctes  # noqa: F401
 from .ann import _lsh_bucket, _sign_bucket_expr  # noqa: F401
-
 
 
 def q_dedup_exact(sf_dir: str):

@@ -6,14 +6,9 @@ from __future__ import annotations
 
 import numpy as np  # noqa: F401
 import pyarrow as pa  # noqa: F401
-import pyarrow.compute as pc  # noqa: F401
 
-from ...sources.arrow_geom import shoelace_area  # noqa: F401
-from ...sources.arrow_geom import rects_to_arrow as _rect_mp_array  # noqa: F401
-from ...stages.boolean_batch import BooleanOpBatch  # noqa: F401
 from ...stages.exchange import hash_exchange
 from ._shared import _dedup_edge_union, _read, triu_pairs_in_runs  # noqa: F401
-
 
 
 PR_BASE = 150_000  # (1-d)·10^6 with d=0.85, in integer micro-units

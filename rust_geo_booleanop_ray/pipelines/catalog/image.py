@@ -8,11 +8,7 @@ import numpy as np  # noqa: F401
 import pyarrow as pa  # noqa: F401
 import pyarrow.compute as pc  # noqa: F401
 
-from ...sources.arrow_geom import shoelace_area  # noqa: F401
-from ...sources.arrow_geom import rects_to_arrow as _rect_mp_array  # noqa: F401
-from ...stages.boolean_batch import BooleanOpBatch  # noqa: F401
 from ...tuning import ACTOR_POOL
-
 
 
 def q_image_features(sf_dir: str):

@@ -8,13 +8,9 @@ import numpy as np  # noqa: F401
 import pyarrow as pa  # noqa: F401
 import pyarrow.compute as pc  # noqa: F401
 
-from ...sources.arrow_geom import shoelace_area  # noqa: F401
-from ...sources.arrow_geom import rects_to_arrow as _rect_mp_array  # noqa: F401
-from ...stages.boolean_batch import BooleanOpBatch  # noqa: F401
-from ...stages.cells import MAX_CONTAIN_MATRIX
+from ...stages.cells import row_chunks
 from ...stages.exchange import hash_exchange
 from ._shared import _EPOCH_2024_US, _cents, _read  # noqa: F401
-
 
 
 def q_asof_join(sf_dir: str):
@@ -177,17 +173,13 @@ def q_range_join(sf_dir: str):
         s = ivs["start_us"].to_numpy()
         e = ivs["end_us"].to_numpy()
         out = []
-        chunk = max(1, MAX_CONTAIN_MATRIX // max(1, len(ts)))
-        for lo in range(0, len(iid), chunk):
-            hi = min(lo + chunk, len(iid))
-            inside = (ts[None, :] >= s[lo:hi, None]) & (
-                ts[None, :] <= e[lo:hi, None]
-            )
+        for rows in row_chunks(len(iid), len(ts)):
+            inside = (ts[None, :] >= s[rows, None]) & (ts[None, :] <= e[rows, None])
             ii, pp = np.nonzero(inside)
             out.append(
                 pa.table(
                     {
-                        "s_suppkey": pa.array(iid[lo + ii], pa.int64()),
+                        "s_suppkey": pa.array(iid[rows.start + ii], pa.int64()),
                         "value_c": pa.array(vc[pp], pa.int64()),
                     }
                 )

@@ -8,9 +8,8 @@ import numpy as np  # noqa: F401
 import pyarrow as pa  # noqa: F401
 import pyarrow.compute as pc  # noqa: F401
 
-from ...sources.arrow_geom import shoelace_area  # noqa: F401
-from ...sources.arrow_geom import rects_to_arrow as _rect_mp_array  # noqa: F401
-from ...stages.boolean_batch import BooleanOpBatch  # noqa: F401
+from ...sources.arrow_geom import rects_to_arrow as _rect_mp_array
+from ...stages.boolean_batch import BooleanOpBatch
 from ...stages.cells import BUILD, PROBE, contain_chunks, side_table, split_sides
 from ...stages.exchange import hash_exchange
 from ...tuning import ACTOR_POOL
@@ -95,31 +94,18 @@ def q_clip_area(sf_dir: str):
     """Martinez clip of part-rects against a fixed window, per-brand
     integer area sums.  The kernel runs inside map_batches; the oracle
     is rectangle-intersection arithmetic."""
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
-    wx0, wy0, wx1, wy1 = CLIP_WINDOW
-    window = [[[(wx0, wy0), (wx1, wy0), (wx1, wy1), (wx0, wy1), (wx0, wy0)]]]
+    from ...sources.arrow_geom import arrow_mp_areas
+    from ...stages.boolean_batch import boolean_batch
 
     def clip_batch(batch: pa.Table) -> pa.Table:
-        batch = _part_rect_batch(batch)
-        n = batch.num_rows
-        from ...sources.arrow_geom import mps_to_arrow
-
-        batch = batch.append_column("clipping", mps_to_arrow([window] * n))
-        batch = batch.rename_columns(
-            [c if c != "footprint" else "subject" for c in batch.column_names]
-        )
-        out = BooleanOpBatch("intersection")(batch)
-        from ...sources.arrow_geom import arrow_to_mps
-
-        areas = np.array(
-            [abs(shoelace_area(mp)) for mp in arrow_to_mps(out["result"])]
-        )
+        window = _rect_mp_array(*(np.full(batch.num_rows, v) for v in CLIP_WINDOW))
+        clipped = boolean_batch(_rect_mp_array(*_part_rect_bounds(batch)), window, "intersection")
         return pa.table(
             {
                 "p_brand": batch["p_brand"],
-                "clip_area_i": pa.array(areas.astype(np.int64), pa.int64()),
+                "clip_area_i": pa.array(np.abs(arrow_mp_areas(clipped)).astype(np.int64)),
             }
         )
 
@@ -1259,44 +1245,25 @@ def q_focal_sum(sf_dir: str):
     count plus its 3×3 neighborhood total — the raster-smoothing
     (heatmap / kernel-density-lite) op.  Per-block partial counts per
     cell, then each (cell, n) partial FANS OUT to the 9 cells whose
-    neighborhoods it contributes to (vectorized; edge cells clamp), so
-    ONE groupby(cell) Sum yields both the self count and the focal
-    total without a second join or shuffle."""
+    neighborhoods it contributes to (``cells.cell_neighbors``; the grid
+    edge cuts the neighbourhood), so ONE groupby(cell) Sum yields both
+    the self count and the focal total without a second join or
+    shuffle."""
     from ray.data.aggregate import Sum
 
-    from ...stages.cells import cell_encode, cell_xy
-
-    n_side = 2**FOCAL_RES
+    from ...stages.cells import cell_encode, cell_neighbors
 
     def partial(b: pa.Table) -> pa.Table:
         p = _customer_point_batch(b)
         cells = cell_encode(p["px"].to_numpy(), p["py"].to_numpy(), FOCAL_RES)
         uniq, counts = np.unique(cells, return_counts=True)
-        cx, cy = cell_xy(uniq)
-        cx = cx.astype(np.int64)
-        cy = cy.astype(np.int64)
-        counts = counts.astype(np.int64)
-        out_cell, out_self, out_focal = [], [], []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                nx, ny = cx + dx, cy + dy
-                m = (nx >= 0) & (nx < n_side) & (ny >= 0) & (ny < n_side)
-                # re-encode neighbor cell ids through the same Morton math
-                ncell = cell_encode(
-                    -180.0 + (nx[m] + 0.5) * (360.0 / n_side),
-                    -90.0 + (ny[m] + 0.5) * (180.0 / n_side),
-                    FOCAL_RES,
-                )
-                out_cell.append(ncell.view(np.int64))
-                out_focal.append(counts[m])
-                out_self.append(
-                    counts[m] if dx == 0 and dy == 0 else np.zeros(m.sum(), np.int64)
-                )
+        row, nbr = cell_neighbors(uniq)
+        n = counts[row].astype(np.int64)
         return pa.table(
             {
-                "cell": pa.array(np.concatenate(out_cell), pa.int64()),
-                "n_self": pa.array(np.concatenate(out_self)),
-                "n_focal": pa.array(np.concatenate(out_focal)),
+                "cell": pa.array(nbr.view(np.int64), pa.int64()),
+                "n_self": pa.array(np.where(nbr == uniq[row], n, 0)),
+                "n_focal": pa.array(n),
             }
         )
 
@@ -1419,9 +1386,9 @@ def q_cell_compact(sf_dir: str):
     never by rows, so the generic aggregate is safe); the compaction
     kernel then runs on one block (the distinct-cell set is ≤ 4^res
     rows by construction — document-bounded, not data-bounded).
-    Parent arithmetic is ``morton >> 2`` (stages/cells.py id layout),
+    Parent arithmetic is ``cells.cell_parent`` (``morton >> 2``),
     mirrored bit-for-bit in SQL."""
-    from ...stages.cells import cell_encode, cell_res, cell_xy
+    from ...stages.cells import cell_encode, cell_parent, cell_res
 
     R = CELL_COMPACT_RES
 
@@ -1434,14 +1401,12 @@ def q_cell_compact(sf_dir: str):
         cells = np.unique(batch["cell"].to_numpy().view(np.uint64))
         out = []
         cur = cells
-        for lvl in range(R, 2, -1):
-            morton = cur & np.uint64((1 << 58) - 1)
-            parents = morton >> np.uint64(2)
+        for _ in range(R - 2):  # res R down to res 2
+            parents = cell_parent(cur)
             uniq_p, counts = np.unique(parents, return_counts=True)
             full = uniq_p[counts == 4]
-            keep = ~np.isin(parents, full)
-            out.append(cur[keep])
-            cur = (np.uint64(lvl - 1) << np.uint64(58)) | full
+            out.append(cur[~np.isin(parents, full)])
+            cur = full
         out.append(cur)
         allc = np.concatenate(out)
         return pa.table(
@@ -1465,26 +1430,15 @@ def q_cell_compact(sf_dir: str):
 def q_cell_uncompact(sf_dir: str):
     """Inverse of cell_compact (the H3 ``uncompact`` API): expand the
     compacted mixed-resolution cover back to uniform res-4 cells — a
-    vectorized children fan-out (morton << 2 per level, 4^Δ offsets per
-    cell).  Driver equality against the DISTINCT occupied res-4 cell
-    set proves the compact→uncompact round trip is LOSSLESS, in the
-    engine and in the oracle's independent arithmetic."""
-    R = CELL_COMPACT_RES
+    vectorized children fan-out (``cells.cell_children``).  Driver
+    equality against the DISTINCT occupied res-4 cell set proves the
+    compact→uncompact round trip is LOSSLESS, in the engine and in the
+    oracle's independent arithmetic."""
+    from ...stages.cells import cell_children
 
     def expand(batch: pa.Table) -> pa.Table:
-        cells = batch["cell"].to_numpy().view(np.uint64)
-        res = (cells >> np.uint64(58)).astype(np.int64)
-        morton = cells & np.uint64((1 << 58) - 1)
-        out = []
-        for r in np.unique(res):
-            m = morton[res == r]
-            d = int(R - r)
-            base = m << np.uint64(2 * d)
-            offs = np.arange(4**d, dtype=np.uint64)
-            full = (base[:, None] | offs[None, :]).ravel()
-            out.append((np.uint64(R) << np.uint64(58)) | full)
-        allc = np.concatenate(out) if out else np.empty(0, np.uint64)
-        return pa.table({"cell": pa.array(allc.view(np.int64), pa.int64())})
+        _, cells = cell_children(batch["cell"].to_numpy().view(np.uint64), CELL_COMPACT_RES)
+        return pa.table({"cell": pa.array(cells.view(np.int64), pa.int64())})
 
     return q_cell_compact(sf_dir).map_batches(expand, batch_format="pyarrow")
 

@@ -8,13 +8,9 @@ import numpy as np  # noqa: F401
 import pyarrow as pa  # noqa: F401
 import pyarrow.compute as pc  # noqa: F401
 
-from ...sources.arrow_geom import shoelace_area  # noqa: F401
-from ...sources.arrow_geom import rects_to_arrow as _rect_mp_array  # noqa: F401
-from ...stages.boolean_batch import BooleanOpBatch  # noqa: F401
 from ...stages.exchange import hash_exchange
 from ._shared import _cents, _read  # noqa: F401
 from .spatial import STOPWORDS_SQL  # noqa: F401
-
 
 
 def q_text_stats(sf_dir: str):

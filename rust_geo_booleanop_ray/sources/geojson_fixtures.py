@@ -52,13 +52,6 @@ def geometry_to_multipolygon(geometry: dict):
     raise ValueError(f"Feature must be Polygon or MultiPolygon, got {gtype}")
 
 
-def multipolygon_to_geometry(mp) -> dict:
-    return {
-        "type": "MultiPolygon",
-        "coordinates": [[[list(pt) for pt in ring] for ring in poly] for poly in mp],
-    }
-
-
 @dataclass
 class ExpectedResult:
     op_tag: str  # raw tag: intersection|union|diff|diff_ba|xor

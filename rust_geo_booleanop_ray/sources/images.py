@@ -146,15 +146,6 @@ def read_image_table(path: str, columns=None):
     return rd.read_parquet(path, columns=columns)
 
 
-def write_synth_images(path: str, n_images: int, seed: int = 42, rows_per_file: int = 100_000):
-    """Materialize the synthetic table as partitioned parquet (bench input)."""
-    import ray.data as rd
-
-    read_synth_images(n_images, seed=seed).write_parquet(
-        path, min_rows_per_file=min(rows_per_file, n_images)
-    )
-
-
 def pix_checksum(pixels: np.ndarray) -> np.int64:
     """Position-weighted integer checksum over every pixel byte:
     Σ byte[k]·(k+1) — order-sensitive (catches swapped/shifted bytes a

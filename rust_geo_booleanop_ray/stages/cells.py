@@ -9,18 +9,22 @@ partitioning key reused across every wide stage (groupby, join,
 tiling, kNN), per the single-key design rule.
 
 ``cover_bbox`` replicates a geometry to every cell its bbox overlaps
-(PBSM replicate-to-cells).
+(PBSM replicate-to-cells); ``cell_neighbors``, ``cell_parent`` and
+``cell_children`` walk the grid and the hierarchy.  This module is the
+only code that computes cell ids: callers go through these functions,
+never through the Morton helpers or the id bit layout.
 
-Two-sided cell joins (PBSM: pip, antijoin, zonal stats, poly join,
-areal interpolation) share one side layout, built by ``side_table``
-and exploded by ``explode_to_cells``: ``side`` int8 (``PROBE`` = 0 for
-points and probe polygons, ``BUILD`` = 1 for rects and build
-polygons), one int64 ``id``, the bbox ``minx miny maxx maxy`` and, for
-polygon joins only, ``geom``.  A point is a degenerate bbox, so it
-lands in exactly the cell ``cell_encode`` gives it.  ``split_sides``
+Cell joins (PBSM: pip, antijoin, zonal stats, poly join, areal
+interpolation, kNN and the distance-band join) share one side layout,
+built by ``side_table`` and exploded by ``explode_to_cells``: ``side``
+int8 (``PROBE`` = 0 for points and probe polygons, ``BUILD`` = 1 for
+rects and build polygons), one int64 ``id``, the bbox ``minx miny maxx
+maxy`` and, for polygon joins only, ``geom``.  A point is a degenerate
+bbox, so it lands in exactly the cell ``cell_encode`` gives it;
+``probe_replicas`` copies it into neighbour cells.  ``split_sides``
 takes one cell group apart again.  Hot cells are not re-split: the
 within-cell kernels bound their memory by chunking instead
-(``contain_chunks`` and ``MAX_CONTAIN_MATRIX``).
+(``row_chunks`` under ``MAX_CONTAIN_MATRIX``).
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ import pyarrow.compute as pc
 
 WORLD = (-180.0, -90.0, 180.0, 90.0)
 MAX_RES = 28  # 2*28 = 56 morton bits + 6 resolution bits
+_RES_SHIFT = np.uint64(58)
+_MORTON_MASK = (np.uint64(1) << _RES_SHIFT) - np.uint64(1)
 
 # side tags of a two-sided cell join (the int8 ``side`` column)
 PROBE, BUILD = 0, 1
@@ -73,32 +79,71 @@ def _grid_index(xs, ys, res: int):
     return ix, iy
 
 
+def _cell_id(ix, iy, res) -> np.ndarray:
+    """Grid indices at resolution(s) ``res`` → uint64 cell ids."""
+    morton = _part1by1(ix) | (_part1by1(iy) << np.uint64(1))
+    return (np.asarray(res).astype(np.uint64) << _RES_SHIFT) | morton
+
+
 def cell_encode(xs, ys, res: int) -> np.ndarray:
     """Point(s) → uint64 cell id at resolution res.  Vectorized."""
     ix, iy = _grid_index(xs, ys, res)
-    morton = _part1by1(ix) | (_part1by1(iy) << np.uint64(1))
-    return (np.uint64(res) << np.uint64(58)) | morton
+    return _cell_id(ix, iy, res)
 
 
 def cell_res(cells) -> np.ndarray:
-    return (np.asarray(cells, dtype=np.uint64) >> np.uint64(58)).astype(np.int64)
+    return (np.asarray(cells, dtype=np.uint64) >> _RES_SHIFT).astype(np.int64)
 
 
 def cell_xy(cells):
-    c = np.asarray(cells, dtype=np.uint64)
-    morton = c & ((np.uint64(1) << np.uint64(58)) - np.uint64(1))
+    morton = np.asarray(cells, dtype=np.uint64) & _MORTON_MASK
     return _unpart1by1(morton), _unpart1by1(morton >> np.uint64(1))
 
 
 def cell_parent(cells, steps: int = 1) -> np.ndarray:
     c = np.asarray(cells, dtype=np.uint64)
-    res = cell_res(c)
-    new_res = res - steps
+    new_res = cell_res(c) - steps
     if (new_res < 0).any():
         raise ValueError("cell_parent below resolution 0")
-    morton = c & ((np.uint64(1) << np.uint64(58)) - np.uint64(1))
-    return (new_res.astype(np.uint64) << np.uint64(58)) | (
-        morton >> np.uint64(2 * steps)
+    return (new_res.astype(np.uint64) << _RES_SHIFT) | (
+        (c & _MORTON_MASK) >> np.uint64(2 * steps)
+    )
+
+
+def cell_children(cells, res: int):
+    """Cell ids → (row_idx, children): every descendant of each cell at
+    resolution ``res`` (a cell already at ``res`` is its own child), in
+    input order, each cell's children in Morton order."""
+    c = np.asarray(cells, dtype=np.uint64)
+    depth = res - cell_res(c)
+    if (depth < 0).any():
+        raise ValueError("cell_children above the cell's resolution")
+    counts = np.left_shift(1, 2 * depth)
+    row_idx = np.repeat(np.arange(len(c), dtype=np.int64), counts)
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    local = np.arange(len(row_idx), dtype=np.int64) - starts
+    morton = ((c & _MORTON_MASK) << (2 * depth).astype(np.uint64))[row_idx]
+    return row_idx, (np.uint64(res) << _RES_SHIFT) | morton | local.astype(np.uint64)
+
+
+# the 3×3 neighbourhood offsets, row-major in (dx, dy)
+_DX = np.repeat(np.array([-1, 0, 1], dtype=np.int64), 3)
+_DY = np.tile(np.array([-1, 0, 1], dtype=np.int64), 3)
+
+
+def cell_neighbors(cells):
+    """Cell ids → (row_idx, neighbours): each cell's 3×3 neighbourhood,
+    itself included, cut at the grid edge so each neighbour appears
+    once; in input order."""
+    c = np.asarray(cells, dtype=np.uint64)
+    res = cell_res(c)
+    ix, iy = cell_xy(c)
+    jx = ix.astype(np.int64)[:, None] + _DX
+    jy = iy.astype(np.int64)[:, None] + _DY
+    side = np.left_shift(1, res)[:, None]
+    row_idx, k = np.nonzero((jx >= 0) & (jx < side) & (jy >= 0) & (jy < side))
+    return row_idx.astype(np.int64), _cell_id(
+        jx[row_idx, k].astype(np.uint64), jy[row_idx, k].astype(np.uint64), res[row_idx]
     )
 
 
@@ -109,7 +154,7 @@ def cell_bounds_array(cells):
     order, so ``cell_bounds`` (which calls this) and any per-cell
     rebuild of the formula agree bit for bit."""
     c = np.asarray(cells).astype(np.uint64)
-    res = (c >> np.uint64(58)).astype(np.int64)
+    res = cell_res(c)
     ix, iy = cell_xy(c)
     minx, miny, maxx, maxy = WORLD
     side = np.ldexp(1.0, res)  # 2**res, exact
@@ -157,9 +202,7 @@ def cover_bbox(minx, miny, maxx, maxy, res: int):
     ly = local // np.repeat(nx, counts)
     ix = np.repeat(ix0, counts) + lx.astype(np.uint64)
     iy = np.repeat(iy0, counts) + ly.astype(np.uint64)
-    morton = _part1by1(ix) | (_part1by1(iy) << np.uint64(1))
-    cells = (np.uint64(res) << np.uint64(58)) | morton
-    return row_idx, cells
+    return row_idx, _cell_id(ix, iy, res)
 
 
 def explode_to_cells(batch: pa.Table, res: int, cell_col: str = "cell") -> pa.Table:
@@ -180,17 +223,37 @@ def side_table(side: int, ids, minx, miny, maxx, maxy, geom=None) -> pa.Table:
     """One side of a two-sided cell join, ready for ``explode_to_cells``:
     ``side`` (``PROBE`` or ``BUILD``), int64 ``id``, bbox, and ``geom``
     when given.  Pass a point as ``minx = maxx = x``, ``miny = maxy = y``."""
+
+    def column(values, type_):
+        # pa.array reads a ChunkedArray (a table column) value by value,
+        # ~2000x slower than converting its joined buffer
+        if isinstance(values, pa.ChunkedArray):
+            values = values.combine_chunks()
+        return pa.array(values, type_)
+
     cols = {
         "side": pa.array(np.full(len(ids), side, np.int8)),
-        "id": pa.array(ids, pa.int64()),
-        "minx": pa.array(minx, pa.float64()),
-        "miny": pa.array(miny, pa.float64()),
-        "maxx": pa.array(maxx, pa.float64()),
-        "maxy": pa.array(maxy, pa.float64()),
+        "id": column(ids, pa.int64()),
+        "minx": column(minx, pa.float64()),
+        "miny": column(miny, pa.float64()),
+        "maxx": column(maxx, pa.float64()),
+        "maxy": column(maxy, pa.float64()),
     }
     if geom is not None:
         cols["geom"] = geom
     return pa.table(cols)
+
+
+def probe_replicas(rows: pa.Table, row_idx, cells) -> pa.Table:
+    """Exploded rows → ``rows.take(row_idx)`` as ``PROBE`` rows moved to
+    ``cells``: a point's replicas in its neighbour cells
+    (``cell_neighbors``)."""
+    out = rows.take(pa.array(row_idx, pa.int64()))
+    out = out.set_column(
+        out.schema.get_field_index("side"), "side", pa.array(np.full(len(row_idx), PROBE, np.int8))
+    )
+    cell = pa.array(np.asarray(cells, np.uint64).view(np.int64), pa.int64())
+    return out.set_column(out.schema.get_field_index("cell"), "cell", cell)
 
 
 def split_sides(group: pa.Table):
@@ -199,23 +262,28 @@ def split_sides(group: pa.Table):
     return group.filter(pc.invert(is_build)), group.filter(is_build)
 
 
+def row_chunks(n_rows: int, n_cols: int):
+    """Slices over the rows of an ``n_rows × n_cols`` matrix, each
+    holding at most ``MAX_CONTAIN_MATRIX`` elements, or one row."""
+    step = max(1, MAX_CONTAIN_MATRIX // max(1, n_cols))
+    return (slice(lo, lo + step) for lo in range(0, n_rows, step))
+
+
 def contain_chunks(points: pa.Table, rects: pa.Table):
     """Yield ``(lo, inside)`` over chunks of ``rects``: ``inside[i, j]``
     says point j lies in rect ``lo + i``, bounds included.  Points are
-    degenerate bboxes (their ``minx``/``miny``); each matrix holds at
-    most ``MAX_CONTAIN_MATRIX`` elements, or one rect row."""
+    degenerate bboxes (their ``minx``/``miny``); each matrix is one
+    ``row_chunks`` slice."""
     px = points["minx"].to_numpy()
     py = points["miny"].to_numpy()
     rminx = rects["minx"].to_numpy()
     rminy = rects["miny"].to_numpy()
     rmaxx = rects["maxx"].to_numpy()
     rmaxy = rects["maxy"].to_numpy()
-    chunk = max(1, MAX_CONTAIN_MATRIX // max(1, len(px)))
-    for lo in range(0, len(rminx), chunk):
-        hi = lo + chunk
-        yield lo, (
-            (px[None, :] >= rminx[lo:hi, None])
-            & (px[None, :] <= rmaxx[lo:hi, None])
-            & (py[None, :] >= rminy[lo:hi, None])
-            & (py[None, :] <= rmaxy[lo:hi, None])
+    for rows in row_chunks(len(rminx), len(px)):
+        yield rows.start, (
+            (px[None, :] >= rminx[rows, None])
+            & (px[None, :] <= rmaxx[rows, None])
+            & (py[None, :] >= rminy[rows, None])
+            & (py[None, :] <= rmaxy[rows, None])
         )

@@ -11,6 +11,9 @@ point's home cell always contains the other endpoint as home or
 replica; and the rule fires in exactly one (cell, orientation), so no
 pair is duplicated or dropped.
 
+Rows use the one cell-join layout (``cells.side_table``): a point's
+home row is ``BUILD`` and its replicas are ``PROBE``.
+
 Scale shape: one shuffle (the cell groupby), ≤ 9× replication on the
 wire, chunked pairwise distance matrices inside each cell (at most
 ``cells.MAX_CONTAIN_MATRIX`` elements each: bounded memory regardless
@@ -28,8 +31,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .cells import MAX_CONTAIN_MATRIX, WORLD, cell_encode
-from .knn import _neighbor_cells
+from .cells import BUILD, WORLD, cell_neighbors, probe_replicas, row_chunks, side_table
+
+OUT_SCHEMA = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64()), ("d2", pa.int64())])
 
 
 def check_eps_fits(res: int, eps: float) -> None:
@@ -43,86 +47,52 @@ def check_eps_fits(res: int, eps: float) -> None:
         )
 
 
-def prepare_dist_rows(
-    batch: pa.Table, res: int, id_col: str, x_col: str, y_col: str
-) -> pa.Table:
-    """map_batches kernel: every point → home row + replicas into its
-    other neighbor cells (home flag distinguishes them)."""
-    x = batch[x_col].to_numpy()
-    y = batch[y_col].to_numpy()
-    ids = batch[id_col]
-    if isinstance(ids, pa.ChunkedArray):
-        ids = ids.combine_chunks()
-    home_cells = cell_encode(x, y, res)
-    row_idx, cells = _neighbor_cells(x, y, res)
-    home = cells == home_cells[row_idx]
-    take = pa.array(row_idx)
-    return pa.table(
-        {
-            "cell": pa.array(cells.view(np.int64), pa.int64()),
-            "pid": ids.take(take),
-            "x": pa.array(x[row_idx]),
-            "y": pa.array(y[row_idx]),
-            "home": pa.array(home),
-        }
-    )
+def prepare_dist_rows(home: pa.Table) -> pa.Table:
+    """map_batches kernel: ``home`` is a batch's points as ``BUILD`` rows
+    exploded to their home cells; each point adds a ``PROBE`` replica in
+    every other cell of its 3×3 neighbourhood."""
+    home_cells = home["cell"].to_numpy().view(np.uint64)
+    row_idx, cells = cell_neighbors(home_cells)
+    away = cells != home_cells[row_idx]
+    return pa.concat_tables([home, probe_replicas(home, row_idx[away], cells[away])])
 
 
 class DistPairsWithinCell:
     """map_groups fn: emit (id_a, id_b, d2) for pairs within eps, where
-    id_a < id_b and id_a is HOME in this cell (exactly-once rule)."""
+    id_a < id_b and id_a is HOME (``BUILD``) in this cell (exactly-once
+    rule).  Each distance matrix is one ``cells.row_chunks`` slice."""
 
     def __init__(self, eps: float):
         self.eps2 = float(eps) * float(eps)
         self.__name__ = type(self).__name__
 
     def __call__(self, group: pa.Table) -> pa.Table:
-        out_schema = pa.schema(
-            [
-                pa.field("id_a", pa.int64()),
-                pa.field("id_b", pa.int64()),
-                pa.field("d2", pa.int64()),
-            ]
-        )
-        home = group["home"].to_numpy(zero_copy_only=False)
-        if not home.any():
-            return out_schema.empty_table()
-        pid = group["pid"].to_numpy()
-        x = group["x"].to_numpy()
-        y = group["y"].to_numpy()
+        home = group["side"].to_numpy() == BUILD
+        x, y, pid = (group[c].to_numpy() for c in ("minx", "miny", "id"))
         hx, hy, hid = x[home], y[home], pid[home]
-        outs = []
-        chunk = max(1, MAX_CONTAIN_MATRIX // max(1, len(pid)))
-        for s in range(0, len(hid), chunk):
-            cx, cy, cid = hx[s : s + chunk], hy[s : s + chunk], hid[s : s + chunk]
+        # ids are unique and each point sits in a cell at most once (as
+        # home or as replica), so no pair repeats and no dedup is needed
+        outs = [OUT_SCHEMA.empty_table()]
+        for rows in row_chunks(len(hid), len(pid)):
+            cx, cy, cid = hx[rows], hy[rows], hid[rows]
             d2 = (cx[:, None] - x[None, :]) ** 2 + (cy[:, None] - y[None, :]) ** 2
-            hit = (d2 <= self.eps2) & (cid[:, None] < pid[None, :])
-            ai, bj = np.nonzero(hit)
+            ai, bj = np.nonzero((d2 <= self.eps2) & (cid[:, None] < pid[None, :]))
             if len(ai):
                 outs.append(
-                    pa.table(
-                        {
-                            "id_a": pa.array(cid[ai]),
-                            "id_b": pa.array(pid[bj]),
-                            "d2": pa.array(d2[ai, bj].astype(np.int64)),
-                        }
-                    )
+                    pa.table({"id_a": cid[ai], "id_b": pid[bj], "d2": d2[ai, bj].astype(np.int64)})
                 )
-        if not outs:
-            return out_schema.empty_table()
-        # a replica of the same partner can sit in this cell alongside
-        # its home row only if ids collide — pids are unique, and each
-        # (partner pid) appears at most once per cell, so no dedup pass
-        # is needed here.
         return pa.concat_tables(outs)
 
 
 def dist_join_pipeline(points_ds, eps: float, res: int, id_col: str, x_col: str, y_col: str):
     check_eps_fits(res, eps)
-    prepared = points_ds.map_batches(
-        lambda b: prepare_dist_rows(b, res, id_col, x_col, y_col),
-        batch_format="pyarrow",
-    )
-    return prepared.groupby("cell").map_groups(
+    # bound when the plan is built, as in catalog/spatial.py::_cell_join
+    from .cells import explode_to_cells
+
+    def rows(b: pa.Table) -> pa.Table:
+        x, y = b[x_col].to_numpy(), b[y_col].to_numpy()
+        return prepare_dist_rows(explode_to_cells(side_table(BUILD, b[id_col], x, y, x, y), res))
+
+    return points_ds.map_batches(rows, batch_format="pyarrow").groupby("cell").map_groups(
         DistPairsWithinCell(eps), batch_format="pyarrow"
     )

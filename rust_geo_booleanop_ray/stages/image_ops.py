@@ -29,12 +29,8 @@ def _decode_raw(payload: bytes, w: int, h: int) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8, count=w * h * 3).reshape(h, w, 3)
 
 
-def decode_image(payload: bytes, w: int, h: int, fmt: str, strict: bool = False) -> np.ndarray:
-    """Decode one payload → (h, w, 3) uint8 pixels.
-
-    ``strict`` is kept for API compatibility; every supported format
-    decodes for real, so it no longer changes behavior.
-    """
+def decode_image(payload: bytes, w: int, h: int, fmt: str) -> np.ndarray:
+    """Decode one payload → (h, w, 3) uint8 pixels."""
     if fmt == "raw":
         return _decode_raw(payload, w, h)
     if fmt == "png":
@@ -258,8 +254,7 @@ class DecodeQuality:
     (e.g. footprint bbox columns for a downstream spatial stage) — the
     payload itself is always dropped."""
 
-    def __init__(self, strict: bool = False, keep_cols=(), filter_dark: bool = True):
-        self.strict = strict
+    def __init__(self, keep_cols=(), filter_dark: bool = True):
         self.keep_cols = tuple(keep_cols)
         self.filter_dark = filter_dark
         from ..sources.images import image_quality_keep, quality_stats
@@ -278,7 +273,7 @@ class DecodeQuality:
         edge = np.empty(n, dtype=np.int64)
         keep = np.zeros(n, dtype=bool)
         for i, payload in enumerate(payloads):
-            px = decode_image(payload, int(ws[i]), int(hs[i]), fmts[i], self.strict)
+            px = decode_image(payload, int(ws[i]), int(hs[i]), fmts[i])
             bright[i], ssq[i], edge[i] = self._stats(px)
             keep[i] = (not self.filter_dark) or self._keep(
                 int(bright[i]), px.size
@@ -306,9 +301,8 @@ class DecodePyramid:
     Payloads drop in-stage; only (id, level, dims, checksum) reach
     any downstream exchange."""
 
-    def __init__(self, levels: int = 2, strict: bool = False):
+    def __init__(self, levels: int = 2):
         self.levels = levels
-        self.strict = strict
         from ..sources.images import box_downsample2, pix_checksum
 
         self._down = box_downsample2
@@ -322,7 +316,7 @@ class DecodePyramid:
         ids = batch["image_id"].to_pylist()
         out_id, out_lvl, out_w, out_h, out_ck = [], [], [], [], []
         for i, payload in enumerate(payloads):
-            px = decode_image(payload, int(ws[i]), int(hs[i]), fmts[i], self.strict)
+            px = decode_image(payload, int(ws[i]), int(hs[i]), fmts[i])
             for lvl in range(1, self.levels + 1):
                 px = self._down(px)
                 out_id.append(ids[i])
@@ -349,8 +343,7 @@ class DecodeAugment:
     at a real deployment the variant pixels would re-encode to the
     output sink here (same actor, no extra exchange)."""
 
-    def __init__(self, strict: bool = False):
-        self.strict = strict
+    def __init__(self):
         from ..sources.images import AUG_VARIANTS, augment_pixels, pix_checksum
 
         self._variants = AUG_VARIANTS
@@ -365,7 +358,7 @@ class DecodeAugment:
         ids = batch["image_id"].to_pylist()
         out_id, out_v, out_w, out_h, out_ck = [], [], [], [], []
         for i, payload in enumerate(payloads):
-            px = decode_image(payload, int(ws[i]), int(hs[i]), fmts[i], self.strict)
+            px = decode_image(payload, int(ws[i]), int(hs[i]), fmts[i])
             for v in self._variants:
                 a = self._aug(px, v)
                 out_id.append(ids[i])
@@ -393,9 +386,8 @@ class DecodeFeatures:
     binary payloads (memory-aware batching).
     """
 
-    def __init__(self, thumb: int = 8, strict: bool = False):
+    def __init__(self, thumb: int = 8):
         self.thumb = thumb
-        self.strict = strict
         # once-per-actor setup spot (codec init in a real deployment)
         from ..sources.images import _phash64
 
@@ -417,7 +409,7 @@ class DecodeFeatures:
         checks = np.empty(len(payloads), dtype=np.int64)
         thumbs = []
         for i, payload in enumerate(payloads):
-            px = decode_image(payload, int(ws[i]), int(hs[i]), fmts[i], self.strict)
+            px = decode_image(payload, int(ws[i]), int(hs[i]), fmts[i])
             mean_r[i], mean_g[i], mean_b[i] = px.reshape(-1, 3).mean(axis=0)
             luma_std[i] = px.astype(np.float64).mean(axis=2).std()
             phash[i] = self._phash64(px)
@@ -445,9 +437,8 @@ class DecodePatches:
     expected-values oracle.  One numpy reshape-sum per image, ints
     throughout."""
 
-    def __init__(self, p: int = 4, strict: bool = False):
+    def __init__(self, p: int = 4):
         self.p = p
-        self.strict = strict
         from ..sources.images import patch_grid_stats
 
         self._stats = patch_grid_stats
@@ -460,7 +451,7 @@ class DecodePatches:
         ids = batch["image_id"].to_pylist()
         rows = [
             self._stats(
-                decode_image(payload, int(ws[i]), int(hs[i]), fmts[i], self.strict),
+                decode_image(payload, int(ws[i]), int(hs[i]), fmts[i]),
                 self.p,
             )
             for i, payload in enumerate(payloads)
@@ -484,8 +475,7 @@ class DetectLetterbox:
     or drops on.  Integer-exact row-uniformity test, one min/max
     reduction per image; payloads drop in-stage."""
 
-    def __init__(self, strict: bool = False):
-        self.strict = strict
+    def __init__(self):
         from ..sources.images import measure_letterbox
 
         self._measure = measure_letterbox
@@ -497,7 +487,7 @@ class DetectLetterbox:
         fmts = batch["fmt"].to_pylist()
         bars = [
             self._measure(
-                decode_image(payload, int(ws[i]), int(hs[i]), fmts[i], self.strict)
+                decode_image(payload, int(ws[i]), int(hs[i]), fmts[i])
             )
             for i, payload in enumerate(payloads)
         ]

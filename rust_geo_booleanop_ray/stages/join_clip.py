@@ -228,10 +228,10 @@ def join_cells_within_group(group: pa.Table, pbsm_dedup: bool = False) -> pa.Tab
         return _EMPTY_CELL_JOIN_SCHEMA.empty_table()
 
     if pbsm_dedup:
-        from .cells import cell_encode
+        from .cells import cell_encode, cell_res
 
         gcell = np.uint64(group["cell"][0].as_py())
-        res = int(gcell >> np.uint64(58))
+        res = int(cell_res(gcell))
         ref = cell_encode(
             np.maximum(pminx[cand_row], bminx[cand_build]),
             np.maximum(pminy[cand_row], bminy[cand_build]),

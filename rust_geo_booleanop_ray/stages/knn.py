@@ -7,13 +7,16 @@ pick ``res`` so the expected per-cell population ≫ k.  Points farther
 than one cell away are not considered (bounded-radius kNN, the
 standard PBSM trade).
 
-Plan shape (no driver-side loops):
-  1. points → home-cell rows (side='data') and replicas of each query
-     point into its 9 neighbor cells (side='query') — one map_batches.
-  2. groupby(cell).map_groups(knn_within_cell) → per-cell candidate
-     (query_id, neighbor_id, dist) rows, top-k per query per cell.
-  3. groupby(query_id).map_groups(topk_merge) → global top-k.
-Two shuffles, both keyed by the shared cell-id space.
+Plan shape, on the one cell-join layout (``cells.side_table``):
+  1. one map_batches: every point → a ``BUILD`` row in its home cell;
+     every query point → a ``PROBE`` row in each cell of its home
+     cell's 3×3 neighbourhood (``cells.cell_neighbors``).
+  2. groupby(cell).map_groups(KnnWithinCell) → per-cell top-k
+     candidates (query_id, neighbor_id, dist).
+  3. hash_exchange(query_id, TopKMerge) → global top-k per query.
+A data point has one home cell and a query's neighbour cells are
+distinct, so each (query, neighbor) candidate comes from exactly one
+cell and the merge needs no dedup.
 """
 
 from __future__ import annotations
@@ -21,186 +24,91 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .cells import WORLD, cell_encode, _part1by1
+from .cells import BUILD, cell_neighbors, probe_replicas, row_chunks, side_table
+from .exchange import hash_exchange
+from .topk import topk_select
 
-def _cand_schema(id_type) -> pa.Schema:
-    return pa.schema(
-        [
-            pa.field("query_id", id_type),
-            pa.field("neighbor_id", id_type),
-            pa.field("dist", pa.float64()),
-        ]
-    )
+CAND_SCHEMA = pa.schema(
+    [("query_id", pa.int64()), ("neighbor_id", pa.int64()), ("dist", pa.float64())]
+)
 
 
-def _neighbor_cells(cx: np.ndarray, cy: np.ndarray, res: int) -> tuple:
-    """For each point: 9 replica cell ids (3×3 neighborhood, clamped to
-    the grid).  Returns (row_idx, cells)."""
-    minx, miny, maxx, maxy = WORLD
-    n_cells = 1 << res
-    nf = float(n_cells)
-    fx = np.clip((cx - minx) / (maxx - minx), 0.0, None)
-    fy = np.clip((cy - miny) / (maxy - miny), 0.0, None)
-    ix = np.minimum((fx * nf).astype(np.int64), n_cells - 1)
-    iy = np.minimum((fy * nf).astype(np.int64), n_cells - 1)
-    offs = np.array([-1, 0, 1], dtype=np.int64)
-    n_pts = len(cx)
-    jx = np.broadcast_to(
-        np.clip(ix[:, None, None] + offs[None, :, None], 0, n_cells - 1), (n_pts, 3, 3)
-    ).reshape(n_pts, 9)
-    jy = np.broadcast_to(
-        np.clip(iy[:, None, None] + offs[None, None, :], 0, n_cells - 1), (n_pts, 3, 3)
-    ).reshape(n_pts, 9)
-    # dedup clamped duplicates per row, vectorized: sort each row's 9
-    # packed ids and keep first occurrences (no per-point Python)
-    packed = (jx.astype(np.uint64) << np.uint64(32)) | jy.astype(np.uint64)
-    if n_pts == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint64)
-    packed.sort(axis=1)
-    first = np.ones((n_pts, 9), dtype=bool)
-    first[:, 1:] = packed[:, 1:] != packed[:, :-1]
-    row_idx = np.repeat(np.arange(n_pts, dtype=np.int64), 9)[first.ravel()]
-    packed_u = packed.ravel()[first.ravel()]
-    ux = (packed_u >> np.uint64(32)).astype(np.uint64)
-    uy = (packed_u & np.uint64(0xFFFFFFFF)).astype(np.uint64)
-    morton = _part1by1(ux) | (_part1by1(uy) << np.uint64(1))
-    cells = (np.uint64(res) << np.uint64(58)) | morton
-    return row_idx, cells
+def prepare_knn_rows(home: pa.Table, is_query=None) -> pa.Table:
+    """map_batches kernel: ``home`` is a batch's points as ``BUILD`` rows
+    exploded to their home cells; the query points among them
+    (``is_query``, a boolean column aligned with ``home``; every point
+    when None) add their ``PROBE`` replicas.
 
-
-def prepare_knn_rows(
-    batch: pa.Table,
-    res: int,
-    id_col: str = "image_id",
-    x_col: str = "cx",
-    y_col: str = "cy",
-    query_col: str | None = None,
-) -> pa.Table:
-    """map_batches kernel: emit data rows (home cell) + query replicas.
-
-    ``query_col`` (boolean column) restricts WHICH points are queries;
-    every point remains a candidate neighbor.  Pushing the query
-    predicate down here keeps the replica explosion and the final
-    per-query merge proportional to the query set, not the corpus."""
-    cx = batch[x_col].to_numpy()
-    cy = batch[y_col].to_numpy()
-    ids = batch[id_col]
-
-    home = cell_encode(cx, cy, res)
-    data_t = pa.table(
-        {
-            "cell": pa.array(home.view(np.int64), pa.int64()),
-            "pid": ids,
-            "x": pa.array(cx),
-            "y": pa.array(cy),
-            "side": pa.array(["data"] * len(cx), pa.string()),
-        }
-    )
-    if query_col is not None:
-        qmask = batch[query_col].to_numpy(zero_copy_only=False).astype(bool)
-        qcx, qcy = cx[qmask], cy[qmask]
-        qids = ids.filter(pa.array(qmask))
-    else:
-        qcx, qcy, qids = cx, cy, ids
-    row_idx, cells = _neighbor_cells(qcx, qcy, res)
-    take = pa.array(row_idx)
-    query_t = pa.table(
-        {
-            "cell": pa.array(cells.view(np.int64), pa.int64()),
-            "pid": qids.take(take),
-            "x": pa.array(qcx[row_idx]),
-            "y": pa.array(qcy[row_idx]),
-            "side": pa.array(["query"] * len(row_idx), pa.string()),
-        }
-    )
-    return pa.concat_tables([data_t, query_t])
+    Restricting WHICH points are queries keeps the replica explosion
+    and the final per-query merge proportional to the query set, not
+    the corpus; every point remains a candidate neighbor."""
+    queries = home if is_query is None else home.filter(is_query)
+    row_idx, cells = cell_neighbors(queries["cell"].to_numpy().view(np.uint64))
+    return pa.concat_tables([home, probe_replicas(queries, row_idx, cells)])
 
 
 class KnnWithinCell:
-    """map_groups fn: per-cell brute-force top-k candidates (numpy)."""
+    """map_groups fn: per-cell top-k candidates of each query replica
+    among the cell's home points, self-matches excluded.  Each distance
+    matrix is one ``cells.row_chunks`` slice; ties break by
+    (dist, neighbor_id)."""
 
     def __init__(self, k: int):
         self.k = k
         self.__name__ = type(self).__name__
 
     def __call__(self, group: pa.Table) -> pa.Table:
-        id_type = group.schema.field("pid").type
-        side = np.asarray(group["side"].to_pylist())
-        is_data = side == "data"
-        if not is_data.any() or is_data.all():
-            return _cand_schema(id_type).empty_table()
-        dx = group["x"].to_numpy()
-        dy = group["y"].to_numpy()
-        ids = np.asarray(group["pid"].to_pylist())
-
-        qx = dx[~is_data]
-        qy = dy[~is_data]
-        qid = ids[~is_data]
-        px = dx[is_data]
-        py = dy[is_data]
-        pid = ids[is_data]
-
-        d2 = (qx[:, None] - px[None, :]) ** 2 + (qy[:, None] - py[None, :]) ** 2
-        # exclude self-matches
-        self_mask = qid[:, None] == pid[None, :]
-        d2[self_mask] = np.inf
-
-        k = min(self.k, d2.shape[1])
-        # Deterministic tie-break (dist, neighbor_id): a plain
-        # argpartition keeps an ARBITRARY subset of equidistant
-        # candidates at the k boundary, silently dropping ones the
-        # global merge would rank — per-row lexsort instead.
-        cols = np.empty((d2.shape[0], k), dtype=np.int64)
-        for r in range(d2.shape[0]):
-            cols[r] = np.lexsort((pid, d2[r]))[:k]
-        rows = np.repeat(np.arange(d2.shape[0]), k)
-        cols = cols.ravel()
-        dists = np.sqrt(d2[rows, cols])
-        keep = np.isfinite(dists)
-        return pa.table(
-            {
-                "query_id": pa.array(qid[rows[keep]].tolist(), id_type),
-                "neighbor_id": pa.array(pid[cols[keep]].tolist(), id_type),
-                "dist": pa.array(dists[keep]),
-            }
-        )
+        is_point = group["side"].to_numpy() == BUILD
+        if is_point.all() or not is_point.any():
+            return CAND_SCHEMA.empty_table()
+        x, y, ids = (group[c].to_numpy() for c in ("minx", "miny", "id"))
+        qx, qy, qid = x[~is_point], y[~is_point], ids[~is_point]
+        px, py, pid = x[is_point], y[is_point], ids[is_point]
+        k = min(self.k, len(pid))
+        out = []
+        for rows in row_chunks(len(qid), len(pid)):
+            cid = qid[rows]
+            dist = np.sqrt((qx[rows, None] - px) ** 2 + (qy[rows, None] - py) ** 2)
+            dist[cid[:, None] == pid] = np.inf
+            # every candidate up to each row's k-th distance, ties
+            # included, then the exact (dist, neighbor_id) top-k
+            kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
+            q, p = np.nonzero((dist <= kth) & np.isfinite(dist))
+            keep, _ = topk_select(q, dist[q, p], pid[p], k, smallest=True)
+            q, p = q[keep], p[keep]
+            out.append(pa.table({"query_id": cid[q], "neighbor_id": pid[p], "dist": dist[q, p]}, schema=CAND_SCHEMA))
+        return pa.concat_tables(out)
 
 
 class TopKMerge:
-    """map_groups fn: merge per-cell candidates → global top-k per query.
-
-    Candidates for a (query, neighbor) pair may appear from several
-    replica cells — dedup before ranking.  Ties broken by neighbor_id
-    for determinism.
-    """
+    """hash_exchange kernel: per-cell candidates → global top-k per
+    query, ranked by (dist, neighbor_id)."""
 
     def __init__(self, k: int):
         self.k = k
         self.__name__ = type(self).__name__
 
     def __call__(self, group: pa.Table) -> pa.Table:
-        # Arrow-native merge: dedup replicas by neighbor id (equal
-        # pairs carry equal dists), lexsort (dist, neighbor_id), head k
-        nid = group["neighbor_id"].to_numpy(zero_copy_only=False)
+        qid = group["query_id"].to_numpy()
+        nid = group["neighbor_id"].to_numpy()
         dist = group["dist"].to_numpy()
-        uniq, first = np.unique(nid, return_index=True)
-        order = np.lexsort((uniq, dist[first]))[: self.k]
-        take = pa.array(first[order].astype(np.int64))
-        out = group.take(take)
-        return out.append_column(
-            "rank", pa.array(np.arange(1, len(order) + 1, dtype=np.int64))
+        keep, rank = topk_select(qid, dist, nid, self.k, smallest=True)
+        return pa.table(
+            {"query_id": qid[keep], "neighbor_id": nid[keep], "dist": dist[keep], "rank": rank}
         )
 
 
 def knn_pipeline(points_ds, k: int, res: int, id_col: str = "image_id", query_col: str | None = None):
-    """Assemble the 3-stage kNN over a Dataset with (id, cx, cy)."""
-    rows = points_ds.map_batches(
-        lambda b: prepare_knn_rows(b, res, id_col=id_col, query_col=query_col),
-        batch_format="pyarrow",
-    )
-    cands = rows.groupby("cell").map_groups(
+    """Assemble the kNN plan over a Dataset with (id, cx, cy)."""
+    # bound when the plan is built, as in catalog/spatial.py::_cell_join
+    from .cells import explode_to_cells
+
+    def rows(b: pa.Table) -> pa.Table:
+        x, y = b["cx"].to_numpy(), b["cy"].to_numpy()
+        home = explode_to_cells(side_table(BUILD, b[id_col], x, y, x, y), res)
+        return prepare_knn_rows(home, None if query_col is None else b[query_col])
+
+    cands = points_ds.map_batches(rows, batch_format="pyarrow").groupby("cell").map_groups(
         KnnWithinCell(k), batch_format="pyarrow"
     )
-    return cands.groupby("query_id").map_groups(
-        TopKMerge(k), batch_format="pyarrow"
-    )
+    return hash_exchange(cands, "query_id", TopKMerge(k))

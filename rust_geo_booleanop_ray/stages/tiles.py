@@ -23,7 +23,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..sources.arrow_geom import arrow_mp_offsets, arrow_to_mps, flat_to_arrow
+from ..sources.arrow_geom import arrow_mp_offsets, flat_to_arrow
 from .cells import cell_bounds_array
 
 PARTIAL_SCHEMA = pa.schema(
@@ -155,18 +155,6 @@ def rasterize_counts(clip, xs: np.ndarray, ys: np.ndarray, grid: np.ndarray) -> 
     return counts.astype(np.uint32)
 
 
-class RasterizeTile:
-    """Per-tile coverage raster from one tile's clipped geometries
-    (map_groups fn): ``merge_rasters`` over ``RasterizePartial``."""
-
-    def __init__(self, px: int = 32):
-        self.px = px
-        self.__name__ = type(self).__name__
-
-    def __call__(self, group: pa.Table) -> pa.Table:
-        return merge_rasters(RasterizePartial(self.px)(group))
-
-
 class RasterizePartial:
     """map_batches kernel: clip rows → per-(batch, tile) PARTIAL count
     rasters.  The heavy geometry work happens here, before the shuffle;
@@ -294,11 +282,6 @@ def raster_rects(tile_ids, px, raster) -> pa.ListArray:
     xy = np.stack([[rx0, rx1, rx1, rx0, rx0], [ry0, ry0, ry1, ry1, ry0]], axis=-1).transpose(1, 0, 2)
     ones = np.ones(len(t), dtype=np.int64)
     return flat_to_arrow(xy.reshape(-1, 2), 5 * ones, ones, np.bincount(t, minlength=len(px)))
-
-
-def raster_to_rects(raster: bytes, px: int, tile_id: int):
-    """One tile's raster → its rects as a Python multipolygon."""
-    return arrow_to_mps(raster_rects([tile_id], [px], pa.array([raster], pa.binary())))[0]
 
 
 def vectorize_tiles_batch(batch: pa.Table) -> pa.Table:

@@ -1,10 +1,12 @@
 """The block policy: ``tuning.tune_data_context()`` alone decides how many
 blocks a source has (two per CPU of the live cluster), engine code passes
 no block count, and no output depends on how the input is split.  Also
-the two other cluster-shape rules: actor pools size from
-``tuning.ACTOR_POOL``, and rows-cardinality keys shuffle only through
-``stages/exchange.py::hash_exchange``."""
+the other cluster-shape rules: actor pools size from
+``tuning.ACTOR_POOL``, rows-cardinality keys shuffle only through
+``stages/exchange.py::hash_exchange``, and cell ids are computed only in
+``stages/cells.py``."""
 
+import ast
 import os
 import re
 import subprocess
@@ -98,6 +100,38 @@ def test_no_hand_rolled_hash_exchange():
     groups by a bucket column of its own."""
     pattern = re.compile(r"""groupby\(\s*(["'](bucket|kb|pbucket)["']|_BUCKET_COL)\s*\)""")
     assert _package_lines_matching(pattern, skip={os.path.join("stages", "exchange.py")}) == []
+
+
+def test_cell_ids_computed_only_in_cells_module():
+    """Only ``stages/cells.py`` knows the cell-id layout: no other engine
+    module names its Morton helpers or shifts by the 58 resolution bits
+    (``np.uint64(58)``).  Strings and comments are not code, so the SQL
+    mirrors inside oracle builders are exempt."""
+    helpers = {"_part1by1", "_unpart1by1", "_grid_index"}
+    offenders = []
+    for root, _, files in os.walk(PACKAGE):
+        for name in files:
+            path = os.path.join(root, name)
+            rel = os.path.relpath(path, PACKAGE)
+            if not name.endswith(".py") or rel == os.path.join("stages", "cells.py"):
+                continue
+            with open(path, encoding="utf-8") as f:
+                tree = ast.parse(f.read())
+            for node in ast.walk(tree):
+                used = (
+                    (isinstance(node, ast.Name) and node.id in helpers)
+                    or (isinstance(node, ast.Attribute) and node.attr in helpers)
+                    or (isinstance(node, ast.alias) and node.name in helpers)
+                    or (
+                        isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "uint64"
+                        and any(isinstance(a, ast.Constant) and a.value == 58 for a in node.args)
+                    )
+                )
+                if used:
+                    offenders.append(f"{rel}:{getattr(node, 'lineno', '?')}")
+    assert offenders == []
 
 
 _POLY_CLIP_AT_2_CPUS = """

@@ -10,7 +10,9 @@ from rust_geo_booleanop_ray.stages.cells import (
     WORLD,
     cell_bounds,
     cell_bounds_array,
+    cell_children,
     cell_encode,
+    cell_neighbors,
     cell_parent,
     cell_polygon,
     cell_res,
@@ -42,6 +44,55 @@ def test_cell_parent_contains():
     assert (cell_res(parent) == 7).all()
     direct = cell_encode(xs, ys, 7)
     assert (parent == direct).all()
+
+
+def _edge_and_random_cells(res: int, rng) -> np.ndarray:
+    """Cells at every world corner and edge midpoint, plus random ones."""
+    minx, miny, maxx, maxy = WORLD
+    xs = np.r_[minx, maxx, minx, maxx, 0.0, 0.0, minx, maxx, rng.uniform(minx, maxx, 60)]
+    ys = np.r_[miny, miny, maxy, maxy, miny, maxy, 0.0, 0.0, rng.uniform(miny, maxy, 60)]
+    return cell_encode(xs, ys, res)
+
+
+def test_cell_neighbors_offset_and_drop():
+    """``cell_neighbors`` is the 3×3 neighbourhood with out-of-grid
+    offsets dropped: each neighbour is the cell holding the centre of
+    the cell one step away, world-edge cells included."""
+    rng = np.random.default_rng(11)
+    for res in (0, 1, 3, 4, 5, 12):
+        cells = _edge_and_random_cells(res, rng)
+        row_idx, nbrs = cell_neighbors(cells)
+        assert (np.diff(row_idx) >= 0).all()
+        x0, y0, x1, y1 = cell_bounds_array(cells)
+        wx, wy = x1 - x0, y1 - y0
+        for i, c in enumerate(cells):
+            want = set()
+            for dx in (-1, 0, 1):
+                for dy in (-1, 0, 1):
+                    cx = (x0[i] + x1[i]) / 2 + dx * wx[i]
+                    cy = (y0[i] + y1[i]) / 2 + dy * wy[i]
+                    if WORLD[0] < cx < WORLD[2] and WORLD[1] < cy < WORLD[3]:
+                        want.add(int(cell_encode(np.array([cx]), np.array([cy]), res)[0]))
+            got = nbrs[row_idx == i].tolist()
+            assert len(got) == len(set(got)), "a neighbour repeats"
+            assert set(got) == want and int(c) in want
+    row_idx, nbrs = cell_neighbors(np.empty(0, np.uint64))
+    assert len(row_idx) == len(nbrs) == 0
+
+
+def test_cell_children_of_parent_contain_cell():
+    rng = np.random.default_rng(5)
+    cells = _edge_and_random_cells(7, rng)
+    for steps in (0, 1, 2, 3):
+        parents = cell_parent(cells, steps) if steps else cells
+        row_idx, kids = cell_children(parents, 7)
+        assert (np.bincount(row_idx, minlength=len(parents)) == 4**steps).all()
+        assert (cell_res(kids) == 7).all()
+        for i, c in enumerate(cells):
+            mine = kids[row_idx == i]
+            assert c in mine and len(set(mine.tolist())) == len(mine)
+            if steps:
+                assert (cell_parent(mine, steps) == parents[i]).all()
 
 
 def test_cover_bbox_explode():

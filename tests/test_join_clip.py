@@ -25,7 +25,7 @@ from rust_geo_booleanop_ray.stages.join_clip import (
     TileJoinClip,
     join_cells_within_group,
 )
-from rust_geo_booleanop_ray.stages.tiles import RasterizeTile, raster_to_rects
+from rust_geo_booleanop_ray.stages.tiles import RasterizePartial, merge_rasters, raster_rects
 
 
 def _footprints(n=80):
@@ -170,9 +170,9 @@ def test_rasterize_and_vectorize():
             "clip": mps_to_arrow([tile_poly]),
         }
     )
-    r = RasterizeTile(px=16)(g)
+    r = merge_rasters(RasterizePartial(px=16)(g))
     assert r["coverage_fraction"][0].as_py() == 1.0
-    rects = raster_to_rects(r["raster"][0].as_py(), 16, tile)
+    rects = arrow_to_mps(raster_rects([tile], [16], r["raster"]))[0]
     assert len(rects) == 1
     x0, y0, x1, y1 = cell_bounds(tile)
     assert abs(shoelace_area(rects) - (x1 - x0) * (y1 - y0)) < 1e-9

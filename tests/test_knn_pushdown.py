@@ -1,11 +1,16 @@
-"""kNN query-predicate pushdown: restricted query sets produce the same
-answers for those queries as the all-points run, and empty-query batches
-are handled (regression: np.concatenate on zero query rows)."""
+"""kNN and the distance-band join on the one cell-join layout: query
+pushdown gives the same answers as the all-points run, empty-query
+batches are handled, and with ``MAX_CONTAIN_MATRIX`` forced tiny a hot
+cell's chunked matrices give the brute-force answer."""
+
+import itertools
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data as rd
 
+from rust_geo_booleanop_ray.stages import cells, dist_join, knn
 from rust_geo_booleanop_ray.stages.knn import knn_pipeline, prepare_knn_rows
 
 
@@ -45,21 +50,114 @@ def test_pushdown_matches_full_run(ray_session):
     assert _rows(pushed) == full_rows
 
 
+def _home(t: pa.Table, res: int, x="cx", y="cy") -> pa.Table:
+    xs, ys = t[x].to_numpy(), t[y].to_numpy()
+    return cells.explode_to_cells(cells.side_table(cells.BUILD, t["pid"], xs, ys, xs, ys), res)
+
+
 def test_empty_query_batch():
     t = _points_table(n=8, query_ids=np.array([], dtype=np.int64))
-    out = prepare_knn_rows(t, res=3, id_col="pid", query_col="is_query")
-    # 8 data rows, zero query replicas
+    out = prepare_knn_rows(_home(t, 3), t["is_query"])
+    # 8 home rows, zero query replicas
     assert out.num_rows == 8
-    assert set(out["side"].to_pylist()) == {"data"}
+    assert set(out["side"].to_pylist()) == {cells.BUILD}
+
+
+def _by_cell(rows: pa.Table, kernel) -> pa.Table:
+    """The groupby(cell) stage, run locally: ``kernel`` once per cell."""
+    return pa.concat_tables(
+        [kernel(rows.filter(pc.equal(rows["cell"], c))) for c in np.unique(rows["cell"].to_numpy())]
+    )
+
+
+def _spy_chunks(monkeypatch, module, limit: int) -> list:
+    """Patch ``MAX_CONTAIN_MATRIX`` to ``limit`` and record, for every
+    matrix ``module`` asks ``row_chunks`` for, (its rows, the rows of
+    one chunk, its columns)."""
+    monkeypatch.setattr(cells, "MAX_CONTAIN_MATRIX", limit)
+    sizes = []
+
+    def spy(n_rows, n_cols):
+        chunks = list(cells.row_chunks(n_rows, n_cols))
+        sizes.extend((n_rows, len(range(n_rows)[c]), n_cols) for c in chunks)
+        return iter(chunks)
+
+    monkeypatch.setattr(module, "row_chunks", spy)
+    return sizes
+
+
+def _hot_points(n_hot=300, n_rest=60, seed=23):
+    """Integer points (equal distances abound) with one hot res-1 cell."""
+    rng = np.random.default_rng(seed)
+    xs = np.r_[rng.integers(0, 40, n_hot), rng.integers(-180, 180, n_rest)].astype(np.float64)
+    ys = np.r_[rng.integers(0, 20, n_hot), rng.integers(-90, 90, n_rest)].astype(np.float64)
+    ids = rng.permutation(len(xs)).astype(np.int64) * 3 + 1
+    return pa.table({"pid": ids, "cx": xs, "cy": ys})
+
+
+def _brute_knn(t: pa.Table, k: int, queries) -> list:
+    ids, xs, ys = (t[c].to_numpy() for c in ("pid", "cx", "cy"))
+    out = []
+    for q in queries:
+        d = np.sqrt((xs[q] - xs) ** 2 + (ys[q] - ys) ** 2)
+        order = [j for j in np.lexsort((ids, d)) if j != q][:k]
+        out += [(int(ids[q]), r + 1, int(ids[j]), float(d[j])) for r, j in enumerate(order)]
+    return sorted(out)
+
+
+def test_knn_hot_cell_chunks_match_brute_force(monkeypatch):
+    """At res 1 every 3×3 neighbourhood is the whole world, so the
+    engine's kNN is the exact kNN.  With ``MAX_CONTAIN_MATRIX`` tiny,
+    every within-cell matrix stays under it, each (query, neighbor)
+    candidate comes from exactly one cell, and the answer equals brute
+    force, with and without a query column."""
+    t = _hot_points()
+    k = 4
+    sizes = _spy_chunks(monkeypatch, knn, 1000)
+    for queries in (None, np.arange(0, t.num_rows, 7)):
+        mask = None if queries is None else pa.array(np.isin(np.arange(t.num_rows), queries))
+        rows = prepare_knn_rows(_home(t, 1), mask)
+        assert rows.num_rows == t.num_rows + 4 * (t.num_rows if queries is None else len(queries))
+        cands = _by_cell(rows, knn.KnnWithinCell(k))
+        pairs = list(zip(cands["query_id"].to_pylist(), cands["neighbor_id"].to_pylist()))
+        assert len(pairs) == len(set(pairs)), "a candidate came from two cells"
+        got = knn.TopKMerge(k)(cands)
+        got = sorted(zip(*(got[c].to_pylist() for c in ("query_id", "rank", "neighbor_id", "dist"))))
+        want = _brute_knn(t, k, range(t.num_rows) if queries is None else queries)
+        assert got == want
+    assert any(n * c > 1000 for n, _, c in sizes), "no cell needed chunking"
+    assert all(r * c <= 1000 or r == 1 for _, r, c in sizes)
+
+
+def test_dist_join_hot_cell_chunks_match_brute_force(monkeypatch):
+    """A hot res-5 cell with ``MAX_CONTAIN_MATRIX`` tiny: every distance
+    matrix stays under it, a point ships one row per distinct
+    neighbour cell (at most 9), and the pairs equal brute force."""
+    rng = np.random.default_rng(29)
+    xs = np.r_[rng.integers(0, 11, 300), rng.integers(0, 40, 100)].astype(np.float64)
+    ys = np.r_[rng.integers(0, 5, 300), rng.integers(0, 20, 100)].astype(np.float64)
+    ids = rng.permutation(400).astype(np.int64)
+    t = pa.table({"pid": ids, "px": xs, "py": ys})
+    sizes = _spy_chunks(monkeypatch, dist_join, 500)
+    home = _home(t, 5, "px", "py")
+    rows = dist_join.prepare_dist_rows(home)
+    assert rows.num_rows == len(cells.cell_neighbors(home["cell"].to_numpy().view(np.uint64))[0])
+    assert pc.sum(pc.equal(rows["side"], cells.BUILD)).as_py() == 400
+    out = _by_cell(rows, dist_join.DistPairsWithinCell(5.0))
+    got = sorted(zip(*(out[c].to_pylist() for c in ("id_a", "id_b", "d2"))))
+    want = sorted(
+        (int(min(ids[a], ids[b])), int(max(ids[a], ids[b])), int((xs[a] - xs[b]) ** 2 + (ys[a] - ys[b]) ** 2))
+        for a, b in itertools.combinations(range(400), 2)
+        if (xs[a] - xs[b]) ** 2 + (ys[a] - ys[b]) ** 2 <= 25.0
+    )
+    assert got == want
+    assert any(n * c > 500 for n, _, c in sizes), "no cell needed chunking"
+    assert all(r * c <= 500 or r == 1 for _, r, c in sizes)
 
 
 def test_dist_join_exactly_once_across_cells(ray_session):
     """Pairs straddling cell boundaries are emitted exactly once, and
     the pair set matches brute force."""
-    import itertools
-
-    import ray.data as rd
-
     from rust_geo_booleanop_ray.stages.dist_join import dist_join_pipeline
 
     rng = np.random.RandomState(5)

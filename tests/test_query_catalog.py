@@ -33,14 +33,27 @@ def test_one_plan_per_oracle(oracle):
         assert len(plans) == 1, f"{names} run {sorted(p.__name__ for p in plans)}"
 
 
-CELL_JOINS = ["pip_join", "spatial_antijoin", "zonal_stats", "poly_join_big", "areal_interp"]
+CELL_JOINS = [
+    "pip_join",
+    "spatial_antijoin",
+    "zonal_stats",
+    "poly_join_big",
+    "areal_interp",
+    "spatial_knn",
+    "dist_join",
+    "focal_sum",
+    "cell_compact",
+    "cell_uncompact",
+]
 
 
 @pytest.mark.parametrize("name", CELL_JOINS)
 def test_cell_join_matches_oracle(ray_session, oracle, name):
-    """The two-sided PBSM cell joins equal their DuckDB oracle at
-    sf0.001, compared the way tools/check_oracle.py compares them: row
-    count, sorted column names and the order-insensitive value hash."""
+    """The cell-layout queries (the PBSM joins, kNN, the distance join
+    and the neighbour, parent and child cell queries) equal their
+    DuckDB oracle at sf0.001, compared the way tools/check_oracle.py
+    compares them: row count, sorted column names and the
+    order-insensitive value hash."""
     import duckdb
 
     sf = os.path.join(TESTDATA, "sf0.001")

@@ -7,9 +7,9 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from rust_geo_booleanop_ray.sources.arrow_geom import mps_to_arrow
+from rust_geo_booleanop_ray.sources.arrow_geom import arrow_to_mps, mps_to_arrow
 from rust_geo_booleanop_ray.stages.cells import cell_bounds, cell_encode
-from rust_geo_booleanop_ray.stages.tiles import merge_rasters, raster_to_rects, vectorize_tiles_batch
+from rust_geo_booleanop_ray.stages.tiles import merge_rasters, raster_rects, vectorize_tiles_batch
 
 
 def _old_raster_to_rects(raster: bytes, px: int, tile_id: int):
@@ -132,8 +132,9 @@ def test_shaped_masks_one_tile_each(px):
     rng = np.random.default_rng(px)
     for mask in _shaped_masks(px):
         tile = _tile_ids(rng, 1)[0]
-        raster = _raster_batch([mask], [tile], rng)["raster"][0].as_py()
-        assert raster_to_rects(raster, px, tile) == _old_raster_to_rects(raster, px, tile)
+        raster = _raster_batch([mask], [tile], rng)["raster"]
+        got = arrow_to_mps(raster_rects([tile], [px], raster))[0]
+        assert got == _old_raster_to_rects(raster[0].as_py(), px, tile)
 
 
 def test_vectorize_rejects_wrong_raster_length():
