@@ -70,175 +70,45 @@ def run_flagship():
     return _consume(ds)
 
 
-def bench_list():
-    from rust_geo_booleanop_ray.pipelines import queries as Q
+# Registered queries the suite does not time, and why.
+UNTIMED = {
+    # these embed the (image_)dedup_components label-propagation
+    # fixpoint, which is round-dominated at toy scale (fixed
+    # per-execution scheduling cost × ~8 rounds, not data volume —
+    # see BASELINE.md r2 notes)
+    "dedup_components",
+    "dedup_apply",
+    "dedup_keep_best",
+    "keep_best_apply",
+    "safe_split",
+    "image_dedup_components",
+    "image_keep_best",
+    "image_safe_split",
+    # the 49M-wedge graph workload (~15 s alone at sf0.1), benched
+    # standalone in BASELINE.md instead of skewing the suite total
+    "triangles",
+    # never in the timed suite; no reason was recorded
+    "bfs_depth",
+    "pagerank",
+    "ann_recall",
+    "martinez_fixtures",
+}
 
+
+def bench_list():
+    """``flagship_tiles``, then every registered query except aliases
+    (they run their primary's plan) and the ``UNTIMED`` names."""
+    from rust_geo_booleanop_ray.pipelines.queries import REGISTRY
+
+    missing = sorted(UNTIMED - set(REGISTRY))
+    if missing:
+        raise ValueError(f"UNTIMED names queries that are not registered: {missing}")
     sf = SF_DIR
     items = [("flagship_tiles", run_flagship)]
-    for name in (
-        "clip_area",
-        "tile_assign",
-        "pip_join",
-        "poly_join_big",
-        "spatial_knn",
-        "pricing_summary",
-        "top_customers",
-        "events_window",
-        "sliding_window",
-        "sessions",
-        "interval_union",
-        "mode_event",
-        "hash_sample",
-        "dedup_exact",
-        "incremental_dedup",
-        "incremental_minhash",
-        # dedup_keep_best stays out of the headline like safe_split:
-        # both embed the dedup_components fixpoint (round-dominated at
-        # toy scale, see note below)
-        "normalized_dedup",
-        "bottomk_sample",
-        "grouped_sample",
-        "text_stats",
-        "lm_score",
-        "repetition_stats",
-        "areal_interp",
-        "ann_topk",
-        "ann_ivf",
-        "ann_pq",
-        "ann_lsh",
-        "ann_rerank",
-        "asof_join",
-        "minhash_near_dup",
-        "simhash_pairs",
-        "image_features",
-        "image_quality",
-        "image_near_dup",
-        "incremental_image_dedup",
-        "image_curation",
-        # image_dedup_components embeds the components fixpoint and
-        # inherits its round-dominated toy-scale latency (see note below)
-        "image_sim_topk",
-        "jpeg_roundtrip",
-        "jpeg_quality_sweep",
-        "revenue_by_nation",
-        "order_priority",
-        "quality_filter",
-        "lang_id",
-        "ngram_dedup",
-        "poly_clip",
-        "wkb_clip",
-        "poly_clip_quads",
-        "tile_coverage_rects",
-        "tile_coverage",
-        "video_frames",
-        "audio_features",
-        "scene_stats",
-        "regex_tokens",
-        "props_extract",
-        "range_join",
-        "stream_join",
-        "bloom_join",
-        "dissolve",
-        "fingerprints",
-        "contamination",
-        "substring_dedup",
-        "contamination_winnow",
-        "corpus_curation",
-        "embedding_near_dup",
-        "mutual_nn",
-        # dedup_components stays out of the headline: its label-
-        # propagation fixpoint is round-dominated at toy scale
-        # (fixed per-execution scheduling cost × ~8 rounds, not data
-        # volume — see BASELINE.md r2 notes)
-        "grouped_topk",
-        "running_total",
-        "hll_distinct",
-        "cms_counts",
-        "kmv_overlap",
-        "gram_matrix",
-        "pca_power",
-        "kmeans_labels",
-        "semantic_dedup",
-        "spatial_antijoin",
-        "vocab_topk",
-        "group_quantiles",
-        "percent_rank",
-        "zonal_stats",
-        "buffer_dissolve",
-        "anti_join",
-        "stratified_sample",
-        "pivot_events",
-        "aspect_bucket",
-        "patch_stats",
-        "letterbox",
-        "channel_stats",
-        "simplify_poly",
-        "geom_validate",
-        "dup_frames",
-        "caption_dedup",
-        "convex_hull",
-        "token_shards",
-        "data_mixture",
-        "cum_distinct",
-        "moving_window",
-        "promo_revenue",
-        "returned_items",
-        "left_join",
-        "tfidf_topterms",
-        "bm25_topterms",
-        "bpe_merges",
-        "bpe_tokenize",
-        "event_gaps",
-        "gap_fill",
-        "period_over_period",
-        "late_events",
-        "skew_report",
-        "degree_hist",
-        "rollup_sales",
-        "zorder_layout",
-        "dist_join",
-        "semi_join",
-        "full_join",
-        "latest_by_key",
-        "cdc_state",
-        "distinct_users",
-        "user_journey",
-        "price_histogram",
-        "tile_mosaic",
-        "image_pyramid",
-        "ann_filtered",
-        "table_diff",
-        "funnel",
-        "dim_stats",
-        "cell_rollup",
-        "cell_compact",
-        "cell_uncompact",
-        # dedup_apply embeds the dedup_components fixpoint and inherits
-        # its round-dominated toy-scale latency (see note above)
-        "revenue_share",
-        "caption_stats",
-        "retention",
-        "basket_pairs",
-        "footprint_metrics",
-        "quantile_sketch",
-        "skyline",
-        "cube_sales",
-        "nearest_facility",
-        "pixel_histogram",
-        "image_augment",
-        "group_regression",
-        "quartile_label",
-        "focal_sum",
-        "word_pairs",
-        "transitions",
-        # safe_split and triangles stay out of the headline: the
-        # former embeds the dedup_components fixpoint (round-dominated
-        # at toy scale, see note above), the latter is the 49M-wedge
-        # graph workload (~15 s alone at sf0.1) — benched standalone
-        # in BASELINE.md instead of skewing the suite total
-    ):
-        fn = Q.build_queries()[name]
-        items.append((name, lambda fn=fn: _consume(fn(sf))))
+    for name, query in REGISTRY.items():
+        if name in query.aliases or name in UNTIMED:
+            continue
+        items.append((name, lambda fn=query.plan: _consume(fn(sf))))
     if ONLY:
         unknown = sorted(set(ONLY) - {n for n, _ in items})
         if unknown:

@@ -1,6 +1,8 @@
-"""Catalog family modules (split out of pipelines/queries.py, round 5).
+"""Catalog family modules, one per query family (spatial, agg, windows,
+joins, dedup, text, ann, image, graph; ``_shared`` holds what two or
+more families use).
 
-The driver-facing surface stays `pipelines.queries` (build_queries /
-build_oracle_sql + every query callable re-exported); these modules
-hold the per-family implementations.
+Each family module ends with a ``QUERIES`` table of ``_shared.Query``
+entries (plan, oracle, aliases) for the queries it defines;
+``pipelines.queries`` merges the tables into the one query registry.
 """

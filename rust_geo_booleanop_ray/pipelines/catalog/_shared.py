@@ -1,12 +1,40 @@
-"""Helpers, constants and kernels shared by 2+ catalog families.
-
-Split out of pipelines/queries.py (round 5); behavior-identical.
-"""
+"""Helpers, constants and kernels shared by 2+ catalog families, and
+the registry entry every family's ``QUERIES`` table is made of."""
 from __future__ import annotations
 
-import numpy as np  # noqa: F401
-import pyarrow as pa  # noqa: F401
-import pyarrow.compute as pc  # noqa: F401
+from collections.abc import Callable
+from typing import Any, NamedTuple
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
+
+class Query(NamedTuple):
+    """One registered query: ``plan(sf_dir)`` builds the Ray Dataset and
+    ``oracle`` is its DuckDB SQL, or a zero-argument function returning
+    it that only ``pipelines.queries.build_oracle_sql()`` calls (workers
+    that import a family module for its ``map_batches`` closures never
+    pay for building an oracle).  ``aliases`` are further names served
+    by the same plan and oracle."""
+
+    plan: Callable[[str], Any]
+    oracle: str | Callable[[], str]
+    aliases: tuple[str, ...] = ()
+
+
+def merge_queries(*tables: dict[str, Query]) -> dict[str, Query]:
+    """Merge the family ``QUERIES`` tables into one registry that maps
+    every name, aliases included, to its entry; a name registered twice
+    raises."""
+    merged: dict[str, Query] = {}
+    for table in tables:
+        for name, query in table.items():
+            for n in (name, *query.aliases):
+                if n in merged:
+                    raise ValueError(f"query name {n!r} is registered twice")
+                merged[n] = query
+    return merged
 
 
 def _read(sf_dir: str, table: str, columns=None):
@@ -19,6 +47,28 @@ def _read(sf_dir: str, table: str, columns=None):
 
 def _cents(x: np.ndarray) -> np.ndarray:
     return np.floor(x * 100.0 + 0.5).astype(np.int64)
+
+
+def _values_oracle_sql(t: pa.Table) -> str:
+    """Expected-values oracle: a VALUES table of generator-side
+    literals (input-data math, never engine output), compared hash-exact
+    against the engine's decode-derived results."""
+
+    def lit(v):
+        # explicit casts so DuckDB types every column like the engine
+        # (bare small-int literals would come out INTEGER, not BIGINT)
+        return f"'{v}'" if isinstance(v, str) else f"CAST({v!r} AS BIGINT)"
+
+    cols = t.column_names
+    rows = ",\n      ".join(
+        "(" + ", ".join(lit(t[c][i].as_py()) for c in cols) + ")"
+        for i in range(t.num_rows)
+    )
+    return f"""
+    SELECT * FROM (VALUES
+      {rows}
+    ) AS expected({", ".join(cols)})
+"""
 
 
 # ------------------------------------------------------------------ documents

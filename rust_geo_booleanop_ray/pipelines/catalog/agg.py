@@ -1,15 +1,21 @@
-"""Batch aggregation queries: TPC-H-ish reports, sampling, sketches, linalg.
-
-Split out of pipelines/queries.py (round 5); behavior-identical.
-"""
+"""Batch aggregation queries: TPC-H-ish reports, sampling, sketches, linalg."""
 from __future__ import annotations
 
-import numpy as np  # noqa: F401
-import pyarrow as pa  # noqa: F401
-import pyarrow.compute as pc  # noqa: F401
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from ...stages.exchange import hash_exchange
-from ._shared import GRAM_DIM, KMEANS_ITERS, KMEANS_K, _EPOCH_2024_US, _cents, _read, triu_pairs_in_runs  # noqa: F401
+from ._shared import (
+    GRAM_DIM,
+    KMEANS_ITERS,
+    KMEANS_K,
+    Query,
+    _EPOCH_2024_US,
+    _cents,
+    _read,
+    triu_pairs_in_runs,
+)
 
 
 # ------------------------------------------------------------------ batch/agg
@@ -2288,3 +2294,40 @@ def _build_kmeans_sql() -> str:
     FROM af JOIN c{KMEANS_ITERS} cf ON cf.c = af.c
     GROUP BY af.c, cf.cv
 """
+
+
+QUERIES = {
+    "pricing_summary": Query(q_pricing_summary, Q_PRICING_SQL),
+    "top_customers": Query(q_top_customers, Q_TOP_CUSTOMERS_SQL),
+    "mode_event": Query(q_mode_event, Q_MODE_EVENT_SQL),
+    "distinct_users": Query(q_distinct_users, Q_DISTINCT_USERS_SQL),
+    "price_histogram": Query(q_price_histogram, Q_PRICE_HISTOGRAM_SQL),
+    "hash_sample": Query(q_hash_sample, Q_HASH_SAMPLE_SQL),
+    "bottomk_sample": Query(q_bottomk_sample, _build_bottomk_sql),
+    "grouped_sample": Query(q_grouped_sample, _build_grouped_sample_sql),
+    "revenue_by_nation": Query(q_revenue_by_nation, Q_REVENUE_BY_NATION_SQL),
+    "order_priority": Query(q_order_priority, Q_ORDER_PRIORITY_SQL),
+    "revenue_share": Query(q_revenue_share, Q_REVENUE_SHARE_SQL),
+    "group_regression": Query(q_group_regression, Q_GROUP_REGRESSION_SQL),
+    "basket_pairs": Query(q_basket_pairs, Q_BASKET_PAIRS_SQL),
+    "quantile_sketch": Query(q_quantile_sketch, Q_QUANTILE_SKETCH_SQL),
+    "skyline": Query(q_skyline, Q_SKYLINE_SQL),
+    "grouped_topk": Query(q_grouped_topk, Q_GROUPED_TOPK_SQL),
+    "hll_distinct": Query(q_hll_distinct, Q_HLL_DISTINCT_SQL),
+    "kmv_overlap": Query(q_kmv_overlap, _build_kmv_sql),
+    "cms_counts": Query(q_cms_counts, Q_CMS_COUNTS_SQL),
+    "gram_matrix": Query(q_gram_matrix, Q_GRAM_MATRIX_SQL),
+    "dim_stats": Query(q_dim_stats, Q_DIM_STATS_SQL),
+    "rollup_sales": Query(q_rollup_sales, Q_ROLLUP_SALES_SQL),
+    "cube_sales": Query(q_cube_sales, Q_CUBE_SALES_SQL),
+    "group_quantiles": Query(q_group_quantiles, Q_GROUP_QUANTILES_SQL),
+    "quartile_label": Query(q_quartile_label, Q_QUARTILE_LABEL_SQL),
+    "stratified_sample": Query(q_stratified_sample, Q_STRATIFIED_SAMPLE_SQL),
+    "pivot_events": Query(q_pivot_events, Q_PIVOT_EVENTS_SQL),
+    "promo_revenue": Query(q_promo_revenue, Q_PROMO_REVENUE_SQL),
+    "returned_items": Query(q_returned_items, Q_RETURNED_ITEMS_SQL),
+    "pca_power": Query(q_pca_power, _build_pca_power_sql),
+    "skew_report": Query(q_skew_report, Q_SKEW_REPORT_SQL),
+    "percent_rank": Query(q_percent_rank, Q_PERCENT_RANK_SQL),
+    "kmeans_labels": Query(q_kmeans_labels, _build_kmeans_sql),
+}

@@ -1,14 +1,11 @@
-"""Approximate-nearest-neighbor queries: brute/IVF/LSH/PQ, mutual-NN.
-
-Split out of pipelines/queries.py (round 5); behavior-identical.
-"""
+"""Approximate-nearest-neighbor queries: brute/IVF/LSH/PQ, mutual-NN."""
 from __future__ import annotations
 
-import numpy as np  # noqa: F401
-import pyarrow as pa  # noqa: F401
-import pyarrow.compute as pc  # noqa: F401
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
-from ._shared import GRAM_DIM, _read  # noqa: F401
+from ._shared import GRAM_DIM, Query, _read
 
 ANN_K = 10
 
@@ -624,3 +621,15 @@ def _build_ann_rerank_sql() -> str:
       FROM cand
     ) WHERE rnk <= {ANN_K}
 """
+
+
+QUERIES = {
+    "ann_topk": Query(q_ann_topk, Q_ANN_TOPK_SQL),
+    "ann_filtered": Query(q_ann_filtered, Q_ANN_FILTERED_SQL),
+    "ann_ivf": Query(q_ann_ivf, Q_ANN_IVF_SQL),
+    "ann_lsh": Query(q_ann_lsh, Q_ANN_LSH_SQL),
+    "mutual_nn": Query(q_mutual_nn, _build_mutual_nn_sql),
+    "ann_pq": Query(q_ann_pq, _build_ann_pq_sql),
+    "ann_recall": Query(q_ann_recall, _build_ann_recall_sql),
+    "ann_rerank": Query(q_ann_rerank, _build_ann_rerank_sql),
+}

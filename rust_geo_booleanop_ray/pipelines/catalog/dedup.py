@@ -1,17 +1,14 @@
-"""Deduplication queries: exact, MinHash/SimHash LSH, n-gram, semantic.
-
-Split out of pipelines/queries.py (round 5); behavior-identical.
-"""
+"""Deduplication queries: exact, MinHash/SimHash LSH, n-gram, semantic."""
 from __future__ import annotations
 
-import numpy as np  # noqa: F401
-import pyarrow as pa  # noqa: F401
-import pyarrow.compute as pc  # noqa: F401
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from ...stages.exchange import hash_exchange
-from ._shared import GRAM_DIM, KMEANS_ITERS, KMEANS_K, _dedup_edge_union, _read  # noqa: F401
-from .agg import _kmeans_ctes  # noqa: F401
-from .ann import _lsh_bucket, _sign_bucket_expr  # noqa: F401
+from ._shared import GRAM_DIM, KMEANS_ITERS, KMEANS_K, Query, _dedup_edge_union, _read
+from .agg import _kmeans_ctes
+from .ann import _lsh_bucket, _sign_bucket_expr
 
 
 def q_dedup_exact(sf_dir: str):
@@ -1533,3 +1530,34 @@ def _build_incremental_minhash_sql() -> str:
     FROM pairs WHERE est >= 0.5 AND doc_b >= {M}
     GROUP BY doc_b"""
     return _build_minhash_sql(docs_sql=docs_sql, final_sql=final_sql)
+
+
+QUERIES = {
+    "dedup_exact": Query(q_dedup_exact, Q_DEDUP_EXACT_SQL),
+    "incremental_dedup": Query(q_incremental_dedup, Q_INCREMENTAL_DEDUP_SQL),
+    "incremental_minhash": Query(
+        q_incremental_minhash,
+        _build_incremental_minhash_sql,
+        aliases=("incremental_minhash_store",),
+    ),
+    "dedup_keep_best": Query(q_dedup_keep_best, _build_keep_best_sql),
+    "keep_best_apply": Query(q_keep_best_apply, _build_keep_best_apply_sql),
+    "normalized_dedup": Query(q_normalized_dedup, Q_NORMALIZED_DEDUP_SQL),
+    "dedup_components": Query(q_dedup_components, Q_DEDUP_COMPONENTS_SQL),
+    "dedup_apply": Query(q_dedup_apply, Q_DEDUP_APPLY_SQL),
+    "safe_split": Query(q_safe_split, Q_SAFE_SPLIT_SQL),
+    "minhash_near_dup": Query(
+        q_minhash_near_dup, Q_MINHASH_SQL, aliases=("minhash_lean",)
+    ),
+    "simhash_pairs": Query(q_simhash_pairs, Q_SIMHASH_PAIRS_SQL),
+    "fingerprints": Query(q_fingerprints, Q_FINGERPRINTS_SQL),
+    "embedding_near_dup": Query(q_embedding_near_dup, Q_EMBEDDING_NEAR_DUP_SQL),
+    "ngram_dedup": Query(q_ngram_dedup, Q_NGRAM_DEDUP_SQL),
+    "caption_dedup": Query(q_caption_dedup, _build_caption_dedup_sql),
+    "contamination": Query(q_contamination, _build_contamination_sql),
+    "substring_dedup": Query(q_substring_dedup, Q_SUBSTRING_DEDUP_SQL),
+    "semantic_dedup": Query(q_semantic_dedup, _build_semantic_dedup_sql),
+    "contamination_winnow": Query(
+        q_contamination_winnow, _build_contamination_winnow_sql
+    ),
+}

@@ -1,14 +1,11 @@
-"""Graph queries: pagerank, BFS, triangles, degree histogram.
-
-Split out of pipelines/queries.py (round 5); behavior-identical.
-"""
+"""Graph queries: pagerank, BFS, triangles, degree histogram."""
 from __future__ import annotations
 
-import numpy as np  # noqa: F401
-import pyarrow as pa  # noqa: F401
+import numpy as np
+import pyarrow as pa
 
 from ...stages.exchange import hash_exchange
-from ._shared import _dedup_edge_union, _read, triu_pairs_in_runs  # noqa: F401
+from ._shared import Query, _dedup_edge_union, _read, triu_pairs_in_runs
 
 
 PR_BASE = 150_000  # (1-d)·10^6 with d=0.85, in integer micro-units
@@ -503,3 +500,11 @@ Q_DEGREE_HIST_SQL = """
     SELECT n_orders, CAST(COUNT(*) AS BIGINT) AS n_customers
     FROM d GROUP BY n_orders
 """
+
+
+QUERIES = {
+    "triangles": Query(q_triangles, Q_TRIANGLES_SQL),
+    "pagerank": Query(q_pagerank, Q_PAGERANK_SQL),
+    "bfs_depth": Query(q_bfs_depth, Q_BFS_DEPTH_SQL),
+    "degree_hist": Query(q_degree_hist, Q_DEGREE_HIST_SQL),
+}

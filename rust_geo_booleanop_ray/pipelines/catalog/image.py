@@ -1,14 +1,12 @@
-"""Image/video/audio queries: codecs, features, near-dup, curation.
-
-Split out of pipelines/queries.py (round 5); behavior-identical.
-"""
+"""Image/video/audio queries: codecs, features, near-dup, curation."""
 from __future__ import annotations
 
-import numpy as np  # noqa: F401
-import pyarrow as pa  # noqa: F401
-import pyarrow.compute as pc  # noqa: F401
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from ...tuning import ACTOR_POOL
+from ._shared import Query, _values_oracle_sql
 
 
 def q_image_features(sf_dir: str):
@@ -39,6 +37,16 @@ def q_image_features(sf_dir: str):
     return feats.map_batches(check, batch_format="pyarrow")
 
 
+def _build_image_features_sql() -> str:
+    from ...sources.images import expected_decode_features
+
+    return _values_oracle_sql(
+        expected_decode_features(2000).rename_columns(
+            ["image_id", "phash", "pix_checksum"]
+        )
+    )
+
+
 def q_image_quality(sf_dir: str):
     """Image quality scoring + filter (stages/image_ops.py::
     DecodeQuality): real PNG/raw decode → integer-exact brightness /
@@ -55,6 +63,12 @@ def q_image_quality(sf_dir: str):
     return ds.map_batches(
         DecodeQuality(), batch_format="pyarrow", batch_size=256
     )
+
+
+def _build_image_quality_sql() -> str:
+    from ...sources.images import expected_quality_stats
+
+    return _values_oracle_sql(expected_quality_stats(2000))
 
 
 PYRAMID_N = 1200
@@ -78,6 +92,12 @@ def q_image_pyramid(sf_dir: str):
     )
 
 
+def _build_image_pyramid_sql() -> str:
+    from ...sources.images import expected_pyramid
+
+    return _values_oracle_sql(expected_pyramid(PYRAMID_N, levels=2))
+
+
 AUG_N = 1200
 
 
@@ -95,6 +115,12 @@ def q_image_augment(sf_dir: str):
     return ds.map_batches(
         DecodeAugment(), batch_format="pyarrow", batch_size=256
     )
+
+
+def _build_image_augment_sql() -> str:
+    from ...sources.images import expected_augmented
+
+    return _values_oracle_sql(expected_augmented(AUG_N))
 
 
 PIXHIST_N = 1500
@@ -175,6 +201,12 @@ def q_jpeg_roundtrip(sf_dir: str):
     return ds.map_batches(
         DecodeRoundtrip(), batch_format="pyarrow", batch_size=128
     )
+
+
+def _build_jpeg_roundtrip_sql() -> str:
+    from ...sources.images import expected_roundtrip
+
+    return _values_oracle_sql(expected_roundtrip(JPEG_RT_N))
 
 
 JPEG_SWEEP_N = 200
@@ -684,28 +716,6 @@ def _build_image_safe_split_sql() -> str:
 """
 
 
-def _values_oracle_sql(t: pa.Table) -> str:
-    """Expected-values oracle: a VALUES table of generator-side
-    literals (input-data math, never engine output) the driver compares
-    hash-exact against the engine's decode-derived results."""
-
-    def lit(v):
-        # explicit casts so DuckDB types every column like the engine
-        # (bare small-int literals would come out INTEGER, not BIGINT)
-        return f"'{v}'" if isinstance(v, str) else f"CAST({v!r} AS BIGINT)"
-
-    cols = t.column_names
-    rows = ",\n      ".join(
-        "(" + ", ".join(lit(t[c][i].as_py()) for c in cols) + ")"
-        for i in range(t.num_rows)
-    )
-    return f"""
-    SELECT * FROM (VALUES
-      {rows}
-    ) AS expected({", ".join(cols)})
-"""
-
-
 def q_scene_stats(sf_dir: str):
     """Video motion profiling / scene-change signal: per-video Σ and
     max of absolute inter-frame differences through the REAL frame
@@ -721,6 +731,12 @@ def q_scene_stats(sf_dir: str):
     return ds.map_batches(
         SceneStats, batch_format="pyarrow", batch_size=64, concurrency=ACTOR_POOL
     )
+
+
+def _build_scene_stats_sql() -> str:
+    from ...sources.videos import expected_scene_stats
+
+    return _values_oracle_sql(expected_scene_stats(500))
 
 
 def q_video_frames(sf_dir: str):
@@ -746,6 +762,12 @@ def q_video_frames(sf_dir: str):
     )
 
 
+def _build_video_frames_sql() -> str:
+    from ...sources.videos import expected_frame_features
+
+    return _values_oracle_sql(expected_frame_features(500, stride=2))
+
+
 def q_audio_features(sf_dir: str):
     """PCM16 audio decode → integer-exact clip features (peak,
     absolute sum, zero crossings).  Value-exact: expected-values
@@ -757,6 +779,12 @@ def q_audio_features(sf_dir: str):
     return ds.map_batches(
         AudioFeatures, batch_format="pyarrow", batch_size=128, concurrency=ACTOR_POOL
     )
+
+
+def _build_audio_features_sql() -> str:
+    from ...sources.videos import expected_audio_features
+
+    return _values_oracle_sql(expected_audio_features(1000))
 
 
 # ------------------------------------------------------------------ catalog
@@ -884,6 +912,12 @@ def q_patch_stats(sf_dir: str):
     )
 
 
+def _build_patch_stats_sql() -> str:
+    from ...sources.images import expected_patch_stats
+
+    return _values_oracle_sql(expected_patch_stats(PATCH_N))
+
+
 DUPF_N = 600
 
 
@@ -899,6 +933,12 @@ def q_dup_frames(sf_dir: str):
     return read_synth_holdframe_videos(DUPF_N).map_batches(
         DupFrames(), batch_format="pyarrow", batch_size=64
     )
+
+
+def _build_dup_frames_sql() -> str:
+    from ...sources.videos import expected_dup_frames
+
+    return _values_oracle_sql(expected_dup_frames(DUPF_N))
 
 
 LETTERBOX_N = 1500
@@ -917,6 +957,12 @@ def q_letterbox(sf_dir: str):
     return read_synth_letterbox_images(LETTERBOX_N).map_batches(
         DetectLetterbox(), batch_format="pyarrow"
     )
+
+
+def _build_letterbox_sql() -> str:
+    from ...sources.images import expected_letterbox
+
+    return _values_oracle_sql(expected_letterbox(LETTERBOX_N))
 
 
 CHAN_N = 1500
@@ -968,6 +1014,12 @@ def q_channel_stats(sf_dir: str):
             Sum("sum_sq", alias_name="sum_sq"),
         )
     )
+
+
+def _build_channel_stats_sql() -> str:
+    from ...sources.images import expected_channel_stats
+
+    return _values_oracle_sql(expected_channel_stats(CHAN_N))
 
 
 def q_image_curation(sf_dir: str, n_images: int | None = None):
@@ -1143,3 +1195,33 @@ def _build_image_curation_sql() -> str:
     )
     SELECT aspect, CAST(COUNT(*) AS BIGINT) AS n FROM c GROUP BY aspect
 """
+
+
+QUERIES = {
+    "image_features": Query(q_image_features, _build_image_features_sql),
+    "image_quality": Query(q_image_quality, _build_image_quality_sql),
+    "image_pyramid": Query(q_image_pyramid, _build_image_pyramid_sql),
+    "pixel_histogram": Query(q_pixel_histogram, _build_pixel_histogram_sql),
+    "image_augment": Query(q_image_augment, _build_image_augment_sql),
+    "image_near_dup": Query(q_image_near_dup, _build_image_near_dup_sql),
+    "incremental_image_dedup": Query(
+        q_incremental_image_dedup, _build_incremental_image_sql
+    ),
+    "image_keep_best": Query(q_image_keep_best, _build_image_keep_best_sql),
+    "image_dedup_components": Query(
+        q_image_dedup_components, _build_image_dedup_components_sql
+    ),
+    "image_sim_topk": Query(q_image_sim, _build_image_sim_sql),
+    "jpeg_roundtrip": Query(q_jpeg_roundtrip, _build_jpeg_roundtrip_sql),
+    "jpeg_quality_sweep": Query(q_jpeg_quality_sweep, _build_jpeg_sweep_sql),
+    "video_frames": Query(q_video_frames, _build_video_frames_sql),
+    "scene_stats": Query(q_scene_stats, _build_scene_stats_sql),
+    "audio_features": Query(q_audio_features, _build_audio_features_sql),
+    "image_safe_split": Query(q_image_safe_split, _build_image_safe_split_sql),
+    "aspect_bucket": Query(q_aspect_bucket, _build_aspect_bucket_sql),
+    "patch_stats": Query(q_patch_stats, _build_patch_stats_sql),
+    "dup_frames": Query(q_dup_frames, _build_dup_frames_sql),
+    "letterbox": Query(q_letterbox, _build_letterbox_sql),
+    "channel_stats": Query(q_channel_stats, _build_channel_stats_sql),
+    "image_curation": Query(q_image_curation, _build_image_curation_sql),
+}

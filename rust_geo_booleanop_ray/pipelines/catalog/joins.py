@@ -1,16 +1,13 @@
-"""Relational join queries: as-of, range, outer/semi/anti, stream, bloom.
-
-Split out of pipelines/queries.py (round 5); behavior-identical.
-"""
+"""Relational join queries: as-of, range, outer/semi/anti, stream, bloom."""
 from __future__ import annotations
 
-import numpy as np  # noqa: F401
-import pyarrow as pa  # noqa: F401
-import pyarrow.compute as pc  # noqa: F401
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from ...stages.cells import row_chunks
 from ...stages.exchange import hash_exchange
-from ._shared import _EPOCH_2024_US, _cents, _read  # noqa: F401
+from ._shared import Query, _EPOCH_2024_US, _cents, _read
 
 
 def q_asof_join(sf_dir: str):
@@ -707,3 +704,16 @@ Q_BLOOM_JOIN_SQL = """
     WHERE p.p_brand = 'Brand#13'
     GROUP BY l.l_partkey
 """
+
+
+QUERIES = {
+    "asof_join": Query(q_asof_join, Q_ASOF_JOIN_SQL),
+    "range_join": Query(q_range_join, Q_RANGE_JOIN_SQL, aliases=("range_join_big",)),
+    "table_diff": Query(q_table_diff, Q_TABLE_DIFF_SQL),
+    "anti_join": Query(q_anti_join, Q_ANTI_JOIN_SQL),
+    "semi_join": Query(q_semi_join, Q_SEMI_JOIN_SQL),
+    "left_join": Query(q_left_join, Q_LEFT_JOIN_SQL),
+    "full_join": Query(q_full_join, Q_FULL_JOIN_SQL),
+    "stream_join": Query(q_stream_join, Q_STREAM_JOIN_SQL),
+    "bloom_join": Query(q_bloom_join, Q_BLOOM_JOIN_SQL),
+}

@@ -1,19 +1,16 @@
-"""Spatial queries: clip/tile/PIP joins, coverage, cells, validity.
-
-Split out of pipelines/queries.py (round 5); behavior-identical.
-"""
+"""Spatial queries: clip/tile/PIP joins, coverage, cells, validity."""
 from __future__ import annotations
 
-import numpy as np  # noqa: F401
-import pyarrow as pa  # noqa: F401
-import pyarrow.compute as pc  # noqa: F401
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from ...sources.arrow_geom import rects_to_arrow as _rect_mp_array
 from ...stages.boolean_batch import BooleanOpBatch
 from ...stages.cells import BUILD, PROBE, contain_chunks, side_table, split_sides
 from ...stages.exchange import hash_exchange
 from ...tuning import ACTOR_POOL
-from ._shared import _cents, _read  # noqa: F401
+from ._shared import Query, _cents, _read, _values_oracle_sql
 
 
 # ------------------------------------------------------------------ helpers
@@ -22,6 +19,7 @@ CLIP_WINDOW = (10.0, 10.0, 70.0, 60.0)
 TILE = 8  # arithmetic tile size for the SQL-checkable tile queries
 KNN_K = 5
 KNN_RES = 4
+CELL_JOIN_RES = 4  # the PBSM joins' cell resolution (_cell_join)
 
 STOPWORDS_SQL = "('the','a','of','and','to','in','is')"
 
@@ -194,8 +192,9 @@ _PART_RECTS = ("part", ["p_partkey", "p_size"], _part_rects)
 def _cell_join(sf_dir: str, probe, build, kernel):
     """The one two-sided PBSM cell join.  ``probe`` and ``build`` are
     (table, columns, batch → ``side_table``) triples; both sides are
-    exploded to their ``KNN_RES`` cells, ONE shuffle on ``cell``
-    co-locates them, and ``kernel`` runs on each cell group.
+    exploded to their ``CELL_JOIN_RES`` cells (read once, when the plan
+    is built), ONE shuffle on ``cell`` co-locates them, and ``kernel``
+    runs on each cell group.
 
     ``explode_to_cells`` is imported here, when the plan is built, so
     the map tasks carry the function bound at that moment: a wrapper
@@ -203,9 +202,11 @@ def _cell_join(sf_dir: str, probe, build, kernel):
     the workers."""
     from ...stages.cells import explode_to_cells
 
+    res = CELL_JOIN_RES
+
     def side(table: str, columns, to_side):
         return _read(sf_dir, table, columns).map_batches(
-            lambda b: explode_to_cells(to_side(b), KNN_RES), batch_format="pyarrow"
+            lambda b: explode_to_cells(to_side(b), res), batch_format="pyarrow"
         )
 
     return side(*probe).union(side(*build)).groupby("cell").map_groups(
@@ -404,6 +405,15 @@ def q_martinez_fixtures(sf_dir: str):
         )
 
     return out.map_batches(metrics, batch_format="pyarrow")
+
+
+def _build_martinez_fixtures_sql() -> str:
+    """Golden-derived literals: the fixtures' EXPECTED geometries,
+    canonically serialized and hashed (never engine output), which make
+    the bit-for-bit conformance corpus an oracle-checked query."""
+    from ...sources.fixture_pairs import golden_expected_table
+
+    return _values_oracle_sql(golden_expected_table())
 
 
 def _region_polys_table() -> pa.Table:
@@ -2078,3 +2088,37 @@ Q_AREAL_INTERP_SQL = f"""
            CAST(SUM((v_cents * ia * {AREAL_SCALE}) // sa) AS BIGINT) AS interp_c
     FROM pairs GROUP BY s_suppkey
 """
+
+
+QUERIES = {
+    "clip_area": Query(q_clip_area, Q_CLIP_AREA_SQL),
+    "tile_assign": Query(q_tile_assign, Q_TILE_ASSIGN_SQL),
+    "pip_join": Query(
+        q_pip_join, Q_PIP_JOIN_SQL, aliases=("pip_join_skew", "pip_join_rtree")
+    ),
+    "poly_join_big": Query(q_poly_join_big, Q_POLY_JOIN_BIG_SQL),
+    "areal_interp": Query(q_areal_interp, Q_AREAL_INTERP_SQL),
+    "dissolve": Query(q_dissolve, Q_DISSOLVE_SQL),
+    "spatial_knn": Query(q_spatial_knn, Q_SPATIAL_KNN_SQL),
+    "nearest_facility": Query(q_nearest_facility, Q_NEAREST_FACILITY_SQL),
+    "martinez_fixtures": Query(q_martinez_fixtures, _build_martinez_fixtures_sql),
+    "tile_coverage": Query(q_tile_coverage, Q_TILE_COVERAGE_SQL),
+    "tile_coverage_rects": Query(q_tile_coverage_rects, Q_TILE_COVERAGE_RECTS_SQL),
+    "tile_mosaic": Query(q_tile_mosaic, _build_tile_mosaic_sql),
+    "footprint_metrics": Query(q_footprint_metrics, Q_FOOTPRINT_METRICS_SQL),
+    "poly_clip": Query(q_poly_clip, Q_POLY_CLIP_SQL),
+    "wkb_clip": Query(q_wkb_clip, Q_POLY_CLIP_SQL),
+    "poly_clip_quads": Query(q_poly_clip_quads, Q_POLY_CLIP_QUADS_SQL),
+    "cell_rollup": Query(q_cell_rollup, Q_CELL_ROLLUP_SQL),
+    "cell_compact": Query(q_cell_compact, _build_cell_compact_sql),
+    "cell_uncompact": Query(q_cell_uncompact, _build_cell_uncompact_sql),
+    "focal_sum": Query(q_focal_sum, Q_FOCAL_SUM_SQL),
+    "spatial_antijoin": Query(q_spatial_antijoin, Q_SPATIAL_ANTIJOIN_SQL),
+    "dist_join": Query(q_dist_join, Q_DIST_JOIN_SQL),
+    "zonal_stats": Query(q_zonal_stats, Q_ZONAL_STATS_SQL),
+    "buffer_dissolve": Query(q_buffer_dissolve, Q_BUFFER_DISSOLVE_SQL),
+    "simplify_poly": Query(q_simplify_poly, _build_simplify_poly_sql),
+    "convex_hull": Query(q_convex_hull, _build_convex_hull_sql),
+    "zorder_layout": Query(q_zorder_layout, Q_ZORDER_LAYOUT_SQL),
+    "geom_validate": Query(q_geom_validate, _build_geom_validate_sql),
+}

@@ -1,16 +1,13 @@
-"""Text-analysis queries: quality, lang-id, TF-IDF/BM25, BPE, curation.
-
-Split out of pipelines/queries.py (round 5); behavior-identical.
-"""
+"""Text-analysis queries: quality, lang-id, TF-IDF/BM25, BPE, curation."""
 from __future__ import annotations
 
-import numpy as np  # noqa: F401
-import pyarrow as pa  # noqa: F401
-import pyarrow.compute as pc  # noqa: F401
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from ...stages.exchange import hash_exchange
-from ._shared import _cents, _read  # noqa: F401
-from .spatial import STOPWORDS_SQL  # noqa: F401
+from ._shared import Query, _cents, _read
+from .spatial import STOPWORDS_SQL
 
 
 def q_text_stats(sf_dir: str):
@@ -1433,3 +1430,24 @@ Q_REPETITION_STATS_SQL = """
            CAST((MAX(n) * 10000) // SUM(n) AS BIGINT) AS top_frac_bp
     FROM c GROUP BY doc_id
 """
+
+
+QUERIES = {
+    "text_stats": Query(q_text_stats, Q_TEXT_STATS_SQL),
+    "regex_tokens": Query(q_regex_tokens, Q_REGEX_TOKENS_SQL),
+    "quality_filter": Query(q_quality_filter, Q_QUALITY_FILTER_SQL),
+    "lm_score": Query(q_lm_score, Q_LM_SCORE_SQL),
+    "repetition_stats": Query(q_repetition_stats, Q_REPETITION_STATS_SQL),
+    "caption_stats": Query(q_caption_stats, Q_CAPTION_STATS_SQL),
+    "lang_id": Query(q_lang_id, Q_LANG_ID_SQL),
+    "vocab_topk": Query(q_vocab_topk, Q_VOCAB_TOPK_SQL),
+    "word_pairs": Query(q_word_pairs, Q_WORD_PAIRS_SQL),
+    "tfidf_topterms": Query(q_tfidf_topterms, Q_TFIDF_SQL),
+    "token_shards": Query(q_token_shards, Q_TOKEN_SHARDS_SQL),
+    "data_mixture": Query(q_data_mixture, Q_DATA_MIXTURE_SQL),
+    "bm25_topterms": Query(q_bm25_topterms, Q_BM25_SQL),
+    "props_extract": Query(q_props_extract, Q_PROPS_EXTRACT_SQL),
+    "corpus_curation": Query(q_corpus_curation, _build_corpus_curation_sql),
+    "bpe_merges": Query(q_bpe_merges, _build_bpe_sql),
+    "bpe_tokenize": Query(q_bpe_tokenize, _build_bpe_tokenize_sql),
+}

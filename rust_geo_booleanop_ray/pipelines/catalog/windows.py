@@ -1,15 +1,12 @@
-"""Event-time window queries: sessions, funnels, gaps, running stats.
-
-Split out of pipelines/queries.py (round 5); behavior-identical.
-"""
+"""Event-time window queries: sessions, funnels, gaps, running stats."""
 from __future__ import annotations
 
-import numpy as np  # noqa: F401
-import pyarrow as pa  # noqa: F401
-import pyarrow.compute as pc  # noqa: F401
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from ...stages.exchange import hash_exchange
-from ._shared import _cents, _read  # noqa: F401
+from ._shared import Query, _cents, _read
 
 
 def _events(sf_dir: str, cols):
@@ -948,3 +945,24 @@ Q_MOVING_WINDOW_SQL = f"""
                 ROWS {MOVING_K - 1} PRECEDING) AS BIGINT) AS moving_c
     FROM events
 """
+
+
+QUERIES = {
+    "events_window": Query(q_events_window, Q_EVENTS_WINDOW_SQL),
+    "sliding_window": Query(q_sliding_window, Q_SLIDING_WINDOW_SQL),
+    "sessions": Query(q_sessions, Q_SESSIONS_SQL),
+    "interval_union": Query(q_interval_union, Q_INTERVAL_UNION_SQL),
+    "latest_by_key": Query(q_latest_by_key, Q_LATEST_BY_KEY_SQL),
+    "user_journey": Query(q_user_journey, Q_USER_JOURNEY_SQL),
+    "funnel": Query(q_funnel, Q_FUNNEL_SQL),
+    "transitions": Query(q_transitions, Q_TRANSITIONS_SQL),
+    "retention": Query(q_retention, Q_RETENTION_SQL),
+    "running_total": Query(q_running_total, Q_RUNNING_TOTAL_SQL),
+    "event_gaps": Query(q_event_gaps, Q_EVENT_GAPS_SQL),
+    "cum_distinct": Query(q_cum_distinct, Q_CUM_DISTINCT_SQL),
+    "gap_fill": Query(q_gap_fill, Q_GAP_FILL_SQL),
+    "period_over_period": Query(q_period_over_period, Q_PERIOD_OVER_PERIOD_SQL),
+    "late_events": Query(q_late_events, Q_LATE_EVENTS_SQL),
+    "cdc_state": Query(q_cdc_state, Q_CDC_STATE_SQL),
+    "moving_window": Query(q_moving_window, Q_MOVING_WINDOW_SQL),
+}

@@ -1,5 +1,11 @@
 """Driver-facing query catalog: Ray pipelines + DuckDB oracle SQL.
 
+Each ``catalog/`` family module registers its queries in one
+``QUERIES`` table next to their definitions (``catalog._shared.Query``:
+plan, oracle, aliases); ``REGISTRY`` merges the tables and is the one
+list of names that ``build_queries()``, ``build_oracle_sql()`` and
+``bench.py`` read.
+
 Every SQL-expressible query here is value-checked by the driver against
 DuckDB at sf=0.01 (order-insensitive hash of sorted-by-name columns).
 Cross-engine float determinism rules used throughout:
@@ -20,840 +26,32 @@ engine's exact kernel checkable without a SQL spatial extension.
 
 from __future__ import annotations
 
-import numpy as np  # noqa: F401
-import pyarrow as pa  # noqa: F401
-import pyarrow.compute as pc  # noqa: F401
+from .catalog import agg, ann, dedup, graph, image, joins, spatial, text, windows
+from .catalog._shared import merge_queries
 
-from ..sources.arrow_geom import shoelace_area  # noqa: F401
-from ..sources.arrow_geom import rects_to_arrow as _rect_mp_array  # noqa: F401
-from ..stages.boolean_batch import BooleanOpBatch  # noqa: F401
+# perfbench/polyjoin.py imports these two from here
+from .catalog.spatial import Q_POLY_JOIN_BIG_SQL, q_poly_join_big  # noqa: F401
 
-from .catalog._shared import (  # noqa: F401
-    GRAM_DIM,
-    KMEANS_ITERS,
-    KMEANS_K,
-    _EPOCH_2024_US,
-    _cents,
-    _dedup_edge_union,
-    _read,
-    triu_pairs_in_runs,
+# every name, aliases included → its entry; a name registered twice raises here
+REGISTRY = merge_queries(
+    *(m.QUERIES for m in (spatial, agg, windows, joins, dedup, text, ann, image, graph))
 )
-from .catalog.agg import (  # noqa: F401
-    BOTTOMK_K,
-    COOC_TOP,
-    EVENT_TYPES,
-    GROUPED_SAMPLE_K,
-    HQ_BIN_W,
-    KMV_K,
-    PCA_ITERS,
-    PCA_SCALE,
-    PR_RANGE_SHIFT,
-    Q_BASKET_PAIRS_SQL,
-    Q_CMS_COUNTS_SQL,
-    Q_CUBE_SALES_SQL,
-    Q_DIM_STATS_SQL,
-    Q_DISTINCT_USERS_SQL,
-    Q_GRAM_MATRIX_SQL,
-    Q_GROUPED_TOPK_SQL,
-    Q_GROUP_QUANTILES_SQL,
-    Q_GROUP_REGRESSION_SQL,
-    Q_HASH_SAMPLE_SQL,
-    Q_HLL_DISTINCT_SQL,
-    Q_MODE_EVENT_SQL,
-    Q_ORDER_PRIORITY_SQL,
-    Q_PERCENT_RANK_SQL,
-    Q_PIVOT_EVENTS_SQL,
-    Q_PRICE_HISTOGRAM_SQL,
-    Q_PRICING_SQL,
-    Q_PROMO_REVENUE_SQL,
-    Q_QUANTILE_SKETCH_SQL,
-    Q_QUARTILE_LABEL_SQL,
-    Q_RETURNED_ITEMS_SQL,
-    Q_REVENUE_BY_NATION_SQL,
-    Q_REVENUE_SHARE_SQL,
-    Q_ROLLUP_SALES_SQL,
-    Q_SKEW_REPORT_SQL,
-    Q_SKYLINE_SQL,
-    Q_STRATIFIED_SAMPLE_SQL,
-    Q_TOP_CUSTOMERS_SQL,
-    SKEW_BUCKETS,
-    _build_bottomk_sql,
-    _build_cms_sql,
-    _build_grouped_sample_sql,
-    _build_hll_sql,
-    _build_kmeans_sql,
-    _build_kmv_sql,
-    _build_pca_power_sql,
-    _build_pivot_events_sql,
-    _build_stratified_sample_sql,
-    _kmeans_ctes,
-    _mulmod64_sql,
-    _skyline_2d,
-    _splitmix64_ctes,
-    q_basket_pairs,
-    q_bottomk_sample,
-    q_cms_counts,
-    q_cube_sales,
-    q_dim_stats,
-    q_distinct_users,
-    q_gram_matrix,
-    q_group_quantiles,
-    q_group_regression,
-    q_grouped_sample,
-    q_grouped_topk,
-    q_hash_sample,
-    q_hll_distinct,
-    q_kmeans_labels,
-    q_kmv_overlap,
-    q_mode_event,
-    q_order_priority,
-    q_pca_power,
-    q_percent_rank,
-    q_pivot_events,
-    q_price_histogram,
-    q_pricing_summary,
-    q_promo_revenue,
-    q_quantile_sketch,
-    q_quartile_label,
-    q_returned_items,
-    q_revenue_by_nation,
-    q_revenue_share,
-    q_rollup_sales,
-    q_skew_report,
-    q_skyline,
-    q_stratified_sample,
-    q_top_customers,
-)
-from .catalog.ann import (  # noqa: F401
-    ANN_K,
-    IVF_CENTROIDS,
-    IVF_NPROBE,
-    IVF_SEED,
-    PQ_K,
-    PQ_M,
-    PQ_SEED,
-    RERANK_SHORTLIST,
-    Q_ANN_FILTERED_SQL,
-    Q_ANN_IVF_SQL,
-    Q_ANN_LSH_SQL,
-    Q_ANN_TOPK_SQL,
-    _ann_queries,
-    _build_ann_ivf_sql,
-    _build_ann_lsh_sql,
-    _build_ann_pq_sql,
-    _build_ann_recall_sql,
-    _build_ann_rerank_sql,
-    _build_mutual_nn_sql,
-    _sign_bucket_expr,
-    q_ann_filtered,
-    q_ann_ivf,
-    q_ann_lsh,
-    q_ann_pq,
-    q_ann_recall,
-    q_ann_rerank,
-    q_ann_topk,
-    q_mutual_nn,
-)
-from .catalog.dedup import (  # noqa: F401
-    CAPD_N,
-    INCR_ID_OFFSET,
-    Q_DEDUP_APPLY_SQL,
-    Q_DEDUP_COMPONENTS_SQL,
-    Q_DEDUP_EXACT_SQL,
-    Q_EMBEDDING_NEAR_DUP_SQL,
-    Q_FINGERPRINTS_SQL,
-    Q_INCREMENTAL_DEDUP_SQL,
-    Q_MINHASH_SQL,
-    Q_NGRAM_DEDUP_SQL,
-    Q_NORMALIZED_DEDUP_SQL,
-    Q_SAFE_SPLIT_SQL,
-    Q_SIMHASH_PAIRS_SQL,
-    Q_SUBSTRING_DEDUP_SQL,
-    _build_caption_dedup_sql,
-    _build_contamination_sql,
-    _build_contamination_winnow_sql,
-    _build_embedding_near_dup_sql,
-    _build_incremental_minhash_sql,
-    _build_keep_best_apply_sql,
-    _build_keep_best_sql,
-    _build_fingerprints_sql,
-    _build_minhash_sql,
-    _build_semantic_dedup_sql,
-    _build_simhash_pairs_sql,
-    _build_substring_dedup_sql,
-    _contamination_pipeline,
-    q_caption_dedup,
-    q_contamination,
-    q_contamination_winnow,
-    q_dedup_apply,
-    q_dedup_components,
-    q_dedup_exact,
-    q_embedding_near_dup,
-    q_fingerprints,
-    q_incremental_dedup,
-    q_dedup_keep_best,
-    q_keep_best_apply,
-    q_incremental_minhash,
-    q_minhash_near_dup,
-    q_ngram_dedup,
-    q_normalized_dedup,
-    q_safe_split,
-    q_semantic_dedup,
-    q_simhash_pairs,
-    q_substring_dedup,
-)
-from .catalog.graph import (  # noqa: F401
-    BFS_ROUNDS,
-    PR_BASE,
-    PR_ROUNDS,
-    Q_BFS_DEPTH_SQL,
-    Q_DEGREE_HIST_SQL,
-    Q_PAGERANK_SQL,
-    Q_TRIANGLES_SQL,
-    _build_pagerank_sql,
-    q_bfs_depth,
-    q_degree_hist,
-    q_pagerank,
-    q_triangles,
-)
-from .catalog.image import (  # noqa: F401
-    ASPECT_N,
-    ASPECT_TARGETS,
-    AUG_N,
-    CHAN_N,
-    DUPF_N,
-    IMAGE_NEARDUP_MAX_HAMMING,
-    IMAGE_NEARDUP_N,
-    IMAGE_SIM_K,
-    IMAGE_SIM_N,
-    IMAGE_SIM_QUERIES,
-    JPEG_RT_N,
-    JPEG_SWEEP_N,
-    JPEG_SWEEP_QUALITIES,
-    LETTERBOX_N,
-    PATCH_N,
-    PIXHIST_N,
-    PYRAMID_N,
-    _build_aspect_bucket_sql,
-    _build_image_curation_sql,
-    _build_image_dedup_components_sql,
-    _build_image_near_dup_sql,
-    _build_incremental_image_sql,
-    _build_image_keep_best_sql,
-    _build_image_safe_split_sql,
-    _build_image_sim_sql,
-    _build_jpeg_sweep_sql,
-    _build_pixel_histogram_sql,
-    _phash_band_explode,
-    _values_oracle_sql,
-    q_aspect_bucket,
-    q_audio_features,
-    q_channel_stats,
-    q_dup_frames,
-    q_image_augment,
-    q_image_curation,
-    q_image_dedup_components,
-    q_image_features,
-    q_image_near_dup,
-    q_incremental_image_dedup,
-    q_image_keep_best,
-    q_image_pyramid,
-    q_image_quality,
-    q_image_safe_split,
-    q_image_sim,
-    q_jpeg_quality_sweep,
-    q_jpeg_roundtrip,
-    q_letterbox,
-    q_patch_stats,
-    q_pixel_histogram,
-    q_scene_stats,
-    q_video_frames,
-)
-from .catalog.joins import (  # noqa: F401
-    BLOOM_BITS,
-    BLOOM_HASHES,
-    Q_ANTI_JOIN_SQL,
-    Q_ASOF_JOIN_SQL,
-    Q_BLOOM_JOIN_SQL,
-    Q_FULL_JOIN_SQL,
-    Q_LEFT_JOIN_SQL,
-    Q_RANGE_JOIN_SQL,
-    Q_SEMI_JOIN_SQL,
-    Q_STREAM_JOIN_SQL,
-    Q_TABLE_DIFF_SQL,
-    STREAM_JOIN_WINDOW_US,
-    _bloom_positions,
-    _suppkey_count_sum,
-    q_anti_join,
-    q_asof_join,
-    q_bloom_join,
-    q_full_join,
-    q_left_join,
-    q_range_join,
-    q_semi_join,
-    q_stream_join,
-    q_table_diff,
-)
-from .catalog.spatial import (  # noqa: F401
-    CELL_COMPACT_RES,
-    CELL_ROLLUP_LEVELS,
-    CLIP_WINDOW,
-    COV_PX,
-    COV_TILE_RES,
-    CUSTOMER_POINT_SQL,
-    FOCAL_RES,
-    FPM_N,
-    HULL_GROUPS,
-    HULL_N,
-    KNN_K,
-    KNN_RES,
-    MOSAIC_N,
-    PART_RECT_SQL,
-    Q_BUFFER_DISSOLVE_SQL,
-    Q_CELL_ROLLUP_SQL,
-    Q_CLIP_AREA_SQL,
-    Q_DISSOLVE_SQL,
-    Q_DIST_JOIN_SQL,
-    Q_FOCAL_SUM_SQL,
-    Q_FOOTPRINT_METRICS_SQL,
-    Q_NEAREST_FACILITY_SQL,
-    Q_PIP_JOIN_SQL,
-    Q_POLY_CLIP_QUADS_SQL,
-    Q_POLY_CLIP_SQL,
-    AREAL_SCALE,
-    Q_AREAL_INTERP_SQL,
-    Q_POLY_JOIN_BIG_SQL,
-    Q_SPATIAL_ANTIJOIN_SQL,
-    Q_SPATIAL_KNN_SQL,
-    Q_TILE_ASSIGN_SQL,
-    Q_TILE_COVERAGE_RECTS_SQL,
-    Q_TILE_COVERAGE_SQL,
-    Q_ZONAL_STATS_SQL,
-    Q_ZORDER_LAYOUT_SQL,
-    SIMP_MIN_AREA2,
-    SIMP_N,
-    STOPWORDS_SQL,
-    SUPPLIER_RECT_SQL,
-    TILE,
-    VALID_N,
-    _antijoin_group,
-    _build_cell_compact_sql,
-    _build_cell_rollup_sql,
-    _build_cell_uncompact_sql,
-    _build_convex_hull_sql,
-    _build_focal_sum_sql,
-    _build_footprint_metrics_sql,
-    _build_geom_validate_sql,
-    _build_poly_clip_quads_sql,
-    _build_poly_clip_sql,
-    _build_simplify_poly_sql,
-    _build_tile_coverage_sql,
-    _build_tile_mosaic_sql,
-    _customer_point_batch,
-    _hull_points,
-    _part_rect_batch,
-    _pip_group,
-    _region_polys_table,
-    _supplier_rect_batch,
-    _validate_ring,
-    _zonal_group,
-    _zorder_sql_expr,
-    q_buffer_dissolve,
-    q_cell_compact,
-    q_cell_rollup,
-    q_cell_uncompact,
-    q_clip_area,
-    q_convex_hull,
-    q_dissolve,
-    q_dist_join,
-    q_focal_sum,
-    q_footprint_metrics,
-    q_geom_validate,
-    q_martinez_fixtures,
-    q_nearest_facility,
-    q_pip_join,
-    q_poly_clip,
-    q_poly_clip_quads,
-    q_areal_interp,
-    q_poly_join_big,
-    q_simplify_poly,
-    q_spatial_antijoin,
-    q_spatial_knn,
-    q_tile_assign,
-    q_tile_coverage,
-    q_tile_coverage_rects,
-    q_tile_mosaic,
-    q_wkb_clip,
-    q_zonal_stats,
-    q_zorder_layout,
-)
-from .catalog.text import (  # noqa: F401
-    BPE_ROUNDS,
-    BPE_SEP,
-    CAPQ_N,
-    COOC_VOCAB,
-    COOC_WORD_TOP,
-    CURATION_CONTAM_MIN,
-    CURATION_EVAL_BROADCAST_MAX_DOCS,
-    Q_BM25_SQL,
-    Q_CAPTION_STATS_SQL,
-    Q_DATA_MIXTURE_SQL,
-    Q_LANG_ID_SQL,
-    Q_LM_SCORE_SQL,
-    Q_PROPS_EXTRACT_SQL,
-    Q_QUALITY_FILTER_SQL,
-    Q_REGEX_TOKENS_SQL,
-    Q_REPETITION_STATS_SQL,
-    Q_TEXT_STATS_SQL,
-    Q_TFIDF_SQL,
-    Q_TOKEN_SHARDS_SQL,
-    Q_VOCAB_TOPK_SQL,
-    Q_WORD_PAIRS_SQL,
-    TOKEN_SHARD_BUDGET,
-    _build_bpe_sql,
-    _build_bpe_tokenize_sql,
-    _build_caption_stats_sql,
-    _build_corpus_curation_sql,
-    _build_lang_id_sql,
-    _winnow_hash_ctes,
-    q_bm25_topterms,
-    q_bpe_merges,
-    q_bpe_tokenize,
-    q_caption_stats,
-    q_corpus_curation,
-    q_data_mixture,
-    q_lang_id,
-    q_lm_score,
-    q_props_extract,
-    q_quality_filter,
-    q_regex_tokens,
-    q_repetition_stats,
-    q_text_stats,
-    q_tfidf_topterms,
-    q_token_shards,
-    q_vocab_topk,
-    q_word_pairs,
-)
-from .catalog.windows import (  # noqa: F401
-    MOVING_K,
-    Q_CDC_STATE_SQL,
-    Q_CUM_DISTINCT_SQL,
-    Q_EVENTS_WINDOW_SQL,
-    Q_EVENT_GAPS_SQL,
-    Q_FUNNEL_SQL,
-    Q_GAP_FILL_SQL,
-    Q_INTERVAL_UNION_SQL,
-    Q_LATEST_BY_KEY_SQL,
-    Q_LATE_EVENTS_SQL,
-    Q_MOVING_WINDOW_SQL,
-    Q_PERIOD_OVER_PERIOD_SQL,
-    Q_RETENTION_SQL,
-    Q_RUNNING_TOTAL_SQL,
-    Q_SESSIONS_SQL,
-    Q_SLIDING_WINDOW_SQL,
-    Q_TRANSITIONS_SQL,
-    Q_USER_JOURNEY_SQL,
-    q_cdc_state,
-    q_cum_distinct,
-    q_event_gaps,
-    q_events_window,
-    q_funnel,
-    q_gap_fill,
-    q_interval_union,
-    q_late_events,
-    q_latest_by_key,
-    q_moving_window,
-    q_period_over_period,
-    q_retention,
-    q_running_total,
-    q_sessions,
-    q_sliding_window,
-    q_transitions,
-    q_user_journey,
-)
-
 
 
 def build_queries():
-    # One plan per oracle: names that share an oracle SQL map to one
-    # function (pip_join_skew, range_join_big, ...), except wkb_clip,
-    # which reads a different input format.
-    return {
-        "clip_area": q_clip_area,
-        "tile_assign": q_tile_assign,
-        "pip_join": q_pip_join,
-        "pip_join_skew": q_pip_join,
-        "pip_join_rtree": q_pip_join,
-        "poly_join_big": q_poly_join_big,
-        "areal_interp": q_areal_interp,
-        "dissolve": q_dissolve,
-        "spatial_knn": q_spatial_knn,
-        "nearest_facility": q_nearest_facility,
-        "pricing_summary": q_pricing_summary,
-        "top_customers": q_top_customers,
-        "events_window": q_events_window,
-        "sliding_window": q_sliding_window,
-        "sessions": q_sessions,
-        "interval_union": q_interval_union,
-        "mode_event": q_mode_event,
-        "latest_by_key": q_latest_by_key,
-        "distinct_users": q_distinct_users,
-        "user_journey": q_user_journey,
-        "funnel": q_funnel,
-        "transitions": q_transitions,
-        "price_histogram": q_price_histogram,
-        "hash_sample": q_hash_sample,
-        "asof_join": q_asof_join,
-        "range_join": q_range_join,
-        "range_join_big": q_range_join,
-        "dedup_exact": q_dedup_exact,
-        "incremental_dedup": q_incremental_dedup,
-        "incremental_minhash": q_incremental_minhash,
-        "incremental_minhash_store": q_incremental_minhash,
-        "dedup_keep_best": q_dedup_keep_best,
-        "keep_best_apply": q_keep_best_apply,
-        "normalized_dedup": q_normalized_dedup,
-        "bottomk_sample": q_bottomk_sample,
-        "grouped_sample": q_grouped_sample,
-        "dedup_components": q_dedup_components,
-        "dedup_apply": q_dedup_apply,
-        "safe_split": q_safe_split,
-        "text_stats": q_text_stats,
-        "regex_tokens": q_regex_tokens,
-        "ann_topk": q_ann_topk,
-        "ann_filtered": q_ann_filtered,
-        "table_diff": q_table_diff,
-        "ann_ivf": q_ann_ivf,
-        "ann_lsh": q_ann_lsh,
-        "minhash_near_dup": q_minhash_near_dup,
-        "minhash_lean": q_minhash_near_dup,
-        "simhash_pairs": q_simhash_pairs,
-        "fingerprints": q_fingerprints,
-        "embedding_near_dup": q_embedding_near_dup,
-        "mutual_nn": q_mutual_nn,
-        "martinez_fixtures": q_martinez_fixtures,
-        "image_features": q_image_features,
-        "image_quality": q_image_quality,
-        "image_pyramid": q_image_pyramid,
-        "pixel_histogram": q_pixel_histogram,
-        "image_augment": q_image_augment,
-        "image_near_dup": q_image_near_dup,
-        "incremental_image_dedup": q_incremental_image_dedup,
-        "image_keep_best": q_image_keep_best,
-        "image_dedup_components": q_image_dedup_components,
-        "image_sim_topk": q_image_sim,
-        "jpeg_roundtrip": q_jpeg_roundtrip,
-        "jpeg_quality_sweep": q_jpeg_quality_sweep,
-        "video_frames": q_video_frames,
-        "scene_stats": q_scene_stats,
-        "audio_features": q_audio_features,
-        "tile_coverage": q_tile_coverage,
-        "tile_coverage_rects": q_tile_coverage_rects,
-        "tile_mosaic": q_tile_mosaic,
-        "footprint_metrics": q_footprint_metrics,
-        "poly_clip": q_poly_clip,
-        "wkb_clip": q_wkb_clip,
-        "poly_clip_quads": q_poly_clip_quads,
-        "revenue_by_nation": q_revenue_by_nation,
-        "order_priority": q_order_priority,
-        "quality_filter": q_quality_filter,
-        "lm_score": q_lm_score,
-        "repetition_stats": q_repetition_stats,
-        "revenue_share": q_revenue_share,
-        "caption_stats": q_caption_stats,
-        "triangles": q_triangles,
-        "pagerank": q_pagerank,
-        "group_regression": q_group_regression,
-        "bfs_depth": q_bfs_depth,
-        "retention": q_retention,
-        "basket_pairs": q_basket_pairs,
-        "quantile_sketch": q_quantile_sketch,
-        "skyline": q_skyline,
-        "lang_id": q_lang_id,
-        "ngram_dedup": q_ngram_dedup,
-        "grouped_topk": q_grouped_topk,
-        "running_total": q_running_total,
-        "event_gaps": q_event_gaps,
-        "hll_distinct": q_hll_distinct,
-        "kmv_overlap": q_kmv_overlap,
-        "cms_counts": q_cms_counts,
-        "gram_matrix": q_gram_matrix,
-        "dim_stats": q_dim_stats,
-        "cell_rollup": q_cell_rollup,
-        "cell_compact": q_cell_compact,
-        "cell_uncompact": q_cell_uncompact,
-        "image_safe_split": q_image_safe_split,
-        "focal_sum": q_focal_sum,
-        "spatial_antijoin": q_spatial_antijoin,
-        "dist_join": q_dist_join,
-        "vocab_topk": q_vocab_topk,
-        "word_pairs": q_word_pairs,
-        "tfidf_topterms": q_tfidf_topterms,
-        "rollup_sales": q_rollup_sales,
-        "cube_sales": q_cube_sales,
-        "group_quantiles": q_group_quantiles,
-        "quartile_label": q_quartile_label,
-        "anti_join": q_anti_join,
-        "semi_join": q_semi_join,
-        "left_join": q_left_join,
-        "full_join": q_full_join,
-        "zonal_stats": q_zonal_stats,
-        "buffer_dissolve": q_buffer_dissolve,
-        "stratified_sample": q_stratified_sample,
-        "pivot_events": q_pivot_events,
-        "aspect_bucket": q_aspect_bucket,
-        "token_shards": q_token_shards,
-        "data_mixture": q_data_mixture,
-        "cum_distinct": q_cum_distinct,
-        "promo_revenue": q_promo_revenue,
-        "returned_items": q_returned_items,
-        "ann_pq": q_ann_pq,
-        "ann_recall": q_ann_recall,
-        "ann_rerank": q_ann_rerank,
-        "patch_stats": q_patch_stats,
-        "simplify_poly": q_simplify_poly,
-        "dup_frames": q_dup_frames,
-        "caption_dedup": q_caption_dedup,
-        "convex_hull": q_convex_hull,
-        "bm25_topterms": q_bm25_topterms,
-        "letterbox": q_letterbox,
-        "pca_power": q_pca_power,
-        "channel_stats": q_channel_stats,
-        "props_extract": q_props_extract,
-        "gap_fill": q_gap_fill,
-        "zorder_layout": q_zorder_layout,
-        "period_over_period": q_period_over_period,
-        "skew_report": q_skew_report,
-        "contamination": q_contamination,
-        "substring_dedup": q_substring_dedup,
-        "percent_rank": q_percent_rank,
-        "kmeans_labels": q_kmeans_labels,
-        "late_events": q_late_events,
-        "semantic_dedup": q_semantic_dedup,
-        "degree_hist": q_degree_hist,
-        "stream_join": q_stream_join,
-        "bloom_join": q_bloom_join,
-        "contamination_winnow": q_contamination_winnow,
-        "cdc_state": q_cdc_state,
-        "moving_window": q_moving_window,
-        "geom_validate": q_geom_validate,
-        "corpus_curation": q_corpus_curation,
-        "image_curation": q_image_curation,
-        "bpe_merges": q_bpe_merges,
-        "bpe_tokenize": q_bpe_tokenize,
-    }
+    """Name → plan ``fn(sf_dir)``; an alias runs its primary's plan."""
+    return {name: query.plan for name, query in REGISTRY.items()}
 
 
 def build_oracle_sql():
-    # Expected-values oracles for the codec queries are built lazily
-    # HERE (not at module import): the literals come from generator
-    # math (a Python loop over 3,500 rows) that only the driver's
-    # oracle comparison needs — workers importing this module for
-    # map_batches closures must not pay for it.
-    from ..sources.images import (
-        expected_decode_features,
-        expected_pyramid,
-        expected_quality_stats,
-    )
-    from ..sources.videos import expected_audio_features, expected_frame_features
-
-    image_features_sql = _values_oracle_sql(
-        expected_decode_features(2000).rename_columns(
-            ["image_id", "phash", "pix_checksum"]
-        )
-    )
-    image_quality_sql = _values_oracle_sql(expected_quality_stats(2000))
-    image_pyramid_sql = _values_oracle_sql(expected_pyramid(PYRAMID_N, levels=2))
-    from ..sources.images import expected_augmented
-
-    image_augment_sql = _values_oracle_sql(expected_augmented(AUG_N))
-    from ..sources.images import expected_patch_stats
-
-    patch_stats_sql = _values_oracle_sql(expected_patch_stats(PATCH_N))
-    from ..sources.images import expected_letterbox
-
-    letterbox_sql = _values_oracle_sql(expected_letterbox(LETTERBOX_N))
-    from ..sources.images import expected_channel_stats
-
-    channel_stats_sql = _values_oracle_sql(expected_channel_stats(CHAN_N))
-    video_frames_sql = _values_oracle_sql(expected_frame_features(500, stride=2))
-    from ..sources.videos import expected_scene_stats
-
-    scene_stats_sql = _values_oracle_sql(expected_scene_stats(500))
-    audio_features_sql = _values_oracle_sql(expected_audio_features(1000))
-    from ..sources.videos import expected_dup_frames
-
-    dup_frames_sql = _values_oracle_sql(expected_dup_frames(DUPF_N))
-    # golden-derived literals: the fixtures' EXPECTED geometries,
-    # canonically serialized + hashed (never engine output) — makes the
-    # bit-for-bit conformance corpus a driver-green CORRECTNESS row
-    from ..sources.fixture_pairs import golden_expected_table
-
-    martinez_fixtures_sql = _values_oracle_sql(golden_expected_table())
-    from ..sources.images import expected_roundtrip
-
-    jpeg_roundtrip_sql = _values_oracle_sql(expected_roundtrip(JPEG_RT_N))
-    return {
-        "martinez_fixtures": martinez_fixtures_sql,
-        "jpeg_roundtrip": jpeg_roundtrip_sql,
-        "normalized_dedup": Q_NORMALIZED_DEDUP_SQL,
-        "bottomk_sample": _build_bottomk_sql(),
-        "grouped_sample": _build_grouped_sample_sql(),
-        "mutual_nn": _build_mutual_nn_sql(),
-        "image_dedup_components": _build_image_dedup_components_sql(),
-        "image_safe_split": _build_image_safe_split_sql(),
-        "minhash_lean": Q_MINHASH_SQL,
-        "cell_uncompact": _build_cell_uncompact_sql(),
-        "cell_compact": _build_cell_compact_sql(),
-        "jpeg_quality_sweep": _build_jpeg_sweep_sql(),
-        "image_features": image_features_sql,
-        "image_quality": image_quality_sql,
-        "image_pyramid": image_pyramid_sql,
-        "pixel_histogram": _build_pixel_histogram_sql(),
-        "image_augment": image_augment_sql,
-        "patch_stats": patch_stats_sql,
-        "letterbox": letterbox_sql,
-        "channel_stats": channel_stats_sql,
-        "simplify_poly": _build_simplify_poly_sql(),
-        "video_frames": video_frames_sql,
-        "scene_stats": scene_stats_sql,
-        "audio_features": audio_features_sql,
-        "dup_frames": dup_frames_sql,
-        "clip_area": Q_CLIP_AREA_SQL,
-        "tile_assign": Q_TILE_ASSIGN_SQL,
-        "pip_join": Q_PIP_JOIN_SQL,
-        "pip_join_skew": Q_PIP_JOIN_SQL,
-        "pip_join_rtree": Q_PIP_JOIN_SQL,
-        "poly_join_big": Q_POLY_JOIN_BIG_SQL,
-        "areal_interp": Q_AREAL_INTERP_SQL,
-        "dissolve": Q_DISSOLVE_SQL,
-        "spatial_knn": Q_SPATIAL_KNN_SQL,
-        "nearest_facility": Q_NEAREST_FACILITY_SQL,
-        "pricing_summary": Q_PRICING_SQL,
-        "top_customers": Q_TOP_CUSTOMERS_SQL,
-        "events_window": Q_EVENTS_WINDOW_SQL,
-        "sliding_window": Q_SLIDING_WINDOW_SQL,
-        "sessions": Q_SESSIONS_SQL,
-        "interval_union": Q_INTERVAL_UNION_SQL,
-        "mode_event": Q_MODE_EVENT_SQL,
-        "latest_by_key": Q_LATEST_BY_KEY_SQL,
-        "distinct_users": Q_DISTINCT_USERS_SQL,
-        "user_journey": Q_USER_JOURNEY_SQL,
-        "funnel": Q_FUNNEL_SQL,
-        "transitions": Q_TRANSITIONS_SQL,
-        "price_histogram": Q_PRICE_HISTOGRAM_SQL,
-        "hash_sample": Q_HASH_SAMPLE_SQL,
-        "asof_join": Q_ASOF_JOIN_SQL,
-        "range_join": Q_RANGE_JOIN_SQL,
-        "range_join_big": Q_RANGE_JOIN_SQL,
-        "dedup_exact": Q_DEDUP_EXACT_SQL,
-        "incremental_dedup": Q_INCREMENTAL_DEDUP_SQL,
-        "incremental_minhash": _build_incremental_minhash_sql(),
-        "incremental_minhash_store": _build_incremental_minhash_sql(),
-        "dedup_keep_best": _build_keep_best_sql(),
-        "keep_best_apply": _build_keep_best_apply_sql(),
-        "dedup_components": Q_DEDUP_COMPONENTS_SQL,
-        "dedup_apply": Q_DEDUP_APPLY_SQL,
-        "safe_split": Q_SAFE_SPLIT_SQL,
-        "text_stats": Q_TEXT_STATS_SQL,
-        "regex_tokens": Q_REGEX_TOKENS_SQL,
-        "ann_topk": Q_ANN_TOPK_SQL,
-        "ann_filtered": Q_ANN_FILTERED_SQL,
-        "table_diff": Q_TABLE_DIFF_SQL,
-        "ann_ivf": Q_ANN_IVF_SQL,
-        "revenue_by_nation": Q_REVENUE_BY_NATION_SQL,
-        "order_priority": Q_ORDER_PRIORITY_SQL,
-        "quality_filter": Q_QUALITY_FILTER_SQL,
-        "lm_score": Q_LM_SCORE_SQL,
-        "repetition_stats": Q_REPETITION_STATS_SQL,
-        "revenue_share": Q_REVENUE_SHARE_SQL,
-        "caption_stats": Q_CAPTION_STATS_SQL,
-        "triangles": Q_TRIANGLES_SQL,
-        "pagerank": Q_PAGERANK_SQL,
-        "group_regression": Q_GROUP_REGRESSION_SQL,
-        "bfs_depth": Q_BFS_DEPTH_SQL,
-        "retention": Q_RETENTION_SQL,
-        "basket_pairs": Q_BASKET_PAIRS_SQL,
-        "quantile_sketch": Q_QUANTILE_SKETCH_SQL,
-        "skyline": Q_SKYLINE_SQL,
-        "lang_id": Q_LANG_ID_SQL,
-        "poly_clip": Q_POLY_CLIP_SQL,
-        "wkb_clip": Q_POLY_CLIP_SQL,
-        "poly_clip_quads": Q_POLY_CLIP_QUADS_SQL,
-        "tile_coverage_rects": Q_TILE_COVERAGE_RECTS_SQL,
-        "tile_coverage": Q_TILE_COVERAGE_SQL,
-        "tile_mosaic": _build_tile_mosaic_sql(),
-        "footprint_metrics": Q_FOOTPRINT_METRICS_SQL,
-        "fingerprints": Q_FINGERPRINTS_SQL,
-        "simhash_pairs": Q_SIMHASH_PAIRS_SQL,
-        "ann_lsh": Q_ANN_LSH_SQL,
-        "embedding_near_dup": Q_EMBEDDING_NEAR_DUP_SQL,
-        "minhash_near_dup": Q_MINHASH_SQL,
-        "ngram_dedup": Q_NGRAM_DEDUP_SQL,
-        "grouped_topk": Q_GROUPED_TOPK_SQL,
-        "running_total": Q_RUNNING_TOTAL_SQL,
-        "event_gaps": Q_EVENT_GAPS_SQL,
-        "hll_distinct": Q_HLL_DISTINCT_SQL,
-        "kmv_overlap": _build_kmv_sql(),
-        "cms_counts": Q_CMS_COUNTS_SQL,
-        "gram_matrix": Q_GRAM_MATRIX_SQL,
-        "dim_stats": Q_DIM_STATS_SQL,
-        "cell_rollup": Q_CELL_ROLLUP_SQL,
-        "focal_sum": Q_FOCAL_SUM_SQL,
-        "spatial_antijoin": Q_SPATIAL_ANTIJOIN_SQL,
-        "dist_join": Q_DIST_JOIN_SQL,
-        "vocab_topk": Q_VOCAB_TOPK_SQL,
-        "word_pairs": Q_WORD_PAIRS_SQL,
-        "tfidf_topterms": Q_TFIDF_SQL,
-        "rollup_sales": Q_ROLLUP_SALES_SQL,
-        "cube_sales": Q_CUBE_SALES_SQL,
-        "group_quantiles": Q_GROUP_QUANTILES_SQL,
-        "quartile_label": Q_QUARTILE_LABEL_SQL,
-        "anti_join": Q_ANTI_JOIN_SQL,
-        "semi_join": Q_SEMI_JOIN_SQL,
-        "left_join": Q_LEFT_JOIN_SQL,
-        "full_join": Q_FULL_JOIN_SQL,
-        "zonal_stats": Q_ZONAL_STATS_SQL,
-        "buffer_dissolve": Q_BUFFER_DISSOLVE_SQL,
-        "stratified_sample": Q_STRATIFIED_SAMPLE_SQL,
-        "pivot_events": Q_PIVOT_EVENTS_SQL,
-        "image_near_dup": _build_image_near_dup_sql(),
-        "incremental_image_dedup": _build_incremental_image_sql(),
-        "image_keep_best": _build_image_keep_best_sql(),
-        "image_sim_topk": _build_image_sim_sql(),
-        "aspect_bucket": _build_aspect_bucket_sql(),
-        "token_shards": Q_TOKEN_SHARDS_SQL,
-        "data_mixture": Q_DATA_MIXTURE_SQL,
-        "cum_distinct": Q_CUM_DISTINCT_SQL,
-        "promo_revenue": Q_PROMO_REVENUE_SQL,
-        "returned_items": Q_RETURNED_ITEMS_SQL,
-        "ann_pq": _build_ann_pq_sql(),
-        "ann_recall": _build_ann_recall_sql(),
-        "ann_rerank": _build_ann_rerank_sql(),
-        "caption_dedup": _build_caption_dedup_sql(),
-        "convex_hull": _build_convex_hull_sql(),
-        "bm25_topterms": Q_BM25_SQL,
-        "pca_power": _build_pca_power_sql(),
-        "props_extract": Q_PROPS_EXTRACT_SQL,
-        "gap_fill": Q_GAP_FILL_SQL,
-        "zorder_layout": Q_ZORDER_LAYOUT_SQL,
-        "period_over_period": Q_PERIOD_OVER_PERIOD_SQL,
-        "skew_report": Q_SKEW_REPORT_SQL,
-        "contamination": _build_contamination_sql(),
-        "substring_dedup": Q_SUBSTRING_DEDUP_SQL,
-        "percent_rank": Q_PERCENT_RANK_SQL,
-        "kmeans_labels": _build_kmeans_sql(),
-        "late_events": Q_LATE_EVENTS_SQL,
-        "semantic_dedup": _build_semantic_dedup_sql(),
-        "degree_hist": Q_DEGREE_HIST_SQL,
-        "stream_join": Q_STREAM_JOIN_SQL,
-        "bloom_join": Q_BLOOM_JOIN_SQL,
-        "contamination_winnow": _build_contamination_winnow_sql(),
-        "cdc_state": Q_CDC_STATE_SQL,
-        "moving_window": Q_MOVING_WINDOW_SQL,
-        "geom_validate": _build_geom_validate_sql(),
-        "corpus_curation": _build_corpus_curation_sql(),
-        "image_curation": _build_image_curation_sql(),
-        "bpe_merges": _build_bpe_sql(),
-        "bpe_tokenize": _build_bpe_tokenize_sql(),
-    }
+    """Name → DuckDB oracle SQL.  Oracle functions run here, once per
+    entry, and never at import: their literals come from generator math
+    that only the oracle comparison needs."""
+    built = {}
+    for name, query in REGISTRY.items():
+        if name not in query.aliases:
+            oracle = query.oracle
+            sql = oracle if isinstance(oracle, str) else oracle()
+            for n in (name, *query.aliases):
+                built[n] = sql
+    return built

@@ -34,7 +34,7 @@ def main(argv=None) -> int:
 
     rd.DataContext.get_current().enable_progress_bars = False
 
-    from rust_geo_booleanop_ray.pipelines.queries import q_image_curation
+    from rust_geo_booleanop_ray.pipelines.catalog.image import q_image_curation
 
     t0 = time.time()
     rows = q_image_curation("/root/testdata/sf0.001", n_images=args.n_images).take_all()

@@ -194,7 +194,7 @@ def test_ivf_ann_recall(ray_session):
     import numpy as np
     import ray.data as rd
 
-    from rust_geo_booleanop_ray.pipelines.queries import _ann_queries
+    from rust_geo_booleanop_ray.pipelines.catalog.ann import _ann_queries
     from rust_geo_booleanop_ray.stages.ann import (
         brute_force_topk,
         ivf_topk,
@@ -519,7 +519,7 @@ def test_salted_distinct_count_exact(ray_session):
 
 
 def test_skyline_2d_matches_bruteforce_with_ties():
-    from rust_geo_booleanop_ray.pipelines.queries import _skyline_2d
+    from rust_geo_booleanop_ray.pipelines.catalog.agg import _skyline_2d
 
     rng = np.random.RandomState(53)
     # small value ranges force plenty of exact ties in both dims

@@ -101,9 +101,7 @@ def _brute_force_banded_pairs(phashes: np.ndarray, max_hamming: int):
 def test_pipeline_matches_brute_force(ray_session):
     from ray.data.aggregate import Min
 
-    from rust_geo_booleanop_ray.pipelines.queries import (
-        _phash_band_explode,
-    )
+    from rust_geo_booleanop_ray.pipelines.catalog.image import _phash_band_explode
     from rust_geo_booleanop_ray.sources.images import read_synth_neardup_images
     from rust_geo_booleanop_ray.stages.dedup import SimhashPairs
 

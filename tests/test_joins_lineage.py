@@ -267,7 +267,7 @@ def test_range_join_matches_bruteforce_at_edges(ray_session, tmp_path):
     import numpy as np
 
     from rust_geo_booleanop_ray.pipelines.catalog._shared import _EPOCH_2024_US
-    from rust_geo_booleanop_ray.pipelines.queries import q_range_join
+    from rust_geo_booleanop_ray.pipelines.catalog.joins import q_range_join
 
     H = 3_600_000_000
     sk = np.arange(1, 13, dtype=np.int64)  # spans of 2..7 hour buckets

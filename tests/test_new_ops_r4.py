@@ -22,10 +22,10 @@ def _expand(cells: np.ndarray, target_res: int) -> set:
 def test_cell_compact_preserves_coverage(ray_session):
     """Compaction must be lossless: expanding the compacted set back to
     res 4 reproduces exactly the occupied res-4 cells."""
-    from rust_geo_booleanop_ray.pipelines.queries import (
+    from rust_geo_booleanop_ray.pipelines.catalog._shared import _read
+    from rust_geo_booleanop_ray.pipelines.catalog.spatial import (
         CELL_COMPACT_RES,
         _customer_point_batch,
-        _read,
         q_cell_compact,
     )
     from rust_geo_booleanop_ray.stages.cells import cell_encode
@@ -53,7 +53,8 @@ def test_cell_compact_preserves_coverage(ray_session):
 
 
 def test_mutual_nn_is_symmetric_and_nearest(ray_session):
-    from rust_geo_booleanop_ray.pipelines.queries import _read, q_mutual_nn
+    from rust_geo_booleanop_ray.pipelines.catalog._shared import _read
+    from rust_geo_booleanop_ray.pipelines.catalog.ann import q_mutual_nn
     from rust_geo_booleanop_ray.stages.dedup import EmbeddingLshBucket
     from rust_geo_booleanop_ray.stages.linalg import quantize_embeddings
 
@@ -92,11 +93,8 @@ def test_mutual_nn_is_symmetric_and_nearest(ray_session):
 
 
 def test_bottomk_sample_is_global_bottomk(ray_session):
-    from rust_geo_booleanop_ray.pipelines.queries import (
-        BOTTOMK_K,
-        _read,
-        q_bottomk_sample,
-    )
+    from rust_geo_booleanop_ray.pipelines.catalog._shared import _read
+    from rust_geo_booleanop_ray.pipelines.catalog.agg import BOTTOMK_K, q_bottomk_sample
     from rust_geo_booleanop_ray.stages.footprint import _splitmix64
 
     sf = "/root/testdata/sf0.001"
@@ -115,7 +113,7 @@ def test_bottomk_sample_is_global_bottomk(ray_session):
 def test_normalized_dedup_collapses_variants(ray_session):
     import ray.data as rd
 
-    from rust_geo_booleanop_ray.pipelines.queries import q_normalized_dedup
+    from rust_geo_booleanop_ray.pipelines.catalog.dedup import q_normalized_dedup
 
     # direct kernel check via a tiny in-memory table routed through the
     # same query body (monkey-patch the read with from_arrow, on the

@@ -10,7 +10,7 @@ SF = "/root/testdata/sf0.001"
 
 
 def test_aspect_bucket_partitions_all_images(ray_session):
-    from rust_geo_booleanop_ray.pipelines.queries import (
+    from rust_geo_booleanop_ray.pipelines.catalog.image import (
         ASPECT_N,
         ASPECT_TARGETS,
         q_aspect_bucket,
@@ -31,7 +31,7 @@ def test_aspect_bucket_partitions_all_images(ray_session):
 
 
 def test_token_shards_pack_contiguously(ray_session):
-    from rust_geo_booleanop_ray.pipelines.queries import (
+    from rust_geo_booleanop_ray.pipelines.catalog.text import (
         TOKEN_SHARD_BUDGET,
         q_token_shards,
     )
@@ -56,7 +56,7 @@ def test_token_shards_pack_contiguously(ray_session):
 def test_data_mixture_rates_match_hash_gate(ray_session):
     import pyarrow.parquet as pq
 
-    from rust_geo_booleanop_ray.pipelines.queries import q_data_mixture
+    from rust_geo_booleanop_ray.pipelines.catalog.text import q_data_mixture
 
     t = pa.Table.from_pylist(q_data_mixture(SF).take_all())
     docs = pq.read_table(f"{SF}/documents.parquet", columns=["doc_id", "source"])
@@ -73,7 +73,7 @@ def test_data_mixture_rates_match_hash_gate(ray_session):
 def test_cum_distinct_monotone_and_bounded(ray_session):
     import pyarrow.parquet as pq
 
-    from rust_geo_booleanop_ray.pipelines.queries import q_cum_distinct
+    from rust_geo_booleanop_ray.pipelines.catalog.windows import q_cum_distinct
 
     t = pa.Table.from_pylist(q_cum_distinct(SF).take_all())
     ev = pq.read_table(f"{SF}/events.parquet", columns=["event_id", "user_id", "ts", "event_type"])
@@ -92,7 +92,7 @@ def test_cum_distinct_monotone_and_bounded(ray_session):
 
 
 def test_promo_revenue_bounds(ray_session):
-    from rust_geo_booleanop_ray.pipelines.queries import q_promo_revenue
+    from rust_geo_booleanop_ray.pipelines.catalog.agg import q_promo_revenue
 
     t = q_promo_revenue(SF)
     promo = t["promo_rev_c"][0].as_py()
@@ -101,7 +101,7 @@ def test_promo_revenue_bounds(ray_session):
 
 
 def test_returned_items_sorted_top20(ray_session):
-    from rust_geo_booleanop_ray.pipelines.queries import q_returned_items
+    from rust_geo_booleanop_ray.pipelines.catalog.agg import q_returned_items
 
     t = pa.Table.from_pylist(q_returned_items(SF).take_all())
     assert t.num_rows == 20
@@ -131,7 +131,7 @@ def test_pq_ann_recall(ray_session):
     import ray.data as rd
     import pyarrow.parquet as pq
 
-    from rust_geo_booleanop_ray.pipelines.queries import _ann_queries
+    from rust_geo_booleanop_ray.pipelines.catalog.ann import _ann_queries
     from rust_geo_booleanop_ray.stages.ann import (
         brute_force_topk,
         pq_topk,
@@ -162,7 +162,7 @@ def test_pq_ann_recall(ray_session):
 def test_patch_stats_matches_direct_decode(ray_session):
     """DecodePatches over the synth table equals patch_grid_stats on
     the generator's pixels (decode parity), including PNG rows."""
-    from rust_geo_booleanop_ray.pipelines.queries import q_patch_stats
+    from rust_geo_booleanop_ray.pipelines.catalog.image import q_patch_stats
     from rust_geo_booleanop_ray.sources.images import (
         _base_pixels,
         patch_grid_stats,
@@ -214,7 +214,7 @@ def test_visvalingam_invariants():
 def test_dup_frames_planted_holds(ray_session):
     """DupFrames finds exactly the generator's planted held frames,
     through both raw and PNG-frame payloads."""
-    from rust_geo_booleanop_ray.pipelines.queries import q_dup_frames
+    from rust_geo_booleanop_ray.pipelines.catalog.image import q_dup_frames
     from rust_geo_booleanop_ray.sources.videos import expected_dup_frames
 
     got = pa.Table.from_pylist(q_dup_frames(SF).take_all())
@@ -230,7 +230,7 @@ def test_dup_frames_planted_holds(ray_session):
 
 
 def test_caption_dedup_covers_corpus(ray_session):
-    from rust_geo_booleanop_ray.pipelines.queries import CAPD_N, q_caption_dedup
+    from rust_geo_booleanop_ray.pipelines.catalog.dedup import CAPD_N, q_caption_dedup
 
     t = pa.Table.from_pylist(q_caption_dedup(SF).take_all())
     assert sum(t["n_images"].to_pylist()) == CAPD_N
@@ -286,7 +286,7 @@ def test_bm25_saturates_vs_tfidf(ray_session):
     """BM25 invariants: rank ≤ 3 per doc, scores positive for vocab
     hits, and term-frequency saturation — doubling tf less than
     doubles the score (the k1 effect TF-IDF lacks)."""
-    from rust_geo_booleanop_ray.pipelines.queries import q_bm25_topterms
+    from rust_geo_booleanop_ray.pipelines.catalog.text import q_bm25_topterms
 
     t = pa.Table.from_pylist(q_bm25_topterms(SF).take_all())
     assert t.num_rows > 0
@@ -301,7 +301,7 @@ def test_bm25_saturates_vs_tfidf(ray_session):
 
 
 def test_letterbox_detects_planted_bars(ray_session):
-    from rust_geo_booleanop_ray.pipelines.queries import q_letterbox
+    from rust_geo_booleanop_ray.pipelines.catalog.image import q_letterbox
     from rust_geo_booleanop_ray.sources.images import _letterbox_pixels
 
     got = pa.Table.from_pylist(q_letterbox(SF).take_all())
@@ -325,7 +325,7 @@ def test_pca_power_improves_rayleigh(ray_session):
     numpy's top eigenvalue on the same Gram matrix."""
     import pyarrow.parquet as pq
 
-    from rust_geo_booleanop_ray.pipelines.queries import q_pca_power
+    from rust_geo_booleanop_ray.pipelines.catalog.agg import q_pca_power
     from rust_geo_booleanop_ray.stages.linalg import quantize_embeddings
 
     t = q_pca_power(SF)  # returns a pa.Table (driver-side finish)
@@ -349,7 +349,7 @@ def test_pca_power_improves_rayleigh(ray_session):
 def test_channel_stats_mean_std_sane(ray_session):
     """Corpus moments give the uniform-byte mean/std (pixels are
     uniform 0..255): mean ≈ 127.5, std ≈ 73.9."""
-    from rust_geo_booleanop_ray.pipelines.queries import q_channel_stats
+    from rust_geo_booleanop_ray.pipelines.catalog.image import q_channel_stats
 
     t = pa.Table.from_pylist(q_channel_stats(SF).take_all())
     assert t.num_rows == 3
@@ -365,7 +365,7 @@ def test_channel_stats_mean_std_sane(ray_session):
 def test_props_extract_covers_all_events(ray_session):
     import pyarrow.parquet as pq
 
-    from rust_geo_booleanop_ray.pipelines.queries import q_props_extract
+    from rust_geo_booleanop_ray.pipelines.catalog.text import q_props_extract
 
     t = pa.Table.from_pylist(q_props_extract(SF).take_all())
     n_events = pq.read_table(f"{SF}/events.parquet", columns=["event_id"]).num_rows
@@ -377,7 +377,7 @@ def test_props_extract_covers_all_events(ray_session):
 def test_gap_fill_dense_and_conserving(ray_session):
     import pyarrow.parquet as pq
 
-    from rust_geo_booleanop_ray.pipelines.queries import q_gap_fill
+    from rust_geo_booleanop_ray.pipelines.catalog.windows import q_gap_fill
 
     t = pa.Table.from_pylist(q_gap_fill(SF).take_all())
     ev = pq.read_table(f"{SF}/events.parquet", columns=["user_id"])
@@ -394,7 +394,7 @@ def test_zorder_zone_maps_prunable(ray_session):
     the global range (the property that makes the layout skippable)."""
     import pyarrow.parquet as pq
 
-    from rust_geo_booleanop_ray.pipelines.queries import q_zorder_layout
+    from rust_geo_booleanop_ray.pipelines.catalog.spatial import q_zorder_layout
 
     t = pa.Table.from_pylist(q_zorder_layout(SF).take_all())
     li = pq.read_table(f"{SF}/lineitem.parquet", columns=["l_partkey"])
@@ -406,7 +406,7 @@ def test_zorder_zone_maps_prunable(ray_session):
 
 
 def test_period_over_period_lag_chain(ray_session):
-    from rust_geo_booleanop_ray.pipelines.queries import q_period_over_period
+    from rust_geo_booleanop_ray.pipelines.catalog.windows import q_period_over_period
 
     t = pa.Table.from_pylist(q_period_over_period(SF).take_all())
     prio = np.array(t["o_orderpriority"].to_pylist())
@@ -424,7 +424,7 @@ def test_period_over_period_lag_chain(ray_session):
 def test_skew_report_totals(ray_session):
     import pyarrow.parquet as pq
 
-    from rust_geo_booleanop_ray.pipelines.queries import q_skew_report
+    from rust_geo_booleanop_ray.pipelines.catalog.agg import q_skew_report
 
     t = pa.Table.from_pylist(q_skew_report(SF).take_all())
     n_orders = pq.read_table(f"{SF}/orders.parquet", columns=["o_orderkey"]).num_rows
@@ -437,7 +437,7 @@ def test_contamination_brute_force_parity(ray_session):
     overlap check on the same corpus."""
     import pyarrow.parquet as pq
 
-    from rust_geo_booleanop_ray.pipelines.queries import q_contamination
+    from rust_geo_booleanop_ray.pipelines.catalog.dedup import q_contamination
     from rust_geo_booleanop_ray.stages.text import window_hashes_batch
 
     got = pa.Table.from_pylist(q_contamination(SF).take_all())
@@ -459,7 +459,7 @@ def test_contamination_brute_force_parity(ray_session):
 
 
 def test_percent_rank_bounds_and_monotone(ray_session):
-    from rust_geo_booleanop_ray.pipelines.queries import q_percent_rank
+    from rust_geo_booleanop_ray.pipelines.catalog.agg import q_percent_rank
 
     t = pa.Table.from_pylist(q_percent_rank(SF).take_all())
     pr = t["pr_bp"].to_numpy()
@@ -479,11 +479,8 @@ def test_kmeans_objective_decreases(ray_session):
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from rust_geo_booleanop_ray.pipelines.queries import (
-        GRAM_DIM,
-        KMEANS_K,
-        q_kmeans_labels,
-    )
+    from rust_geo_booleanop_ray.pipelines.catalog._shared import GRAM_DIM, KMEANS_K
+    from rust_geo_booleanop_ray.pipelines.catalog.agg import q_kmeans_labels
     from rust_geo_booleanop_ray.stages.linalg import (
         kmeans_iterate,
         quantize_embeddings,
@@ -520,7 +517,7 @@ def test_late_events_watermark_semantics(ray_session):
     watermark (brute-force parity at sf0.001)."""
     import pyarrow.parquet as pq
 
-    from rust_geo_booleanop_ray.pipelines.queries import q_late_events
+    from rust_geo_booleanop_ray.pipelines.catalog.windows import q_late_events
 
     got = pa.Table.from_pylist(q_late_events(SF).take_all())
     ev = pq.read_table(f"{SF}/events.parquet", columns=["event_id", "user_id", "ts"])
@@ -547,12 +544,12 @@ def test_semantic_dedup_closest_pair_brute(ray_session):
     quantized L2² within that cluster (brute force at sf0.001)."""
     import pyarrow.parquet as pq
 
-    from rust_geo_booleanop_ray.pipelines.queries import (
+    from rust_geo_booleanop_ray.pipelines.catalog._shared import (
         GRAM_DIM,
         KMEANS_ITERS,
         KMEANS_K,
-        q_semantic_dedup,
     )
+    from rust_geo_booleanop_ray.pipelines.catalog.dedup import q_semantic_dedup
     from rust_geo_booleanop_ray.stages.linalg import (
         kmeans_iterate,
         quantize_embeddings,
@@ -588,7 +585,7 @@ def test_semantic_dedup_closest_pair_brute(ray_session):
 def test_degree_hist_conserves_customers(ray_session):
     import pyarrow.parquet as pq
 
-    from rust_geo_booleanop_ray.pipelines.queries import q_degree_hist
+    from rust_geo_booleanop_ray.pipelines.catalog.graph import q_degree_hist
 
     t = pa.Table.from_pylist(q_degree_hist(SF).take_all())
     orders = pq.read_table(f"{SF}/orders.parquet", columns=["o_custkey"])
@@ -602,7 +599,7 @@ def test_degree_hist_conserves_customers(ray_session):
 def test_stream_join_brute_parity(ray_session):
     import pyarrow.parquet as pq
 
-    from rust_geo_booleanop_ray.pipelines.queries import (
+    from rust_geo_booleanop_ray.pipelines.catalog.joins import (
         STREAM_JOIN_WINDOW_US,
         q_stream_join,
     )
@@ -635,9 +632,9 @@ def test_bloom_shed_rate_and_exactness(ray_session):
     sheds the vast majority of non-members before the join."""
     import pyarrow.parquet as pq
 
-    from rust_geo_booleanop_ray.pipelines.queries import (
-        _bloom_positions,
+    from rust_geo_booleanop_ray.pipelines.catalog.joins import (
         BLOOM_HASHES,
+        _bloom_positions,
         q_bloom_join,
     )
 
@@ -698,7 +695,7 @@ def test_winnowing_guarantee_and_reduction(ray_session):
 def test_cdc_state_tombstone_semantics(ray_session):
     import pyarrow.parquet as pq
 
-    from rust_geo_booleanop_ray.pipelines.queries import q_cdc_state
+    from rust_geo_booleanop_ray.pipelines.catalog.windows import q_cdc_state
 
     got = pa.Table.from_pylist(q_cdc_state(SF).take_all())
     ev = pq.read_table(
@@ -721,7 +718,10 @@ def test_cdc_state_tombstone_semantics(ray_session):
 def test_moving_window_bounded_sum(ray_session):
     import pyarrow.parquet as pq
 
-    from rust_geo_booleanop_ray.pipelines.queries import MOVING_K, q_moving_window
+    from rust_geo_booleanop_ray.pipelines.catalog.windows import (
+        MOVING_K,
+        q_moving_window,
+    )
 
     got = pa.Table.from_pylist(q_moving_window(SF).take_all())
     ev = pq.read_table(f"{SF}/events.parquet", columns=["event_id", "user_id", "ts", "value"])
@@ -742,7 +742,7 @@ def test_moving_window_bounded_sum(ray_session):
 
 
 def test_geom_validate_detects_planted_bowties(ray_session):
-    from rust_geo_booleanop_ray.pipelines.queries import (
+    from rust_geo_booleanop_ray.pipelines.catalog.spatial import (
         _validate_ring,
         q_geom_validate,
     )
@@ -768,7 +768,7 @@ def test_corpus_curation_gates_monotone(ray_session):
     survives at this threshold, and token sums are positive."""
     import pyarrow.parquet as pq
 
-    from rust_geo_booleanop_ray.pipelines.queries import q_corpus_curation
+    from rust_geo_booleanop_ray.pipelines.catalog.text import q_corpus_curation
 
     t = pa.Table.from_pylist(q_corpus_curation(SF).take_all())
     docs = pq.read_table(f"{SF}/documents.parquet", columns=["doc_id", "source"])
@@ -788,7 +788,7 @@ def test_image_curation_composition(ray_session):
     """The composed image pipeline: counts cover exactly the quality
     survivors minus dropped near-dup variants, computed independently
     from generator pixels."""
-    from rust_geo_booleanop_ray.pipelines.queries import q_image_curation
+    from rust_geo_booleanop_ray.pipelines.catalog.image import q_image_curation
     from rust_geo_booleanop_ray.sources.images import (
         _neardup_pixels,
         _phash64,
@@ -820,7 +820,7 @@ def test_bpe_merges_monotone_and_real(ray_session):
     import pyarrow.parquet as pq
     from collections import Counter
 
-    from rust_geo_booleanop_ray.pipelines.queries import q_bpe_merges
+    from rust_geo_booleanop_ray.pipelines.catalog.text import q_bpe_merges
 
     t = q_bpe_merges(SF)
     assert t.num_rows == 3
@@ -839,7 +839,7 @@ def test_bpe_tokenize_shrinks_sequences(ray_session):
     token count ≤ char count, and strictly less in total."""
     import pyarrow.parquet as pq
 
-    from rust_geo_booleanop_ray.pipelines.queries import q_bpe_tokenize
+    from rust_geo_booleanop_ray.pipelines.catalog.text import q_bpe_tokenize
 
     t = pa.Table.from_pylist(q_bpe_tokenize(SF).take_all())
     docs = pq.read_table(f"{SF}/documents.parquet", columns=["doc_id", "text"])

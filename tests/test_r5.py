@@ -11,7 +11,7 @@ def test_corpus_curation_paths_identical(ray_session):
     """The broadcast fast path and the corpus-fraction scale path
     (bucketed semi-join + anti-join) are two physical plans of the
     SAME query — outputs must match row-for-row."""
-    from rust_geo_booleanop_ray.pipelines.queries import q_corpus_curation
+    from rust_geo_booleanop_ray.pipelines.catalog.text import q_corpus_curation
 
     fast = pa.Table.from_pylist(
         q_corpus_curation(SF, scale_path=False).take_all()
@@ -27,7 +27,7 @@ def test_image_curation_no_driver_pairs(ray_session):
     """image_curation's variant collapse runs as a distributed
     anti-join; result unchanged vs an independent recompute of the
     drop logic from generator pixels at small N."""
-    from rust_geo_booleanop_ray.pipelines.queries import q_image_curation
+    from rust_geo_booleanop_ray.pipelines.catalog.image import q_image_curation
     from rust_geo_booleanop_ray.sources.images import (
         _neardup_pixels,
         _phash64,
@@ -202,7 +202,7 @@ def test_substring_dedup_planted_repeat(ray_session, tmp_path):
     the smallest partner; unrelated docs are not."""
     import pyarrow.parquet as pq
 
-    from rust_geo_booleanop_ray.pipelines.queries import q_substring_dedup
+    from rust_geo_booleanop_ray.pipelines.catalog.dedup import q_substring_dedup
 
     run = "x" + "q r s t u v w x y z " * 3  # 61 chars, shared verbatim
     texts = {

@@ -26,7 +26,7 @@ def _write_docs(tmp_path, texts: dict):
 def test_lm_score_planted_corpus(ray_session, tmp_path):
     """Hand-computed mean bigram frequency on a tiny planted corpus:
     'the cat' appears 3x corpus-wide, all other bigrams once."""
-    from rust_geo_booleanop_ray.pipelines.queries import q_lm_score
+    from rust_geo_booleanop_ray.pipelines.catalog.text import q_lm_score
 
     d = _write_docs(
         tmp_path,
@@ -50,7 +50,7 @@ def test_lm_score_planted_corpus(ray_session, tmp_path):
 def test_lm_score_repeated_boilerplate_scores_higher(ray_session, tmp_path):
     """The filter semantics: a doc made of corpus-common bigrams must
     outscore a doc of corpus-unique bigrams."""
-    from rust_geo_booleanop_ray.pipelines.queries import q_lm_score
+    from rust_geo_booleanop_ray.pipelines.catalog.text import q_lm_score
 
     common = "data processing at scale"
     texts = {i: common for i in range(10)}
@@ -66,7 +66,7 @@ def test_lm_score_repeated_boilerplate_scores_higher(ray_session, tmp_path):
 def test_repetition_stats_planted(ray_session, tmp_path):
     """Top-word share and distinct counts on planted docs; a doc with
     no alphabetic tokens emits no row."""
-    from rust_geo_booleanop_ray.pipelines.queries import q_repetition_stats
+    from rust_geo_booleanop_ray.pipelines.catalog.text import q_repetition_stats
 
     d = _write_docs(
         tmp_path,
@@ -90,7 +90,7 @@ def test_ann_recall_consistent_with_catalog_rankings(ray_session):
     """ann_recall's hit counts must equal the overlap of the catalog's
     own ann_ivf / ann_lsh / ann_pq results with ann_topk ground truth,
     and recall_bp stays in [0, 10000]."""
-    from rust_geo_booleanop_ray.pipelines.queries import (
+    from rust_geo_booleanop_ray.pipelines.catalog.ann import (
         ANN_K,
         q_ann_ivf,
         q_ann_lsh,
@@ -165,7 +165,7 @@ def test_areal_interp_brute_force(ray_session):
     the closed-form overlap)."""
     import pyarrow.parquet as pq
 
-    from rust_geo_booleanop_ray.pipelines.queries import (
+    from rust_geo_booleanop_ray.pipelines.catalog.spatial import (
         AREAL_SCALE,
         q_areal_interp,
     )
@@ -210,7 +210,7 @@ def test_ann_rerank_is_exact_within_shortlist(ray_session):
     restricted to the PQ shortlist (and therefore a subset of it)."""
     import pyarrow.parquet as pq
 
-    from rust_geo_booleanop_ray.pipelines.queries import (
+    from rust_geo_booleanop_ray.pipelines.catalog.ann import (
         ANN_K,
         PQ_K,
         PQ_M,

@@ -270,7 +270,7 @@ def test_kmv_estimator_accuracy(ray_session):
     """Above the sketch size the KMV estimate must land near the true
     distinct count (standard error ~1/sqrt(k) ≈ 6% at k=256); below it
     the estimate is exactly the distinct count."""
-    from rust_geo_booleanop_ray.pipelines.queries import q_kmv_overlap  # noqa: F401
+    from rust_geo_booleanop_ray.pipelines.catalog.agg import q_kmv_overlap  # noqa: F401
     from rust_geo_booleanop_ray.stages.footprint import _splitmix64
 
     K = 256

@@ -2,16 +2,23 @@
 entry and its oracle_sql() via DuckDB on the same sf_dir; compare
 row count, schema (sorted column names) and an order-insensitive
 value hash.  Usage: python tools/check_oracle.py [sf_dir] [names...]
+
+The engine checked is the one in this script's own checkout: its root
+goes first on this process's sys.path and on the Ray workers'
+PYTHONPATH.  An unknown name, or a query without an oracle, fails the
+run.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import sys
 
 import duckdb
 import pandas as pd
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TABLES = "region nation customer supplier part orders lineitem events documents embeddings".split()
 
 
@@ -44,21 +51,28 @@ def main():
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
 
+    sys.path.insert(0, REPO)
+    import __ray_entry__ as e
+
+    qs = e.queries()
+    unknown = sorted(only - set(qs))
+    if unknown:
+        sys.exit(f"unknown query names: {unknown}")
+
     import ray
 
+    pythonpath = os.pathsep.join(p for p in (REPO, os.environ.get("PYTHONPATH", "")) if p)
     ray.init(
         address="local",
         num_cpus=8,
         include_dashboard=False,
         ignore_reinit_error=True,
         logging_level="ERROR",
+        runtime_env={"env_vars": {"PYTHONPATH": pythonpath}},
     )
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
-
-    sys.path.insert(0, "/root/repo")
-    import __ray_entry__ as e
 
     con = duckdb.connect()
     for t in TABLES:
@@ -66,7 +80,6 @@ def main():
             f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')"
         )
 
-    qs = e.queries()
     oracles = e.oracle_sql()
     n_pass = n_fail = 0
     for name, fn in qs.items():
@@ -77,9 +90,6 @@ def main():
         except Exception as ex:
             print(f"FAIL {name}: ray side raised {type(ex).__name__}: {ex}")
             n_fail += 1
-            continue
-        if name not in oracles:
-            print(f"rows-only {name}: {len(mine)} rows, cols={sorted(mine.columns)}")
             continue
         try:
             theirs = con.execute(oracles[name]).df()
