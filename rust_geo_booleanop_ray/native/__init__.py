@@ -2,10 +2,12 @@
 
 Built on first import with the system compiler if available.  The
 library has one entry point, ``martinez_batch``: a whole batch of pairs
-through the Arrow offset buffers, with one reusable workspace per call
-(no allocation per pair).  ``stages.boolean_batch.boolean_batch`` is
-the one place that chooses between it and the pure-Python reference
-kernel, which runs when the build fails or ``GEO_NATIVE=0``.  Parity
+through the Arrow offset buffers, each operand read in row order or
+through the row indices of an Arrow dictionary column, with one
+reusable workspace per call (no allocation per pair).
+``stages.boolean_batch.boolean_batch`` is the one place that chooses
+between it and the pure-Python reference kernel, which runs when the
+build fails or ``GEO_NATIVE=0``.  Parity
 with the Python kernel is enforced by the conformance corpus
 (tests/test_conformance.py runs both) and a seeded differential test
 (tests/test_boolean_dispatch.py) — the C code is an
@@ -134,6 +136,7 @@ def _load():
     lib.martinez_batch.argtypes = [
         dp, i32p, i32p, i32p,
         dp, i32p, i32p, i32p,
+        i64p, i64p,
         ctypes.c_int64, i32p,
         ctypes.POINTER(dp), ctypes.POINTER(i64p), ctypes.POINTER(i64p),
         ctypes.POINTER(i64p),
@@ -192,8 +195,9 @@ def native_boolean_op(subject, clipping, operation):
 
 
 def native_boolean_batch(subject_arr, clipping_arr, ops):
-    """Whole-batch boolean ops on two Arrow multipolygon columns →
-    Arrow multipolygon array: ``martinez``'s result, its classes added
+    """Whole-batch boolean ops on two Arrow multipolygon columns (plain
+    or dictionary, see ``martinez``) → Arrow multipolygon array, one row
+    per pair: ``martinez``'s result, its classes added
     to this process's ``gate_counts``.  Returns None only when the
     native library is unavailable."""
     out = martinez(subject_arr, clipping_arr, ops)
@@ -210,36 +214,58 @@ def gate_counts() -> dict:
     return dict(zip(GATE_CLASSES, _gate_counts.tolist()))
 
 
+def _operand(arr):
+    """One operand column of ``martinez`` → (the multipolygon column its
+    pairs read, int64 row per pair or None for pair i's own row).  A
+    dictionary column's rows must lie inside its dictionary: C reads
+    them unchecked."""
+    import pyarrow as pa
+
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    if arr.null_count:  # of a dictionary column: its null indices
+        raise ValueError("null geometry rows reach the native kernel")
+    if not pa.types.is_dictionary(arr.type):
+        return arr, None
+    values = arr.dictionary
+    rows = np.ascontiguousarray(arr.indices.to_numpy(zero_copy_only=False), np.int64)
+    if len(rows) and (rows.min() < 0 or rows.max() >= len(values)):
+        raise ValueError(f"dictionary index outside [0, {len(values)})")
+    if values.null_count and not values.is_valid().to_numpy(zero_copy_only=False)[rows].all():
+        raise ValueError("null geometry rows reach the native kernel")
+    return values, rows
+
+
 def martinez(subject_arr, clipping_arr, ops):
     """(result, classes) of ``martinez_batch`` over two Arrow
     multipolygon columns.
 
     ``ops`` is one op name for every row, or one name per row (a list
     or an Arrow string array); an unknown name raises ``ValueError``.
+    An operand may be a dictionary column
+    (``pa.DictionaryArray.from_arrays(rows, geometries)``): pair i then
+    reads row ``rows[i]`` of the geometry column, gathered inside C
+    instead of copied, so a join passes its candidate pairs as row
+    indices.  Every index must lie in ``[0, len(geometries))``, else
+    ``ValueError``, however the column was built.
     Consumes the columns' offset chains directly (zero marshal-in) and
     returns the result as an Arrow multipolygon array (offsets built by
     cumsum — zero per-row Python) and an int8 class per pair (an index
     into ``GATE_CLASSES``: swept, or answered by the known-answer gate).
-    Both columns must be free of nulls; ``boolean_batch`` strips null
-    rows before calling here.  Returns None only when the native
-    library is unavailable."""
+    No pair may read a null geometry, directly or through its index;
+    ``boolean_batch`` strips those pairs before calling here.  Returns
+    None only when the native library is unavailable."""
     lib = _load()
     if lib is None:
         return None
 
-    import pyarrow as pa
-
     from ..sources.arrow_geom import arrow_mp_offsets, flat_to_arrow
 
-    if isinstance(subject_arr, pa.ChunkedArray):
-        subject_arr = subject_arr.combine_chunks()
-    if isinstance(clipping_arr, pa.ChunkedArray):
-        clipping_arr = clipping_arr.combine_chunks()
     n = len(subject_arr)
     if len(clipping_arr) != n:
         raise ValueError(f"{n} subjects but {len(clipping_arr)} clippings")
-    if subject_arr.null_count or clipping_arr.null_count:
-        raise ValueError("null geometry rows reach the native kernel")
+    subject_arr, s_rows = _operand(subject_arr)
+    clipping_arr, c_rows = _operand(clipping_arr)
     op_codes = _op_codes(ops, n)
     s_xy, s_ro, s_po, s_mo = arrow_mp_offsets(subject_arr)
     c_xy, c_ro, c_po, c_mo = arrow_mp_offsets(clipping_arr)
@@ -262,6 +288,8 @@ def martinez(subject_arr, clipping_arr, ops):
         s_po.ctypes.data_as(i32p), s_mo.ctypes.data_as(i32p),
         c_xy.ctypes.data_as(dp), c_ro.ctypes.data_as(i32p),
         c_po.ctypes.data_as(i32p), c_mo.ctypes.data_as(i32p),
+        None if s_rows is None else s_rows.ctypes.data_as(i64p),
+        None if c_rows is None else c_rows.ctypes.data_as(i64p),
         ctypes.c_int64(n), op_codes.ctypes.data_as(i32p),
         ctypes.byref(out_xy), ctypes.byref(out_rs), ctypes.byref(out_prc),
         ctypes.byref(out_ppc),

@@ -1480,16 +1480,16 @@ static int gate_contained(GrowResult *g, const double *xy, int32_t n,
     return GATE_CONTAINED;
 }
 
-/* The class of pair `row` of an `intersection`; a known answer is
- * appended to `g`. */
-static int known_answer(GrowResult *g, const ArrowSide *S, const ArrowSide *C,
-                        int64_t row, int64_t *npolys) {
+/* The class of the `intersection` of subject row `srow` and clipping
+ * row `crow`; a known answer is appended to `g`. */
+static int known_answer(GrowResult *g, const ArrowSide *S, int64_t srow,
+                        const ArrowSide *C, int64_t crow, int64_t *npolys) {
     const double *cxy, *sxy;
     int32_t cn, sn;
     BBox4 c, s;
-    if (!single_ring(C, row, &cxy, &cn) || !rect_shape(cxy, cn, &c))
+    if (!single_ring(C, crow, &cxy, &cn) || !rect_shape(cxy, cn, &c))
         return GATE_SWEPT;
-    if (!single_ring(S, row, &sxy, &sn)) return GATE_SWEPT;
+    if (!single_ring(S, srow, &sxy, &sn)) return GATE_SWEPT;
     if (rect_shape(sxy, sn, &s)) return gate_rect(g, &s, &c, npolys);
     return gate_contained(g, sxy, sn, &c, npolys);
 }
@@ -1538,7 +1538,11 @@ static void workspace_free(Workspace *w) {
 }
 
 /* Batch entry point: n_pairs independent boolean ops in one call,
- * consuming both geometry columns through their Arrow offsets.
+ * consuming both geometry columns through their Arrow offsets.  Pair i
+ * is subject row s_rows[i] with clipping row c_rows[i]: the rows of an
+ * Arrow dictionary column, gathered here instead of copied into a new
+ * column.  A NULL row array means row i; the caller checks that every
+ * row lies inside its column.
  * out_pair_poly_counts[i] = polygons in pair i's result; classes[i] =
  * GATE_RECT or GATE_CONTAINED when pair i has a known answer, else
  * GATE_SWEPT (caller-allocated, n_pairs entries).  Returns 0, or,
@@ -1550,6 +1554,7 @@ int martinez_batch(
     const int32_t *s_mp_off,
     const double *c_xy, const int32_t *c_ring_off, const int32_t *c_poly_off,
     const int32_t *c_mp_off,
+    const int64_t *s_rows, const int64_t *c_rows,
     int64_t n_pairs, const int32_t *ops,
     double **out_xy, int64_t **out_ring_sizes, int64_t **out_poly_ring_counts,
     int64_t **out_pair_poly_counts,
@@ -1569,9 +1574,11 @@ int martinez_batch(
 
     for (int64_t i = 0; i < n_pairs && !failed; i++) {
         int32_t op = ops[i];
+        int64_t srow = s_rows ? s_rows[i] : i;
+        int64_t crow = c_rows ? c_rows[i] : i;
         int64_t npolys = 0;
         classes[i] = op == OP_INTERSECTION
-            ? (int8_t)known_answer(&g, &S, &C, i, &npolys) : GATE_SWEPT;
+            ? (int8_t)known_answer(&g, &S, srow, &C, crow, &npolys) : GATE_SWEPT;
         if (classes[i] != GATE_SWEPT) {
             pair_polys[i] = npolys;
             continue;
@@ -1584,17 +1591,17 @@ int martinez_batch(
 
         /* fill_queue.rs:10-43: subject polys always increment the
            contour id; clipping only when op != Difference */
-        fill_side(&ws.events, &ws.queue, &S, i, 1, &contour_id, 1, 1, sbbox);
+        fill_side(&ws.events, &ws.queue, &S, srow, 1, &contour_id, 1, 1, sbbox);
         int inc = (op != OP_DIFFERENCE);
-        fill_side(&ws.events, &ws.queue, &C, i, 0, &contour_id, inc, inc, cbbox);
+        fill_side(&ws.events, &ws.queue, &C, crow, 0, &contour_id, inc, inc, cbbox);
 
         if (sbbox[0] > cbbox[2] || cbbox[0] > sbbox[2] ||
             sbbox[1] > cbbox[3] || cbbox[1] > sbbox[3]) {
             /* trivial result (mod.rs:132-141) */
             if (op != OP_INTERSECTION) {
-                append_side_polys(&g, &S, i, &npolys);
+                append_side_polys(&g, &S, srow, &npolys);
                 if (op != OP_DIFFERENCE)
-                    append_side_polys(&g, &C, i, &npolys);
+                    append_side_polys(&g, &C, crow, &npolys);
             }
             pair_polys[i] = npolys;
             continue;

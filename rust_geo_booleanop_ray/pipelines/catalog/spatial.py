@@ -7,7 +7,14 @@ import pyarrow.compute as pc
 
 from ...sources.arrow_geom import rects_to_arrow as _rect_mp_array
 from ...stages.boolean_batch import BooleanOpBatch
-from ...stages.cells import BUILD, PROBE, contain_chunks, side_table, split_sides
+from ...stages.cells import (
+    BUILD,
+    PROBE,
+    contain_chunks,
+    overlap_pairs,
+    side_table,
+    split_sides,
+)
 from ...stages.exchange import hash_exchange
 from ...tuning import ACTOR_POOL
 from ._shared import Query, _cents, _read, _values_oracle_sql
@@ -233,15 +240,11 @@ def _pip_group(group: pa.Table) -> pa.Table:
     """groupby(cell) kernel of pip_join: every (rect, point) pair with
     the point inside the rect."""
     pts, rects = split_sides(group)
-    ri, pi = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    for lo, inside in contain_chunks(pts, rects):
-        r, p = np.nonzero(inside)
-        ri.append(r + lo)
-        pi.append(p)
+    ri, pi = overlap_pairs(pts, rects)
     return pa.table(
         {
-            "p_partkey": rects["id"].take(pa.array(np.concatenate(ri))),
-            "c_custkey": pts["id"].take(pa.array(np.concatenate(pi))),
+            "p_partkey": rects["id"].take(pa.array(ri)),
+            "c_custkey": pts["id"].take(pa.array(pi)),
         }
     )
 
@@ -1114,15 +1117,23 @@ def _supplier_rect_batch(batch: pa.Table) -> pa.Table:
     return out.append_column("geom", _rect_mp_array(minx, miny, maxx, maxy))
 
 
+# poly_join_big's rows: the cell join's two ids under their keys' names
+# and its clip area in whole units
+POLY_JOIN_BIG_SCHEMA = pa.schema(
+    [("p_partkey", pa.int64()), ("s_suppkey", pa.int64()), ("clip_area", pa.int64())]
+)
+
+
 def q_poly_join_big(sf_dir: str):
     """Big×big cell-partitioned spatial join + clip (PBSM): part rects
     × supplier rects where NEITHER side is broadcast — the 100-TB
     shape.  Both sides, in the one cell-join layout (int64 ids = the
     keys, one ``geom`` each), explode to their covering cells, ONE
     shuffle on the shared cell key co-locates them (``_cell_join``), and
-    each cell group joins locally via STR-tree candidates + one
-    ``boolean_batch`` call
-    (stages/join_clip.py::join_cells_within_group).  Every candidate
+    each cell group joins locally via bbox-overlap candidates + one
+    ``boolean_batch`` call on their row indices
+    (stages/join_clip.py::join_cells_within_group), which emits ids and
+    clip areas, no clip geometry.  Every candidate
     is a rect ∩ rect pair, so the native kernel answers it with the
     closed-form overlap rect or the empty result before its sweep
     (native/martinez.c's known-answer gate, the lift of the bbox gate
@@ -1137,6 +1148,7 @@ def q_poly_join_big(sf_dir: str):
     make the exact Martinez clip area closed-form for the oracle; only
     positive-area intersections are kept (edge-touching rects clip to
     an empty multipolygon)."""
+    # imported while the plan is built: perfbench's tracer patches this name
     from ...stages.join_clip import join_cells_within_group_dedup
 
     joined = _cell_join(
@@ -1149,11 +1161,8 @@ def q_poly_join_big(sf_dir: str):
     def finalize(batch: pa.Table) -> pa.Table:
         area = batch["clip_area"].to_numpy().astype(np.int64)
         out = pa.table(
-            {
-                "p_partkey": batch["probe_id"],
-                "s_suppkey": batch["build_id"],
-                "clip_area": pa.array(area, pa.int64()),
-            }
+            [batch["probe_id"], batch["build_id"], pa.array(area, pa.int64())],
+            schema=POLY_JOIN_BIG_SCHEMA,
         )
         return out.filter(pc.greater_equal(out["clip_area"], 1))
 
@@ -2011,6 +2020,12 @@ def q_areal_interp(sf_dir: str):
     from ...stages.pivot import bucketed_wide_sum
 
     pairs = q_poly_join_big(sf_dir).rename_columns({"clip_area": "inter_area"})
+    pairs_schema = POLY_JOIN_BIG_SCHEMA.set(
+        2, POLY_JOIN_BIG_SCHEMA.field("clip_area").with_name("inter_area")
+    )
+    attrs_schema = pa.schema(
+        [("p_partkey", pa.int64()), ("v_cents", pa.int64()), ("src_area", pa.int64())]
+    )
 
     # source attribute table: value (retail-price cents) + exact rect area
     def src_attrs(batch: pa.Table) -> pa.Table:
@@ -2018,25 +2033,28 @@ def q_areal_interp(sf_dir: str):
         hw = 1 + (size % 5)
         hh = 1 + ((size * 3) % 7)
         return pa.table(
-            {
-                "p_partkey": batch["p_partkey"],
-                "v_cents": pa.array(
-                    _cents(batch["p_retailprice"].to_numpy()), pa.int64()
-                ),
-                "src_area": pa.array(4 * hw * hh, pa.int64()),
-            }
+            [
+                batch["p_partkey"].cast(pa.int64()),
+                pa.array(_cents(batch["p_retailprice"].to_numpy()), pa.int64()),
+                pa.array(4 * hw * hh, pa.int64()),
+            ],
+            schema=attrs_schema,
         )
 
     attrs = _read(
         sf_dir, "part", ["p_partkey", "p_size", "p_retailprice"]
     ).map_batches(src_attrs, batch_format="pyarrow")
 
+    # the declared schemas: asking the pair stream for its schema would
+    # run the spatial join once more
     joined = shuffle_hash_join(
         pairs,
         attrs,
         "p_partkey",
         ["s_suppkey", "inter_area"],
         ["v_cents", "src_area"],
+        left_schema=pairs_schema,
+        right_schema=attrs_schema,
     )
 
     def contrib(b: pa.Table) -> pa.Table:

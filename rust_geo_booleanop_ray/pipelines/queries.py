@@ -43,15 +43,18 @@ def build_queries():
     return {name: query.plan for name, query in REGISTRY.items()}
 
 
-def build_oracle_sql():
-    """Name → DuckDB oracle SQL.  Oracle functions run here, once per
-    entry, and never at import: their literals come from generator math
-    that only the oracle comparison needs."""
+def build_oracle_sql(names=None):
+    """Name → DuckDB oracle SQL, for every registered name or only for
+    ``names`` (an unknown one raises ``KeyError``).  Oracle functions
+    run here, once per entry (an alias is served by its primary's), and
+    never at import: their literals come from generator math that only
+    the oracle comparison needs."""
+    wanted = REGISTRY if names is None else {n: REGISTRY[n] for n in names}
+    sql = {}  # id of an entry → its oracle SQL
     built = {}
-    for name, query in REGISTRY.items():
-        if name not in query.aliases:
+    for name, query in wanted.items():
+        if id(query) not in sql:
             oracle = query.oracle
-            sql = oracle if isinstance(oracle, str) else oracle()
-            for n in (name, *query.aliases):
-                built[n] = sql
+            sql[id(query)] = oracle if isinstance(oracle, str) else oracle()
+        built[name] = sql[id(query)]
     return built

@@ -35,8 +35,13 @@ def boolean_batch(subject, clipping, op):
     columns → Arrow multipolygon array.
 
     ``op`` is one op name for every row, or one name per row (a list or
-    an Arrow string array).  A null in either operand gives a null
-    result; the kernel runs on the other rows only."""
+    an Arrow string array).  An operand may be a dictionary column
+    (``pa.DictionaryArray.from_arrays(rows, geometries)``): row i then
+    reads geometry ``rows[i]``, so a join passes its candidate pairs as
+    row indices and the native kernel gathers them without a copy.  A
+    null in either operand, a null index or a valid index to a null
+    geometry, gives a null result; the kernel runs on the other rows
+    only."""
     if isinstance(subject, pa.ChunkedArray):
         subject = subject.combine_chunks()
     if isinstance(clipping, pa.ChunkedArray):
@@ -45,19 +50,36 @@ def boolean_batch(subject, clipping, op):
         op = op.combine_chunks()
     elif not isinstance(op, (str, pa.Array)):
         op = pa.array(op, pa.string())
-    if not (subject.null_count or clipping.null_count):
+    if not (_has_nulls(subject) or _has_nulls(clipping)):
         return _kernel(subject, clipping, op)
 
-    valid = np.logical_and(
-        subject.is_valid().to_numpy(zero_copy_only=False),
-        clipping.is_valid().to_numpy(zero_copy_only=False),
-    )
+    valid = np.logical_and(_valid(subject), _valid(clipping))
     rows = pa.array(np.flatnonzero(valid))
     res = _kernel(
         subject.take(rows), clipping.take(rows), op if isinstance(op, str) else op.take(rows)
     )
     # scatter back: a null index takes a null result
     return res.take(pa.array(np.cumsum(valid) - 1, mask=~valid))
+
+
+def _has_nulls(col) -> bool:
+    if pa.types.is_dictionary(col.type):
+        return bool(col.null_count or col.dictionary.null_count)
+    return bool(col.null_count)
+
+
+def _valid(col) -> np.ndarray:
+    """Row validity.  ``is_valid`` of a dictionary column sees only its
+    indices; its row is valid when the geometry it reads is too."""
+    valid = col.is_valid().to_numpy(zero_copy_only=False)
+    if pa.types.is_dictionary(col.type) and col.dictionary.null_count:
+        rows = col.indices.fill_null(0).to_numpy(zero_copy_only=False)
+        valid &= col.dictionary.is_valid().to_numpy(zero_copy_only=False)[rows]
+    return valid
+
+
+def _decoded(col):
+    return col.dictionary_decode() if pa.types.is_dictionary(col.type) else col
 
 
 def _kernel(subject, clipping, op):
@@ -70,7 +92,9 @@ def _kernel(subject, clipping, op):
     return mps_to_arrow(
         [
             boolean_op_python(s, c, o)
-            for s, c, o in zip(arrow_to_mps(subject), arrow_to_mps(clipping), ops)
+            for s, c, o in zip(
+                arrow_to_mps(_decoded(subject)), arrow_to_mps(_decoded(clipping)), ops
+            )
         ]
     )
 

@@ -22,9 +22,10 @@ rects and build polygons), one int64 ``id``, the bbox ``minx miny maxx
 maxy`` and, for polygon joins only, ``geom``.  A point is a degenerate
 bbox, so it lands in exactly the cell ``cell_encode`` gives it;
 ``probe_replicas`` copies it into neighbour cells.  ``split_sides``
-takes one cell group apart again.  Hot cells are not re-split: the
-within-cell kernels bound their memory by chunking instead
-(``row_chunks`` under ``MAX_CONTAIN_MATRIX``).
+takes one cell group apart again, and ``contain_chunks`` is the one
+within-cell bbox-overlap kernel of the point and polygon joins.  Hot
+cells are not re-split: the within-cell kernels bound their memory by
+chunking instead (``row_chunks`` under ``MAX_CONTAIN_MATRIX``).
 """
 
 from __future__ import annotations
@@ -269,21 +270,39 @@ def row_chunks(n_rows: int, n_cols: int):
     return (slice(lo, lo + step) for lo in range(0, n_rows, step))
 
 
-def contain_chunks(points: pa.Table, rects: pa.Table):
-    """Yield ``(lo, inside)`` over chunks of ``rects``: ``inside[i, j]``
-    says point j lies in rect ``lo + i``, bounds included.  Points are
-    degenerate bboxes (their ``minx``/``miny``); each matrix is one
-    ``row_chunks`` slice."""
-    px = points["minx"].to_numpy()
-    py = points["miny"].to_numpy()
-    rminx = rects["minx"].to_numpy()
-    rminy = rects["miny"].to_numpy()
-    rmaxx = rects["maxx"].to_numpy()
-    rmaxy = rects["maxy"].to_numpy()
-    for rows in row_chunks(len(rminx), len(px)):
-        yield rows.start, (
-            (px[None, :] >= rminx[rows, None])
-            & (px[None, :] <= rmaxx[rows, None])
-            & (py[None, :] >= rminy[rows, None])
-            & (py[None, :] <= rmaxy[rows, None])
+def contain_chunks(cols: pa.Table, rows: pa.Table):
+    """Yield ``(lo, overlap)`` over chunks of ``rows``: ``overlap[i, j]``
+    says the bbox of row ``lo + i`` meets the bbox of ``cols[j]``,
+    bounds included (closed boxes, so shared edges and corners meet; a
+    NaN bound meets nothing).  Both tables carry ``minx miny maxx
+    maxy``.  A point is a degenerate bbox, so with points as ``cols``
+    and rects as ``rows`` this is point-in-rect, bounds included; with
+    polygons on both sides it is the candidate filter of the polygon
+    join (``overlap_pairs``).  Each matrix is one ``row_chunks``
+    slice."""
+    cminx = cols["minx"].to_numpy()
+    cminy = cols["miny"].to_numpy()
+    cmaxx = cols["maxx"].to_numpy()
+    cmaxy = cols["maxy"].to_numpy()
+    rminx = rows["minx"].to_numpy()
+    rminy = rows["miny"].to_numpy()
+    rmaxx = rows["maxx"].to_numpy()
+    rmaxy = rows["maxy"].to_numpy()
+    for chunk in row_chunks(len(rminx), len(cminx)):
+        yield chunk.start, (
+            (rminx[chunk, None] <= cmaxx[None, :])
+            & (rmaxx[chunk, None] >= cminx[None, :])
+            & (rminy[chunk, None] <= cmaxy[None, :])
+            & (rmaxy[chunk, None] >= cminy[None, :])
         )
+
+
+def overlap_pairs(cols: pa.Table, rows: pa.Table):
+    """Every ``(row, col)`` pair whose bboxes meet (``contain_chunks``),
+    as two int64 index arrays in row-major order."""
+    ri, ci = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for lo, overlap in contain_chunks(cols, rows):
+        r, c = np.nonzero(overlap)
+        ri.append(r + lo)
+        ci.append(c)
+    return np.concatenate(ri), np.concatenate(ci)

@@ -9,28 +9,35 @@ Three join strategies, picked by data shape (ray_guide join patterns):
    exactly against the tile rect in one ``boolean_batch`` call; the
    native kernel answers a convex footprint strictly inside its tile
    without the sweep (its CONTAINED known answer, bit-identical to the
-   sweep).  Stateless map_batches.
+   sweep).  One rect is built per distinct tile of the batch.
+   Stateless map_batches.  Emits (image_id, tile_id, clip, clip_area).
 2. ``BroadcastPolyJoinClip`` — footprints × an *irregular* polygon set
    small enough to broadcast (``ray.put`` once).  Actor-pool stage: the
    STR-tree over the polygon bboxes is built ONCE per actor in
-   __init__, batches stream through __call__.
+   __init__, batches stream through __call__.  Emits (image_id,
+   tile_id, clip, clip_area).
 3. ``join_cells_within_group`` — both sides large: both datasets in
    the one cell-join side layout (``cells.side_table``: int8 ``side``,
    int64 ``id``, bbox, ``geom``), exploded to cells, unioned,
-   groupby(cell), joined inside each cell group with a local STR-tree
-   on the build side.  Used via
+   groupby(cell), joined inside each cell group by the chunked
+   bbox-overlap matrix (``cells.overlap_pairs``).  Used via
    ``ds.groupby("cell").map_groups(join_cells_within_group_dedup,
-   batch_format="pyarrow")``.
+   batch_format="pyarrow")``.  Emits (probe_id, build_id, clip_area),
+   the two sides' int64 ids and the clip's area: its consumers
+   (``poly_join_big``, ``areal_interp``) read no clip geometry, so none
+   is built.
 
-The first two emit (image_id, tile_id, clip, clip_area); the cell join
-emits (probe_id, build_id, clip, clip_area), the two sides' int64 ids.
 Deduplicate PBSM replicas downstream when geometries were replicated
 to multiple cells, or use ``join_cells_within_group_dedup``.  Every
 exact clip is one ``boolean_batch`` call per batch
 (stages/boolean_batch.py), which picks the native or the reference
-kernel.  The native kernel answers rect ∩ rect pairs (the cell join's
-rect sides) by their closed form, before its sweep
-(native/martinez.c's known-answer gate).
+kernel.  The candidate pairs reach it as row indices: each operand is
+an Arrow dictionary column (``pa.DictionaryArray.from_arrays(rows,
+geometries)``), which the native kernel reads row by row without a copy
+of the pairs' geometry.  Empty clips are dropped; ``clip_area`` is the
+absolute structural area of each kept clip.  The native kernel answers
+rect ∩ rect pairs (the cell join's rect sides) by their closed form,
+before its sweep (native/martinez.c's known-answer gate).
 """
 
 from __future__ import annotations
@@ -42,14 +49,23 @@ import pyarrow.compute as pc
 from ..functions.rtree import STRtree
 from ..sources.arrow_geom import MULTIPOLYGON_T, arrow_mp_areas, rects_to_arrow
 from .boolean_batch import boolean_batch
-from .cells import cell_bounds_array, cover_bbox, split_sides
+from .cells import cell_bounds_array, cover_bbox, overlap_pairs, split_sides
 
-_CLIP_FIELDS = [pa.field("clip", MULTIPOLYGON_T), pa.field("clip_area", pa.float64())]
 _EMPTY_JOIN_SCHEMA = pa.schema(
-    [pa.field("image_id", pa.string()), pa.field("tile_id", pa.int64())] + _CLIP_FIELDS
+    [
+        pa.field("image_id", pa.string()),
+        pa.field("tile_id", pa.int64()),
+        pa.field("clip", MULTIPOLYGON_T),
+        pa.field("clip_area", pa.float64()),
+    ]
 )
-_EMPTY_CELL_JOIN_SCHEMA = pa.schema(
-    [pa.field("probe_id", pa.int64()), pa.field("build_id", pa.int64())] + _CLIP_FIELDS
+# what join_cells_within_group emits
+CELL_JOIN_SCHEMA = pa.schema(
+    [
+        pa.field("probe_id", pa.int64()),
+        pa.field("build_id", pa.int64()),
+        pa.field("clip_area", pa.float64()),
+    ]
 )
 
 
@@ -102,11 +118,11 @@ class TileJoinClip:
                 {"image_id": image_ids, "tile_id": pa.array(tiles.view(np.int64), pa.int64())}
             )
 
-        tx0, ty0, tx1, ty1 = cell_bounds_array(tiles)
+        uniq, tile_row = np.unique(tiles, return_inverse=True)
         return _clip_pairs(
             {"image_id": image_ids, "tile_id": pa.array(tiles.view(np.int64), pa.int64())},
-            batch["footprint"].take(pa.array(row_idx)),
-            rects_to_arrow(tx0, ty0, tx1, ty1),
+            _indexed(row_idx, batch["footprint"]),
+            _indexed(tile_row, rects_to_arrow(*cell_bounds_array(uniq))),
             "intersection",
         )
 
@@ -116,20 +132,28 @@ def _non_empty(res: pa.Array) -> np.ndarray:
     return pc.list_value_length(res).to_numpy(zero_copy_only=False) > 0
 
 
-def _clip_pairs(ids: dict, subjects, clippings, op):
+def _indexed(rows, geoms) -> pa.DictionaryArray:
+    """Pair operand: row ``rows[i]`` of the geometry column ``geoms``,
+    without a copy of the geometry."""
+    if isinstance(geoms, pa.ChunkedArray):
+        geoms = geoms.combine_chunks()
+    return pa.DictionaryArray.from_arrays(pa.array(rows, pa.int64()), geoms)
+
+
+def _clip_pairs(ids: dict, subjects, clippings, op, with_clip: bool = True):
     """Aligned (subject, clipping) pairs → exact clip → the join table:
     the ``ids`` columns (name → array aligned with the pairs), ``clip``
-    and ``clip_area``; pairs whose result is empty are dropped."""
+    when ``with_clip`` and ``clip_area``; pairs whose result is empty
+    are dropped."""
     res = boolean_batch(subjects, clippings, op)
-    keep = pa.array(_non_empty(res))
-    res = res.filter(keep)
-    return pa.table(
-        {
-            **{name: col.filter(keep) for name, col in ids.items()},
-            "clip": res,
-            "clip_area": pa.array(np.abs(arrow_mp_areas(res)), pa.float64()),
-        }
-    )
+    non_empty = _non_empty(res)
+    area = np.abs(arrow_mp_areas(res))[non_empty]
+    keep = pa.array(non_empty)
+    cols = {name: col.filter(keep) for name, col in ids.items()}
+    if with_clip:
+        cols["clip"] = res.filter(keep)
+    cols["clip_area"] = pa.array(area, pa.float64())
+    return pa.table(cols)
 
 
 class BroadcastPolyJoinClip:
@@ -178,8 +202,8 @@ class BroadcastPolyJoinClip:
                 "image_id": batch["image_id"].take(pa.array(cand_row)),
                 "tile_id": pa.array(self.tile_ids[cand_poly], pa.int64()),
             },
-            batch["footprint"].take(pa.array(cand_row)),
-            self.geom_arr.take(pa.array(cand_poly)),
+            _indexed(cand_row, batch["footprint"]),
+            _indexed(cand_poly, self.geom_arr),
             self.op,
         )
 
@@ -188,12 +212,13 @@ def join_cells_within_group(group: pa.Table, pbsm_dedup: bool = False) -> pa.Tab
     """Large×large within-cell join for groupby(cell).map_groups.
 
     Input: one cell's rows from BOTH sides in the cell-join side layout
-    (stages/cells.py::side_table with ``geom``).  Builds an STR-tree on
-    the build side (small per cell), probes with the probe side, and
-    emits (probe_id, build_id, clip, clip_area): the exact clip of each
-    candidate pair, probe ``geom`` ∩ build ``geom``, empty ones dropped.
-    An empty group or a group without candidates gives the same column
-    types.
+    (stages/cells.py::side_table with ``geom``).  The candidate pairs
+    are the (probe, build) rows whose bboxes meet (``overlap_pairs``,
+    in probe-major order); each is clipped exactly, probe ``geom`` ∩
+    build ``geom``, the two geometry columns passed to the kernel by
+    the candidates' row indices.  Emits ``CELL_JOIN_SCHEMA``:
+    (probe_id, build_id, clip_area), empty clips dropped.  An empty
+    group or a group without candidates gives the same column types.
 
     ``pbsm_dedup=True`` applies PBSM reference-cell duplicate
     avoidance (Patel & DeWitt's partition-based spatial merge): a
@@ -207,49 +232,32 @@ def join_cells_within_group(group: pa.Table, pbsm_dedup: bool = False) -> pa.Tab
     resolve to the same cell the cover replicated to.
     """
     probe, build = split_sides(group)
-    if build.num_rows == 0 or probe.num_rows == 0:
-        return _EMPTY_CELL_JOIN_SCHEMA.empty_table()
+    cand_row, cand_build = overlap_pairs(build, probe)
 
-    bminx = build["minx"].to_numpy()
-    bminy = build["miny"].to_numpy()
-    tree = STRtree(
-        bminx,
-        bminy,
-        build["maxx"].to_numpy(),
-        build["maxy"].to_numpy(),
-    )
-    pminx = probe["minx"].to_numpy()
-    pminy = probe["miny"].to_numpy()
-    pmaxx = probe["maxx"].to_numpy()
-    pmaxy = probe["maxy"].to_numpy()
-
-    cand_row, cand_build = tree.query_many(pminx, pminy, pmaxx, pmaxy)
-    if not len(cand_row):
-        return _EMPTY_CELL_JOIN_SCHEMA.empty_table()
-
-    if pbsm_dedup:
+    if pbsm_dedup and len(cand_row):
         from .cells import cell_encode, cell_res
 
         gcell = np.uint64(group["cell"][0].as_py())
-        res = int(cell_res(gcell))
         ref = cell_encode(
-            np.maximum(pminx[cand_row], bminx[cand_build]),
-            np.maximum(pminy[cand_row], bminy[cand_build]),
-            res,
+            np.maximum(probe["minx"].to_numpy()[cand_row], build["minx"].to_numpy()[cand_build]),
+            np.maximum(probe["miny"].to_numpy()[cand_row], build["miny"].to_numpy()[cand_build]),
+            int(cell_res(gcell)),
         )
         mine = ref == gcell
         cand_row = cand_row[mine]
         cand_build = cand_build[mine]
-        if not len(cand_row):
-            return _EMPTY_CELL_JOIN_SCHEMA.empty_table()
+    if not len(cand_row):
+        return CELL_JOIN_SCHEMA.empty_table()
 
-    cand_row = pa.array(cand_row)
-    cand_build = pa.array(cand_build)
     return _clip_pairs(
-        {"probe_id": probe["id"].take(cand_row), "build_id": build["id"].take(cand_build)},
-        probe["geom"].take(cand_row),
-        build["geom"].take(cand_build),
+        {
+            "probe_id": pa.array(probe["id"].to_numpy()[cand_row]),
+            "build_id": pa.array(build["id"].to_numpy()[cand_build]),
+        },
+        _indexed(cand_row, probe["geom"]),
+        _indexed(cand_build, build["geom"]),
         "intersection",
+        with_clip=False,
     )
 
 

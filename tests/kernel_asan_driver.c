@@ -6,7 +6,9 @@
  *
  * IN:  int64 n_batches, then per batch: int64 n_pairs, the subject and
  *      clipping sides (each: xy f64, ring/poly/multipolygon offsets
- *      i32, every array preceded by its int64 length), int32 ops[n].
+ *      i32, every array preceded by its int64 length), the subject and
+ *      clipping rows of each pair (int64 n_pairs, then i64 rows[n], or
+ *      int64 -1 for NULL: pair i reads row i), int32 ops[n].
  * OUT: per batch: int64 rc; when rc == 0, int64 n_vertices, n_rings,
  *      n_polys, n_pairs, then xy, ring sizes, rings per polygon,
  *      polygons per pair and the int8 gate class of each pair.
@@ -22,6 +24,7 @@ int martinez_batch(
     const int32_t *s_mp_off,
     const double *c_xy, const int32_t *c_ring_off, const int32_t *c_poly_off,
     const int32_t *c_mp_off,
+    const int64_t *s_rows, const int64_t *c_rows,
     int64_t n_pairs, const int32_t *ops,
     double **out_xy, int64_t **out_ring_sizes, int64_t **out_poly_ring_counts,
     int64_t **out_pair_poly_counts,
@@ -37,6 +40,16 @@ static void *read_array(size_t elem) {
     if (fread(&n, 8, 1, in) != 1) exit(2);
     void *p = malloc(n ? n * elem : 1);
     if ((int64_t)fread(p, elem, n, in) != n) exit(2);
+    return p;
+}
+
+/* A row array, or NULL when its length is written as -1. */
+static int64_t *read_rows(void) {
+    int64_t n;
+    if (fread(&n, 8, 1, in) != 1) exit(2);
+    if (n < 0) return NULL;
+    int64_t *p = (int64_t *)malloc(n ? n * 8 : 1);
+    if ((int64_t)fread(p, 8, n, in) != n) exit(2);
     return p;
 }
 
@@ -56,6 +69,8 @@ int main(int argc, char **argv) {
         if (fread(&n, 8, 1, in) != 1) return 2;
         void *side[8];
         for (int k = 0; k < 8; k++) side[k] = read_array(k % 4 == 0 ? 8 : 4);
+        int64_t *s_rows = read_rows();
+        int64_t *c_rows = read_rows();
         int32_t *ops = (int32_t *)malloc(n ? n * 4 : 1);
         if ((int64_t)fread(ops, 4, n, in) != n) return 2;
         int8_t *classes = (int8_t *)malloc(n ? n : 1);
@@ -65,7 +80,7 @@ int main(int argc, char **argv) {
         int64_t nv, nr, np;
         int64_t rc = martinez_batch(
             side[0], side[1], side[2], side[3], side[4], side[5], side[6], side[7],
-            n, ops, &xy, &ring_sizes, &poly_ring_counts, &pair_poly_counts,
+            s_rows, c_rows, n, ops, &xy, &ring_sizes, &poly_ring_counts, &pair_poly_counts,
             &nv, &nr, &np, classes);
         write_all(out, &rc, 8, 1);
         if (rc == 0) {
@@ -79,6 +94,8 @@ int main(int argc, char **argv) {
             martinez_free_batch(xy, ring_sizes, poly_ring_counts, pair_poly_counts);
         }
         for (int k = 0; k < 8; k++) free(side[k]);
+        free(s_rows);
+        free(c_rows);
         free(ops);
         free(classes);
     }

@@ -572,3 +572,38 @@ def test_exact_dedup_bucketed_merge_matches_per_group():
         lo, n = want.get(h, (d, 0))
         want[h] = (min(lo, d), n + 1)
     assert got == want
+
+
+def test_overlap_matrix_matches_str_tree(monkeypatch):
+    """``overlap_pairs`` (``contain_chunks``' matrices) over two bbox
+    sets gives exactly ``STRtree.query_many``'s (row, candidate) pairs,
+    in the same order, with one matrix and in tiny chunks: integer boxes that share edges
+    and corners, and degenerate ones, overlap when their closed boxes
+    meet."""
+    from rust_geo_booleanop_ray.functions.rtree import STRtree
+    from rust_geo_booleanop_ray.stages import cells
+
+    rng = np.random.Generator(np.random.PCG64(29))
+
+    def boxes(n, side):
+        x, y = rng.integers(0, 40, n), rng.integers(0, 40, n)
+        w, h = rng.integers(0, 6, n), rng.integers(0, 6, n)  # 0: a segment or a point
+        return cells.side_table(side, np.arange(n), x, y, x + w, y + h)
+
+    probe, build = boxes(500, cells.PROBE), boxes(300, cells.BUILD)
+    bounds = ("minx", "miny", "maxx", "maxy")
+    tree = STRtree(*(build[c].to_numpy() for c in bounds))
+    want = tree.query_many(*(probe[c].to_numpy() for c in bounds))
+    # shared edges and corners are among the pairs
+    touch = (
+        (probe["maxx"].to_numpy()[want[0]] == build["minx"].to_numpy()[want[1]])
+        | (probe["maxy"].to_numpy()[want[0]] == build["miny"].to_numpy()[want[1]])
+    )
+    assert len(want[0]) > 1000 and touch.sum() > 100
+
+    for limit in (cells.MAX_CONTAIN_MATRIX, 1000):
+        monkeypatch.setattr(cells, "MAX_CONTAIN_MATRIX", limit)
+        assert len(list(cells.contain_chunks(build, probe))) == (1 if limit > 10**5 else 167)
+        got = cells.overlap_pairs(build, probe)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])

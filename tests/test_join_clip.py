@@ -344,3 +344,95 @@ def test_pbsm_dedup_matches_emit_all_plus_dedup():
     ) or len(dedup_pairs) == len(all_pairs)
     for k, v in dedup_pairs.items():
         assert v == all_pairs[k], k
+
+
+def test_cell_join_emits_ids_and_area():
+    """The cell join emits (probe_id, build_id, clip_area) and no clip
+    geometry, for a group with pairs and for empty groups alike."""
+    from rust_geo_booleanop_ray.stages.join_clip import (
+        CELL_JOIN_SCHEMA,
+        join_cells_within_group_dedup,
+    )
+
+    f = _footprints(40)
+    polys = _region_polys()
+    probe, build = _footprint_probe(f), _side(BUILD, polys["tile_id"], polys, "geom")
+    group = pa.concat_tables([probe, build])
+    cell = pa.array(np.full(group.num_rows, cell_encode(np.array([0.0]), np.array([0.0]), 0)[0]))
+    assert CELL_JOIN_SCHEMA.names == ["probe_id", "build_id", "clip_area"]
+    outs = [
+        join_cells_within_group(group),
+        join_cells_within_group_dedup(group.append_column("cell", cell.view(pa.int64()))),
+        join_cells_within_group(probe),
+        join_cells_within_group(build),
+        join_cells_within_group(group.slice(0, 0)),
+    ]
+    assert outs[0].num_rows > 0 and outs[0].equals(outs[1])
+    for out in outs:
+        assert out.schema == CELL_JOIN_SCHEMA
+
+
+def _clip_materialized(ids, subjects, clippings, with_clip=True):
+    """The join table from operand columns copied pair by pair (what the
+    indexed operands replace)."""
+    from rust_geo_booleanop_ray.sources.arrow_geom import arrow_mp_areas
+    from rust_geo_booleanop_ray.stages.boolean_batch import boolean_batch
+
+    res = boolean_batch(subjects, clippings, "intersection")
+    keep = pa.array([len(r) > 0 for r in res.to_pylist()])
+    res = res.filter(keep)
+    cols = {name: col.filter(keep) for name, col in ids.items()}
+    if with_clip:
+        cols["clip"] = res
+    cols["clip_area"] = pa.array(np.abs(arrow_mp_areas(res)))
+    return pa.table(cols)
+
+
+def test_indexed_joins_match_materialized_operands():
+    """The three joins pass their pairs to the kernel as row indices;
+    their tables equal the ones built from operand columns copied pair
+    by pair (``take``) with one tile rect per pair, clip bits
+    included."""
+    from kernel_cases import assert_bit_identical
+
+    from rust_geo_booleanop_ray.functions.rtree import STRtree
+    from rust_geo_booleanop_ray.sources.arrow_geom import rects_to_arrow
+    from rust_geo_booleanop_ray.stages.cells import cell_bounds_array, cover_bbox, split_sides
+
+    f = _footprints(120)
+    bbox = [f[c].to_numpy() for c in ("minx", "miny", "maxx", "maxy")]
+
+    row_idx, tiles = cover_bbox(*bbox, 4)
+    want = _clip_materialized(
+        {"image_id": f["image_id"].take(pa.array(row_idx)), "tile_id": pa.array(tiles.view(np.int64))},
+        f["footprint"].take(pa.array(row_idx)),
+        rects_to_arrow(*cell_bounds_array(tiles)),
+    )
+    got = TileJoinClip(tile_res=4, mode="exact")(f)
+    assert got.num_rows > f.num_rows and got.equals(want)
+    assert_bit_identical(got["clip"].combine_chunks(), want["clip"].combine_chunks())
+
+    polys = _region_polys()
+    tree = STRtree(*(polys[c].to_numpy() for c in ("minx", "miny", "maxx", "maxy")))
+    row, poly = tree.query_many(*bbox)
+    want = _clip_materialized(
+        {"image_id": f["image_id"].take(pa.array(row)), "tile_id": polys["tile_id"].take(pa.array(poly))},
+        f["footprint"].take(pa.array(row)),
+        polys["geom"].take(pa.array(poly)),
+    )
+    got = BroadcastPolyJoinClip(polys)(f)
+    assert got.num_rows > 0 and got.equals(want)
+    assert_bit_identical(got["clip"].combine_chunks(), want["clip"].combine_chunks())
+
+    group = pa.concat_tables([_side(BUILD, polys["tile_id"], polys, "geom"), _footprint_probe(f)])
+    probe, build = split_sides(group)
+    tree = STRtree(*(build[c].to_numpy() for c in ("minx", "miny", "maxx", "maxy")))
+    row, cand = tree.query_many(*(probe[c].to_numpy() for c in ("minx", "miny", "maxx", "maxy")))
+    want = _clip_materialized(
+        {"probe_id": probe["id"].take(pa.array(row)), "build_id": build["id"].take(pa.array(cand))},
+        probe["geom"].take(pa.array(row)),
+        build["geom"].take(pa.array(cand)),
+        with_clip=False,
+    )
+    got = join_cells_within_group(group)
+    assert got.num_rows > 0 and got.equals(want)

@@ -6,8 +6,10 @@ and LeakSanitizer.
 `martinez_batch` over batches written here: the golden corpus, the
 seeded degenerate pairs of `test_boolean_dispatch` under all four ops,
 pairs that grow the batch workspace, pairs the known-answer gate
-answers (RECT, CONTAINED) and its near-misses, and two batches with a failing
-pair in the middle (event budget, code 3; `connect_edges`, code 2).
+answers (RECT, CONTAINED) and its near-misses, the same pairs read
+through shuffled, repeated and first/last row indices (dictionary
+operands), and two batches with a failing pair in the middle (event
+budget, code 3; `connect_edges`, code 2).
 Any sanitizer report fails the test, a leak at exit included: the
 splay node `splay_remove` drops under an inconsistent comparator (the
 creeping pair) must come back with the node pool."""
@@ -48,13 +50,46 @@ def _write_array(f, a, dtype):
 
 
 def _write_batch(f, table):
+    """One batch; a dictionary operand goes in as its geometry column
+    and its row indices."""
     f.write(np.int64(table.num_rows).tobytes())
+    rows = []
     for col in ("subject", "clipping"):
-        xy, ring_off, poly_off, mp_off = arrow_mp_offsets(table[col].combine_chunks())
+        arr = table[col].combine_chunks()
+        if pa.types.is_dictionary(arr.type):
+            rows.append(arr.indices.to_numpy().astype(np.int64))
+            arr = arr.dictionary
+        else:
+            rows.append(None)
+        xy, ring_off, poly_off, mp_off = arrow_mp_offsets(arr)
         _write_array(f, xy, np.float64)
         for off in (ring_off, poly_off, mp_off):
             _write_array(f, off, np.int32)
+    for r in rows:
+        if r is None:
+            f.write(np.int64(-1).tobytes())
+        else:
+            _write_array(f, r, np.int64)
     f.write(native._op_codes(table["op"].combine_chunks(), table.num_rows).tobytes())
+
+
+def _indexed_table(table, seed=5):
+    """``table``'s pairs as dictionary operands: each side's geometry in
+    its own shuffled order, read through row indices that visit the
+    first and last pair, every pair in shuffled order and random
+    repeats.  Returns the table and the original pair of each row."""
+    rng = np.random.default_rng(seed)
+    n = table.num_rows
+    pair = np.concatenate([[0, n - 1], rng.permutation(n), rng.integers(0, n, 50), [n - 1, 0]])
+    cols = {}
+    for col in ("subject", "clipping"):
+        order = rng.permutation(n)  # the geometry column holds pair order[k] at row k
+        rows = np.argsort(order)[pair]
+        cols[col] = pa.DictionaryArray.from_arrays(
+            pa.array(rows), table[col].combine_chunks().take(pa.array(order))
+        )
+    cols["op"] = table["op"].combine_chunks().take(pa.array(pair))
+    return pa.table(cols), pair
 
 
 def _read_results(path, n_batches):
@@ -116,8 +151,12 @@ def test_kernel_is_sanitizer_clean(driver, tmp_path):
     ok = [i for i, e in enumerate(err) if e is None]
     assert len(ok) < len(rows)
     clean = [rows[i] for i in ok]
+    indexed, pair = _indexed_table(_table(clean))
+    assert (indexed["subject"].combine_chunks().indices.to_numpy()
+            != indexed["clipping"].combine_chunks().indices.to_numpy()).any()
     batches = [
         (_table(clean), 0),
+        (indexed, 0),
         (_table(clean[:40] + [(*CREEP_PAIR, "intersection")] + clean[40:80]), 3),
         (_table(clean[:40] + [(*CONNECT_FAIL_PAIR, "difference")] + clean[40:80]), 2),
     ]
@@ -145,3 +184,7 @@ def test_kernel_is_sanitizer_clean(driver, tmp_path):
     table = batches[0][0]
     engine = native.martinez(table["subject"], table["clipping"], table["op"])[1]
     assert (classes == engine).all() and set(classes) == {0, 1, 2}
+    # the indexed batch reads each pair's rows: the pair's bits and class
+    res, classes = results[1][1]
+    assert_bit_identical(res, want.take(pa.array(ok)).take(pa.array(pair)))
+    assert (classes == engine[pair]).all()

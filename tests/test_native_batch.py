@@ -176,3 +176,97 @@ def test_build_prunes_builds_of_other_hashes(tmp_path, monkeypatch):
     stale.write_bytes(b"x")
     assert native._build() == path
     assert not stale.exists() and os.path.isfile(path)
+
+
+def _dictionary_case(null_indices=True):
+    """Dictionary operands over the golden pairs: each side's geometry
+    column shuffled and holding one null, pairs read through shuffled,
+    repeated and first/last indices, rows whose valid index points at
+    the null geometry and, with ``null_indices``, null indices."""
+    subs, clips, ops, _ = golden_rows()
+    n = len(subs)
+    rng = np.random.default_rng(23)
+    pair = np.concatenate([[0, n - 1], rng.permutation(n), rng.integers(0, n, 40)])
+    cols = {}
+    for name, geoms in (("subject", subs), ("clipping", clips)):
+        order = rng.permutation(n)
+        values = mps_to_arrow([geoms[k] for k in order] + [None])
+        rows = np.argsort(order)[pair]
+        rows[rng.integers(0, len(rows), 5)] = n  # the null geometry
+        null_index = np.zeros(len(rows), bool)
+        null_index[rng.integers(0, len(rows), 5)] = null_indices
+        cols[name] = pa.DictionaryArray.from_arrays(pa.array(rows, mask=null_index), values)
+    return cols["subject"], cols["clipping"], pa.array(ops).take(pa.array(pair))
+
+
+@pytest.mark.parametrize("null_indices", [True, False])
+@pytest.mark.parametrize("geo_native", ["1", "0"])
+def test_dictionary_operands_match_decoded(monkeypatch, geo_native, null_indices):
+    """``boolean_batch`` over dictionary operands gives the bits of the
+    same call over their ``dictionary_decode()``d columns, on both
+    kernels: a null index and a valid index to a null geometry both
+    give a null result."""
+    from kernel_cases import assert_bit_identical
+
+    from rust_geo_booleanop_ray.stages.boolean_batch import boolean_batch
+
+    monkeypatch.setenv("GEO_NATIVE", geo_native)
+    subj, clip, ops = _dictionary_case(null_indices)
+    # is_valid of a dictionary column sees its indices only
+    assert (subj.null_count > 0) == null_indices
+    assert subj.null_count < subj.dictionary_decode().null_count
+    got = boolean_batch(subj, clip, ops)
+    want = boolean_batch(subj.dictionary_decode(), clip.dictionary_decode(), ops)
+    assert_bit_identical(got, want)
+    null = np.logical_or(
+        subj.dictionary_decode().is_null().to_numpy(zero_copy_only=False),
+        clip.dictionary_decode().is_null().to_numpy(zero_copy_only=False),
+    )
+    assert (got.is_null().to_numpy(zero_copy_only=False) == null).all()
+    assert null.sum() < len(null)
+
+
+def test_martinez_reads_dictionary_rows():
+    """``native.martinez`` on dictionary operands without nulls: the
+    same results and classes as on the decoded columns; a mix of one
+    dictionary and one plain operand too."""
+    from kernel_cases import assert_bit_identical
+
+    case = _dictionary_case()
+    subj, clip, ops = case
+    ok = pa.array(
+        np.flatnonzero(
+            subj.dictionary_decode().is_valid().to_numpy(zero_copy_only=False)
+            & clip.dictionary_decode().is_valid().to_numpy(zero_copy_only=False)
+        )
+    )
+    subj, clip, ops = subj.take(ok), clip.take(ok), ops.take(ok)
+    want, want_classes = native.martinez(subj.dictionary_decode(), clip.dictionary_decode(), ops)
+    for s, c in ((subj, clip), (subj, clip.dictionary_decode()), (subj.dictionary_decode(), clip)):
+        got, classes = native.martinez(s, c, ops)
+        assert_bit_identical(got, want)
+        assert (classes == want_classes).all()
+    # a null index or a null geometry never reaches C
+    for case in (case, _dictionary_case(null_indices=False)):
+        with pytest.raises(ValueError, match="null geometry"):
+            native.martinez(*case)
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 2**40])
+def test_out_of_range_index_raises(monkeypatch, bad):
+    """An index outside the dictionary raises before C reads memory,
+    also from a column built with ``safe=False``; ``boolean_batch``
+    raises on both kernels."""
+    from rust_geo_booleanop_ray.stages.boolean_batch import boolean_batch
+
+    geoms = mps_to_arrow([rect(0, 0, 2, 2), rect(1, 1, 3, 3), rect(5, 5, 6, 6)])
+    good = pa.DictionaryArray.from_arrays(pa.array([0, 1, 2]), geoms)
+    bad_rows = pa.DictionaryArray.from_arrays(pa.array([0, bad, 1]), geoms, safe=False)
+    with pytest.raises(ValueError, match="outside"):
+        native.martinez(bad_rows, good, "intersection")
+    with pytest.raises(ValueError, match="outside"):
+        native.martinez(good, bad_rows, "intersection")
+    for geo_native in ("1", "0"):
+        monkeypatch.setenv("GEO_NATIVE", geo_native)
+        with pytest.raises((ValueError, IndexError)):
+            boolean_batch(bad_rows, good, "intersection")

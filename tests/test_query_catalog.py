@@ -154,6 +154,38 @@ def test_aliases_run_their_primary(oracle):
         assert oracle[alias] == oracle[name]
 
 
+def test_oracle_build_runs_only_the_names_asked(oracle, monkeypatch):
+    """``build_oracle_sql(names)`` runs only the builders of ``names``,
+    an alias its primary's, once per entry; its SQL is the full
+    build's, and an unknown name raises."""
+    from rust_geo_booleanop_ray.pipelines.catalog._shared import Query
+
+    names = ["poly_join_big", "pip_join_rtree", "pip_join", "image_features"]
+    assert build_oracle_sql(names) == {n: oracle[n] for n in names}
+
+    calls = []
+
+    def builder(tag):
+        def build():
+            calls.append(tag)
+            return f"SELECT '{tag}'"
+
+        return build
+
+    a, b = Query(print, builder("a"), ("a2",)), Query(print, builder("b"))
+    monkeypatch.setattr(
+        "rust_geo_booleanop_ray.pipelines.queries.REGISTRY", {"a": a, "a2": a, "b": b}
+    )
+    assert build_oracle_sql(["a2"]) == {"a2": "SELECT 'a'"} and calls == ["a"]
+    calls.clear()
+    assert build_oracle_sql(["a2", "a"]) == {"a2": "SELECT 'a'", "a": "SELECT 'a'"}
+    assert calls == ["a"]
+    calls.clear()
+    assert list(build_oracle_sql()) == ["a", "a2", "b"] and calls == ["a", "b"]
+    with pytest.raises(KeyError, match="nope"):
+        build_oracle_sql(["nope"])
+
+
 def test_each_family_registers_what_it_defines():
     """Every entry sits in the table of the module that defines its
     plan, and the registry is exactly the union of the family modules'
