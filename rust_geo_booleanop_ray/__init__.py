@@ -8,7 +8,7 @@ rust-geo-booleanop) re-expressed Ray-Data-first:
                   predicates, sweep line, contour assembly).
 - ``sources``   — GeoJSON fixture I/O, Arrow geometry codec, synthetic
                   Lance-shaped image table.
-- ``stages``    — map_batches / actor-pool stages: boolean ops, footprint
+- ``stages``    — stateless map_batches stages: boolean ops, footprint
                   derivation, cell indexing, spatial join + clip, tiling,
                   kNN, dedup, text analysis, ANN.
 - ``pipelines`` — end-to-end pipelines and the driver-facing queries.

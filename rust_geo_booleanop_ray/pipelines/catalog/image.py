@@ -5,7 +5,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ...tuning import ACTOR_POOL
 from ._shared import Query, _values_oracle_sql
 
 
@@ -78,7 +77,7 @@ def q_image_pyramid(sf_dir: str):
     """Thumbnail / resolution-ladder pyramid: real decode → two exact
     2× box-downsample levels per image → integer checksums.  The
     preprocessing ladder a tile server or multi-resolution trainer
-    runs over every stored image; payloads drop inside the actor
+    runs over every stored image; payloads drop inside the decode
     stage, so the exchange only ever sees 40-byte rows.  Value-exact:
     the oracle inlines generator-side per-level checksums (pixel
     math, never the codec), pinning decode + the downsample kernel
@@ -105,7 +104,7 @@ def q_image_augment(sf_dir: str):
     """Training-augmentation fan-out: real decode → deterministic
     flip/rot90 variants → integer checksums, two rows per image.  The
     preprocessing stage a vision trainer runs per epoch; payloads drop
-    inside the actor stage.  Value-exact: generator-side per-variant
+    inside the decode stage.  Value-exact: generator-side per-variant
     checksums (pixel math, never the codec) pin decode + each
     rearrangement bit-for-bit."""
     from ...sources.images import read_synth_images
@@ -187,7 +186,7 @@ JPEG_RT_N = 600
 
 def q_jpeg_roundtrip(sf_dir: str):
     """The LOSSY codec path: mixed-format corpus (raw / png / baseline
-    JPEG at JPEG_QUALITY, real pure-numpy DCT+Huffman codec) → actor-pool
+    JPEG at JPEG_QUALITY, real pure-numpy DCT+Huffman codec) → stateless
     decode → per-row reconstruction invariant (psnr centi-dB vs the
     re-synthesized original, decoded-pixel checksum, PSNR≥40dB
     verdict — BASELINE.json input_hint).  Value-exact: the oracle
@@ -338,8 +337,8 @@ IMAGE_SIM_QUERIES = (0, 251, 502, 753, 1004, 1255)
 def q_image_sim(sf_dir: str):
     """Similarity search over the IMAGE table: decode → 16-d integer
     thumbnail vector → exact squared-L2 top-k against a broadcast
-    query matrix (ray.put once, read in every actor's __init__), fused
-    into a single actor stage that emits only Q×k candidate rows per
+    query matrix (ray.put once, read in the stage's __init__), fused
+    into a single stage that emits only Q×k candidate rows per
     batch — the merge groupby moves kilobytes regardless of corpus
     size.  Integer features keep every distance exact, so the oracle
     (generator-side feature literals + a windowed ROW_NUMBER top-k)
@@ -721,16 +720,14 @@ def q_scene_stats(sf_dir: str):
     max of absolute inter-frame differences through the REAL frame
     decode (raw and length-prefixed-PNG payloads) — the curation
     signal that separates static clips from pans and cuts.  One row
-    out per video; payloads drop inside the actor stage.  Value-exact
+    out per video; payloads drop inside the decode stage.  Value-exact
     via generator-side expected motion integers (pixel math, never
     the codec)."""
     from ...sources.videos import read_synth_videos
     from ...stages.video_ops import SceneStats
 
     ds = read_synth_videos(500)
-    return ds.map_batches(
-        SceneStats, batch_format="pyarrow", batch_size=64, concurrency=ACTOR_POOL
-    )
+    return ds.map_batches(SceneStats(), batch_format="pyarrow", batch_size=64)
 
 
 def _build_scene_stats_sql() -> str:
@@ -750,13 +747,7 @@ def q_video_frames(sf_dir: str):
     from ...stages.video_ops import FrameSample
 
     ds = read_synth_videos(500)
-    out = ds.map_batches(
-        FrameSample,
-        fn_constructor_kwargs={"stride": 2},
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=ACTOR_POOL,
-    )
+    out = ds.map_batches(FrameSample(stride=2), batch_format="pyarrow", batch_size=64)
     return out.select_columns(
         ["video_id", "frame_idx", "frame_phash", "frame_checksum"]
     )
@@ -776,9 +767,7 @@ def q_audio_features(sf_dir: str):
     from ...stages.video_ops import AudioFeatures
 
     ds = read_synth_audio(1000)
-    return ds.map_batches(
-        AudioFeatures, batch_format="pyarrow", batch_size=128, concurrency=ACTOR_POOL
-    )
+    return ds.map_batches(AudioFeatures(), batch_format="pyarrow", batch_size=128)
 
 
 def _build_audio_features_sql() -> str:

@@ -16,7 +16,6 @@ from ...stages.cells import (
     split_sides,
 )
 from ...stages.exchange import hash_exchange
-from ...tuning import ACTOR_POOL
 from ._shared import Query, _cents, _read, _values_oracle_sql
 
 
@@ -449,17 +448,14 @@ def _region_polys_table() -> pa.Table:
 
 def q_poly_clip(sf_dir: str):
     """Part-derived axis rects × the irregular broadcast region set via
-    the warm R-tree actor stage (BroadcastPolyJoinClip, whole-batch
-    native Martinez clip): per-region piece counts + integer
+    the stateless broadcast clip stage (BroadcastPolyJoinClip,
+    whole-batch native Martinez clip): per-region piece counts + integer
     clipped-area sums.  The oracle reproduces the region set as literal
     rect bounds (cell bounds are exact doubles) and uses closed-form
     rect∩rect arithmetic — value-exact."""
-    import ray
     from ray.data.aggregate import Count, Sum
 
     from ...stages.join_clip import BroadcastPolyJoinClip
-
-    polys_ref = ray.put(_region_polys_table())
 
     def subjects(batch: pa.Table) -> pa.Table:
         b = _part_rect_batch(batch)
@@ -478,10 +474,7 @@ def q_poly_clip(sf_dir: str):
         subjects, batch_format="pyarrow"
     )
     out = fp.map_batches(
-        BroadcastPolyJoinClip,
-        fn_constructor_kwargs={"polys": polys_ref},
-        batch_format="pyarrow",
-        concurrency=ACTOR_POOL,
+        BroadcastPolyJoinClip(_region_polys_table()), batch_format="pyarrow"
     )
 
     def to_int(batch: pa.Table) -> pa.Table:
@@ -535,13 +528,12 @@ def q_wkb_clip(sf_dir: str):
     binary column (little-endian ISO MultiPolygon — what GeoParquet
     carries), one decode stage (sources/arrow_geom.py::wkb_to_mp_arrow)
     rebuilds the nested-list geometry + vectorized bbox columns, and
-    the stream flows through the SAME warm R-tree Martinez clip stage
+    the stream flows through the SAME broadcast Martinez clip stage
     as poly_clip.  Oracle identical to poly_clip — driver equality
     through the wire format pins the codec both ways (the subjects are
     ENCODED with mp_arrow_to_wkb first, so a bug in either direction
     breaks the hash).  Reference geometry model: lib/src/boolean/
     mod.rs:33, fill_queue.rs:25-28."""
-    import ray
     from ray.data.aggregate import Count, Sum
 
     from ...sources.arrow_geom import (
@@ -550,8 +542,6 @@ def q_wkb_clip(sf_dir: str):
         wkb_to_mp_arrow,
     )
     from ...stages.join_clip import BroadcastPolyJoinClip
-
-    polys_ref = ray.put(_region_polys_table())
 
     def to_wkb(batch: pa.Table) -> pa.Table:
         # the "reader": subjects serialized to the GeoParquet wire format
@@ -583,10 +573,7 @@ def q_wkb_clip(sf_dir: str):
         .map_batches(decode_wkb, batch_format="pyarrow")
     )
     out = fp.map_batches(
-        BroadcastPolyJoinClip,
-        fn_constructor_kwargs={"polys": polys_ref},
-        batch_format="pyarrow",
-        concurrency=ACTOR_POOL,
+        BroadcastPolyJoinClip(_region_polys_table()), batch_format="pyarrow"
     )
 
     def to_int(batch: pa.Table) -> pa.Table:
@@ -608,8 +595,8 @@ def q_wkb_clip(sf_dir: str):
 
 def q_poly_clip_quads(sf_dir: str):
     """Rotated image-footprint quads × the irregular region set through
-    the warm broadcast R-tree actor (BroadcastPolyJoinClip, whole-batch
-    native Martinez clip) — per-region piece counts plus 16×16
+    the stateless broadcast clip stage (BroadcastPolyJoinClip,
+    whole-batch native Martinez clip) — per-region piece counts plus 16×16
     pixel-center coverage of the clipped pieces (the engine rasterizes
     the MARTINEZ OUTPUT polygons; RasterizePartial pre-aggregates
     before the one groupby shuffle).  Value-exact: the oracle inlines
@@ -619,19 +606,13 @@ def q_poly_clip_quads(sf_dir: str):
     rect directly (center ∈ quad∩region ⇔ center ∈ quad, since grid
     centers lie strictly inside their region) — the same
     discretization trick as Q_TILE_COVERAGE_SQL."""
-    import ray
-
     from ...pipelines.flagship import footprints_dataset
     from ...stages.join_clip import BroadcastPolyJoinClip
     from ...stages.tiles import RasterizePartial, merge_rasters
 
-    polys_ref = ray.put(_region_polys_table())
     fp = footprints_dataset(2000)
     out = fp.map_batches(
-        BroadcastPolyJoinClip,
-        fn_constructor_kwargs={"polys": polys_ref},
-        batch_format="pyarrow",
-        concurrency=ACTOR_POOL,
+        BroadcastPolyJoinClip(_region_polys_table()), batch_format="pyarrow"
     )
     part = out.map_batches(RasterizePartial(px=16), batch_format="pyarrow")
     merged = hash_exchange(part, "tile_id", merge_rasters)

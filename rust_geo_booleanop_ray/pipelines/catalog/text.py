@@ -179,9 +179,9 @@ Q_QUALITY_FILTER_SQL = f"""
 
 
 def q_lang_id(sf_dir: str):
-    """Heuristic language-ID actor pool scored against the table's own
-    labels: per (true lang, predicted lang) confusion counts.
-    Model state (marker sets) lives in the actor __init__; the marker
+    """Heuristic language ID scored against the table's own labels:
+    per (true lang, predicted lang) confusion counts.  Model state
+    (marker sets) lives in the LangId instance; the marker
     heuristic is mirrored in SQL (list_filter counts + the same
     first-strictly-greater tie-break) — value-exact."""
     from ray.data.aggregate import Count

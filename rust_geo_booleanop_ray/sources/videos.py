@@ -1,7 +1,7 @@
 """Deterministic synthetic video + audio tables (multimodal columns).
 
 Multimodal payloads are opaque ``binary`` columns with typed metadata;
-decode happens in actor-pool stages (stages/video_ops.py).  Both
+decode happens in stateless map_batches stages (stages/video_ops.py).  Both
 sources are pure functions of the row index, exposed as streaming Ray
 datasources (generation inside map_batches tasks — the driver never
 holds the table).

@@ -148,7 +148,7 @@ def _list_matrix(arr, n_rows: int) -> np.ndarray:
 
 
 class MinHasher:
-    """Actor-pool stage: char-shingle MinHash signatures.
+    """Stateless stage: char-shingle MinHash signatures.
 
     Everything is a deterministic integer-hash function — shingles are
     a polynomial rolling hash over CODE POINTS and the permutation

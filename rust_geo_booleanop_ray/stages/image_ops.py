@@ -1,4 +1,4 @@
-"""Image decode / feature / resize stages (actor-pool map_batches).
+"""Image decode / feature / resize stages (stateless map_batches UDFs).
 
 Multimodal columns are opaque ``binary`` payloads with typed metadata
 (w, h, fmt).  ``fmt="raw"`` decodes via numpy frombuffer; ``fmt="png"``
@@ -77,8 +77,8 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
 
 
 class DecodePhash:
-    """Decode payload → 64-bit perceptual hash only (task-parallel
-    instance UDF; pass the CLASS with concurrency=N for an actor pool).
+    """Decode payload → 64-bit perceptual hash only (stateless
+    map_batches UDF: pass an instance).
 
     The lean front half of the image near-dup pipeline — no thumbs,
     checksums or channel stats, so a dedup pass over a petabyte image
@@ -109,13 +109,13 @@ class DecodePhash:
 
 
 class ImageSimPartial:
-    """Fused actor stage for image similarity search: decode → 16-d
+    """Fused stage for image similarity search: decode → 16-d
     integer thumb vector → squared-L2 distances against the BROADCAST
     query matrix → per-batch partial top-k.
 
     ``queries`` is a ray.ObjectRef to (query_idxs: int64[Q],
-    matrix: int64[Q, 16]) — ray.put once on the driver, fetched once
-    per actor in __init__ (never re-shipped per batch).  Emitting only
+    matrix: int64[Q, 16]), fetched in __init__ (never re-shipped per
+    batch).  Emitting only
     Q×k candidate rows per batch means the merge groupby moves
     kilobytes regardless of corpus size — the brute-force-baseline
     scale shape from stages/ann.py applied to the image axis."""
@@ -187,14 +187,14 @@ class ImageSimMerge:
 
 
 class DecodeRoundtrip:
-    """Actor-pool stage: decode a (possibly LOSSY) payload, re-
+    """Stateless stage: decode a (possibly LOSSY) payload, re-
     synthesize the generator's original pixels from image_id, and emit
     the per-row reconstruction invariant (BASELINE.json input_hint):
     PSNR in integer centi-dB (99999 = bit-exact), the decoded-pixel
     checksum, and the PSNR ≥ 40 dB verdict.  jpeg rows exercise the
     real baseline DCT+Huffman codec (functions/jpeg.py); png/raw rows
     must come back bit-exact.  Payloads drop in-stage — 5 small
-    columns leave the actor."""
+    columns leave the stage."""
 
     def __init__(self):
         from ..sources.images import lossy_base_pixels, pix_checksum
@@ -240,15 +240,15 @@ class DecodeRoundtrip:
 
 
 class DecodeQuality:
-    """Actor-pool stage: decode payload → integer-exact quality signals
+    """Stateless stage: decode payload → integer-exact quality signals
     (brightness / contrast / edge energy) → in-stage filter keeping
     only images at or above mid-gray mean brightness.
 
     The image analogue of the text quality filter (text.py): score in
     the map stage, shed rejected rows BEFORE any downstream exchange so
     filtered payloads never hit the object store again.  Use as
-    map_batches(DecodeQuality, batch_format="pyarrow", concurrency=N,
-    batch_size=B small — rows carry binary payloads).
+    map_batches(DecodeQuality(), batch_format="pyarrow", batch_size=B
+    small — rows carry binary payloads).
 
     ``keep_cols``: extra input columns carried through to the output
     (e.g. footprint bbox columns for a downstream spatial stage) — the
@@ -292,7 +292,7 @@ class DecodeQuality:
 
 
 class DecodePyramid:
-    """Actor-pool stage: decode payload → 2× box-downsample pyramid
+    """Stateless stage: decode payload → 2× box-downsample pyramid
     (thumbnail ladder).  Emits ``levels`` rows per image with the
     level dims and a position-weighted integer checksum — the
     tile-server / training-resolution-ladder preprocessing step.
@@ -336,12 +336,12 @@ class DecodePyramid:
 
 
 class DecodeAugment:
-    """Actor-pool stage: decode payload → deterministic augmentation
+    """Stateless stage: decode payload → deterministic augmentation
     variants (horizontal flip, 90° rotation) → integer checksums —
     the training-augmentation fan-out, pinned per (image, variant) by
     a generator-side expected-values oracle.  Payloads drop in-stage;
     at a real deployment the variant pixels would re-encode to the
-    output sink here (same actor, no extra exchange)."""
+    output sink here (same task, no extra exchange)."""
 
     def __init__(self):
         from ..sources.images import AUG_VARIANTS, augment_pixels, pix_checksum
@@ -378,17 +378,17 @@ class DecodeAugment:
 
 
 class DecodeFeatures:
-    """Actor-pool stage: decode payload → per-image features.
+    """Stateless stage: decode payload → per-image features.
 
     Emits mean RGB, luma std, recomputed phash and a thumbnail payload.
-    Use as map_batches(DecodeFeatures, batch_format="pyarrow",
-    concurrency=N, batch_size=B) — batch_size small because rows carry
-    binary payloads (memory-aware batching).
+    Use as map_batches(DecodeFeatures(), batch_format="pyarrow",
+    batch_size=B) — batch_size small because rows carry binary
+    payloads (memory-aware batching).
     """
 
     def __init__(self, thumb: int = 8):
         self.thumb = thumb
-        # once-per-actor setup spot (codec init in a real deployment)
+        # one-time setup spot (codec init in a real deployment)
         from ..sources.images import _phash64
 
         self._phash64 = _phash64

@@ -12,10 +12,10 @@ Three join strategies, picked by data shape (ray_guide join patterns):
    sweep).  One rect is built per distinct tile of the batch.
    Stateless map_batches.  Emits (image_id, tile_id, clip, clip_area).
 2. ``BroadcastPolyJoinClip`` — footprints × an *irregular* polygon set
-   small enough to broadcast (``ray.put`` once).  Actor-pool stage: the
-   STR-tree over the polygon bboxes is built ONCE per actor in
-   __init__, batches stream through __call__.  Emits (image_id,
-   tile_id, clip, clip_area).
+   small enough to ship with the UDF instance itself.  Stateless
+   map_batches: each batch's candidates are the (footprint, polygon)
+   pairs whose bboxes meet (``cells.overlap_pairs``, the cell join's
+   bbox-overlap matrix).  Emits (image_id, tile_id, clip, clip_area).
 3. ``join_cells_within_group`` — both sides large: both datasets in
    the one cell-join side layout (``cells.side_table``: int8 ``side``,
    int64 ``id``, bbox, ``geom``), exploded to cells, unioned,
@@ -46,7 +46,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.rtree import STRtree
 from ..sources.arrow_geom import MULTIPOLYGON_T, arrow_mp_areas, rects_to_arrow
 from .boolean_batch import boolean_batch
 from .cells import cell_bounds_array, cover_bbox, overlap_pairs, split_sides
@@ -157,43 +156,25 @@ def _clip_pairs(ids: dict, subjects, clippings, op, with_clip: bool = True):
 
 
 class BroadcastPolyJoinClip:
-    """Actor-pool join against a broadcast irregular polygon table.
+    """Join against a broadcast irregular polygon table (a stateless
+    map_batches UDF: pass an instance, the table travels with it).
 
-    ``polys`` is either a plain pyarrow Table or a ``ray.ObjectRef`` to
-    one (ray.put once on the driver; each actor ray.gets it once).
-    Expected columns: tile_id:int64, geom:multipolygon, minx..maxy.
+    ``polys`` columns: tile_id:int64, geom:multipolygon, minx..maxy.
     """
 
-    def __init__(self, polys, op: str = "intersection"):
-        try:
-            import ray
-
-            if isinstance(polys, ray.ObjectRef):
-                polys = ray.get(polys)
-        except ImportError:
-            pass
+    def __init__(self, polys: pa.Table, op: str = "intersection"):
         self.op = op
         self.tile_ids = polys["tile_id"].to_numpy()
         geom_col = polys["geom"]
         if isinstance(geom_col, pa.ChunkedArray):
             geom_col = geom_col.combine_chunks()
         self.geom_arr = geom_col.cast(MULTIPOLYGON_T)
-        self.tree = STRtree(
-            polys["minx"].to_numpy(),
-            polys["miny"].to_numpy(),
-            polys["maxx"].to_numpy(),
-            polys["maxy"].to_numpy(),
-        )
+        self.bounds = polys.select(["minx", "miny", "maxx", "maxy"])
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        bminx = batch["minx"].to_numpy()
-        bminy = batch["miny"].to_numpy()
-        bmaxx = batch["maxx"].to_numpy()
-        bmaxy = batch["maxy"].to_numpy()
-
-        # candidate (subject row, clip polygon) pairs: ONE vectorized
-        # descent for the whole batch — no per-row Python probe.
-        cand_row, cand_poly = self.tree.query_many(bminx, bminy, bmaxx, bmaxy)
+        # candidate (subject row, clip polygon) pairs, row-major; a NaN
+        # bound meets nothing, as in the cell join
+        cand_row, cand_poly = overlap_pairs(self.bounds, batch)
         if not len(cand_row):
             return _EMPTY_JOIN_SCHEMA.empty_table()
 

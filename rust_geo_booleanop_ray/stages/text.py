@@ -89,9 +89,9 @@ def regex_token_count_batch(batch: pa.Table, pattern: str = BPE_PATTERN) -> pa.T
 
 
 class LangId:
-    """Actor-pool stage: heuristic language ID.
+    """Stateless stage: heuristic language ID.
 
-    Marker value-sets are materialized once per actor in __init__;
+    Marker value-sets are materialized once in __init__;
     scoring is fully vectorized (split → flatten → is_in per language
     → reduceat per doc → first-strictly-greater argmax, the same
     tie-break the SQL oracle mirrors)."""

@@ -1,5 +1,5 @@
-"""Video frame-sampling and audio feature stages (actor-pool
-map_batches over opaque binary payloads).
+"""Video frame-sampling and audio feature stages (stateless
+map_batches UDFs over opaque binary payloads).
 
 Real decodes throughout: raw RGB frame planes slice zero-copy,
 ``pngv`` payloads inflate through the pure-numpy PNG codec
@@ -44,7 +44,7 @@ def decode_frames(payload: bytes, w: int, h: int, n_frames: int, fmt: str) -> np
 
 
 class FrameSample:
-    """Actor-pool stage: sample every ``stride``-th frame, emit one row
+    """Stateless stage: sample every ``stride``-th frame, emit one row
     per sampled frame with a thumbnail + phash (the frame-level fanout
     a training pipeline feeds into image models)."""
 
@@ -87,7 +87,7 @@ class FrameSample:
 
 
 class AudioFeatures:
-    """Actor-pool stage: PCM decode → integer-exact clip features
+    """Stateless stage: PCM decode → integer-exact clip features
     (peak/absolute-sum/zero-crossings are exact int arithmetic, so the
     outputs are cross-engine stable)."""
 
@@ -117,7 +117,7 @@ class AudioFeatures:
 
 
 class SceneStats:
-    """Actor-pool stage: decode frames → per-video motion profile
+    """Stateless stage: decode frames → per-video motion profile
     (Σ / max of absolute inter-frame differences, integer-exact) —
     the scene-change / motion-energy signal a video curation pipeline
     filters on.  One row out per video; payloads drop in-stage."""

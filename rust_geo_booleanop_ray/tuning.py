@@ -52,16 +52,6 @@ BASELINE.md ("Block policy sweep").
 
 from __future__ import annotations
 
-# Every actor pool's ``concurrency``: it starts at ONE actor and grows to
-# 64.  With the CPU reservation off (above), a pool whose minimum reaches
-# the cluster's CPU count holds every CPU and its upstream read task never
-# runs: at 2 Ray CPUs, q_poly_clip's (2, 64) pool made no progress in
-# 100 s, and a (4, 64) pool hung the same way at 4 CPUs.  A one-actor
-# floor leaves a CPU for the read on any cluster of ≥2 CPUs; on a 1-CPU
-# cluster even one actor holds the only CPU, so the actor-pool queries
-# need ≥2 Ray CPUs (ROADMAP).
-ACTOR_POOL = (1, 64)
-
 _APPLIED = False
 
 

@@ -1,8 +1,8 @@
 """The block policy: ``tuning.tune_data_context()`` alone decides how many
 blocks a source has (two per CPU of the live cluster), engine code passes
 no block count, and no output depends on how the input is split.  Also
-the other cluster-shape rules: actor pools size from
-``tuning.ACTOR_POOL``, rows-cardinality keys shuffle only through
+the other cluster-shape rules: no stage runs as an actor pool (no
+``concurrency=``), rows-cardinality keys shuffle only through
 ``stages/exchange.py::hash_exchange``, and cell ids are computed only in
 ``stages/cells.py``."""
 
@@ -87,10 +87,11 @@ def _package_lines_matching(pattern, skip=()):
 def test_engine_passes_no_block_count():
     """Block counts come from ``tune_data_context()`` only: no
     ``num_blocks=``, ``override_num_blocks=`` or ``parallelism=`` in
-    the engine; actor pool sizes come from ``tuning.ACTOR_POOL``, never
-    a literal ``concurrency=(...)``."""
+    the engine; and no ``concurrency=``: UDFs are stateless instances,
+    never actor pools (a pool's actors hold CPUs its upstream read
+    needs)."""
     pattern = re.compile(
-        r"(?<![\w.])(override_num_blocks|num_blocks|parallelism)\s*=(?!=)|concurrency\s*=\s*\("
+        r"(?<![\w.])(override_num_blocks|num_blocks|parallelism|concurrency)\s*=(?!=)"
     )
     assert _package_lines_matching(pattern) == []
 
@@ -134,21 +135,24 @@ def test_cell_ids_computed_only_in_cells_module():
     assert offenders == []
 
 
-_POLY_CLIP_AT_2_CPUS = """
+_QUERIES_AT_1_CPU = """
 import ray
-ray.init(address="local", num_cpus=2, include_dashboard=False, logging_level="ERROR")
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
 from rust_geo_booleanop_ray.pipelines.queries import build_queries
-print(build_queries()["poly_clip"]({sf!r}).count())
+queries = build_queries()
+for name in ("poly_clip", "scene_stats"):
+    print(queries[name]({sf!r}).count())
 """
 
 
-def test_actor_pool_query_runs_on_two_cpus():
-    """An actor-pool query finishes on a 2-CPU cluster: a pool whose
-    minimum size is the CPU count holds every CPU and its upstream read
-    never runs (q_poly_clip at ``concurrency=(2, 64)`` made no progress)."""
+def test_clip_and_decode_queries_run_on_one_cpu():
+    """The broadcast clip and a video decode stage finish on a 1-CPU
+    cluster: both run as stateless tasks, so no actor holds the only CPU
+    while its upstream read waits for it (as an actor pool, q_poly_clip
+    made no progress in 120 s)."""
     from conftest import REPO, TESTDATA
 
-    script = _POLY_CLIP_AT_2_CPUS.format(sf=os.path.join(TESTDATA, "sf0.001"))
+    script = _QUERIES_AT_1_CPU.format(sf=os.path.join(TESTDATA, "sf0.001"))
     try:
         out = subprocess.run(
             [sys.executable, "-c", script],
@@ -158,6 +162,7 @@ def test_actor_pool_query_runs_on_two_cpus():
             cwd=REPO,  # Ray workers import the package from the working directory
         )
     except subprocess.TimeoutExpired:
-        pytest.fail("q_poly_clip made no progress in 180 s on a 2-CPU Ray cluster")
+        pytest.fail("poly_clip and scene_stats did not finish in 180 s on a 1-CPU Ray cluster")
     assert out.returncode == 0, out.stderr[-2000:]
-    assert int(out.stdout.split()[-1]) > 0
+    counts = [int(n) for n in out.stdout.split()[-2:]]
+    assert len(counts) == 2 and min(counts) > 0

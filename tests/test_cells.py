@@ -1,10 +1,9 @@
-"""Cell index, cover/explode, PIP, R-tree unit tests."""
+"""Cell index, cover/explode, PIP unit tests."""
 
 import numpy as np
 import pyarrow as pa
 
 from rust_geo_booleanop_ray.functions.pip import pip_bbox, points_in_multipolygon
-from rust_geo_booleanop_ray.functions.rtree import STRtree
 from rust_geo_booleanop_ray.stages.cells import (
     MAX_RES,
     WORLD,
@@ -155,53 +154,6 @@ def test_cell_bounds_array_matches_scalar_formula():
             want = _scalar_cell_bounds(int(c))
             assert tuple(float(a[i]) for a in arrays) == want
             assert cell_bounds(int(c)) == want
-
-
-def test_rtree_randomized():
-    rng = np.random.default_rng(11)
-    n = 700
-    x = rng.uniform(-10, 10, n)
-    y = rng.uniform(-10, 10, n)
-    t = STRtree(x, y, x + 1, y + 1, leaf_size=8)
-    for _ in range(50):
-        qx, qy = rng.uniform(-10, 10, 2)
-        got = set(t.query(qx, qy, qx + 3, qy + 3).tolist())
-        brute = set(
-            np.flatnonzero(
-                ~((x > qx + 3) | (x + 1 < qx) | (y > qy + 3) | (y + 1 < qy))
-            ).tolist()
-        )
-        assert got == brute
-
-
-def test_rtree_query_many_matches_per_row():
-    """query_many ≡ per-row query + np.sort, for boxes, points and
-    empty/degenerate cases."""
-    rng = np.random.default_rng(7)
-    n = 400
-    x = rng.uniform(-10, 10, n)
-    y = rng.uniform(-10, 10, n)
-    t = STRtree(x, y, x + rng.uniform(0.1, 2, n), y + rng.uniform(0.1, 2, n), leaf_size=8)
-    nq = 120
-    qx = rng.uniform(-12, 12, nq)
-    qy = rng.uniform(-12, 12, nq)
-    w = rng.uniform(0, 3, nq)
-    w[::5] = 0.0  # degenerate point queries mixed in
-    rows, cands = t.query_many(qx, qy, qx + w, qy + w)
-    exp_rows, exp_cands = [], []
-    for i in range(nq):
-        c = np.sort(t.query(qx[i], qy[i], qx[i] + w[i], qy[i] + w[i]))
-        exp_rows.extend([i] * len(c))
-        exp_cands.extend(c.tolist())
-    assert rows.tolist() == exp_rows
-    assert cands.tolist() == exp_cands
-
-    # empty tree and empty query batch
-    empty = STRtree(np.empty(0), np.empty(0), np.empty(0), np.empty(0))
-    r, c = empty.query_many(qx, qy, qx, qy)
-    assert len(r) == 0 and len(c) == 0
-    r, c = t.query_many(np.empty(0), np.empty(0), np.empty(0), np.empty(0))
-    assert len(r) == 0 and len(c) == 0
 
 
 def test_cover_bbox_and_explode_empty_input():

@@ -574,13 +574,12 @@ def test_exact_dedup_bucketed_merge_matches_per_group():
     assert got == want
 
 
-def test_overlap_matrix_matches_str_tree(monkeypatch):
+def test_overlap_matrix_matches_brute_force(monkeypatch):
     """``overlap_pairs`` (``contain_chunks``' matrices) over two bbox
-    sets gives exactly ``STRtree.query_many``'s (row, candidate) pairs,
-    in the same order, with one matrix and in tiny chunks: integer boxes that share edges
-    and corners, and degenerate ones, overlap when their closed boxes
-    meet."""
-    from rust_geo_booleanop_ray.functions.rtree import STRtree
+    sets gives exactly the (row, candidate) pairs of a per-row closed-box
+    test, in row-major order, with one matrix and in tiny chunks:
+    integer boxes that share edges and corners, and degenerate ones,
+    overlap when their closed boxes meet."""
     from rust_geo_booleanop_ray.stages import cells
 
     rng = np.random.Generator(np.random.PCG64(29))
@@ -592,8 +591,13 @@ def test_overlap_matrix_matches_str_tree(monkeypatch):
 
     probe, build = boxes(500, cells.PROBE), boxes(300, cells.BUILD)
     bounds = ("minx", "miny", "maxx", "maxy")
-    tree = STRtree(*(build[c].to_numpy() for c in bounds))
-    want = tree.query_many(*(probe[c].to_numpy() for c in bounds))
+    bx0, by0, bx1, by1 = (build[c].to_numpy() for c in bounds)
+    rows, cands = [], []
+    for i, (x0, y0, x1, y1) in enumerate(zip(*(probe[c].to_numpy() for c in bounds))):
+        hit = np.flatnonzero((x0 <= bx1) & (x1 >= bx0) & (y0 <= by1) & (y1 >= by0))
+        rows.extend([i] * len(hit))
+        cands.extend(hit)
+    want = (np.array(rows, np.int64), np.array(cands, np.int64))
     # shared edges and corners are among the pairs
     touch = (
         (probe["maxx"].to_numpy()[want[0]] == build["minx"].to_numpy()[want[1]])

@@ -256,12 +256,23 @@ def _rows_key(t, a="image_id", b="tile_id"):
     )
 
 
+def _with_nan_bbox(f):
+    """``f`` plus a copy of its first row named ``"nan-bbox"`` whose
+    ``minx`` is NaN (its geometry unchanged)."""
+    extra = f.slice(0, 1)
+    extra = extra.set_column(
+        extra.schema.get_field_index("image_id"), "image_id", pa.array(["nan-bbox"])
+    )
+    extra = extra.set_column(extra.schema.get_field_index("minx"), "minx", pa.array([np.nan]))
+    return pa.concat_tables([f, extra])
+
+
 def test_broadcast_poly_native_matches_python_fallback(monkeypatch):
     """The whole-batch native clip path and the per-pair Python loop
-    must produce identical join rows (pairs + areas)."""
-    import os
-
-    f = _footprints(120)
+    must produce identical join rows (pairs + areas).  A footprint whose
+    bbox has a NaN bound gets no candidates, in the broadcast join as
+    in the cell join, although its geometry meets regions."""
+    f = _with_nan_bbox(_footprints(120))
     polys = _region_polys()
     native_out = BroadcastPolyJoinClip(polys)(f)
 
@@ -270,6 +281,14 @@ def test_broadcast_poly_native_matches_python_fallback(monkeypatch):
     monkeypatch.delenv("GEO_NATIVE")
     assert native_out.num_rows > 0
     assert _rows_key(native_out) == _rows_key(py_out)
+    image_ids = native_out["image_id"].to_pylist()
+    assert f["image_id"][0].as_py() in image_ids and "nan-bbox" not in image_ids
+
+    nan_row = f.num_rows - 1
+    group = pa.concat_tables([_side(BUILD, polys["tile_id"], polys, "geom"), _footprint_probe(f)])
+    cell_out = join_cells_within_group(group)
+    probe_ids = cell_out["probe_id"].to_pylist()
+    assert 0 in probe_ids and nan_row not in probe_ids
     # clip geometries themselves agree
     assert sorted(map(str, arrow_to_mps(native_out["clip"]))) == sorted(
         map(str, arrow_to_mps(py_out["clip"]))
@@ -395,9 +414,13 @@ def test_indexed_joins_match_materialized_operands():
     included."""
     from kernel_cases import assert_bit_identical
 
-    from rust_geo_booleanop_ray.functions.rtree import STRtree
     from rust_geo_booleanop_ray.sources.arrow_geom import rects_to_arrow
-    from rust_geo_booleanop_ray.stages.cells import cell_bounds_array, cover_bbox, split_sides
+    from rust_geo_booleanop_ray.stages.cells import (
+        cell_bounds_array,
+        cover_bbox,
+        overlap_pairs,
+        split_sides,
+    )
 
     f = _footprints(120)
     bbox = [f[c].to_numpy() for c in ("minx", "miny", "maxx", "maxy")]
@@ -413,8 +436,7 @@ def test_indexed_joins_match_materialized_operands():
     assert_bit_identical(got["clip"].combine_chunks(), want["clip"].combine_chunks())
 
     polys = _region_polys()
-    tree = STRtree(*(polys[c].to_numpy() for c in ("minx", "miny", "maxx", "maxy")))
-    row, poly = tree.query_many(*bbox)
+    row, poly = overlap_pairs(polys, f)
     want = _clip_materialized(
         {"image_id": f["image_id"].take(pa.array(row)), "tile_id": polys["tile_id"].take(pa.array(poly))},
         f["footprint"].take(pa.array(row)),
@@ -426,8 +448,7 @@ def test_indexed_joins_match_materialized_operands():
 
     group = pa.concat_tables([_side(BUILD, polys["tile_id"], polys, "geom"), _footprint_probe(f)])
     probe, build = split_sides(group)
-    tree = STRtree(*(build[c].to_numpy() for c in ("minx", "miny", "maxx", "maxy")))
-    row, cand = tree.query_many(*(probe[c].to_numpy() for c in ("minx", "miny", "maxx", "maxy")))
+    row, cand = overlap_pairs(build, probe)
     want = _clip_materialized(
         {"probe_id": probe["id"].take(pa.array(row)), "build_id": build["id"].take(pa.array(cand))},
         probe["geom"].take(pa.array(row)),

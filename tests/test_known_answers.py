@@ -19,7 +19,6 @@ from kernel_cases import assert_bit_identical, bits
 from test_boolean_dispatch import _pairs
 
 from rust_geo_booleanop_ray import native
-from rust_geo_booleanop_ray.functions.rtree import STRtree
 from rust_geo_booleanop_ray.geom.boolean_op import boolean_op_python
 from rust_geo_booleanop_ray.pipelines.catalog.spatial import (
     _part_rect_batch,
@@ -28,7 +27,7 @@ from rust_geo_booleanop_ray.pipelines.catalog.spatial import (
 from rust_geo_booleanop_ray.sources.arrow_geom import arrow_to_mps, flat_to_arrow, mps_to_arrow
 from rust_geo_booleanop_ray.sources.images import _SIZES
 from rust_geo_booleanop_ray.stages.boolean_batch import BooleanOpBatch, boolean_batch
-from rust_geo_booleanop_ray.stages.cells import cell_bounds_array, cover_bbox
+from rust_geo_booleanop_ray.stages.cells import cell_bounds_array, cover_bbox, overlap_pairs
 from rust_geo_booleanop_ray.stages.footprint import derive_footprints
 from rust_geo_booleanop_ray.stages.join_clip import TileJoinClip
 
@@ -123,8 +122,9 @@ def _with_ulp_neighbours(v):
 
 def _polyjoin_pairs(seed):
     """The polyjoin benchmark's part × supplier rects for ``seed`` (20,000
-    parts, sizes drawn after brands) paired by STR-tree candidates, and
-    each pair's overlap rect as (lo, hi) corners."""
+    parts, sizes drawn after brands) paired by bbox-overlap candidates
+    (``cells.overlap_pairs``), and each pair's overlap rect as (lo, hi)
+    corners."""
     rng = np.random.default_rng(seed)
     n = 20_000
     rng.integers(1, 26, n)  # brands
@@ -138,8 +138,7 @@ def _polyjoin_pairs(seed):
     )
     sup = _supplier_rect_batch(pa.table({"s_suppkey": np.arange(1_000, dtype=np.int64)}))
     bounds = ("minx", "miny", "maxx", "maxy")
-    tree = STRtree(*(sup[k].to_numpy() for k in bounds))
-    row, build = tree.query_many(*(part[k].to_numpy() for k in bounds))
+    row, build = overlap_pairs(sup, part)
     s = part["footprint"].combine_chunks().take(pa.array(row))
     c = sup["geom"].combine_chunks().take(pa.array(build))
     pb = np.stack([part[k].to_numpy()[row] for k in bounds])
