@@ -38,11 +38,12 @@ def merge_queries(*tables: dict[str, Query]) -> dict[str, Query]:
 
 
 def _read(sf_dir: str, table: str, columns=None):
-    """Column-pruned parquet read; ``tune_data_context()`` sizes it to
-    the cluster (two blocks per CPU) even when the table is one file."""
-    import ray.data as rd
+    """Column-pruned parquet read of ``<sf_dir>/<table>.parquet``, in
+    blocks ``tuning.read_parquet`` sizes from the bytes of the columns
+    read: one per MiB, at most two per cluster CPU."""
+    from ...tuning import read_parquet
 
-    return rd.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
+    return read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
 def _cents(x: np.ndarray) -> np.ndarray:

@@ -337,15 +337,13 @@ IMAGE_SIM_QUERIES = (0, 251, 502, 753, 1004, 1255)
 def q_image_sim(sf_dir: str):
     """Similarity search over the IMAGE table: decode → 16-d integer
     thumbnail vector → exact squared-L2 top-k against a broadcast
-    query matrix (ray.put once, read in the stage's __init__), fused
+    query matrix (shipped inside the stage instance), fused
     into a single stage that emits only Q×k candidate rows per
     batch — the merge groupby moves kilobytes regardless of corpus
     size.  Integer features keep every distance exact, so the oracle
     (generator-side feature literals + a windowed ROW_NUMBER top-k)
     is value-exact and driver equality pins the decode path, the
     feature math and the distributed top-k merge."""
-    import ray
-
     from ...sources.images import expected_thumb_features, read_synth_images
     from ...stages.image_ops import ImageSimMerge, ImageSimPartial
 
@@ -357,11 +355,10 @@ def q_image_sim(sf_dir: str):
             for i in qpos
         ]
     )
-    queries_ref = ray.put((np.array(qpos, dtype=np.int64), qmat))
 
     ds = read_synth_images(IMAGE_SIM_N)
     cands = ds.map_batches(
-        ImageSimPartial(queries_ref, IMAGE_SIM_K),
+        ImageSimPartial((np.array(qpos, dtype=np.int64), qmat), IMAGE_SIM_K),
         batch_format="pyarrow",
         batch_size=256,
     )

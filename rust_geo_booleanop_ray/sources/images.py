@@ -133,8 +133,12 @@ def read_synth_images(n_images: int, seed: int = 42):
 def read_image_table(path: str, columns=None):
     """Read a materialized image table: Lance when the lance package is
     present, parquet otherwise (identical schema — parquet is the
-    sandbox stand-in for the Lance table named in BASELINE.json)."""
+    sandbox stand-in for the Lance table named in BASELINE.json).
+    ``tuning.read_parquet`` sizes a parquet table's blocks from its
+    bytes."""
     import ray.data as rd
+
+    from ..tuning import read_parquet
 
     try:
         import lance  # noqa: F401
@@ -143,7 +147,7 @@ def read_image_table(path: str, columns=None):
             return rd.read_lance(path, columns=columns)
     except ImportError:
         pass
-    return rd.read_parquet(path, columns=columns)
+    return read_parquet(path, columns=columns)
 
 
 def pix_checksum(pixels: np.ndarray) -> np.int64:

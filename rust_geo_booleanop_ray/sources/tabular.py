@@ -27,11 +27,14 @@ def read_table_any(
     downstream schema.  Column pruning happens at the read for parquet
     and immediately after for the row-oriented text formats (they have
     no column projection — which is exactly why parquet is the scale
-    format; the text paths exist for ingest compatibility)."""
+    format; the text paths exist for ingest compatibility).  Parquet
+    blocks are sized from the bytes read (``tuning.read_parquet``)."""
     import ray.data as rd
 
+    from ..tuning import read_parquet
+
     if path.endswith(".parquet"):
-        return rd.read_parquet(path, columns=columns)
+        return read_parquet(path, columns=columns)
     if path.endswith(".csv"):
         from pyarrow import csv as pacsv
 

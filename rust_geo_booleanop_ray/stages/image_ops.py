@@ -113,21 +113,14 @@ class ImageSimPartial:
     integer thumb vector → squared-L2 distances against the BROADCAST
     query matrix → per-batch partial top-k.
 
-    ``queries`` is a ray.ObjectRef to (query_idxs: int64[Q],
-    matrix: int64[Q, 16]), fetched in __init__ (never re-shipped per
-    batch).  Emitting only
-    Q×k candidate rows per batch means the merge groupby moves
-    kilobytes regardless of corpus size — the brute-force-baseline
-    scale shape from stages/ann.py applied to the image axis."""
+    ``queries`` is the tuple (query_idxs: int64[Q], matrix:
+    int64[Q, 16]); the instance carries it to each task, never per
+    batch.  Emitting only Q×k candidate rows per batch means the merge
+    groupby moves kilobytes regardless of corpus size — the
+    brute-force-baseline scale shape from stages/ann.py applied to the
+    image axis."""
 
     def __init__(self, queries, k: int):
-        try:
-            import ray
-
-            if isinstance(queries, ray.ObjectRef):
-                queries = ray.get(queries)
-        except ImportError:
-            pass
         self.query_idxs, self.qmat = queries
         self.qmat = np.asarray(self.qmat, dtype=np.int64)
         self.k = k

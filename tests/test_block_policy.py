@@ -1,6 +1,9 @@
-"""The block policy: ``tuning.tune_data_context()`` alone decides how many
-blocks a source has (two per CPU of the live cluster), engine code passes
-no block count, and no output depends on how the input is split.  Also
+"""The block policy: ``tuning.py`` alone decides how many blocks a source
+has (a parquet read one per MiB of the columns it reads, at most two per
+CPU of the live cluster; a synthetic source two per CPU), engine code
+passes no block count and reads parquet only through
+``tuning.read_parquet``, and no output depends on how the input is
+split.  Also
 the other cluster-shape rules: no stage runs as an actor pool (no
 ``concurrency=``), rows-cardinality keys shuffle only through
 ``stages/exchange.py::hash_exchange``, and cell ids are computed only in
@@ -52,22 +55,92 @@ def test_tile_pipeline_is_block_count_invariant(ray_session, images):
         assert table.equals(outs[1]), f"{k} input blocks changed the tiles"
 
 
-def test_sources_get_two_blocks_per_cpu(ray_session, images, tmp_path):
-    """Parquet reads and synthetic range sources, even of one small file,
-    split into exactly two blocks per cluster CPU."""
+def _footer_bytes(path: str, columns=None) -> int:
+    """Uncompressed bytes of ``columns`` (all when None) in one parquet
+    file's footer."""
+    meta = pq.ParquetFile(path).metadata
+    return sum(
+        meta.row_group(i).column(j).total_uncompressed_size
+        for i in range(meta.num_row_groups)
+        for j in range(meta.num_columns)
+        if columns is None or meta.row_group(i).column(j).path_in_schema in columns
+    )
+
+
+def test_source_blocks_follow_bytes(ray_session, images, tmp_path):
+    """A parquet read gets one block per MiB of the columns it reads, at
+    least one and at most two per cluster CPU; a synthetic range source,
+    whose size is unknown, keeps two per CPU."""
     import ray
 
     from rust_geo_booleanop_ray.pipelines.catalog._shared import _read
     from rust_geo_booleanop_ray.sources.images import read_image_table, read_synth_images
+    from rust_geo_booleanop_ray.sources.tabular import read_table_any
 
-    want = 2 * int(ray.cluster_resources()["CPU"])
+    most = 2 * int(ray.cluster_resources()["CPU"])
+    mib = 1 << 20
+
+    def blocks(ds):
+        return ds.materialize().num_blocks()
+
     pq.write_table(pa.table({"x": np.arange(4096)}), str(tmp_path / "t.parquet"))
+    assert blocks(_read(str(tmp_path), "t")) == 1
+    assert blocks(read_table_any(str(tmp_path / "t.parquet"))) == 1
+
+    # random int64s do not dictionary-encode: ~2.5 MiB per column
+    rng = np.random.default_rng(0)
+    n = 5 * mib // 16
+    few = pa.table({"x": rng.integers(0, 2**62, n), "y": rng.integers(0, 2**62, n)})
+    pq.write_table(few, str(tmp_path / "few.parquet"))
+    path = str(tmp_path / "few.parquet")
+    for columns in (["x"], None):
+        want = -(-_footer_bytes(path, columns) // mib)
+        assert 1 < want < most
+        assert blocks(_read(str(tmp_path), "few", columns)) == want
+
+    big = pa.table({"x": rng.integers(0, 2**62, (most + 1) * mib // 8)})
+    pq.write_table(big, str(tmp_path / "big.parquet"))
+    assert _footer_bytes(str(tmp_path / "big.parquet")) > most * mib
+    assert blocks(_read(str(tmp_path), "big")) == most
+
     os.makedirs(tmp_path / "images")
     pq.write_table(images, str(tmp_path / "images" / "images.parquet"))
+    want = min(most, -(-_footer_bytes(str(tmp_path / "images" / "images.parquet")) // mib))
+    assert blocks(read_image_table(str(tmp_path / "images"))) == want
+    assert blocks(read_synth_images(1024)) == most
 
-    assert _read(str(tmp_path), "t").materialize().num_blocks() == want
-    assert read_image_table(str(tmp_path / "images")).materialize().num_blocks() == want
-    assert read_synth_images(1024).materialize().num_blocks() == want
+
+@pytest.mark.parametrize("name", ["poly_join_big", "pip_join"])
+def test_cell_joins_are_block_count_invariant(ray_session, name):
+    """The cell joins give the same rows whether each side is read as one
+    block (the sf0.001 tables are a few KB) or as two per CPU (a
+    ``target_min_block_size`` of one byte): the multi-block shuffle path
+    the oracle gate's tiny tables no longer take."""
+    import ray
+    from ray.data import DataContext
+
+    from conftest import TESTDATA
+    from rust_geo_booleanop_ray.pipelines.catalog._shared import _read
+    from rust_geo_booleanop_ray.pipelines.queries import build_queries
+
+    sf = os.path.join(TESTDATA, "sf0.001")
+    plan = build_queries()[name]
+    ctx = DataContext.get_current()
+    default = ctx.target_min_block_size
+    outs = {}
+    try:
+        for per_block, want in ((default, 1), (1, 2 * int(ray.cluster_resources()["CPU"]))):
+            ctx.target_min_block_size = per_block
+            assert _read(sf, "part", ["p_partkey", "p_size"]).materialize().num_blocks() == want
+            table = pa.concat_tables(
+                plan(sf).iter_batches(batch_format="pyarrow", batch_size=None)
+            )
+            outs[want] = table.sort_by([(c, "ascending") for c in table.column_names])
+    finally:
+        ctx.target_min_block_size = default
+    one, many = outs.values()
+    assert one.num_rows > 0
+    assert many.equals(one)
 
 
 def _package_lines_matching(pattern, skip=()):
@@ -85,15 +158,44 @@ def _package_lines_matching(pattern, skip=()):
 
 
 def test_engine_passes_no_block_count():
-    """Block counts come from ``tune_data_context()`` only: no
-    ``num_blocks=``, ``override_num_blocks=`` or ``parallelism=`` in
-    the engine; and no ``concurrency=``: UDFs are stateless instances,
-    never actor pools (a pool's actors hold CPUs its upstream read
-    needs)."""
-    pattern = re.compile(
-        r"(?<![\w.])(override_num_blocks|num_blocks|parallelism|concurrency)\s*=(?!=)"
-    )
+    """Block counts come from ``tuning.py`` only: no ``num_blocks=`` or
+    ``parallelism=`` in the engine, and ``override_num_blocks=`` only in
+    ``tuning.read_parquet``; and no ``concurrency=``: UDFs are stateless
+    instances, never actor pools (a pool's actors hold CPUs its upstream
+    read needs)."""
+    pattern = re.compile(r"(?<![\w.])(num_blocks|parallelism|concurrency)\s*=(?!=)")
+    override = re.compile(r"(?<![\w.])override_num_blocks\s*=(?!=)")
     assert _package_lines_matching(pattern) == []
+    assert _package_lines_matching(override, skip={"tuning.py"}) == []
+
+
+def test_parquet_read_only_through_tuning():
+    """Every parquet source is sized by ``tuning.read_parquet``: outside
+    ``tuning.py`` no module calls another ``read_parquet`` (``rd.``,
+    ``ray.data.``) or imports one from anywhere but ``tuning``.  SQL
+    strings that name DuckDB's ``read_parquet`` are not code."""
+    offenders = []
+    for root, _, files in os.walk(PACKAGE):
+        for name in files:
+            path = os.path.join(root, name)
+            rel = os.path.relpath(path, PACKAGE)
+            if not name.endswith(".py") or rel == "tuning.py":
+                continue
+            with open(path, encoding="utf-8") as f:
+                tree = ast.parse(f.read())
+            for node in ast.walk(tree):
+                foreign = (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == "read_parquet"
+                    and not (isinstance(node.value, ast.Name) and node.value.id == "tuning")
+                ) or (
+                    isinstance(node, ast.ImportFrom)
+                    and any(a.name == "read_parquet" for a in node.names)
+                    and (node.module or "").rpartition(".")[2] != "tuning"
+                )
+                if foreign:
+                    offenders.append(f"{rel}:{node.lineno}")
+    assert offenders == []
 
 
 def test_no_hand_rolled_hash_exchange():

@@ -162,8 +162,6 @@ def test_thumb_features_match_decode_path():
 def test_image_sim_matches_brute_force(ray_session):
     """Engine top-k == a scalar numpy reference over the full corpus
     (exact integer distances, (dist, img_idx) tie-break)."""
-    import ray
-
     from rust_geo_booleanop_ray.sources.images import (
         expected_thumb_features,
         read_synth_images,
@@ -191,11 +189,10 @@ def test_image_sim_matches_brute_force(ray_session):
             }
         )
 
-    queries_ref = ray.put((np.array(qpos, dtype=np.int64), qmat))
     out = (
         read_synth_images(N)
         .map_batches(
-            ImageSimPartial(queries_ref, K),
+            ImageSimPartial((np.array(qpos, dtype=np.int64), qmat), K),
             batch_format="pyarrow",
             batch_size=64,
         )
