@@ -4,10 +4,15 @@ Built on first import with the system compiler if available.  The
 library has one entry point, ``martinez_batch``: a whole batch of pairs
 through the Arrow offset buffers, each operand read in row order or
 through the row indices of an Arrow dictionary column, with one
-reusable workspace per call (no allocation per pair).
-``stages.boolean_batch.boolean_batch`` is the one place that chooses
-between it and the pure-Python reference kernel, which runs when the
-build fails or ``GEO_NATIVE=0``.  Parity
+reusable workspace per call (no allocation per pair).  It returns the
+result rings, or, given an area output (``martinez(..., areas=True)``,
+``native_boolean_areas``), only each pair's structural area and polygon
+count: it keeps no ring, and the areas are bit for bit
+``sources.arrow_geom.arrow_mp_areas`` of the rings, numpy's reduce
+order included.  ``stages.boolean_batch.boolean_batch`` and
+``boolean_areas`` are the one place that chooses between it and the
+pure-Python reference kernel, which runs when the build fails or
+``GEO_NATIVE=0``.  Parity
 with the Python kernel is enforced by the conformance corpus
 (tests/test_conformance.py runs both) and a seeded differential test
 (tests/test_boolean_dispatch.py) — the C code is an
@@ -19,11 +24,14 @@ node that shares the file.
 Before its sweep, ``martinez_batch`` answers the `intersection` pairs
 whose result has a closed form (rect ∩ rect, and a convex ring
 strictly inside a rect) and reports a class per pair: ``martinez``
-returns it next to the result, and ``native_boolean_batch`` adds it to
-this process's ``gate_counts()``.  The Python kernel has no such gate:
-it is the ungated reference every known answer is tested against
-(tests/test_known_answers.py), so under ``GEO_NATIVE=0`` those pairs
-are swept, with the same bits.  ``COORD_MIN``, ``COORD_MAX`` and
+returns it next to the result, and ``native_boolean_batch`` and
+``native_boolean_areas`` add it to this process's ``gate_counts()``.
+The gate classifies each operand row once per call (one polygon of one
+ring or not, rect or not, the rect's bbox), in a record per row of the
+geometry column, so a rect that meets many pairs is read once.  The
+Python kernel has no such gate: it is the ungated reference every
+known answer is tested against (tests/test_known_answers.py), so under
+``GEO_NATIVE=0`` those pairs are swept, with the same bits.  ``COORD_MIN``, ``COORD_MAX`` and
 ``SPREAD_MAX``, the gate's bounds, are read from martinez.c.
 
 The library file is named after a hash of the source and the flags, so
@@ -137,11 +145,12 @@ def _load():
         dp, i32p, i32p, i32p,
         dp, i32p, i32p, i32p,
         i64p, i64p,
+        ctypes.c_int64, ctypes.c_int64,
         ctypes.c_int64, i32p,
         ctypes.POINTER(dp), ctypes.POINTER(i64p), ctypes.POINTER(i64p),
         ctypes.POINTER(i64p),
         i64p, i64p, i64p,
-        ctypes.POINTER(ctypes.c_int8),
+        ctypes.POINTER(ctypes.c_int8), dp,
     ]
     lib.martinez_free_batch.restype = None
     lib.martinez_free_batch.argtypes = [dp, i64p, i64p, i64p]
@@ -204,13 +213,32 @@ def native_boolean_batch(subject_arr, clipping_arr, ops):
     if out is None:
         return None
     res, classes = out
-    _gate_counts[:] += np.bincount(classes, minlength=len(GATE_CLASSES))
+    _count(classes)
     return res
 
 
+def native_boolean_areas(subject_arr, clipping_arr, ops):
+    """``native_boolean_batch`` reduced to what an area join reads:
+    (structural area of each pair's result, bit-identical to
+    ``arrow_mp_areas`` of the ring result; whether the result has a
+    polygon), from ``martinez(..., areas=True)``, which builds no ring.
+    Its classes are added to this process's ``gate_counts``.  Returns
+    None only when the native library is unavailable."""
+    out = martinez(subject_arr, clipping_arr, ops, areas=True)
+    if out is None:
+        return None
+    areas, polys, classes = out
+    _count(classes)
+    return areas, polys > 0
+
+
+def _count(classes) -> None:
+    _gate_counts[:] += np.bincount(classes, minlength=len(GATE_CLASSES))
+
+
 def gate_counts() -> dict:
-    """Pairs this process sent through ``native_boolean_batch``, by
-    ``GATE_CLASSES`` name."""
+    """Pairs this process sent through ``native_boolean_batch`` and
+    ``native_boolean_areas``, by ``GATE_CLASSES`` name."""
     return dict(zip(GATE_CLASSES, _gate_counts.tolist()))
 
 
@@ -236,9 +264,12 @@ def _operand(arr):
     return values, rows
 
 
-def martinez(subject_arr, clipping_arr, ops):
+def martinez(subject_arr, clipping_arr, ops, areas: bool = False):
     """(result, classes) of ``martinez_batch`` over two Arrow
-    multipolygon columns.
+    multipolygon columns; with ``areas``, (area, polygons, classes)
+    instead: each pair's structural area (``arrow_mp_areas`` of its
+    result, bit for bit) and polygon count, from a call that keeps no
+    ring.
 
     ``ops`` is one op name for every row, or one name per row (a list
     or an Arrow string array); an unknown name raises ``ValueError``.
@@ -282,6 +313,7 @@ def martinez(subject_arr, clipping_arr, ops):
     n_r = ctypes.c_int64()
     n_p = ctypes.c_int64()
     classes = np.zeros(max(n, 1), np.int8)
+    area = np.zeros(max(n, 1)) if areas else None
 
     rc = lib.martinez_batch(
         s_xy.ctypes.data_as(dp), s_ro.ctypes.data_as(i32p),
@@ -290,16 +322,21 @@ def martinez(subject_arr, clipping_arr, ops):
         c_po.ctypes.data_as(i32p), c_mo.ctypes.data_as(i32p),
         None if s_rows is None else s_rows.ctypes.data_as(i64p),
         None if c_rows is None else c_rows.ctypes.data_as(i64p),
+        ctypes.c_int64(len(subject_arr)), ctypes.c_int64(len(clipping_arr)),
         ctypes.c_int64(n), op_codes.ctypes.data_as(i32p),
         ctypes.byref(out_xy), ctypes.byref(out_rs), ctypes.byref(out_prc),
         ctypes.byref(out_ppc),
         ctypes.byref(n_v), ctypes.byref(n_r), ctypes.byref(n_p),
         classes.ctypes.data_as(ctypes.POINTER(ctypes.c_int8)),
+        None if area is None else area.ctypes.data_as(dp),
     )
     if rc != 0:
         raise RuntimeError(f"martinez_batch failed: {_ERRORS.get(rc, rc)}")
 
     try:
+        ppc = np.ctypeslib.as_array(out_ppc, shape=(n,)).copy() if n else np.empty(0, np.int64)
+        if areas:
+            return area[:n], ppc, classes[:n]
         nv, nr, npolys = n_v.value, n_r.value, n_p.value
         xy = (
             np.ctypeslib.as_array(out_xy, shape=(nv, 2)).copy()
@@ -316,7 +353,6 @@ def martinez(subject_arr, clipping_arr, ops):
             if npolys
             else np.empty(0, np.int64)
         )
-        ppc = np.ctypeslib.as_array(out_ppc, shape=(n,)).copy() if n else np.empty(0, np.int64)
         return flat_to_arrow(xy, sizes, prc, ppc), classes[:n]
     finally:
         lib.martinez_free_batch(out_xy, out_rs, out_prc, out_ppc)

@@ -1169,42 +1169,123 @@ typedef struct {
     int64_t n_vertices, n_rings, n_polys;
 } Result;
 
-static void result_append_ring(Result *res, const double *pts, int64_t npts,
-                               int64_t *cap_v, int64_t *cap_r) {
-    if (res->n_vertices + npts > *cap_v) {
-        while (res->n_vertices + npts > *cap_v) *cap_v *= 2;
-        res->xy = (double *)realloc(res->xy, *cap_v * 2 * sizeof(double));
-    }
-    memcpy(res->xy + 2 * res->n_vertices, pts, npts * 2 * sizeof(double));
-    res->n_vertices += npts;
-    if (res->n_rings == *cap_r) {
-        *cap_r *= 2;
-        res->ring_sizes = (int64_t *)realloc(res->ring_sizes, *cap_r * sizeof(int64_t));
-    }
-    res->ring_sizes[res->n_rings++] = npts;
+static void *grow(void *p, int64_t *cap, int64_t need, size_t item) {
+    if (need <= *cap) return p;
+    while (*cap < need) *cap *= 2;
+    return realloc(p, *cap * item);
 }
 
-/* growable result of the batch entry point */
+/* Where a batch's results go.  Ring mode appends each result ring to
+ * `res`.  Area mode (`area_mode`) keeps no ring: it keeps the current
+ * pair's signed ring areas in `vals` and folds them into the pair's
+ * structural area when the pair ends (out_pair_area). */
 typedef struct {
     Result res;
     int64_t cap_v, cap_r, cap_p;
-} GrowResult;
+    int area_mode;
+    double *vals;                 /* area mode: the pair's ring areas */
+    int64_t n_vals, cap_vals;
+} Out;
 
-static void grow_result_init(GrowResult *g) {
-    memset(g, 0, sizeof(*g));
-    g->cap_v = 256; g->cap_r = 32; g->cap_p = 16;
-    g->res.xy = (double *)malloc(g->cap_v * 2 * sizeof(double));
-    g->res.ring_sizes = (int64_t *)malloc(g->cap_r * sizeof(int64_t));
-    g->res.poly_ring_counts = (int64_t *)malloc(g->cap_p * sizeof(int64_t));
+static void out_init(Out *o, int area_mode) {
+    memset(o, 0, sizeof(*o));
+    o->area_mode = area_mode;
+    if (area_mode) {
+        o->cap_vals = 16;
+        o->vals = (double *)malloc(o->cap_vals * sizeof(double));
+        return;
+    }
+    o->cap_v = 256; o->cap_r = 32; o->cap_p = 16;
+    o->res.xy = (double *)malloc(o->cap_v * 2 * sizeof(double));
+    o->res.ring_sizes = (int64_t *)malloc(o->cap_r * sizeof(int64_t));
+    o->res.poly_ring_counts = (int64_t *)malloc(o->cap_p * sizeof(int64_t));
 }
 
-static void grow_result_poly(GrowResult *g, int64_t nrings) {
-    if (g->res.n_polys == g->cap_p) {
-        g->cap_p *= 2;
-        g->res.poly_ring_counts = (int64_t *)realloc(
-            g->res.poly_ring_counts, g->cap_p * sizeof(int64_t));
+static void out_free(Out *o) {
+    free(o->res.xy);
+    free(o->res.ring_sizes);
+    free(o->res.poly_ring_counts);
+    free(o->vals);
+}
+
+/* The shoelace sum of one ring given as run a then run b, as
+ * sources/arrow_geom.py::arrow_mp_areas computes it: the cross terms
+ * of consecutive points added left to right from 0.0, halved. */
+static double ring_area(const double *a, int64_t na, const double *b, int64_t nb) {
+    double s = 0.0;
+    for (int64_t k = 0; k + 1 < na; k++)
+        s += a[2 * k] * a[2 * k + 3] - a[2 * k + 2] * a[2 * k + 1];
+    if (na && nb) {
+        const double *p = a + 2 * (na - 1);
+        s += p[0] * b[1] - b[0] * p[1];
     }
-    g->res.poly_ring_counts[g->res.n_polys++] = nrings;
+    for (int64_t k = 0; k + 1 < nb; k++)
+        s += b[2 * k] * b[2 * k + 3] - b[2 * k + 2] * b[2 * k + 1];
+    return fabs(s) / 2.0;
+}
+
+/* One result ring: run a (na points) followed by run b (nb points). */
+static void out_ring(Out *o, const double *a, int64_t na, const double *b, int64_t nb) {
+    if (o->area_mode) {
+        o->vals = (double *)grow(o->vals, &o->cap_vals, o->n_vals + 1, sizeof(double));
+        o->vals[o->n_vals++] = ring_area(a, na, b, nb);
+        return;
+    }
+    Result *r = &o->res;
+    r->xy = (double *)grow(r->xy, &o->cap_v, r->n_vertices + na + nb, 2 * sizeof(double));
+    memcpy(r->xy + 2 * r->n_vertices, a, na * 2 * sizeof(double));
+    if (nb) memcpy(r->xy + 2 * (r->n_vertices + na), b, nb * 2 * sizeof(double));
+    r->n_vertices += na + nb;
+    r->ring_sizes = (int64_t *)grow(r->ring_sizes, &o->cap_r, r->n_rings + 1, sizeof(int64_t));
+    r->ring_sizes[r->n_rings++] = na + nb;
+}
+
+/* Closes a polygon of the last `nrings` rings: the first is its
+ * exterior, the rest are holes, whose area counts negative. */
+static void out_poly(Out *o, int64_t nrings) {
+    if (o->area_mode) {
+        for (int64_t k = o->n_vals - nrings + 1; k < o->n_vals; k++) o->vals[k] = -o->vals[k];
+        return;
+    }
+    Result *r = &o->res;
+    r->poly_ring_counts = (int64_t *)grow(r->poly_ring_counts, &o->cap_p, r->n_polys + 1,
+                                          sizeof(int64_t));
+    r->poly_ring_counts[r->n_polys++] = nrings;
+}
+
+/* numpy's pairwise_sum (loops_utils.h), the inner loop of
+ * np.add.reduce and np.add.reduceat over float64: from 8 elements on,
+ * eight strided accumulators, and halves above 128. */
+static double pairwise_sum(const double *a, int64_t n) {
+    if (n < 8) {
+        double res = 0.0;
+        for (int64_t i = 0; i < n; i++) res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int k = 0; k < 8; k++) r[k] = a[k];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int k = 0; k < 8; k++) r[k] += a[i + k];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++) res += a[i];
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+/* Area mode: the pair's structural area, its ring areas summed in the
+ * order np.add.reduceat gives arrow_mp_areas's row (the first ring
+ * plus the pairwise sum of the rest; 0.0 without rings). */
+static double out_pair_area(Out *o) {
+    int64_t n = o->n_vals;
+    o->n_vals = 0;
+    if (n == 0) return 0.0;
+    if (n == 1) return o->vals[0];
+    return o->vals[0] + pairwise_sum(o->vals + 1, n - 1);
 }
 
 /* One side of a pair, addressed through the Arrow nested-list offset
@@ -1260,17 +1341,14 @@ static void fill_side(Pool *arena, Heap *queue, const ArrowSide *side,
     }
 }
 
-static void append_side_polys(GrowResult *g, const ArrowSide *side, int64_t row,
+static void append_side_polys(Out *o, const ArrowSide *side, int64_t row,
                               int64_t *npolys) {
     for (int32_t p = side->mp_off[row]; p < side->mp_off[row + 1]; p++) {
-        int64_t nrings = 0;
         for (int32_t r = side->poly_off[p]; r < side->poly_off[p + 1]; r++) {
             int32_t lo = side->ring_off[r], hi = side->ring_off[r + 1];
-            result_append_ring(&g->res, side->xy + 2 * lo, hi - lo,
-                               &g->cap_v, &g->cap_r);
-            nrings++;
+            out_ring(o, side->xy + 2 * lo, hi - lo, NULL, 0);
         }
-        grow_result_poly(g, nrings);
+        out_poly(o, side->poly_off[p + 1] - side->poly_off[p]);
         (*npolys)++;
     }
 }
@@ -1387,7 +1465,7 @@ static int spread_ok(const Spread *s) {
 /* rect ∩ rect: the overlap rect from its least corner, or empty.  A
  * positive overlap a few ULPs wide makes the kernel nudge in a
  * collinear vertex, so it counts as an extent. */
-static int gate_rect(GrowResult *g, const BBox4 *s, const BBox4 *c, int64_t *npolys) {
+static int gate_rect(Out *o, const BBox4 *s, const BBox4 *c, int64_t *npolys) {
     double lx = s->x0 > c->x0 ? s->x0 : c->x0, ly = s->y0 > c->y0 ? s->y0 : c->y0;
     double hx = s->x1 < c->x1 ? s->x1 : c->x1, hy = s->y1 < c->y1 ? s->y1 : c->y1;
     Spread sp = {0.0, INFINITY, 1};
@@ -1402,8 +1480,8 @@ static int gate_rect(GrowResult *g, const BBox4 *s, const BBox4 *c, int64_t *npo
     if (!spread_ok(&sp)) return GATE_SWEPT;
     if (lx < hx && ly < hy) {
         double ring[10] = {lx, ly, hx, ly, hx, hy, lx, hy, lx, ly};
-        result_append_ring(&g->res, ring, 5, &g->cap_v, &g->cap_r);
-        grow_result_poly(g, 1);
+        out_ring(o, ring, 5, NULL, 0);
+        out_poly(o, 1);
         (*npolys)++;
     }
     return GATE_RECT;
@@ -1418,7 +1496,7 @@ static int gate_rect(GrowResult *g, const BBox4 *s, const BBox4 *c, int64_t *npo
  * rect, so the extents also decide containment.  The neighbours of an
  * edge a few ULPs long meet in the kernel's float crossing test, and it
  * splits the ring there. */
-static int gate_contained(GrowResult *g, const double *xy, int32_t n,
+static int gate_contained(Out *o, const double *xy, int32_t n,
                           const BBox4 *c, int64_t *npolys) {
     int32_t m = n - 1;  /* distinct vertices */
     if (m < 3 || xy[2 * m] != xy[0] || xy[2 * m + 1] != xy[1] ||
@@ -1472,26 +1550,49 @@ static int gate_contained(GrowResult *g, const double *xy, int32_t n,
     if (!spread_ok(&sp)) return GATE_SWEPT;
 
     /* one ring in two runs: v[least..m-1], then v[0..least] */
-    result_append_ring(&g->res, xy + 2 * least, m - least, &g->cap_v, &g->cap_r);
-    result_append_ring(&g->res, xy, least + 1, &g->cap_v, &g->cap_r);
-    g->res.ring_sizes[--g->res.n_rings - 1] = n;
-    grow_result_poly(g, 1);
+    out_ring(o, xy + 2 * least, m - least, xy, least + 1);
+    out_poly(o, 1);
     (*npolys)++;
     return GATE_CONTAINED;
 }
 
+/* What the gate reads of one operand row, classified once per batch
+ * call: a pair's class depends on its two rows only, and a join meets
+ * each row in many pairs (a cell join's build rect in ~500).  One
+ * record per row of the column, zeroed (ROW_UNSEEN) when the call
+ * starts. */
+enum { ROW_UNSEEN = 0, ROW_OTHER = 1, ROW_RING = 2, ROW_RECT = 3 };
+
+typedef struct {
+    BBox4 box;                   /* ROW_RECT: the rect's bbox */
+    int8_t shape;                /* ROW_OTHER: not one polygon of one ring */
+} RowShape;
+
+static const RowShape *row_shape(const ArrowSide *side, RowShape *cache, int64_t row) {
+    RowShape *r = &cache[row];
+    if (r->shape == ROW_UNSEEN) {
+        const double *xy;
+        int32_t n;
+        if (!single_ring(side, row, &xy, &n)) r->shape = ROW_OTHER;
+        else r->shape = rect_shape(xy, n, &r->box) ? ROW_RECT : ROW_RING;
+    }
+    return r;
+}
+
 /* The class of the `intersection` of subject row `srow` and clipping
- * row `crow`; a known answer is appended to `g`. */
-static int known_answer(GrowResult *g, const ArrowSide *S, int64_t srow,
-                        const ArrowSide *C, int64_t crow, int64_t *npolys) {
-    const double *cxy, *sxy;
-    int32_t cn, sn;
-    BBox4 c, s;
-    if (!single_ring(C, crow, &cxy, &cn) || !rect_shape(cxy, cn, &c))
-        return GATE_SWEPT;
-    if (!single_ring(S, srow, &sxy, &sn)) return GATE_SWEPT;
-    if (rect_shape(sxy, sn, &s)) return gate_rect(g, &s, &c, npolys);
-    return gate_contained(g, sxy, sn, &c, npolys);
+ * row `crow`; a known answer goes to `o`. */
+static int known_answer(Out *o, const ArrowSide *S, RowShape *s_shapes, int64_t srow,
+                        const ArrowSide *C, RowShape *c_shapes, int64_t crow,
+                        int64_t *npolys) {
+    const RowShape *c = row_shape(C, c_shapes, crow);
+    if (c->shape != ROW_RECT) return GATE_SWEPT;
+    const RowShape *s = row_shape(S, s_shapes, srow);
+    if (s->shape == ROW_RECT) return gate_rect(o, &s->box, &c->box, npolys);
+    if (s->shape != ROW_RING) return GATE_SWEPT;
+    const double *sxy = NULL;
+    int32_t sn = 0;
+    single_ring(S, srow, &sxy, &sn);
+    return gate_contained(o, sxy, sn, &c->box, npolys);
 }
 
 /* Everything one pair's sweep needs, allocated once per batch call.
@@ -1542,32 +1643,40 @@ static void workspace_free(Workspace *w) {
  * is subject row s_rows[i] with clipping row c_rows[i]: the rows of an
  * Arrow dictionary column, gathered here instead of copied into a new
  * column.  A NULL row array means row i; the caller checks that every
- * row lies inside its column.
+ * row lies inside its column.  s_n_rows and c_n_rows are the lengths
+ * of the two geometry columns (the gate's row records).
  * out_pair_poly_counts[i] = polygons in pair i's result; classes[i] =
  * GATE_RECT or GATE_CONTAINED when pair i has a known answer, else
- * GATE_SWEPT (caller-allocated, n_pairs entries).  Returns 0, or,
- * with every output NULL, 2 when a pair fails in connect_edges (where
- * the reference panics) and 3 when its sweep exceeds the event budget
- * (where the reference never ends). */
+ * GATE_SWEPT (caller-allocated, n_pairs entries).
+ * With out_areas (caller-allocated, n_pairs entries, or NULL) the call
+ * keeps no ring: out_areas[i] = the structural area of pair i's result,
+ * bit-identical to arrow_mp_areas of the ring result, and the ring
+ * outputs come back NULL and empty.  Returns 0, or, with every output
+ * NULL, 2 when a pair fails in connect_edges (where the reference
+ * panics) and 3 when its sweep exceeds the event budget (where the
+ * reference never ends). */
 int martinez_batch(
     const double *s_xy, const int32_t *s_ring_off, const int32_t *s_poly_off,
     const int32_t *s_mp_off,
     const double *c_xy, const int32_t *c_ring_off, const int32_t *c_poly_off,
     const int32_t *c_mp_off,
     const int64_t *s_rows, const int64_t *c_rows,
+    int64_t s_n_rows, int64_t c_n_rows,
     int64_t n_pairs, const int32_t *ops,
     double **out_xy, int64_t **out_ring_sizes, int64_t **out_poly_ring_counts,
     int64_t **out_pair_poly_counts,
     int64_t *out_n_vertices, int64_t *out_n_rings, int64_t *out_n_polys,
-    int8_t *classes)
+    int8_t *classes, double *out_areas)
 {
     ArrowSide S = {s_xy, s_ring_off, s_poly_off, s_mp_off};
     ArrowSide C = {c_xy, c_ring_off, c_poly_off, c_mp_off};
 
-    GrowResult g;
-    grow_result_init(&g);
+    Out o;
+    out_init(&o, out_areas != NULL);
     int64_t *pair_polys = (int64_t *)malloc((n_pairs ? n_pairs : 1) *
                                             sizeof(int64_t));
+    RowShape *s_shapes = (RowShape *)calloc(s_n_rows ? s_n_rows : 1, sizeof(RowShape));
+    RowShape *c_shapes = (RowShape *)calloc(c_n_rows ? c_n_rows : 1, sizeof(RowShape));
     Workspace ws;
     workspace_init(&ws);
     int failed = 0;
@@ -1578,9 +1687,11 @@ int martinez_batch(
         int64_t crow = c_rows ? c_rows[i] : i;
         int64_t npolys = 0;
         classes[i] = op == OP_INTERSECTION
-            ? (int8_t)known_answer(&g, &S, srow, &C, crow, &npolys) : GATE_SWEPT;
+            ? (int8_t)known_answer(&o, &S, s_shapes, srow, &C, c_shapes, crow, &npolys)
+            : GATE_SWEPT;
         if (classes[i] != GATE_SWEPT) {
             pair_polys[i] = npolys;
+            if (out_areas) out_areas[i] = out_pair_area(&o);
             continue;
         }
 
@@ -1599,60 +1710,60 @@ int martinez_batch(
             sbbox[1] > cbbox[3] || cbbox[1] > sbbox[3]) {
             /* trivial result (mod.rs:132-141) */
             if (op != OP_INTERSECTION) {
-                append_side_polys(&g, &S, srow, &npolys);
+                append_side_polys(&o, &S, srow, &npolys);
                 if (op != OP_DIFFERENCE)
-                    append_side_polys(&g, &C, crow, &npolys);
+                    append_side_polys(&o, &C, crow, &npolys);
             }
-            pair_polys[i] = npolys;
-            continue;
-        }
-
-        Splay sweep_line;
-        memset(&sweep_line, 0, sizeof(sweep_line));
-        sweep_line.nodes = &ws.nodes;
-        if (subdivide(&ws.events, &ws.queue, sbbox, cbbox, op,
-                      &ws.sorted_events, &sweep_line) != 0) {
-            failed = 3;
-            break;
-        }
-        if (connect_edges(&ws.sorted_events, &ws.contours, &ws.connect) != 0) {
-            failed = 2;
-            break;
-        }
-
-        ContourVec *contours = &ws.contours;
-        for (int64_t ci = 0; ci < contours->n; ci++) {
-            Contour *c = &contours->data[ci];
-            if (c->hole_of >= 0) continue;
-            result_append_ring(&g.res, c->pts, c->n, &g.cap_v, &g.cap_r);
-            for (int64_t hi = 0; hi < c->nh; hi++) {
-                Contour *h = &contours->data[c->hole_ids[hi]];
-                result_append_ring(&g.res, h->pts, h->n, &g.cap_v, &g.cap_r);
+        } else {
+            Splay sweep_line;
+            memset(&sweep_line, 0, sizeof(sweep_line));
+            sweep_line.nodes = &ws.nodes;
+            if (subdivide(&ws.events, &ws.queue, sbbox, cbbox, op,
+                          &ws.sorted_events, &sweep_line) != 0) {
+                failed = 3;
+                break;
             }
-            grow_result_poly(&g, 1 + c->nh);
-            npolys++;
+            if (connect_edges(&ws.sorted_events, &ws.contours, &ws.connect) != 0) {
+                failed = 2;
+                break;
+            }
+
+            ContourVec *contours = &ws.contours;
+            for (int64_t ci = 0; ci < contours->n; ci++) {
+                Contour *c = &contours->data[ci];
+                if (c->hole_of >= 0) continue;
+                out_ring(&o, c->pts, c->n, NULL, 0);
+                for (int64_t hi = 0; hi < c->nh; hi++) {
+                    Contour *h = &contours->data[c->hole_ids[hi]];
+                    out_ring(&o, h->pts, h->n, NULL, 0);
+                }
+                out_poly(&o, 1 + c->nh);
+                npolys++;
+            }
         }
         pair_polys[i] = npolys;
+        if (out_areas) out_areas[i] = out_pair_area(&o);
     }
     workspace_free(&ws);
+    free(s_shapes);
+    free(c_shapes);
 
     if (failed) {
-        free(g.res.xy);
-        free(g.res.ring_sizes);
-        free(g.res.poly_ring_counts);
+        out_free(&o);
         free(pair_polys);
         *out_xy = NULL; *out_ring_sizes = NULL;
         *out_poly_ring_counts = NULL; *out_pair_poly_counts = NULL;
         *out_n_vertices = 0; *out_n_rings = 0; *out_n_polys = 0;
         return failed;
     }
-    *out_xy = g.res.xy;
-    *out_ring_sizes = g.res.ring_sizes;
-    *out_poly_ring_counts = g.res.poly_ring_counts;
+    free(o.vals);
+    *out_xy = o.res.xy;
+    *out_ring_sizes = o.res.ring_sizes;
+    *out_poly_ring_counts = o.res.poly_ring_counts;
     *out_pair_poly_counts = pair_polys;
-    *out_n_vertices = g.res.n_vertices;
-    *out_n_rings = g.res.n_rings;
-    *out_n_polys = g.res.n_polys;
+    *out_n_vertices = o.res.n_vertices;
+    *out_n_rings = o.res.n_rings;
+    *out_n_polys = o.res.n_polys;
     return 0;
 }
 

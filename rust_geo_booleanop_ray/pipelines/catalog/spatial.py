@@ -100,17 +100,13 @@ def q_clip_area(sf_dir: str):
     is rectangle-intersection arithmetic."""
     from ray.data.aggregate import Sum
 
-    from ...sources.arrow_geom import arrow_mp_areas
-    from ...stages.boolean_batch import boolean_batch
+    from ...stages.boolean_batch import boolean_areas
 
     def clip_batch(batch: pa.Table) -> pa.Table:
         window = _rect_mp_array(*(np.full(batch.num_rows, v) for v in CLIP_WINDOW))
-        clipped = boolean_batch(_rect_mp_array(*_part_rect_bounds(batch)), window, "intersection")
+        area, _ = boolean_areas(_rect_mp_array(*_part_rect_bounds(batch)), window, "intersection")
         return pa.table(
-            {
-                "p_brand": batch["p_brand"],
-                "clip_area_i": pa.array(np.abs(arrow_mp_areas(clipped)).astype(np.int64)),
-            }
+            {"p_brand": batch["p_brand"], "clip_area_i": pa.array(area.astype(np.int64))}
         )
 
     ds = _read(sf_dir, "part", ["p_partkey", "p_brand", "p_size"])

@@ -8,7 +8,9 @@ sweep stays sequential per row.
 ``boolean_batch`` is the one place that chooses the kernel: the native
 batch entry point when the C library is available, else the pure-Python
 reference kernel row by row (``GEO_NATIVE=0`` or no compiler).  Both
-produce the same bits; every stage that clips calls it.  The native
+produce the same bits; every stage that clips calls it, or, when it
+reads only each result's area, ``boolean_areas``: the same choice, the
+native kernel returning areas without building rings.  The native
 kernel answers the `intersection` pairs whose result has a closed form
 (rect ∩ rect, a convex ring inside a rect) without its sweep
 (native/martinez.c, the known-answer gate); the Python kernel sweeps
@@ -23,11 +25,12 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .. import native
 from ..geom import OPERATIONS
 from ..geom.boolean_op import boolean_op_python
-from ..sources.arrow_geom import MULTIPOLYGON_T, arrow_to_mps, mps_to_arrow
+from ..sources.arrow_geom import MULTIPOLYGON_T, arrow_mp_areas, arrow_to_mps, mps_to_arrow
 
 
 def boolean_batch(subject, clipping, op):
@@ -42,6 +45,42 @@ def boolean_batch(subject, clipping, op):
     null in either operand, a null index or a valid index to a null
     geometry, gives a null result; the kernel runs on the other rows
     only."""
+    subject, clipping, op, valid = _valid_pairs(subject, clipping, op)
+    res = _kernel(subject, clipping, op)
+    if valid is None:
+        return res
+    # scatter back: a null index takes a null result
+    return res.take(pa.array(np.cumsum(valid) - 1, mask=~valid))
+
+
+def boolean_areas(subject, clipping, op):
+    """``boolean_batch`` reduced to what an area join reads: (absolute
+    structural area of each row's result, whether it has a polygon),
+    two numpy arrays, bit for bit ``abs(arrow_mp_areas(res))`` and
+    ``list_value_length(res) > 0`` of ``res = boolean_batch(...)``.  The
+    native kernel returns the areas without building the result rings;
+    the Python kernel builds them and sums them here.  Same operands
+    and null contract as ``boolean_batch``: a row with a null operand
+    has area 0.0 and is never non-empty, and the kernel runs on the
+    other rows only."""
+    subject, clipping, op, valid = _valid_pairs(subject, clipping, op)
+    # looked up on the module at call time, like native_boolean_batch
+    out = native.native_boolean_areas(subject, clipping, op)
+    if out is None:
+        res = _python_kernel(subject, clipping, op)
+        out = arrow_mp_areas(res), pc.list_value_length(res).to_numpy(zero_copy_only=False) > 0
+    area, non_empty = np.abs(out[0]), out[1]
+    if valid is None:
+        return area, non_empty
+    all_area, all_non_empty = np.zeros(len(valid)), np.zeros(len(valid), bool)
+    all_area[valid], all_non_empty[valid] = area, non_empty
+    return all_area, all_non_empty
+
+
+def _valid_pairs(subject, clipping, op):
+    """The kernel's operands: the rows of ``subject``, ``clipping`` and
+    ``op`` without a null operand, and the row validity mask (None when
+    every row is valid)."""
     if isinstance(subject, pa.ChunkedArray):
         subject = subject.combine_chunks()
     if isinstance(clipping, pa.ChunkedArray):
@@ -51,15 +90,11 @@ def boolean_batch(subject, clipping, op):
     elif not isinstance(op, (str, pa.Array)):
         op = pa.array(op, pa.string())
     if not (_has_nulls(subject) or _has_nulls(clipping)):
-        return _kernel(subject, clipping, op)
-
+        return subject, clipping, op, None
     valid = np.logical_and(_valid(subject), _valid(clipping))
     rows = pa.array(np.flatnonzero(valid))
-    res = _kernel(
-        subject.take(rows), clipping.take(rows), op if isinstance(op, str) else op.take(rows)
-    )
-    # scatter back: a null index takes a null result
-    return res.take(pa.array(np.cumsum(valid) - 1, mask=~valid))
+    op = op if isinstance(op, str) else op.take(rows)
+    return subject.take(rows), clipping.take(rows), op, valid
 
 
 def _has_nulls(col) -> bool:
@@ -86,8 +121,10 @@ def _kernel(subject, clipping, op):
     # looked up on the module at call time: the benchmark's tracer
     # patches native.native_boolean_batch
     res = native.native_boolean_batch(subject, clipping, op)
-    if res is not None:
-        return res
+    return _python_kernel(subject, clipping, op) if res is None else res
+
+
+def _python_kernel(subject, clipping, op):
     ops = [op] * len(subject) if isinstance(op, str) else op.to_pylist()
     return mps_to_arrow(
         [

@@ -177,14 +177,43 @@ def cell_polygon(cell: int):
     return [[[(x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0)]]]
 
 
+def cell_holds(cell: int, xs, ys) -> np.ndarray:
+    """Mask of the points that lie in ``cell``: ``cell_encode(xs, ys,
+    res) == cell`` at the cell's resolution, by comparing grid indices
+    instead of building each point's cell id."""
+    cell = np.uint64(cell)
+    ix, iy = _grid_index(xs, ys, int(cell_res(cell)))
+    cx, cy = cell_xy(cell)
+    return (ix == cx) & (iy == cy)
+
+
+def _check_bboxes(minx, miny, maxx, maxy) -> None:
+    """Raise ``ValueError`` naming the first row whose bbox has a
+    non-finite bound, ``minx > maxx`` or ``miny > maxy``."""
+    finite = np.isfinite(minx) & np.isfinite(miny) & np.isfinite(maxx) & np.isfinite(maxy)
+    rules = {"a non-finite bound": ~finite, "minx > maxx": minx > maxx, "miny > maxy": miny > maxy}
+    bad = np.logical_or.reduce(list(rules.values()))
+    if bad.any():
+        i = int(np.argmax(bad))
+        rule = next(name for name, mask in rules.items() if mask[i])
+        raise ValueError(
+            f"bbox row {i} has {rule}: "
+            f"({minx[i]!r}, {miny[i]!r}, {maxx[i]!r}, {maxy[i]!r})"
+        )
+
+
 def cover_bbox(minx, miny, maxx, maxy, res: int):
     """Vectorized bbox → covering-cells explode.
 
     Input: per-row bbox arrays.  Output: (row_idx, cells) — int64 row
     indices (repeated per covered cell) and uint64 cell ids.  This is
     the PBSM replicate-to-cells step; callers explode their batch with
-    ``table.take(row_idx)`` + append the cell column.
+    ``table.take(row_idx)`` + append the cell column.  A row whose bbox
+    has a non-finite bound, ``minx > maxx`` or ``miny > maxy`` raises
+    ``ValueError`` naming the first such row and its rule.
     """
+    minx, miny, maxx, maxy = (np.asarray(v, dtype=np.float64) for v in (minx, miny, maxx, maxy))
+    _check_bboxes(minx, miny, maxx, maxy)
     ix0, iy0 = _grid_index(minx, miny, res)
     ix1, iy1 = _grid_index(maxx, maxy, res)
     nx = (ix1 - ix0 + np.uint64(1)).astype(np.int64)

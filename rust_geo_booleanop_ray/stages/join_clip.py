@@ -24,20 +24,22 @@ Three join strategies, picked by data shape (ray_guide join patterns):
    ``ds.groupby("cell").map_groups(join_cells_within_group_dedup,
    batch_format="pyarrow")``.  Emits (probe_id, build_id, clip_area),
    the two sides' int64 ids and the clip's area: its consumers
-   (``poly_join_big``, ``areal_interp``) read no clip geometry, so none
-   is built.
+   (``poly_join_big``, ``areal_interp``) read no clip geometry, so it
+   clips through ``boolean_areas`` and the native kernel returns each
+   pair's area without building the clip's rings.
 
 Deduplicate PBSM replicas downstream when geometries were replicated
 to multiple cells, or use ``join_cells_within_group_dedup``.  Every
-exact clip is one ``boolean_batch`` call per batch
-(stages/boolean_batch.py), which picks the native or the reference
-kernel.  The candidate pairs reach it as row indices: each operand is
-an Arrow dictionary column (``pa.DictionaryArray.from_arrays(rows,
-geometries)``), which the native kernel reads row by row without a copy
-of the pairs' geometry.  Empty clips are dropped; ``clip_area`` is the
-absolute structural area of each kept clip.  The native kernel answers
-rect ∩ rect pairs (the cell join's rect sides) by their closed form,
-before its sweep (native/martinez.c's known-answer gate).
+exact clip is one ``boolean_batch`` call per batch, or one
+``boolean_areas`` call in the cell join (stages/boolean_batch.py),
+which picks the native or the reference kernel.  The candidate pairs
+reach it as row indices: each operand is an Arrow dictionary column
+(``pa.DictionaryArray.from_arrays(rows, geometries)``), which the
+native kernel reads row by row without a copy of the pairs' geometry.
+Empty clips are dropped; ``clip_area`` is the absolute structural area
+of each kept clip.  The native kernel answers rect ∩ rect pairs (the
+cell join's rect sides) by their closed form, before its sweep
+(native/martinez.c's known-answer gate).
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sources.arrow_geom import MULTIPOLYGON_T, arrow_mp_areas, rects_to_arrow
-from .boolean_batch import boolean_batch
-from .cells import cell_bounds_array, cover_bbox, overlap_pairs, split_sides
+from .boolean_batch import boolean_areas, boolean_batch
+from .cells import cell_bounds_array, cell_holds, cover_bbox, overlap_pairs, split_sides
 
 _EMPTY_JOIN_SCHEMA = pa.schema(
     [
@@ -143,15 +145,19 @@ def _clip_pairs(ids: dict, subjects, clippings, op, with_clip: bool = True):
     """Aligned (subject, clipping) pairs → exact clip → the join table:
     the ``ids`` columns (name → array aligned with the pairs), ``clip``
     when ``with_clip`` and ``clip_area``; pairs whose result is empty
-    are dropped."""
-    res = boolean_batch(subjects, clippings, op)
-    non_empty = _non_empty(res)
-    area = np.abs(arrow_mp_areas(res))[non_empty]
+    are dropped.  Without ``with_clip`` the kernel returns the areas
+    (``boolean_areas``) and no clip ring is built."""
+    if with_clip:
+        res = boolean_batch(subjects, clippings, op)
+        non_empty = _non_empty(res)
+        area = np.abs(arrow_mp_areas(res))
+    else:
+        area, non_empty = boolean_areas(subjects, clippings, op)
     keep = pa.array(non_empty)
     cols = {name: col.filter(keep) for name, col in ids.items()}
     if with_clip:
         cols["clip"] = res.filter(keep)
-    cols["clip_area"] = pa.array(area, pa.float64())
+    cols["clip_area"] = pa.array(area[non_empty], pa.float64())
     return pa.table(cols)
 
 
@@ -208,23 +214,19 @@ def join_cells_within_group(group: pa.Table, pbsm_dedup: bool = False) -> pa.Tab
     EXACTLY ONE of the cells both sides were replicated to — no
     second shuffle to dedup replicas, and replicated pairs pay the
     Martinez clip only once.  Requires the group to carry its ``cell``
-    column (groupby key); the corner is mapped with the same
-    clamped grid index used by ``cover_bbox``, so boundary corners
+    column (groupby key); ``cells.cell_holds`` maps the corner with the
+    same clamped grid index used by ``cover_bbox``, so boundary corners
     resolve to the same cell the cover replicated to.
     """
     probe, build = split_sides(group)
     cand_row, cand_build = overlap_pairs(build, probe)
 
     if pbsm_dedup and len(cand_row):
-        from .cells import cell_encode, cell_res
-
-        gcell = np.uint64(group["cell"][0].as_py())
-        ref = cell_encode(
+        mine = cell_holds(
+            group["cell"][0].as_py(),
             np.maximum(probe["minx"].to_numpy()[cand_row], build["minx"].to_numpy()[cand_build]),
             np.maximum(probe["miny"].to_numpy()[cand_row], build["miny"].to_numpy()[cand_build]),
-            int(cell_res(gcell)),
         )
-        mine = ref == gcell
         cand_row = cand_row[mine]
         cand_build = cand_build[mine]
     if not len(cand_row):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 from rust_geo_booleanop_ray.functions.pip import pip_bbox, points_in_multipolygon
 from rust_geo_booleanop_ray.stages.cells import (
@@ -11,6 +12,7 @@ from rust_geo_booleanop_ray.stages.cells import (
     cell_bounds_array,
     cell_children,
     cell_encode,
+    cell_holds,
     cell_neighbors,
     cell_parent,
     cell_polygon,
@@ -173,3 +175,59 @@ def test_cover_bbox_and_explode_empty_input():
     )
     out = explode_to_cells(t, 6)
     assert out.num_rows == 0 and "cell" in out.column_names
+
+
+def test_cell_holds_matches_cell_encode():
+    """``cell_holds`` compares grid indices; its mask is ``cell_encode
+    == cell``, at the world's edges (±180, ±90, beyond them) and for NaN
+    coordinates (clamped into the last column or row) too."""
+    rng = np.random.default_rng(11)
+    edge_x = [-180.0, 180.0, -200.0, 200.0, 0.0, np.nan, np.nan, 45.0, -0.0]
+    edge_y = [-90.0, 90.0, -100.0, 100.0, np.nan, 0.0, np.nan, 22.5, 90.0]
+    xs = np.concatenate([edge_x, rng.uniform(-190, 190, 3000)])
+    ys = np.concatenate([edge_y, rng.uniform(-95, 95, 3000)])
+    with np.errstate(invalid="ignore"):
+        for res in (0, 1, 4, 9, MAX_RES):
+            codes = cell_encode(xs, ys, res)
+            for c in np.concatenate([np.unique(codes)[:40], codes[: len(edge_x)]]):
+                mask = cell_holds(int(c), xs, ys)
+                np.testing.assert_array_equal(mask, codes == c)
+                assert mask.any()
+
+
+BAD_BBOXES = [
+    # (minx, miny, maxx, maxy), the rule named
+    ((np.nan, 0.0, np.nan, 1.0), "non-finite"),
+    ((0.0, np.nan, 1.0, 1.0), "non-finite"),
+    ((0.0, 0.0, np.inf, 1.0), "non-finite"),
+    ((-np.inf, 0.0, 1.0, 1.0), "non-finite"),
+    ((2.0, 0.0, 1.0, 1.0), "minx > maxx"),
+    ((0.0, 2.0, 1.0, 1.0), "miny > maxy"),
+]
+
+
+@pytest.mark.parametrize("bbox,rule", BAD_BBOXES)
+def test_explode_rejects_bad_bbox_naming_the_row(bbox, rule):
+    """A bbox with a non-finite bound or inverted bounds raises, naming
+    the first such row and its rule, through ``explode_to_cells`` and
+    ``TileJoinClip``; the rows before it are valid."""
+    from rust_geo_booleanop_ray.stages.join_clip import TileJoinClip
+
+    good = (10.0, 10.0, 100.0, 50.0)
+    bounds = np.array([good, good, bbox, bbox]).T
+    t = pa.table(
+        {
+            "id": pa.array(np.arange(4, dtype=np.int64)),
+            **{k: pa.array(v) for k, v in zip(("minx", "miny", "maxx", "maxy"), bounds)},
+        }
+    )
+    with pytest.raises(ValueError, match=f"row 2 has .*{rule}"):
+        explode_to_cells(t, 4)
+    images = t.append_column("image_id", pa.array(["a", "b", "c", "d"])).append_column(
+        "footprint", pa.array([None] * 4, pa.list_(pa.list_(pa.list_(pa.list_(pa.float64())))))
+    )
+    for mode in ("assign", "exact"):
+        with pytest.raises(ValueError, match=f"row 2 has .*{rule}"):
+            TileJoinClip(tile_res=4, mode=mode)(images)
+    one = len(cover_bbox(*np.array([good]).T, 4)[0])
+    assert explode_to_cells(t.slice(0, 2), 4).num_rows == 2 * one

@@ -9,7 +9,10 @@ pairs that grow the batch workspace, pairs the known-answer gate
 answers (RECT, CONTAINED) and its near-misses, the same pairs read
 through shuffled, repeated and first/last row indices (dictionary
 operands), and two batches with a failing pair in the middle (event
-budget, code 3; `connect_edges`, code 2).
+budget, code 3; `connect_edges`, code 2).  The driver runs every batch
+twice, with its rings and in area mode: the areas equal
+`arrow_mp_areas` of the rings, bit for bit, and the failing batches
+fail with the same codes, without a leak.
 Any sanitizer report fails the test, a leak at exit included: the
 splay node `splay_remove` drops under an inconsistent comparator (the
 creeping pair) must come back with the node pool."""
@@ -20,6 +23,7 @@ import subprocess
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 from kernel_cases import (
     CONNECT_FAIL_PAIR,
@@ -34,7 +38,12 @@ from test_boolean_dispatch import OPS, _pairs, _run
 from test_known_answers import CONTAINED_PENTAGON, NEAR_MISSES
 
 from rust_geo_booleanop_ray import native
-from rust_geo_booleanop_ray.sources.arrow_geom import arrow_mp_offsets, flat_to_arrow, mps_to_arrow
+from rust_geo_booleanop_ray.sources.arrow_geom import (
+    arrow_mp_areas,
+    arrow_mp_offsets,
+    flat_to_arrow,
+    mps_to_arrow,
+)
 
 CC = shutil.which("cc")
 pytestmark = pytest.mark.skipif(CC is None, reason="no C compiler")
@@ -92,20 +101,34 @@ def _indexed_table(table, seed=5):
     return pa.table(cols), pair
 
 
-def _read_results(path, n_batches):
-    """(return code, (result array, gate classes) or None) per batch."""
+def _read_results(path, batches):
+    """Per batch: (return code, (result array, gate classes) or None),
+    then the same of its area-mode run, with (areas, polygons per
+    pair, gate classes)."""
     out = []
     with open(path, "rb") as f:
-        for _ in range(n_batches):
-            rc = int(np.frombuffer(f.read(8), np.int64)[0])
-            if rc != 0:
-                out.append((rc, None))
-                continue
-            nv, nr, npolys, n = np.frombuffer(f.read(32), np.int64)
-            xy = np.frombuffer(f.read(16 * nv), np.float64).reshape(-1, 2)
-            sizes, prc, ppc = (np.frombuffer(f.read(8 * k), np.int64) for k in (nr, npolys, n))
-            classes = np.frombuffer(f.read(n), np.int8)
-            out.append((rc, (flat_to_arrow(xy, sizes, prc, ppc), classes)))
+
+        def code():
+            return int(np.frombuffer(f.read(8), np.int64)[0])
+
+        for table, _ in batches:
+            rc, rings = code(), None
+            if rc == 0:
+                nv, nr, npolys, n = np.frombuffer(f.read(32), np.int64)
+                xy = np.frombuffer(f.read(16 * nv), np.float64).reshape(-1, 2)
+                sizes, prc, ppc = (np.frombuffer(f.read(8 * k), np.int64) for k in (nr, npolys, n))
+                classes = np.frombuffer(f.read(n), np.int8)
+                rings = (flat_to_arrow(xy, sizes, prc, ppc), classes)
+            area_rc, areas = code(), None
+            if area_rc == 0:
+                n = table.num_rows
+                areas = (
+                    np.frombuffer(f.read(8 * n), np.float64),
+                    np.frombuffer(f.read(8 * n), np.int64),
+                    np.frombuffer(f.read(n), np.int8),
+                )
+            out.append((rc, rings, area_rc, areas))
+        assert f.read() == b""
     return out
 
 
@@ -175,8 +198,14 @@ def test_kernel_is_sanitizer_clean(driver, tmp_path):
     assert proc.returncode == 0 and "Sanitizer" not in proc.stderr, proc.stderr
     assert "runtime error" not in proc.stderr, proc.stderr
 
-    results = _read_results(dst, len(batches))
-    assert [rc for rc, _ in results] == [rc for _, rc in batches]
+    results = _read_results(dst, batches)
+    assert [r[0] for r in results] == [r[2] for r in results] == [rc for _, rc in batches]
+    # area mode: the areas of the ring results, the same polygon counts
+    # and classes
+    for _, (res, classes), _, (areas, polys, area_classes) in results[:2]:
+        np.testing.assert_array_equal(areas.view(np.uint64), arrow_mp_areas(res).view(np.uint64))
+        np.testing.assert_array_equal(polys, pc.list_value_length(res).to_numpy())
+        assert (area_classes == classes).all()
     # the sanitized -O1 build gives the same bits and classes as the
     # engine's kernel
     res, classes = results[0][1]
