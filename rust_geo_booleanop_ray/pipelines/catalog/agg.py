@@ -93,23 +93,18 @@ def q_top_customers(sf_dir: str):
         return agg.rename_columns(["o_custkey", "spend_c"])
 
     def merge_topk_bucket(group: pa.Table) -> pa.Table:
-        # vectorized per-bucket spend merge + top-10 guard: customer
-        # cardinality is ~rows, so the generic per-key aggregate would
-        # pay per-distinct-key overhead; a key's partials all share a
-        # bucket, so reduceat totals are global and each bucket only
-        # forwards its own top-10 into the final bounded sort
-        k = group["o_custkey"].to_numpy()
-        s = group["spend_c"].to_numpy()
-        order = np.argsort(k, kind="stable")
-        k, s = k[order], s[order]
-        starts = np.concatenate(([0], np.flatnonzero(k[1:] != k[:-1]) + 1))
-        tot = np.add.reduceat(s, starts)
-        uk = k[starts]
+        # a key's partials all share a bucket, so these totals are
+        # global and each bucket only forwards its own top-10
+        agg = pa.TableGroupBy(group, "o_custkey", use_threads=False).aggregate(
+            [("spend_c", "sum")]
+        )
+        uk = agg["o_custkey"].to_numpy()
+        tot = agg["spend_c_sum"].to_numpy()
         top = np.lexsort((uk, -tot))[:10]
         return pa.table(
             {
                 "o_custkey": pa.array(uk[top], pa.int64()),
-                "spend_c": pa.array(tot[top].astype(np.int64)),
+                "spend_c": pa.array(tot[top], pa.int64()),
             }
         )
 
@@ -204,9 +199,8 @@ def q_mode_event(sf_dir: str):
     """Exact mode (most frequent event_type) per user with a
     deterministic lexicographic tie-break.  Per-batch partial counts
     shrink the exchange to one row per (user, type) per batch — the
-    counts monoid — then ONE user-bucketed shuffle merges and
-    argmaxes every user in a vectorized lexsort+reduceat pass (never
-    one Python group call per user)."""
+    counts monoid — then ONE user-bucketed shuffle merges the counts
+    and argmaxes every user in one lexsort per bucket."""
 
     def partial(batch: pa.Table) -> pa.Table:
         agg = pa.TableGroupBy(
@@ -221,18 +215,13 @@ def q_mode_event(sf_dir: str):
         )
 
     def pick_bucket(group: pa.Table) -> pa.Table:
-        # merge the (user, type) partials and argmax per user in one
-        # vectorized pass over the whole bucket (user cardinality is
-        # ~rows at scale — never one Python group call per user)
-        u = group["user_id"].to_numpy()
-        et = group["event_type"].to_numpy(zero_copy_only=False)
-        n = group["n"].to_numpy()
-        order = np.lexsort((et, u))
-        u, et, n = u[order], et[order], n[order]
-        newpair = np.concatenate(([True], (u[1:] != u[:-1]) | (et[1:] != et[:-1])))
-        starts = np.flatnonzero(newpair)
-        tot = np.add.reduceat(n, starts)
-        uu, tt = u[starts], et[starts]
+        # merge the (user, type) partials, then argmax per user
+        agg = pa.TableGroupBy(group, ["user_id", "event_type"], use_threads=False).aggregate(
+            [("n", "sum")]
+        )
+        uu = agg["user_id"].to_numpy()
+        tt = agg["event_type"].to_numpy(zero_copy_only=False)
+        tot = agg["n_sum"].to_numpy()
         # winner per user by (count desc, type asc): lexsort then first
         o2 = np.lexsort((tt, -tot, uu))
         first = np.concatenate(([True], uu[o2][1:] != uu[o2][:-1]))
@@ -460,7 +449,13 @@ def q_revenue_by_nation(sf_dir: str):
         batch_format="pyarrow",
     )
     joined = shuffle_hash_join(
-        rev, orders, key="l_orderkey", left_cols=["rev_c"], right_cols=["o_custkey"]
+        rev,
+        orders,
+        key="l_orderkey",
+        left_cols=["rev_c"],
+        right_cols=["o_custkey"],
+        left_schema=pa.schema([("l_orderkey", pa.int64()), ("rev_c", pa.int64())]),
+        right_schema=pa.schema([("l_orderkey", pa.int64()), ("o_custkey", pa.int64())]),
     )
 
     cust = pq.read_table(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"])
@@ -520,6 +515,8 @@ def q_order_priority(sf_dir: str):
         left_cols=["o_orderpriority"],
         right_cols=["dup"],
         distinct="right",
+        left_schema=pa.schema([("o_orderkey", pa.int64()), ("o_orderpriority", pa.string())]),
+        right_schema=pa.schema([("o_orderkey", pa.int64()), ("dup", pa.int64())]),
     )
     return (
         joined.groupby("o_orderpriority")
@@ -683,9 +680,9 @@ def q_basket_pairs(sf_dir: str):
     one lexsort and fans out every basket's ordered pairs in ≤
     max_basket² vectorized passes.  A per-bucket combiner pre-counts
     pairs (packed into ONE int64 key), a second PAIR-bucketed shuffle
-    merges with a C-speed sort+reduceat kernel (totals are global — a
-    pair's instances all share a pbucket) and forwards only each
-    bucket's top-k into the bounded final sort."""
+    merges the counts (totals are global — a pair's instances all
+    share a bucket) and forwards only each bucket's top-k into the
+    bounded final sort."""
 
     def bucket_pairs(group: pa.Table) -> pa.Table:
         ok = group["l_orderkey"].to_numpy()
@@ -714,19 +711,11 @@ def q_basket_pairs(sf_dir: str):
         return agg.rename_columns(["pair_key", "n"])
 
     def merge_topk(group: pa.Table) -> pa.Table:
-        # vectorized per-bucket merge: every instance of a pair lands
-        # in the same pbucket, so reduceat totals here are GLOBAL
-        # totals; each bucket then only forwards its top-k.  (Ray's
-        # generic Aggregate on ~1M distinct keys cost ~170 CPU-seconds
-        # at sf0.1 — this sort+reduceat merge is the same shuffle with
-        # a C-speed combine.)
-        key = group["pair_key"].to_numpy()
-        n = group["n"].to_numpy()
-        order = np.argsort(key, kind="stable")
-        key, n = key[order], n[order]
-        starts = np.concatenate(([0], np.flatnonzero(key[1:] != key[:-1]) + 1))
-        totals = np.add.reduceat(n, starts)
-        ukey = key[starts]
+        # every instance of a pair lands in this bucket, so these are
+        # GLOBAL totals; each bucket then only forwards its top-k
+        agg = pa.TableGroupBy(group, "pair_key", use_threads=False).aggregate([("n", "sum")])
+        ukey = agg["pair_key"].to_numpy()
+        totals = agg["n_sum"].to_numpy()
         # top-k by (n desc, key asc): key's major half is pa_
         top = np.lexsort((ukey, -totals))[:COOC_TOP]
         k = ukey[top].view(np.uint64)
@@ -1730,8 +1719,7 @@ def q_pivot_events(sf_dir: str):
     pipeline materializes; lowers to conditional-column partial
     aggregation — one vectorized pass per batch — and because users
     are a rows-cardinality key the partials merge through the
-    user-hash BUCKETED reduceat kernel (bucketed_wide_sum), never the
-    generic per-distinct-key aggregate."""
+    user-hash ``bucketed_wide_sum``."""
     from ...stages.pivot import (
         bucketed_wide_sum,
         make_pivot_partial,
@@ -1809,7 +1797,13 @@ def q_promo_revenue(sf_dir: str):
         part_prep, batch_format="pyarrow"
     )
     joined = shuffle_hash_join(
-        li, part, key="l_partkey", left_cols=["rev_c"], right_cols=["is_promo"]
+        li,
+        part,
+        key="l_partkey",
+        left_cols=["rev_c"],
+        right_cols=["is_promo"],
+        left_schema=pa.schema([("l_partkey", pa.int64()), ("rev_c", pa.int64())]),
+        right_schema=pa.schema([("l_partkey", pa.int64()), ("is_promo", pa.int64())]),
     )
 
     def split_rev(b: pa.Table) -> pa.Table:
@@ -1847,7 +1841,7 @@ def q_returned_items(sf_dir: str):
     returnflag filter sheds ~2/3 of lineitem in the first batch pass;
     revenue partials pre-aggregate per orderkey before the orderkey
     join; custkey is rows-cardinality so the per-customer merge is
-    hash-BUCKETED (top_customers shape: reduceat totals + per-bucket
+    hash-BUCKETED (top_customers shape: bucket totals + per-bucket
     top-20 guard), the global sort sees ≤ 64×20 rows, and name/nation
     attach by broadcast."""
     import pyarrow.parquet as pq
@@ -1876,18 +1870,14 @@ def q_returned_items(sf_dir: str):
         return agg.rename_columns(["o_custkey", "rev_c"])
 
     def merge_topk(group: pa.Table) -> pa.Table:
-        k = group["o_custkey"].to_numpy()
-        s = group["rev_c"].to_numpy()
-        order = np.argsort(k, kind="stable")
-        k, s = k[order], s[order]
-        starts = np.concatenate(([0], np.flatnonzero(k[1:] != k[:-1]) + 1))
-        tot = np.add.reduceat(s, starts)
-        uk = k[starts]
+        agg = pa.TableGroupBy(group, "o_custkey", use_threads=False).aggregate([("rev_c", "sum")])
+        uk = agg["o_custkey"].to_numpy()
+        tot = agg["rev_c_sum"].to_numpy()
         top = np.lexsort((uk, -tot))[:20]
         return pa.table(
             {
                 "c_custkey": pa.array(uk[top], pa.int64()),
-                "revenue_c": pa.array(tot[top].astype(np.int64)),
+                "revenue_c": pa.array(tot[top], pa.int64()),
             }
         )
 
@@ -1897,7 +1887,13 @@ def q_returned_items(sf_dir: str):
         lambda b: b.rename_columns(["l_orderkey", "o_custkey"]), batch_format="pyarrow"
     )
     joined = shuffle_hash_join(
-        rev, orders, key="l_orderkey", left_cols=["rev_c"], right_cols=["o_custkey"]
+        rev,
+        orders,
+        key="l_orderkey",
+        left_cols=["rev_c"],
+        right_cols=["o_custkey"],
+        left_schema=pa.schema([("l_orderkey", pa.int64()), ("rev_c", pa.int64())]),
+        right_schema=pa.schema([("l_orderkey", pa.int64()), ("o_custkey", pa.int64())]),
     )
     per_cust = hash_exchange(
         joined.map_batches(bucket_partial, batch_format="pyarrow"), "o_custkey", merge_topk
@@ -2082,6 +2078,8 @@ def q_percent_rank(sf_dir: str):
     ever meets per-key Python dispatch."""
     from ray.data.aggregate import Sum
 
+    from ...stages.pivot import bucketed_wide_sum
+
     PRIOS = ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED", "5-LOW"]
 
     def range_counts(b: pa.Table) -> pa.Table:
@@ -2098,25 +2096,10 @@ def q_percent_rank(sf_dir: str):
         agg = pa.TableGroupBy(t, "cell").aggregate([("n", "sum")])
         return agg.rename_columns(["cell", "n"])
 
-    def merge_counts(group: pa.Table) -> pa.Table:
-        # cell cardinality tracks the VALUE DOMAIN (~10³–10⁴ cells) —
-        # still merged bucketed, never via the generic per-key aggregate
-        c = group["cell"].to_numpy()
-        n = group["n"].to_numpy()
-        order = np.argsort(c, kind="stable")
-        c, n = c[order], n[order]
-        starts = np.concatenate(([0], np.flatnonzero(c[1:] != c[:-1]) + 1))
-        return pa.table(
-            {
-                "cell": pa.array(c[starts], pa.int64()),
-                "n": pa.array(np.add.reduceat(n, starts).astype(np.int64)),
-            }
-        )
-
     ds = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority", "o_totalprice"])
     # ≤ priorities × price-domain/2^14 rows — bounded
     counts = ds.map_batches(range_counts, batch_format="pyarrow")
-    hist = hash_exchange(counts, "cell", merge_counts).take_all()
+    hist = bucketed_wide_sum(counts, "cell", ["n"]).take_all()
     cells = np.array([int(r["cell"]) for r in hist], dtype=np.int64)
     ns = np.array([int(r["n"]) for r in hist], dtype=np.int64)
     order = np.argsort(cells)

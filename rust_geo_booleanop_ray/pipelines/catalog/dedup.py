@@ -12,11 +12,9 @@ from .ann import _lsh_bucket, _sign_bucket_expr
 
 
 def q_dedup_exact(sf_dir: str):
-    """Exact dedup groups: representative (min doc_id) + group size.
-    The merge shuffle is a ``hash_exchange``, not grouped by the
-    content hash itself — hash cardinality is ~rows, and one Python
-    map_groups call per distinct document is the per-key anti-pattern;
-    the bucketed kernel does the same merge with lexsort+reduceat."""
+    """Exact dedup groups: representative (min doc_id) + group size:
+    per-batch partials merged through ``hash_exchange`` on the content
+    hash (hash cardinality is ~rows)."""
     from ...stages.dedup import (
         content_hash_batch,
         exact_dedup_merge_bucket,
@@ -146,24 +144,12 @@ def q_normalized_dedup(sf_dir: str):
         )
 
     def merge(group: pa.Table) -> pa.Table:
-        h = group["content_hash"].to_numpy()
-        h2 = group["content_hash_hi"].to_numpy()
-        d = group["doc_id"].to_numpy()
-        n = group["n"].to_numpy()
-        c = group["n_chars"].to_numpy()
-        order = np.lexsort((d, h2, h))
-        h, h2, d, n, c = h[order], h2[order], d[order], n[order], c[order]
-        starts = np.concatenate(
-            ([0], np.flatnonzero((h[1:] != h[:-1]) | (h2[1:] != h2[:-1])) + 1)
+        keys = ["content_hash", "content_hash_hi"]
+        agg = pa.TableGroupBy(group, keys, use_threads=False).aggregate(
+            [("doc_id", "min"), ("n", "sum"), ("n_chars", "min")]
         )
-        return pa.table(
-            {
-                "doc_id": pa.array(d[starts], pa.int64()),
-                "n": pa.array(np.add.reduceat(n, starts).astype(np.int64)),
-                "n_chars": pa.array(
-                    np.minimum.reduceat(c, starts).astype(np.int64)
-                ),
-            }
+        return agg.select(["doc_id_min", "n_sum", "n_chars_min"]).rename_columns(
+            ["doc_id", "n", "n_chars"]
         )
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
@@ -949,9 +935,8 @@ def q_caption_dedup(sf_dir: str):
     then keep one canonical image per normalized caption — the
     duplicate-caption collapse a vision-language corpus runs before
     training.  Per-batch partial (count + min keeper per caption)
-    pre-aggregates before a caption-hash BUCKETED lexsort/reduceat
-    merge — normalized captions are rows-cardinality at 10^12 images,
-    so the generic per-key aggregate never runs."""
+    pre-aggregates before the caption-hash ``hash_exchange`` merge
+    (normalized captions are rows-cardinality at 10^12 images)."""
     from ...sources.images import read_synth_image_meta
 
     def partial(b: pa.Table) -> pa.Table:
@@ -977,20 +962,11 @@ def q_caption_dedup(sf_dir: str):
         return agg.append_column("caption_crc", pa.array(h))
 
     def merge(group: pa.Table) -> pa.Table:
-        cap = np.asarray(group["caption"].to_pylist(), dtype=object)
-        n = group["n_images"].to_numpy()
-        keep = np.asarray(group["keeper"].to_pylist(), dtype=object)
-        order = np.argsort(cap, kind="stable")
-        cap, n, keep = cap[order], n[order], keep[order]
-        starts = np.concatenate(([0], np.flatnonzero(cap[1:] != cap[:-1]) + 1))
-        tot = np.add.reduceat(n, starts)
-        kmin = np.minimum.reduceat(keep, starts)
-        return pa.table(
-            {
-                "caption": pa.array(cap[starts], pa.string()),
-                "n_images": pa.array(tot.astype(np.int64)),
-                "keeper": pa.array(kmin, pa.string()),
-            }
+        agg = pa.TableGroupBy(group, "caption", use_threads=False).aggregate(
+            [("n_images", "sum"), ("keeper", "min")]
+        )
+        return agg.select(["caption", "n_images_sum", "keeper_min"]).rename_columns(
+            ["caption", "n_images", "keeper"]
         )
 
     ds = read_synth_image_meta(CAPD_N)
@@ -1094,17 +1070,11 @@ def _contamination_pipeline(sf_dir: str, hash_batch):
         )
 
     def count_bucket(group: pa.Table) -> pa.Table:
-        e = group["eval_doc"].to_numpy()
-        t = group["train_doc"].to_numpy()
-        pairs = np.unique(np.column_stack([e, t]), axis=0)
-        ue = pairs[:, 0]
-        starts = np.concatenate(([0], np.flatnonzero(ue[1:] != ue[:-1]) + 1))
-        counts = np.diff(np.concatenate((starts, [len(ue)])))
-        return pa.table(
-            {
-                "eval_doc": pa.array(ue[starts], pa.int64()),
-                "n_train": pa.array(counts.astype(np.int64)),
-            }
+        agg = pa.TableGroupBy(group, "eval_doc", use_threads=False).aggregate(
+            [("train_doc", "count_distinct")]
+        )
+        return agg.select(["eval_doc", "train_doc_count_distinct"]).rename_columns(
+            ["eval_doc", "n_train"]
         )
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
@@ -1191,17 +1161,8 @@ def q_substring_dedup(sf_dir: str):
         )
 
     def min_bucket(group: pa.Table) -> pa.Table:
-        d = group["doc_id"].to_numpy()
-        k = group["keeper"].to_numpy()
-        order = np.lexsort((k, d))
-        d, k = d[order], k[order]
-        first = np.concatenate(([True], d[1:] != d[:-1]))
-        return pa.table(
-            {
-                "doc_id": pa.array(d[first], pa.int64()),
-                "keeper": pa.array(k[first], pa.int64()),
-            }
-        )
+        agg = pa.TableGroupBy(group, "doc_id", use_threads=False).aggregate([("keeper", "min")])
+        return agg.select(["doc_id", "keeper_min"]).rename_columns(["doc_id", "keeper"])
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     windows = ds.map_batches(long_window_hashes_batch, batch_format="pyarrow")
@@ -1450,8 +1411,8 @@ def q_incremental_minhash(sf_dir: str, prior_sigs=None):
 
     Scale shape: band exchange + pair verify are the proven bucketed
     kernels (old×old pairs never pay the 64-wide verify — the flag
-    rides the payload); the keeper rollup is one more splitmix64(doc)
-    % 64 bucketed lexsort/reduceat merge.  ``prior_sigs`` defaults to
+    rides the payload); the keeper rollup is one more ``hash_exchange``
+    merge on the new doc.  ``prior_sigs`` defaults to
     signing the corpus inline, standing in for the persisted-parquet
     read that scripts/dedup_incremental_stress.py exercises.  The one
     plan of this oracle: the ``incremental_minhash_store`` name runs it
@@ -1477,36 +1438,16 @@ def q_incremental_minhash(sf_dir: str, prior_sigs=None):
 
 
 def _incr_keeper_rollup(pairs):
-    """Per new doc (doc_b): min partner + distinct-partner count — one
-    bucketed lexsort/reduceat merge (new-doc ids are rows-cardinality;
-    never a generic per-key aggregate)."""
-
-    out_schema = pa.schema(
-        [
-            pa.field("doc_id", pa.int64()),
-            pa.field("keeper", pa.int64()),
-            pa.field("n_dups", pa.int64()),
-        ]
-    )
+    """Per new doc (doc_b): min partner + distinct-partner count, one
+    ``hash_exchange`` merge on doc_b (pairs arrive distinct from
+    ``pair_reduce``, so the row count is the partner count)."""
 
     def keeper_kernel(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return out_schema.empty_table()
-        bn = group["doc_b"].to_numpy()
-        an = group["doc_a"].to_numpy()
-        order = np.lexsort((an, bn))
-        bs = bn[order]
-        as_ = an[order]
-        st = np.concatenate(([0], np.flatnonzero(bs[1:] != bs[:-1]) + 1))
-        return pa.table(
-            {
-                "doc_id": pa.array(bs[st], pa.int64()),
-                "keeper": pa.array(np.minimum.reduceat(as_, st), pa.int64()),
-                "n_dups": pa.array(
-                    np.diff(np.concatenate((st, [len(bs)]))).astype(np.int64),
-                    pa.int64(),
-                ),
-            }
+        agg = pa.TableGroupBy(group, "doc_b", use_threads=False).aggregate(
+            [("doc_a", "min"), ("doc_a", "count")]
+        )
+        return agg.select(["doc_b", "doc_a_min", "doc_a_count"]).rename_columns(
+            ["doc_id", "keeper", "n_dups"]
         )
 
     return hash_exchange(pairs, "doc_b", keeper_kernel)

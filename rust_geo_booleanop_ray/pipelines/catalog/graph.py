@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ...stages.exchange import hash_exchange
 from ._shared import Query, _dedup_edge_union, _read, triu_pairs_in_runs
@@ -45,8 +46,8 @@ def q_pagerank(sf_dir: str):
     micro-units: score₀ = 10⁶, each round score(u) = 150000 +
     Σ_in floor(floor(score_v / deg_v) · 17 / 20).  Per round: one
     bucketed shuffle joins scores to out-edges, one node-bucketed
-    vectorized reduceat sums the contributions — the same exchange
-    shape as connected_components, scores never touch the driver."""
+    exchange sums the contributions — the same exchange shape as
+    connected_components, scores never touch the driver."""
     from ...stages.join import shuffle_hash_join
 
     # PageRank is multiplicity-sensitive (degrees!), so the edge set is
@@ -60,16 +61,8 @@ def q_pagerank(sf_dir: str):
     edges = rd.from_arrow_refs(edges.repartition(nb).materialize().to_arrow_refs())
 
     def degrees(group: pa.Table) -> pa.Table:
-        s = np.sort(group["src"].to_numpy())
-        starts = np.concatenate(([0], np.flatnonzero(s[1:] != s[:-1]) + 1))
-        return pa.table(
-            {
-                "src": pa.array(s[starts], pa.int64()),
-                "deg": pa.array(
-                    np.diff(np.concatenate((starts, [len(s)]))).astype(np.int64)
-                ),
-            }
-        )
+        agg = pa.TableGroupBy(group, "src", use_threads=False).aggregate([([], "count_all")])
+        return agg.select(["src", "count_all"]).rename_columns(["src", "deg"])
 
     deg = hash_exchange(edges, "src", degrees, nb).materialize()
 
@@ -113,19 +106,8 @@ def q_pagerank(sf_dir: str):
             return pa.table({"node": b["dst"], "c": pa.array(c.astype(np.int64))})
 
         def fold(group: pa.Table) -> pa.Table:
-            n = group["node"].to_numpy()
-            c = group["c"].to_numpy()
-            order = np.argsort(n, kind="stable")
-            n, c = n[order], c[order]
-            starts = np.concatenate(([0], np.flatnonzero(n[1:] != n[:-1]) + 1))
-            return pa.table(
-                {
-                    "src": pa.array(n[starts], pa.int64()),
-                    "score": pa.array(
-                        PR_BASE + np.add.reduceat(c, starts).astype(np.int64)
-                    ),
-                }
-            )
+            agg = pa.TableGroupBy(group, "node", use_threads=False).aggregate([("c", "sum")])
+            return pa.table({"src": agg["node"], "score": pc.add(agg["c_sum"], PR_BASE)})
 
         contribs = flowed.map_batches(contrib, batch_format="pyarrow")
         scores = hash_exchange(contribs, "node", fold, nb).materialize()
@@ -209,17 +191,8 @@ def q_bfs_depth(sf_dir: str):
     edges = rd.from_arrow_refs(edges.repartition(nb).materialize().to_arrow_refs())
 
     def min_fold(group: pa.Table) -> pa.Table:
-        n = group["src"].to_numpy()
-        d = group["dist"].to_numpy()
-        order = np.lexsort((d, n))
-        n, d = n[order], d[order]
-        starts = np.concatenate(([0], np.flatnonzero(n[1:] != n[:-1]) + 1))
-        return pa.table(
-            {
-                "src": pa.array(n[starts], pa.int64()),
-                "dist": pa.array(d[starts], pa.int64()),
-            }
-        )
+        agg = pa.TableGroupBy(group, "src", use_threads=False).aggregate([("dist", "min")])
+        return agg.select(["src", "dist_min"]).rename_columns(["src", "dist"])
 
     def seed_rows(b: pa.Table) -> pa.Table:
         s = np.unique(b["src"].to_numpy())
@@ -395,14 +368,11 @@ def q_triangles(sf_dir: str):
         )
 
     def close_count(group: pa.Table) -> pa.Table:
-        k = group["edge_key"].to_numpy()
-        nw = group["n_wedge"].to_numpy()
-        ie = group["is_edge"].to_numpy()
-        order = np.argsort(k, kind="stable")
-        k, nw, ie = k[order], nw[order], ie[order]
-        starts = np.concatenate(([0], np.flatnonzero(k[1:] != k[:-1]) + 1))
-        wedge_n = np.add.reduceat(nw, starts)
-        has_edge = np.add.reduceat(ie, starts) > 0
+        agg = pa.TableGroupBy(group, "edge_key", use_threads=False).aggregate(
+            [("n_wedge", "sum"), ("is_edge", "max")]
+        )
+        wedge_n = agg["n_wedge_sum"].to_numpy()
+        has_edge = agg["is_edge_max"].to_numpy() > 0
         return pa.table(
             {
                 "n_wedges": pa.array(
@@ -453,7 +423,7 @@ def q_degree_hist(sf_dir: str):
     """Count-of-counts / degree distribution (orders per customer →
     histogram of customer order-counts): the two-level aggregate
     whose FIRST level is rows-cardinality — per-block partial counts
-    merge in custkey-hash buckets (reduceat), and each bucket folds
+    merge in custkey-hash buckets, and each bucket folds
     its exact per-customer totals STRAIGHT into histogram partials
     (count, n_customers) before the second, tiny Sum exchange — the
     full per-customer table never leaves the buckets."""
@@ -470,19 +440,9 @@ def q_degree_hist(sf_dir: str):
         return agg.rename_columns(["o_custkey", "n"])
 
     def hist_bucket(group: pa.Table) -> pa.Table:
-        k = group["o_custkey"].to_numpy()
-        n = group["n"].to_numpy()
-        order = np.argsort(k, kind="stable")
-        k, n = k[order], n[order]
-        starts = np.concatenate(([0], np.flatnonzero(k[1:] != k[:-1]) + 1))
-        tot = np.add.reduceat(n, starts)
-        counts, freqs = np.unique(tot, return_counts=True)
-        return pa.table(
-            {
-                "n_orders": pa.array(counts.astype(np.int64)),
-                "n_customers": pa.array(freqs.astype(np.int64)),
-            }
-        )
+        tot = pa.TableGroupBy(group, "o_custkey", use_threads=False).aggregate([("n", "sum")])
+        hist = pa.TableGroupBy(tot, "n_sum", use_threads=False).aggregate([([], "count_all")])
+        return hist.select(["n_sum", "count_all"]).rename_columns(["n_orders", "n_customers"])
 
     ds = _read(sf_dir, "orders", ["o_custkey"])
     return (

@@ -138,16 +138,11 @@ def q_pixel_histogram(sf_dir: str):
     from ray.data.aggregate import Sum
 
     from ...sources.images import read_synth_images
-    from ...stages.image_ops import decode_image
+    from ...stages.image_ops import decoded_pixels
 
     def partial(b: pa.Table) -> pa.Table:
-        payloads = b["bytes"].to_pylist()
-        ws = b["w"].to_numpy()
-        hs = b["h"].to_numpy()
-        fmts = b["fmt"].to_pylist()
         hist = np.zeros(16, dtype=np.int64)
-        for i, payload in enumerate(payloads):
-            px = decode_image(payload, int(ws[i]), int(hs[i]), fmts[i])
+        for px in decoded_pixels(b):
             hist += np.bincount(px.ravel() >> 4, minlength=16)
         return pa.table(
             {
@@ -964,20 +959,14 @@ def q_channel_stats(sf_dir: str):
     from ray.data.aggregate import Sum
 
     from ...sources.images import read_synth_images
-    from ...stages.image_ops import decode_image
+    from ...stages.image_ops import decoded_pixels
 
     def partial(batch: pa.Table) -> pa.Table:
-        payloads = batch["bytes"].to_pylist()
-        ws = batch["w"].to_numpy()
-        hs = batch["h"].to_numpy()
-        fmts = batch["fmt"].to_pylist()
         cnt = np.zeros(3, dtype=np.int64)
         s = np.zeros(3, dtype=np.int64)
         ss = np.zeros(3, dtype=np.int64)
-        for i, payload in enumerate(payloads):
-            px = decode_image(payload, int(ws[i]), int(hs[i]), fmts[i]).astype(
-                np.int64
-            )
+        for px in decoded_pixels(batch):
+            px = px.astype(np.int64)
             cnt += px.shape[0] * px.shape[1]
             s += px.sum(axis=(0, 1))
             ss += (px * px).sum(axis=(0, 1))
@@ -1037,19 +1026,13 @@ def q_image_curation(sf_dir: str, n_images: int | None = None):
         read_synth_neardup_images,
     )
     from ...stages.dedup import hamming_candidate_pairs
-    from ...stages.image_ops import decode_image
+    from ...stages.image_ops import decoded_pixels
 
     def decode_profile(b: pa.Table) -> pa.Table:
         from ...sources.images import _phash64
 
-        payloads = b["bytes"].to_pylist()
-        ws = b["w"].to_numpy()
-        hs = b["h"].to_numpy()
-        fmts = b["fmt"].to_pylist()
-        idxs = b["img_idx"].to_numpy()
         keep_rows, ph = [], []
-        for i, payload in enumerate(payloads):
-            px = decode_image(payload, int(ws[i]), int(hs[i]), fmts[i])
+        for i, px in enumerate(decoded_pixels(b)):
             bright, _, _ = quality_stats(px)
             if image_quality_keep(bright, px.size):
                 keep_rows.append(i)

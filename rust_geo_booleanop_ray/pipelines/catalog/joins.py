@@ -200,8 +200,8 @@ def q_range_join(sf_dir: str):
 def _suppkey_count_sum(pairs_ds):
     """(s_suppkey, value_c) rows → exact per-supplier (n_events,
     sum_value_c): per-block TableGroupBy partial, then the shared
-    key-hash bucketed reduceat merge (suppliers are rows-cardinality
-    at scale — never the generic per-key aggregate)."""
+    ``bucketed_wide_sum`` merge (suppliers are rows-cardinality at
+    scale)."""
     from ...stages.pivot import bucketed_wide_sum
 
     def partial(b: pa.Table) -> pa.Table:
@@ -693,7 +693,13 @@ def q_bloom_join(sf_dir: str):
     probe = li.map_batches(probe_shed, batch_format="pyarrow")
     # exact join kills bloom false positives
     joined = shuffle_hash_join(
-        probe, part, key="l_partkey", left_cols=["rev_c"], right_cols=[]
+        probe,
+        part,
+        key="l_partkey",
+        left_cols=["rev_c"],
+        right_cols=[],
+        left_schema=pa.schema([("l_partkey", pa.int64()), ("rev_c", pa.int64())]),
+        right_schema=pa.schema([("l_partkey", pa.int64())]),
     )
     return bucketed_wide_sum(joined, "l_partkey", ["rev_c"])
 

@@ -1990,8 +1990,8 @@ def q_areal_interp(sf_dir: str):
     whole-batch exact clip); source attributes rejoin by key through ONE bucketed
     hash join (pair streams never carry payloads through the spatial
     shuffle); and the per-target rollup is block partials + the shared
-    key-hash bucketed reduceat merge — suppliers are rows-cardinality
-    at scale, never a generic per-key aggregate.  Nothing lands on the
+    ``bucketed_wide_sum`` merge (suppliers are rows-cardinality at
+    scale).  Nothing lands on the
     driver."""
     from ...stages.join import shuffle_hash_join
     from ...stages.pivot import bucketed_wide_sum

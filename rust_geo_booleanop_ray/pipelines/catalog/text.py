@@ -247,8 +247,8 @@ def q_word_pairs(sf_dir: str):
     the vocabulary exactly (vocab_topk's aggregate, deterministic
     tie-break) and BROADCASTS the ≤100-word id map; phase 2 is the
     basket shape: doc-bucketed dedupe of (doc, word-id) pairs,
-    offset-vectorized pair fan-out, pair-bucketed sort+reduceat merge
-    forwarding only per-bucket top-k into the bounded final sort."""
+    offset-vectorized pair fan-out, pair-bucketed merge forwarding
+    only per-bucket top-k into the bounded final sort."""
     import ray
     from ray.data.aggregate import Sum
 
@@ -341,13 +341,9 @@ def q_word_pairs(sf_dir: str):
     def merge_topk(group: pa.Table) -> pa.Table:
         vmap = ray.get(vocab_ref)
         inv = list(vmap)  # insertion order == id order
-        k = group["pair_key"].to_numpy()
-        n = group["n"].to_numpy()
-        order = np.argsort(k, kind="stable")
-        k, n = k[order], n[order]
-        starts = np.concatenate(([0], np.flatnonzero(k[1:] != k[:-1]) + 1))
-        tot = np.add.reduceat(n, starts)
-        uk = k[starts]
+        agg = pa.TableGroupBy(group, "pair_key", use_threads=False).aggregate([("n", "sum")])
+        uk = agg["pair_key"].to_numpy()
+        tot = agg["n_sum"].to_numpy()
         # decode to LEXICOGRAPHIC (word_a < word_b) pair order and cut
         # top-k with the same tie-break the final global sort uses —
         # an id-order cut could drop a boundary tie the lexicographic
@@ -1244,8 +1240,7 @@ def q_lm_score(sf_dir: str):
          occurrences are co-located by construction, no join), then a
          second in-kernel lexsort emits per-(bucket, doc) partial
          sums — wire out ∝ docs × buckets-touched, not occurrences;
-      2. partials hash-exchanged on doc_id and merged with
-         the same reduceat kernel.
+      2. partials hash-exchanged on doc_id and summed per doc.
     At 10^12 docs the occurrence exchange is the same volume as the
     contamination window exchange (∝ total tokens); score sums stay
     < 2^63 for corpora up to ~10^6 mean bigram frequency × 10^9-token
@@ -1294,32 +1289,17 @@ def q_lm_score(sf_dir: str):
 
     partials = hash_exchange(rows, ["ha", "hb"], bucket_partials)
 
-    out_schema = pa.schema(
-        [
-            pa.field("doc_id", pa.int64()),
-            pa.field("n_bigrams", pa.int64()),
-            pa.field("score_ppm", pa.int64()),
-        ]
-    )
-
     def merge_doc(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return out_schema.empty_table()
-        d = group["doc_id"].to_numpy()
-        o = np.argsort(d, kind="stable")
-        d = d[o]
-        s = group["s"].to_numpy()[o]
-        n = group["n"].to_numpy()[o]
-        st = np.concatenate(([0], np.flatnonzero(d[1:] != d[:-1]) + 1))
-        S = np.add.reduceat(s, st)
-        N = np.add.reduceat(n, st)
+        agg = pa.TableGroupBy(group, "doc_id", use_threads=False).aggregate(
+            [("s", "sum"), ("n", "sum")]
+        )
+        S = agg["s_sum"].to_numpy()
+        N = agg["n_sum"].to_numpy()
         return pa.table(
             {
-                "doc_id": pa.array(d[st], pa.int64()),
-                "n_bigrams": pa.array(N.astype(np.int64), pa.int64()),
-                "score_ppm": pa.array(
-                    ((S * LM_SCALE) // N).astype(np.int64), pa.int64()
-                ),
+                "doc_id": agg["doc_id"],
+                "n_bigrams": agg["n_sum"],
+                "score_ppm": pa.array((S * LM_SCALE) // N, pa.int64()),
             }
         )
 

@@ -86,40 +86,15 @@ def exact_dedup_partial(batch: pa.Table) -> pa.Table:
     )
 
 
-def exact_dedup_merge(group: pa.Table) -> pa.Table:
-    """groupby(content hash pair) merge of partials (one group per call
-    — use the bucketed variant below for rows-cardinality key spaces)."""
-    return pa.table(
-        {
-            "content_hash": group["content_hash"].slice(0, 1),
-            "content_hash_hi": group["content_hash_hi"].slice(0, 1),
-            "doc_id": pa.array([min(group["doc_id"].to_pylist())], pa.int64()),
-            "n": pa.array([sum(group["n"].to_pylist())], pa.int64()),
-        }
-    )
-
-
 def exact_dedup_merge_bucket(group: pa.Table) -> pa.Table:
-    """Vectorized per-BUCKET merge: lexsort + reduceat — C-speed min
-    doc and count per 128-bit content hash, global because a hash's
-    partials all share the bucket."""
-    h = group["content_hash"].to_numpy()
-    h2 = group["content_hash_hi"].to_numpy()
-    d = group["doc_id"].to_numpy()
-    n = group["n"].to_numpy()
-    order = np.lexsort((d, h2, h))
-    h, h2, d, n = h[order], h2[order], d[order], n[order]
-    starts = np.concatenate(
-        ([0], np.flatnonzero((h[1:] != h[:-1]) | (h2[1:] != h2[:-1])) + 1)
+    """Per-bucket merge of ``exact_dedup_partial`` rows: min doc and
+    count per 128-bit content hash, global because a hash's partials
+    all share the bucket."""
+    keys = ["content_hash", "content_hash_hi"]
+    agg = pa.TableGroupBy(group, keys, use_threads=False).aggregate(
+        [("doc_id", "min"), ("n", "sum")]
     )
-    return pa.table(
-        {
-            "content_hash": pa.array(h[starts], pa.int64()),
-            "content_hash_hi": pa.array(h2[starts], pa.int64()),
-            "doc_id": pa.array(d[starts], pa.int64()),
-            "n": pa.array(np.add.reduceat(n, starts).astype(np.int64)),
-        }
-    )
+    return agg.select(keys + ["doc_id_min", "n_sum"]).rename_columns(keys + ["doc_id", "n"])
 
 
 # ---------------------------------------------------------------- minhash
@@ -740,25 +715,16 @@ def connected_components(pairs_ds, max_rounds: int = 30, a_col: str = "doc_a", b
     from .join import shuffle_hash_join
 
     def _min_by_node(ds, value_cols, nb):
-        """groupby(node) Min over value_cols WITHOUT per-key Python:
-        node cardinality is ~rows, and both Ray's generic Aggregate
-        and per-key map_groups pay per-distinct-key overhead (profiled
-        at ~170 CPU-s for ~1M keys).  Bucket by node hash instead —
-        the same single exchange, then one argsort+minimum.reduceat
-        kernel per bucket."""
+        """groupby(node) Min over value_cols through ``hash_exchange``
+        (node cardinality is ~rows)."""
 
         def merge(group: pa.Table) -> pa.Table:
-            node = group["node"].to_numpy()
-            order = np.argsort(node, kind="stable")
-            ns = node[order]
-            starts = np.concatenate(([0], np.flatnonzero(ns[1:] != ns[:-1]) + 1))
-            out = {"node": pa.array(ns[starts], pa.int64())}
-            for c in value_cols:
-                v = group[c].to_numpy()[order]
-                out[c] = pa.array(
-                    np.minimum.reduceat(v, starts).astype(np.int64)
-                )
-            return pa.table(out)
+            agg = pa.TableGroupBy(group, "node", use_threads=False).aggregate(
+                [(c, "min") for c in value_cols]
+            )
+            return agg.select(["node"] + [f"{c}_min" for c in value_cols]).rename_columns(
+                ["node"] + list(value_cols)
+            )
 
         return hash_exchange(ds, "node", merge, nb)
 
@@ -904,32 +870,18 @@ def connected_components(pairs_ds, max_rounds: int = 30, a_col: str = "doc_a", b
 def pair_reduce(pairs_ds, a_col: str, b_col: str, val_col: str, how: str = "min"):
     """Merge duplicate candidate pairs (the same pair surfaces from
     several LSH bands/buckets) into one row carrying min/max of
-    ``val_col``.  Pair cardinality is ~candidates — rows-scale — so
-    the generic per-key aggregate would pay per-distinct-key overhead;
-    instead the (a, b) pair rides as TWO int64 columns (full 64-bit id
-    spaces welcome — the incremental append path puts new docs at
+    ``val_col``.  The (a, b) pair rides as TWO key columns (full 64-bit
+    id spaces welcome — the incremental append path puts new docs at
     ≥ 2^40, which a packed ``(a<<32)|b`` key would silently corrupt),
-    a splitmix64 bucket over the mixed pair co-locates all instances,
-    and one lexsort + ufunc.reduceat per bucket merges at C speed.
+    so every instance of a pair meets in one ``hash_exchange`` bucket.
     Column names and dtypes are preserved."""
-    ufunc = {"min": np.minimum, "max": np.maximum}[how]
+    if how not in ("min", "max"):
+        raise ValueError(f"how must be min|max, got {how!r}")
 
     def merge(group: pa.Table) -> pa.Table:
-        a = group[a_col].to_numpy()
-        bb = group[b_col].to_numpy()
-        v = group[val_col].to_numpy()
-        order = np.lexsort((bb, a))
-        a, bb, v = a[order], bb[order], v[order]
-        starts = np.concatenate(
-            ([0], np.flatnonzero((a[1:] != a[:-1]) | (bb[1:] != bb[:-1])) + 1)
-        )
-        red = ufunc.reduceat(v, starts)
-        return pa.table(
-            {
-                a_col: pa.array(a[starts]),
-                b_col: pa.array(bb[starts]),
-                val_col: pa.array(red),
-            }
+        agg = pa.TableGroupBy(group, [a_col, b_col], use_threads=False).aggregate([(val_col, how)])
+        return agg.select([a_col, b_col, f"{val_col}_{how}"]).rename_columns(
+            [a_col, b_col, val_col]
         )
 
     pairs = pairs_ds.map_batches(

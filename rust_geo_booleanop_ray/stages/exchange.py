@@ -8,6 +8,16 @@ key (~170 CPU-s per ~1M keys measured).  ``hash_exchange`` shuffles by
 ``bucket_of(key)`` instead, so the kernel runs ``n_buckets`` times and
 sees every row of each of its keys in one call.  The bucket is
 partitioning only: no output column and no oracle depends on it.
+
+A kernel whose job is a per-key sum, count, min or max calls Arrow's
+hash aggregate, ``pa.TableGroupBy(group, keys, use_threads=False)
+.aggregate([...])``, and selects its ``<col>_<agg>`` columns by name.
+``use_threads=False``: the kernel already runs in a Ray task that holds
+one CPU, and Arrow's thread pool cost ~10 ms per 64-bucket exchange of
+small groups without speeding up a 1M-row one.  A float sum stays in
+numpy unless its query is shown bit-identical (Arrow sums in another
+order).  A lexsort and run starts are for results that depend on row
+order: windows, pair fan-outs, argmax tie-breaks, bitwise folds.
 """
 
 from __future__ import annotations

@@ -60,6 +60,16 @@ def decode_image(payload: bytes, w: int, h: int, fmt: str) -> np.ndarray:
     raise ImageCodecNotAvailable(f"no codec for fmt={fmt!r} in this environment")
 
 
+def decoded_pixels(batch: pa.Table):
+    """Yield each row's decoded (h, w, 3) uint8 pixels, in row order,
+    from the batch's ``bytes``, ``w``, ``h`` and ``fmt`` columns."""
+    ws = batch["w"].to_numpy()
+    hs = batch["h"].to_numpy()
+    rows = zip(batch["bytes"].to_pylist(), ws, hs, batch["fmt"].to_pylist())
+    for payload, w, h, fmt in rows:
+        yield decode_image(payload, int(w), int(h), fmt)
+
+
 def resize_nearest(pixels: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     """Nearest-neighbor resize, pure numpy (real, not stubbed)."""
     h, w = pixels.shape[:2]
@@ -92,13 +102,8 @@ class DecodePhash:
         self._phash64 = _phash64
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch["bytes"].to_pylist()
-        ws = batch["w"].to_numpy()
-        hs = batch["h"].to_numpy()
-        fmts = batch["fmt"].to_pylist()
-        phash = np.empty(len(payloads), dtype=np.int64)
-        for i, payload in enumerate(payloads):
-            px = decode_image(payload, int(ws[i]), int(hs[i]), fmts[i])
+        phash = np.empty(batch.num_rows, dtype=np.int64)
+        for i, px in enumerate(decoded_pixels(batch)):
             phash[i] = self._phash64(px)
         return pa.table(
             {
@@ -131,13 +136,8 @@ class ImageSimPartial:
     def __call__(self, batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc_
 
-        payloads = batch["bytes"].to_pylist()
-        ws = batch["w"].to_numpy()
-        hs = batch["h"].to_numpy()
-        fmts = batch["fmt"].to_pylist()
-        feats = np.empty((len(payloads), self.qmat.shape[1]), dtype=np.int64)
-        for i, payload in enumerate(payloads):
-            px = decode_image(payload, int(ws[i]), int(hs[i]), fmts[i])
+        feats = np.empty((batch.num_rows, self.qmat.shape[1]), dtype=np.int64)
+        for i, px in enumerate(decoded_pixels(batch)):
             feats[i] = self._thumb(px)
         ids = pc_.cast(
             pc_.utf8_slice_codeunits(batch["image_id"], 4, 12), pa.int64()
@@ -201,16 +201,11 @@ class DecodeRoundtrip:
         idxs = pc_.cast(
             pc_.utf8_slice_codeunits(batch["image_id"], 4, 12), pa.int64()
         ).to_numpy()
-        payloads = batch["bytes"].to_pylist()
-        ws = batch["w"].to_numpy()
-        hs = batch["h"].to_numpy()
-        fmts = batch["fmt"].to_pylist()
-        n = len(payloads)
+        n = batch.num_rows
         cbs = np.empty(n, dtype=np.int64)
         checks = np.empty(n, dtype=np.int64)
         passes = np.empty(n, dtype=np.int64)
-        for i, payload in enumerate(payloads):
-            decoded = decode_image(payload, int(ws[i]), int(hs[i]), fmts[i])
+        for i, decoded in enumerate(decoded_pixels(batch)):
             orig = self._orig(int(idxs[i]))
             p = psnr(orig, decoded)
             cb = 99999 if np.isinf(p) else int(np.floor(p * 100.0 + 0.5))
@@ -256,17 +251,12 @@ class DecodeQuality:
         self._keep = image_quality_keep
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch["bytes"].to_pylist()
-        ws = batch["w"].to_numpy()
-        hs = batch["h"].to_numpy()
-        fmts = batch["fmt"].to_pylist()
-        n = len(payloads)
+        n = batch.num_rows
         bright = np.empty(n, dtype=np.int64)
         ssq = np.empty(n, dtype=np.int64)
         edge = np.empty(n, dtype=np.int64)
         keep = np.zeros(n, dtype=bool)
-        for i, payload in enumerate(payloads):
-            px = decode_image(payload, int(ws[i]), int(hs[i]), fmts[i])
+        for i, px in enumerate(decoded_pixels(batch)):
             bright[i], ssq[i], edge[i] = self._stats(px)
             keep[i] = (not self.filter_dark) or self._keep(
                 int(bright[i]), px.size
@@ -302,17 +292,12 @@ class DecodePyramid:
         self._checksum = pix_checksum
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch["bytes"].to_pylist()
-        ws = batch["w"].to_numpy()
-        hs = batch["h"].to_numpy()
-        fmts = batch["fmt"].to_pylist()
         ids = batch["image_id"].to_pylist()
         out_id, out_lvl, out_w, out_h, out_ck = [], [], [], [], []
-        for i, payload in enumerate(payloads):
-            px = decode_image(payload, int(ws[i]), int(hs[i]), fmts[i])
+        for image_id, px in zip(ids, decoded_pixels(batch)):
             for lvl in range(1, self.levels + 1):
                 px = self._down(px)
-                out_id.append(ids[i])
+                out_id.append(image_id)
                 out_lvl.append(lvl)
                 out_h.append(px.shape[0])
                 out_w.append(px.shape[1])
@@ -344,17 +329,12 @@ class DecodeAugment:
         self._checksum = pix_checksum
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch["bytes"].to_pylist()
-        ws = batch["w"].to_numpy()
-        hs = batch["h"].to_numpy()
-        fmts = batch["fmt"].to_pylist()
         ids = batch["image_id"].to_pylist()
         out_id, out_v, out_w, out_h, out_ck = [], [], [], [], []
-        for i, payload in enumerate(payloads):
-            px = decode_image(payload, int(ws[i]), int(hs[i]), fmts[i])
+        for image_id, px in zip(ids, decoded_pixels(batch)):
             for v in self._variants:
                 a = self._aug(px, v)
-                out_id.append(ids[i])
+                out_id.append(image_id)
                 out_v.append(v)
                 out_h.append(a.shape[0])
                 out_w.append(a.shape[1])
@@ -387,22 +367,17 @@ class DecodeFeatures:
         self._phash64 = _phash64
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch["bytes"].to_pylist()
-        ws = batch["w"].to_numpy()
-        hs = batch["h"].to_numpy()
-        fmts = batch["fmt"].to_pylist()
-
         from ..sources.images import pix_checksum
 
-        mean_r = np.empty(len(payloads))
-        mean_g = np.empty(len(payloads))
-        mean_b = np.empty(len(payloads))
-        luma_std = np.empty(len(payloads))
-        phash = np.empty(len(payloads), dtype=np.int64)
-        checks = np.empty(len(payloads), dtype=np.int64)
+        n = batch.num_rows
+        mean_r = np.empty(n)
+        mean_g = np.empty(n)
+        mean_b = np.empty(n)
+        luma_std = np.empty(n)
+        phash = np.empty(n, dtype=np.int64)
+        checks = np.empty(n, dtype=np.int64)
         thumbs = []
-        for i, payload in enumerate(payloads):
-            px = decode_image(payload, int(ws[i]), int(hs[i]), fmts[i])
+        for i, px in enumerate(decoded_pixels(batch)):
             mean_r[i], mean_g[i], mean_b[i] = px.reshape(-1, 3).mean(axis=0)
             luma_std[i] = px.astype(np.float64).mean(axis=2).std()
             phash[i] = self._phash64(px)
@@ -437,18 +412,8 @@ class DecodePatches:
         self._stats = patch_grid_stats
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch["bytes"].to_pylist()
-        ws = batch["w"].to_numpy()
-        hs = batch["h"].to_numpy()
-        fmts = batch["fmt"].to_pylist()
         ids = batch["image_id"].to_pylist()
-        rows = [
-            self._stats(
-                decode_image(payload, int(ws[i]), int(hs[i]), fmts[i]),
-                self.p,
-            )
-            for i, payload in enumerate(payloads)
-        ]
+        rows = [self._stats(px, self.p) for px in decoded_pixels(batch)]
         n, mx, am, ct = zip(*rows) if rows else ((), (), (), ())
         return pa.table(
             {
@@ -474,16 +439,7 @@ class DetectLetterbox:
         self._measure = measure_letterbox
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch["bytes"].to_pylist()
-        ws = batch["w"].to_numpy()
-        hs = batch["h"].to_numpy()
-        fmts = batch["fmt"].to_pylist()
-        bars = [
-            self._measure(
-                decode_image(payload, int(ws[i]), int(hs[i]), fmts[i])
-            )
-            for i, payload in enumerate(payloads)
-        ]
+        bars = [self._measure(px) for px in decoded_pixels(batch)]
         return pa.table(
             {
                 "image_id": batch["image_id"],

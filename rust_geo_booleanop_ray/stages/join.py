@@ -83,8 +83,9 @@ def shuffle_hash_join(
     right_cols,
     n_buckets: int = N_BUCKETS,
     distinct: str | None = None,
-    left_schema: pa.Schema | None = None,
-    right_schema: pa.Schema | None = None,
+    *,
+    left_schema: pa.Schema,
+    right_schema: pa.Schema,
     how: str = "inner",
 ):
     """Equi-join of two Datasets on ``key``.
@@ -115,10 +116,10 @@ def shuffle_hash_join(
     bucket-local dedup IS global dedup — a semi-join without paying a
     separate distinct shuffle.
 
-    ``left_schema``/``right_schema``: pass the sides' arrow schemas when
-    you know them — ``Dataset.schema()`` on a lazily-derived side may
-    execute part of its plan (a whole aggregate for shuffle-rooted
-    datasets), so callers in iterative loops should always pass these."""
+    ``left_schema``/``right_schema`` (required): the sides' arrow
+    schemas, declared by the caller.  They type the null padding and
+    the key check when the plan is built; inferring them with
+    ``Dataset.schema()`` would run part of each side's plan once more."""
 
     if how not in ("inner", "semi", "anti", "left", "full"):
         raise ValueError(f"how must be inner|semi|anti|left|full, got {how!r}")
@@ -126,16 +127,14 @@ def shuffle_hash_join(
     out_cols = list(left_cols) if how in ("semi", "anti") else all_cols
 
     # The two tagged sides must be schema-aligned for union(), so the
-    # null padding columns need each side's REAL arrow types, captured
-    # from the dataset schemas up front.
-    lschema = left_schema if left_schema is not None else left.schema().base_schema
-    rschema = right_schema if right_schema is not None else right.schema().base_schema
+    # null padding columns need each side's REAL arrow types, taken
+    # from the declared schemas.
     types = {}
     for c in left_cols:
-        types[c] = lschema.field(c).type
+        types[c] = left_schema.field(c).type
     for c in right_cols:
-        types[c] = rschema.field(c).type
-    key_type = lschema.field(key).type
+        types[c] = right_schema.field(c).type
+    key_type = left_schema.field(key).type
     # bucket_of also rejects it, but only once the plan runs
     if not pa.types.is_integer(key_type):
         raise TypeError(

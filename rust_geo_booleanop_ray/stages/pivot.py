@@ -77,26 +77,21 @@ def make_pivot_partial(
 
 def bucketed_wide_sum(ds, group_col: str, wide_cols: Sequence[str]):
     """Sum integer partials (pivot partials, per-key revenue, zone
-    counts) per ``group_col`` WITHOUT the generic per-distinct-key
-    aggregate (group cardinality is ~rows at 100 TB — users):
-    ``hash_exchange`` on the group key, and merge each bucket with ONE
-    lexsort + reduceat pass over every wide column at once (CLAUDE.md
-    scale shape).  Returns one exact row per distinct group."""
+    counts) per ``group_col`` through ``hash_exchange`` (group
+    cardinality is ~rows at 100 TB — users).  Returns one exact row per
+    distinct group."""
     return hash_exchange(
         ds, group_col, partial(wide_sum, group_col=group_col, wide_cols=list(wide_cols))
     )
 
 
 def wide_sum(group: pa.Table, group_col: str, wide_cols: Sequence[str]) -> pa.Table:
-    """``bucketed_wide_sum``'s kernel: one int64 row per distinct
-    ``group_col`` value with each wide column summed; an empty group
-    gives an empty table of the same schema."""
-    k = group[group_col].to_numpy()
-    order = np.argsort(k, kind="stable")
-    ks = k[order]
-    starts = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]]) if len(ks) else np.empty(0, np.int64)
-    cols: dict[str, object] = {group_col: pa.array(ks[starts].astype(np.int64), pa.int64())}
-    for c in wide_cols:
-        v = group[c].to_numpy()[order]
-        cols[c] = pa.array(np.add.reduceat(v, starts).astype(np.int64), pa.int64())
-    return pa.table(cols)
+    """``bucketed_wide_sum``'s kernel: one row per distinct
+    ``group_col`` value with each integer wide column summed to int64;
+    an empty group gives an empty table of the same schema."""
+    agg = pa.TableGroupBy(group, group_col, use_threads=False).aggregate(
+        [(c, "sum") for c in wide_cols]
+    )
+    return agg.select([group_col] + [f"{c}_sum" for c in wide_cols]).rename_columns(
+        [group_col] + list(wide_cols)
+    )

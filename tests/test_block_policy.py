@@ -205,6 +205,33 @@ def test_no_hand_rolled_hash_exchange():
     assert _package_lines_matching(pattern, skip={os.path.join("stages", "exchange.py")}) == []
 
 
+def test_engine_calls_no_dataset_schema():
+    """No argument-less ``.schema()`` call in the engine (``pa.schema(
+    fields)`` builds a schema and is fine): Ray answers
+    ``Dataset.schema()`` on a lazily derived dataset by running part of
+    its plan, so callers declare schemas (``shuffle_hash_join``'s
+    ``left_schema``/``right_schema``) instead.  Strings and comments are
+    not code."""
+    offenders = []
+    for root, _, files in os.walk(PACKAGE):
+        for name in files:
+            path = os.path.join(root, name)
+            if not name.endswith(".py"):
+                continue
+            with open(path, encoding="utf-8") as f:
+                tree = ast.parse(f.read())
+            for node in ast.walk(tree):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "schema"
+                    and not node.args
+                    and not node.keywords
+                ):
+                    offenders.append(f"{os.path.relpath(path, PACKAGE)}:{node.lineno}")
+    assert offenders == []
+
+
 def test_cell_ids_computed_only_in_cells_module():
     """Only ``stages/cells.py`` knows the cell-id layout: no other engine
     module names its Morton helpers or shifts by the 58 resolution bits

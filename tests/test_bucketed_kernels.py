@@ -5,7 +5,7 @@ independent of bucket count and row order."""
 
 import numpy as np
 import pyarrow as pa
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 GAP_US = 30 * 60 * 1_000_000
@@ -65,30 +65,33 @@ def test_vectorized_sessionize_matches_bruteforce(rows):
     assert got == _sessions_brute(rows)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=12, deadline=None)
 @given(events, st.integers(1, 8))
-def test_pair_reduce_matches_bruteforce(rows, n_salt):
-    """pair_reduce's per-bucket sort+reduceat min equals dict-merge,
-    for any bucket count and input order (pairs here are (u, t%7)
-    with value v; duplicates across 'blocks' exercised by splitting)."""
-    from rust_geo_booleanop_ray.stages.dedup import pair_reduce  # noqa: F401
+@example(rows=[(1, 0, 5), (1, 7, 2), (2, 3, 4)], n_salt=2)
+def test_pair_reduce_matches_bruteforce(ray_session, rows, n_salt):
+    """pair_reduce (the Ray stage, hash exchange included) keeps one row
+    per pair with the min value, equal to a dict merge, for any input
+    order; pairs here are (u, t % 7) with value v, and the rows arrive
+    in ``n_salt`` blocks so a pair's duplicates span blocks."""
+    import ray.data as rd
 
-    # exercise the kernel function directly (bucketless): emulate via
-    # the same packed-key reduce the stage applies per bucket
-    a = np.array([r[0] for r in rows], dtype=np.int64)
-    b = np.array([r[1] % 7 for r in rows], dtype=np.int64)
-    v = np.array([r[2] for r in rows], dtype=np.int64)
-    key = (a.astype(np.uint64) << np.uint64(32)) | b.astype(np.uint64)
-    order = np.argsort(key.view(np.int64), kind="stable")
-    k = key.view(np.int64)[order]
-    vv = v[order]
-    starts = np.concatenate(([0], np.flatnonzero(k[1:] != k[:-1]) + 1))
-    red = np.minimum.reduceat(vv, starts)
-    got = dict(zip(k[starts].tolist(), red.tolist()))
+    from rust_geo_booleanop_ray.stages.dedup import pair_reduce
+
+    t = pa.table(
+        {
+            "a": pa.array([r[0] for r in rows], pa.int64()),
+            "b": pa.array([r[1] % 7 for r in rows], pa.int64()),
+            "v": pa.array([r[2] for r in rows], pa.int64()),
+        }
+    )
+    cuts = np.linspace(0, t.num_rows, n_salt + 1).astype(int)
+    blocks = [t.slice(lo, hi - lo) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo]
+    out = pair_reduce(rd.from_arrow(blocks), "a", "b", "v", how="min").take_all()
+    got = {(r["a"], r["b"]): r["v"] for r in out}
     want = {}
-    for ai, bi, vi in zip(a.tolist(), b.tolist(), v.tolist()):
-        kk = (ai << 32) | bi
-        want[kk] = min(want.get(kk, vi), vi)
+    for ai, bi, vi in zip(*t.to_pydict().values()):
+        want[(ai, bi)] = min(want.get((ai, bi), vi), vi)
+    assert len(out) == len(got)
     assert got == want
 
 

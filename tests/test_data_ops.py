@@ -15,7 +15,6 @@ from rust_geo_booleanop_ray.stages.dedup import (
     SimHasher,
     SimhashPairs,
     content_hash_batch,
-    exact_dedup_merge,
     exact_dedup_partial,
     lsh_band_explode,
     ngram_jaccard,
@@ -84,7 +83,6 @@ def test_exact_dedup_partial_merge():
     assert hashed["content_hash"][0].as_py() == hashed["content_hash"][2].as_py()
     part = exact_dedup_partial(hashed)
     assert part.num_rows == 2
-    merged = exact_dedup_merge(part.filter(pa.array([r == part["content_hash"][0].as_py() for r in part["content_hash"].to_pylist()])))
     by_hash = {r["content_hash"]: r for r in part.to_pylist()}
     aa_hash = hashed["content_hash"][0].as_py()
     assert by_hash[aa_hash]["doc_id"] == 5 and by_hash[aa_hash]["n"] == 3
@@ -572,6 +570,21 @@ def test_exact_dedup_bucketed_merge_matches_per_group():
         lo, n = want.get(h, (d, 0))
         want[h] = (min(lo, d), n + 1)
     assert got == want
+
+    # an empty group and an int32 count column keep the output's names
+    # and int64 types
+    empty = exact_dedup_merge_bucket(both.slice(0, 0))
+    narrow = both.set_column(
+        both.schema.get_field_index("n"), "n", both["n"].cast(pa.int32())
+    )
+    for merged in (out, empty, exact_dedup_merge_bucket(narrow)):
+        assert merged.schema == pa.schema(
+            [(c, pa.int64()) for c in ("content_hash", "content_hash_hi", "doc_id", "n")]
+        )
+    assert empty.num_rows == 0
+    assert sorted(exact_dedup_merge_bucket(narrow).to_pylist(), key=str) == sorted(
+        out.to_pylist(), key=str
+    )
 
 
 def test_overlap_matrix_matches_brute_force(monkeypatch):

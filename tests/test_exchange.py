@@ -123,7 +123,8 @@ def test_ascii_token_hashes_match_per_token_fnv1a(str_type):
 
 def test_empty_group_keeps_the_wide_sum_schema():
     """``bucketed_wide_sum``'s kernel gives a typed table for a group
-    with no rows, with the schema of a full group's output."""
+    with no rows, with the schema of a full group's output, and sums an
+    int32 column to int64 under the same name."""
     from rust_geo_booleanop_ray.stages.pivot import wide_sum
 
     group = pa.table(
@@ -134,4 +135,9 @@ def test_empty_group_keeps_the_wide_sum_schema():
     )
     summed = wide_sum(group, "k", ["a"])
     assert summed.to_pydict() == {"k": [1, 2, 3], "a": [10, 50, 40]}
+    assert summed.schema == pa.schema([("k", pa.int64()), ("a", pa.int64())])
     assert wide_sum(group.slice(0, 0), "k", ["a"]).schema == summed.schema
+    # an int32 wide column sums to int64, with the same names
+    narrow = group.set_column(1, "a", group["a"].cast(pa.int32()))
+    assert wide_sum(narrow, "k", ["a"]).equals(summed)
+    assert wide_sum(narrow.slice(0, 0), "k", ["a"]).schema == summed.schema

@@ -44,7 +44,10 @@ def test_shuffle_hash_join_matches_duckdb():
 
     tl = pa.table({"k": [1, 1, 2, 3, 5], "lv": [10, 11, 20, 30, 50]})
     tr = pa.table({"k": [1, 2, 2, 4], "rv": [100, 200, 201, 400]})
-    out = shuffle_hash_join(rd.from_arrow(tl), rd.from_arrow(tr), "k", ["lv"], ["rv"])
+    out = shuffle_hash_join(
+        rd.from_arrow(tl), rd.from_arrow(tr), "k", ["lv"], ["rv"],
+        left_schema=tl.schema, right_schema=tr.schema,
+    )
     got = _sorted_pylist(out, ["k", "lv", "rv"])
     exp = duckdb.sql(
         "SELECT tl.k, lv, rv FROM tl JOIN tr USING (k) ORDER BY k, lv, rv"
@@ -135,16 +138,22 @@ def test_broadcast_join_empty_small_side():
 
 
 def test_shuffle_hash_join_rejects_non_integer_key():
-    left = rd.from_arrow(pa.table({"k": ["a", "b"], "v": [1, 2]}))
-    right = rd.from_arrow(pa.table({"k": ["a", "b"], "w": [3, 4]}))
+    tl = pa.table({"k": ["a", "b"], "v": [1, 2]})
+    tr = pa.table({"k": ["a", "b"], "w": [3, 4]})
     with pytest.raises(TypeError, match="integer"):
-        shuffle_hash_join(left, right, key="k", left_cols=["v"], right_cols=["w"])
+        shuffle_hash_join(
+            rd.from_arrow(tl), rd.from_arrow(tr), key="k", left_cols=["v"], right_cols=["w"],
+            left_schema=tl.schema, right_schema=tr.schema,
+        )
 
 
 def test_shuffle_hash_join_rejects_null_keys():
-    left = rd.from_arrow(pa.table({"k": pa.array([1, None], pa.int64()), "v": [1, 2]}))
-    right = rd.from_arrow(pa.table({"k": pa.array([1, 2], pa.int64()), "w": [3, 4]}))
-    out = shuffle_hash_join(left, right, key="k", left_cols=["v"], right_cols=["w"])
+    tl = pa.table({"k": pa.array([1, None], pa.int64()), "v": [1, 2]})
+    tr = pa.table({"k": pa.array([1, 2], pa.int64()), "w": [3, 4]})
+    out = shuffle_hash_join(
+        rd.from_arrow(tl), rd.from_arrow(tr), key="k", left_cols=["v"], right_cols=["w"],
+        left_schema=tl.schema, right_schema=tr.schema,
+    )
     with pytest.raises(Exception, match="null"):
         out.take_all()
 
@@ -160,7 +169,8 @@ def test_shuffle_hash_join_semi_anti_match_bruteforce():
     rset = set(rk.tolist())
     for how in ("semi", "anti"):
         out = shuffle_hash_join(
-            rd.from_arrow(tl), rd.from_arrow(tr), "k", ["lv"], [], how=how
+            rd.from_arrow(tl), rd.from_arrow(tr), "k", ["lv"], [], how=how,
+            left_schema=tl.schema, right_schema=tr.schema,
         ).take_all()
         got = sorted((r["k"], r["lv"]) for r in out)
         if how == "semi":
@@ -181,7 +191,8 @@ def test_shuffle_hash_join_left_outer_matches_bruteforce():
     tl = pa.table({"k": pa.array(lk), "lv": pa.array(np.arange(100, dtype=np.int64))})
     tr = pa.table({"k": pa.array(rk), "rv": pa.array(np.arange(60, dtype=np.int64))})
     out = shuffle_hash_join(
-        rd.from_arrow(tl), rd.from_arrow(tr), "k", ["lv"], ["rv"], how="left"
+        rd.from_arrow(tl), rd.from_arrow(tr), "k", ["lv"], ["rv"], how="left",
+        left_schema=tl.schema, right_schema=tr.schema,
     ).take_all()
     got = sorted(
         (r["k"], r["lv"], r["rv"] if r["rv"] is not None else -1) for r in out
@@ -207,7 +218,8 @@ def test_shuffle_hash_join_full_outer_matches_bruteforce():
     tl = pa.table({"k": pa.array(lk), "lv": pa.array(np.arange(100, dtype=np.int64))})
     tr = pa.table({"k": pa.array(rk), "rv": pa.array(np.arange(60, dtype=np.int64))})
     out = shuffle_hash_join(
-        rd.from_arrow(tl), rd.from_arrow(tr), "k", ["lv"], ["rv"], how="full"
+        rd.from_arrow(tl), rd.from_arrow(tr), "k", ["lv"], ["rv"], how="full",
+        left_schema=tl.schema, right_schema=tr.schema,
     ).take_all()
     got = sorted(
         (
