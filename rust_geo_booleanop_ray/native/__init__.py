@@ -1,7 +1,8 @@
-"""Optional native (C) Martinez kernel, loaded via ctypes.
+"""Optional native (C) Martinez kernel and rasterizer, loaded via ctypes.
 
-Built on first import with the system compiler if available.  The
-library has one entry point, ``martinez_batch``: a whole batch of pairs
+Built on first import with the system compiler if available: one
+library from two sources, with two entry points.  The kernel is
+``martinez_batch`` (martinez.c): a whole batch of pairs
 through the Arrow offset buffers, each operand read in row order or
 through the row indices of an Arrow dictionary column, with one
 reusable workspace per call (no allocation per pair).  It returns the
@@ -34,8 +35,19 @@ known answer is tested against (tests/test_known_answers.py), so under
 ``GEO_NATIVE=0`` those pairs are swept, with the same bits.  ``COORD_MIN``, ``COORD_MAX`` and
 ``SPREAD_MAX``, the gate's bounds, are read from martinez.c.
 
-The library file is named after a hash of the source and the flags, so
-a change to either builds a new one instead of loading a stale build.
+The rasterizer is ``rasterize_counts`` (raster.c,
+``native_rasterize_counts``), the native pass of
+``stages.tiles.rasterize_counts``: the numpy scanline pass's even-odd
+counts, bit for bit, in one pass over the clip column's offset buffers,
+with the same bisections and the same crossing expression.
+``stages.tiles.rasterize_counts`` is the one place that chooses it or
+the numpy pass (``GEO_NATIVE=0``, or no compiler), and it checks every
+grid index before C reads one (tests/test_tiles_raster.py runs every
+case on both passes).
+
+Both sources are compiled with the same flags.  The library file is
+named after a hash of every source and the flags, so a change to any of
+them builds a new one instead of loading a stale build.
 The builds of other hashes are removed once the current build is
 ``PRUNE_AFTER_S`` old, so that on a filesystem that every node shares,
 workers still running the code of a superseded build keep their mapped
@@ -58,6 +70,7 @@ import numpy as np
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SRC = os.path.join(_HERE, "martinez.c")
+_RASTER_SRC = os.path.join(_HERE, "raster.c")
 FLAGS = (
     "-O3", "-fPIC", "-shared",
     "-ffp-contract=off", "-fno-unsafe-math-optimizations",
@@ -83,21 +96,35 @@ _lib = None
 
 
 def lib_path(source: bytes, flags=FLAGS) -> str:
-    """Where the library built from ``source`` with ``flags`` lives."""
+    """Where the library built from ``source`` (``_source()``: every
+    source file compiled into it) with ``flags`` lives."""
     digest = hashlib.sha256(source + "\0".join(flags).encode()).hexdigest()[:12]
     return os.path.join(_HERE, f"_martinez.{digest}.so")
+
+
+def _sources() -> tuple:
+    """The source files compiled into the one library."""
+    return _SRC, _RASTER_SRC
+
+
+def _source() -> bytes:
+    """Every source file's name and bytes, what ``lib_path`` hashes."""
+    parts = []
+    for src in _sources():
+        with open(src, "rb") as f:
+            parts += [os.path.basename(src).encode(), f.read()]
+    return b"\0".join(parts)
 
 
 def _build() -> str | None:
     """Path of the built library, building it if it is missing."""
     try:
-        with open(_SRC, "rb") as f:
-            path = lib_path(f.read())
+        path = lib_path(_source())
         if not os.path.isfile(path):
             # build to a unique temp path + atomic rename: many Ray
             # workers may import (and build) concurrently
             tmp = f"{path}.{os.getpid()}.tmp"
-            cmd = ["cc", *FLAGS, _SRC, "-o", tmp, "-lm"]
+            cmd = ["cc", *FLAGS, *_sources(), "-o", tmp, "-lm"]
             proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
             if proc.returncode != 0:
                 print(f"native kernel build failed:\n{proc.stderr}", file=sys.stderr)
@@ -154,6 +181,13 @@ def _load():
     ]
     lib.martinez_free_batch.restype = None
     lib.martinez_free_batch.argtypes = [dp, i64p, i64p, i64p]
+    lib.rasterize_counts.restype = ctypes.c_int
+    lib.rasterize_counts.argtypes = [
+        dp, i32p, i32p, i32p,
+        ctypes.c_int64, i64p,
+        dp, dp, ctypes.c_int64, ctypes.c_int64,
+        ctypes.POINTER(ctypes.c_uint32),
+    ]
     _lib = lib
     return lib
 
@@ -356,3 +390,38 @@ def martinez(subject_arr, clipping_arr, ops, areas: bool = False):
         return flat_to_arrow(xy, sizes, prc, ppc), classes[:n]
     finally:
         lib.martinez_free_batch(out_xy, out_rs, out_prc, out_ppc)
+
+
+def native_rasterize_counts(clip, xs, ys, grid):
+    """``stages.tiles.rasterize_counts`` by the library's
+    ``rasterize_counts``: the same uint32 counts as the numpy pass, bit
+    for bit, in one pass over ``clip``'s offset buffers.  ``xs`` (G, nx)
+    and ``ys`` (G, ny) are pixel-centre rows and ``grid`` an index into
+    them per row of ``clip``; C reads them unchecked, so
+    ``rasterize_counts`` checks every index before calling here.
+    Returns None only when the native library is unavailable."""
+    lib = _load()
+    if lib is None:
+        return None
+
+    from ..sources.arrow_geom import arrow_mp_offsets
+
+    xy, ring_off, poly_off, mp_off = arrow_mp_offsets(clip)
+    xs = np.ascontiguousarray(xs, np.float64)
+    ys = np.ascontiguousarray(ys, np.float64)
+    grid = np.ascontiguousarray(grid, np.int64)
+    (n_grids, nx), ny = xs.shape, ys.shape[1]
+    out = np.zeros((n_grids, ny, nx), np.uint32)
+    dp = ctypes.POINTER(ctypes.c_double)
+    i32p = ctypes.POINTER(ctypes.c_int32)
+    rc = lib.rasterize_counts(
+        xy.ctypes.data_as(dp), ring_off.ctypes.data_as(i32p),
+        poly_off.ctypes.data_as(i32p), mp_off.ctypes.data_as(i32p),
+        ctypes.c_int64(len(grid)), grid.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
+        xs.ctypes.data_as(dp), ys.ctypes.data_as(dp),
+        ctypes.c_int64(nx), ctypes.c_int64(ny),
+        out.ctypes.data_as(ctypes.POINTER(ctypes.c_uint32)),
+    )
+    if rc != 0:
+        raise MemoryError("rasterize_counts: no memory for its scratch")
+    return out

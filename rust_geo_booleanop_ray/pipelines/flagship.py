@@ -6,7 +6,9 @@ The end-to-end north-star flow, every stage a Dataset transform:
     → derive_footprints           (stateless map_batches, vectorized)
     → TileJoinClip('exact')       (stateless map_batches; Martinez clip)
     → RasterizePartial + part     (map_batches; one scanline pass per
-                                   batch; part = the tile's parent cell)
+                                   batch, in C when the native library
+                                   loads, else numpy, same counts;
+                                   part = the tile's parent cell)
     → groupby(part)               (THE shuffle; moves fixed-size count
                                    rasters, never geometry)
     → merge_rasters               (one call per partition: one sort +

@@ -3,7 +3,9 @@
 Tiles are cells at a fixed resolution (one id space for partitioning,
 join keys and tile naming).  ``RasterizePartial`` turns a batch of
 clipped pieces into one coverage-count raster per tile with a single
-vectorized even-odd scanline pass over the Arrow offset buffers;
+even-odd scanline pass over the Arrow offset buffers
+(``rasterize_counts``: the native library's pass when it loads, else
+the numpy pass, with the same counts bit for bit);
 ``merge_rasters`` sums any number of tiles' partial rasters with one
 sort and one ``reduceat``; ``raster_rects`` extracts maximal
 horizontal-run rectangles back into vector space (raster→vector) in one
@@ -23,6 +25,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .. import native
 from ..sources.arrow_geom import arrow_mp_offsets, flat_to_arrow
 from .cells import cell_bounds_array
 
@@ -80,6 +83,36 @@ def rasterize_counts(clip, xs: np.ndarray, ys: np.ndarray, grid: np.ndarray) -> 
     test and the same ``xint`` float expression.  ``clip`` must hold no
     null rows; empty rings and multipolygons add nothing.
 
+    The one place that chooses the pass, as ``boolean_batch`` chooses
+    the kernel: the native library's (``native.native_rasterize_counts``)
+    when it loads, else the numpy pass (``GEO_NATIVE=0`` or no
+    compiler).  Both give the same counts, bit for bit.  Before either
+    reads a pixel, ``ValueError`` names the first row whose grid index
+    lies outside ``[0, len(xs))``, and rejects ``xs``/``ys`` that are
+    not 2-D with one row per grid, or a ``grid`` whose length is not
+    the column's."""
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    if xs.ndim != 2 or ys.ndim != 2 or len(xs) != len(ys):
+        raise ValueError(
+            f"rasterize_counts: xs {xs.shape} and ys {ys.shape} are not one pixel row each per grid"
+        )
+    grid = np.asarray(grid, dtype=np.intp)
+    if grid.shape != (len(clip),):
+        raise ValueError(f"rasterize_counts: {grid.shape} grid indices for {len(clip)} rows")
+    bad = np.flatnonzero((grid < 0) | (grid >= len(xs)))
+    if len(bad):
+        row = int(bad[0])
+        raise ValueError(
+            f"rasterize_counts: row {row} has grid index {grid[row]} outside [0, {len(xs)})"
+        )
+    # looked up on the module at call time, like native_boolean_batch
+    counts = native.native_rasterize_counts(clip, xs, ys, grid)
+    return _numpy_counts(clip, xs, ys, grid) if counts is None else counts
+
+
+def _numpy_counts(clip, xs: np.ndarray, ys: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """``rasterize_counts``' numpy pass, on checked grid indices.
+
     One pass for the whole column, no per-row Python:
       1. every ring edge ``(v[k], v[k-1])`` from the offset buffers;
       2. the pixel rows each edge crosses, ``(y1 > py) != (y2 > py)`` —
@@ -97,7 +130,6 @@ def rasterize_counts(clip, xs: np.ndarray, ys: np.ndarray, grid: np.ndarray) -> 
     """
     ny, nx = ys.shape[1], xs.shape[1]
     coords, ring_off, poly_off, mp_off = arrow_mp_offsets(clip)
-    grid = np.asarray(grid, dtype=np.intp)
 
     # 1. edges.  A ring with nv vertices has m = nv - closed edges: for
     # i in [0, m), later vertex v[i] and earlier vertex v[i-1 mod m].

@@ -21,7 +21,8 @@ reservation guards against cannot occur, while the CPU split is a measured
 at an effective parallelism of ~12 of 32 CPUs (2.7 s wall) with the
 reservation on, and ~30 of 32 (1.8 s wall) with it off.  That stage did
 26 CPU-s of work then, most of it a per-clip rasterizer since replaced
-by one scanline pass per batch, so it is cheaper today; the argument
+by one scanline pass per batch (native C when the library loads, else
+numpy), so it is cheaper today; the argument
 rests only on its operators being CPU-bound over small blocks, which
 still holds.  Greedy sharing (the pre-2.10 behavior) is the right
 default for this workload shape.

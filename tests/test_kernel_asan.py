@@ -15,7 +15,13 @@ twice, with its rings and in area mode: the areas equal
 fail with the same codes, without a leak.
 Any sanitizer report fails the test, a leak at exit included: the
 splay node `splay_remove` drops under an inconsistent comparator (the
-creeping pair) must come back with the node pool."""
+creeping pair) must come back with the node pool.
+
+The same build runs `rasterize_counts` (`raster.c`, the native pass of
+`stages/tiles.py::rasterize_counts`) over seeded raster batches: sliced
+offsets, empty and 1–2-vertex rings, open rings, NaN and infinite
+vertices, 1- and 2-pixel grids, an empty batch, and grids per tile and
+per clip.  Its counts must equal the numpy pass's."""
 
 import os
 import shutil
@@ -36,6 +42,8 @@ from kernel_cases import (
 )
 from test_boolean_dispatch import OPS, _pairs, _run
 from test_known_answers import CONTAINED_PENTAGON, NEAR_MISSES
+from test_tiles_raster import _batch as _raster_batch
+from test_tiles_raster import _hostile_batch
 
 from rust_geo_booleanop_ray import native
 from rust_geo_booleanop_ray.sources.arrow_geom import (
@@ -44,6 +52,7 @@ from rust_geo_booleanop_ray.sources.arrow_geom import (
     flat_to_arrow,
     mps_to_arrow,
 )
+from rust_geo_booleanop_ray.stages.tiles import _numpy_counts, pixel_centres
 
 CC = shutil.which("cc")
 pytestmark = pytest.mark.skipif(CC is None, reason="no C compiler")
@@ -143,10 +152,21 @@ def _table(rows):
 def driver(tmp_path_factory):
     exe = str(tmp_path_factory.mktemp("asan") / "kernel_asan_driver")
     cmd = [CC, *SANITIZE, "-g", "-O1", "-ffp-contract=off", "-fno-unsafe-math-optimizations",
-           native._SRC, DRIVER, "-o", exe, "-lm"]
+           *native._sources(), DRIVER, "-o", exe, "-lm"]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return exe
+
+
+def _run_driver(args):
+    env = dict(
+        os.environ,
+        ASAN_OPTIONS="detect_leaks=1:halt_on_error=1",
+        UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1",
+    )
+    proc = subprocess.run(args, capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0 and "Sanitizer" not in proc.stderr, proc.stderr
+    assert "runtime error" not in proc.stderr, proc.stderr
 
 
 def test_kernel_is_sanitizer_clean(driver, tmp_path):
@@ -189,14 +209,7 @@ def test_kernel_is_sanitizer_clean(driver, tmp_path):
         f.write(np.int64(len(batches)).tobytes())
         for table, _ in batches:
             _write_batch(f, table)
-    env = dict(
-        os.environ,
-        ASAN_OPTIONS="detect_leaks=1:halt_on_error=1",
-        UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1",
-    )
-    proc = subprocess.run([driver, src, dst], capture_output=True, text=True, env=env, timeout=600)
-    assert proc.returncode == 0 and "Sanitizer" not in proc.stderr, proc.stderr
-    assert "runtime error" not in proc.stderr, proc.stderr
+    _run_driver([driver, src, dst])
 
     results = _read_results(dst, batches)
     assert [r[0] for r in results] == [r[2] for r in results] == [rc for _, rc in batches]
@@ -217,3 +230,52 @@ def test_kernel_is_sanitizer_clean(driver, tmp_path):
     res, classes = results[1][1]
     assert_bit_identical(res, want.take(pa.array(ok)).take(pa.array(pair)))
     assert (classes == engine[pair]).all()
+
+
+def _raster_batches():
+    """(clip column, xs, ys, grid) cases for the raster pass."""
+    cases = []
+    for px, (batch, _) in (
+        (16, _raster_batch(0, 16, 300, degenerate=True)),
+        (1, _raster_batch(1, 1, 300, degenerate=True)),
+        (2, _raster_batch(2, 2, 300, degenerate=True)),
+        (7, _hostile_batch(3, 7, 300)),
+    ):
+        tids, grid = np.unique(batch["tile_id"].to_numpy(), return_inverse=True)
+        xs, ys = pixel_centres(tids, px)
+        clip = batch["clip"].combine_chunks()
+        cases += [
+            (clip, xs, ys, grid),  # a grid per tile
+            (clip, xs[grid], ys[grid], np.arange(len(grid))),  # a grid per clip
+            (clip.slice(37, 200), xs, ys, grid[37:237]),  # sliced offsets
+        ]
+    empty = mps_to_arrow([])
+    cases.append((empty, np.empty((0, 4)), np.empty((0, 4)), np.empty(0, np.int64)))
+    return cases
+
+
+def test_raster_pass_is_sanitizer_clean(driver, tmp_path):
+    cases = _raster_batches()
+    src, dst = str(tmp_path / "raster_in.bin"), str(tmp_path / "raster_out.bin")
+    with open(src, "wb") as f:
+        f.write(np.int64(len(cases)).tobytes())
+        for clip, xs, ys, grid in cases:
+            xy, ring_off, poly_off, mp_off = arrow_mp_offsets(clip)
+            _write_array(f, xy, np.float64)
+            for off in (ring_off, poly_off, mp_off):
+                _write_array(f, off, np.int32)
+            _write_array(f, grid, np.int64)
+            f.write(np.array([len(xs), xs.shape[1], ys.shape[1]], np.int64).tobytes())
+            _write_array(f, xs, np.float64)
+            _write_array(f, ys, np.float64)
+    _run_driver([driver, "raster", src, dst])
+
+    with open(dst, "rb") as f:
+        for clip, xs, ys, grid in cases:
+            assert np.frombuffer(f.read(8), np.int64)[0] == 0
+            shape = (len(xs), ys.shape[1], xs.shape[1])
+            got = np.frombuffer(f.read(4 * int(np.prod(shape))), np.uint32).reshape(shape)
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = _numpy_counts(clip, xs, ys, grid.astype(np.intp))
+            assert np.array_equal(got, want)
+        assert f.read() == b""

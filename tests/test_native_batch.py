@@ -132,16 +132,30 @@ def test_failing_pair_mid_batch_raises_as_alone(pair, op, reason):
         native_boolean_batch(mps_to_arrow(subs), mps_to_arrow(clips), ops)
 
 
-def test_library_path_names_source_and_flags():
+def test_library_path_names_source_and_flags(tmp_path, monkeypatch):
     """A change to the source or to the flags builds a new library
-    instead of loading a stale one."""
+    instead of loading a stale one; the source is every file compiled
+    into the one library, so an edit to martinez.c or to raster.c
+    alone changes its path."""
     src = b"int f(void) { return 0; }\n"
     o2 = tuple("-O2" if f == "-O3" else f for f in native.FLAGS)
     assert native.lib_path(src) == native.lib_path(src, native.FLAGS)
     assert native.lib_path(src, o2) != native.lib_path(src)
     assert native.lib_path(src + b"\n") != native.lib_path(src)
-    with open(native._SRC, "rb") as f:
-        assert native._build() == native.lib_path(f.read())
+    assert native._build() == native.lib_path(native._source())
+    assert [os.path.basename(p) for p in native._sources()] == ["martinez.c", "raster.c"]
+
+    copies = []
+    for name in ("_SRC", "_RASTER_SRC"):
+        copy = tmp_path / os.path.basename(getattr(native, name))
+        shutil.copy(getattr(native, name), copy)
+        monkeypatch.setattr(native, name, str(copy))
+        copies.append(copy)
+    paths = {native.lib_path(native._source())}
+    for copy in copies:
+        copy.write_bytes(copy.read_bytes() + b"\n")
+        paths.add(native.lib_path(native._source()))
+    assert len(paths) == 3
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
@@ -152,8 +166,11 @@ def test_build_prunes_builds_of_other_hashes(tmp_path, monkeypatch):
     the build.  A younger current library leaves them all in place."""
     src = tmp_path / "martinez.c"
     src.write_bytes(b"int f(void) { return 0; }\n")
+    raster = tmp_path / "raster.c"
+    raster.write_bytes(b"int g(void) { return 1; }\n")
     monkeypatch.setattr(native, "_HERE", str(tmp_path))
     monkeypatch.setattr(native, "_SRC", str(src))
+    monkeypatch.setattr(native, "_RASTER_SRC", str(raster))
     stale = tmp_path / "_martinez.000000000000.so"
     in_flight = tmp_path / "_martinez.111111111111.so.4242.tmp"
     stuck = tmp_path / "_martinez.222222222222.so"  # a directory: os.remove fails
@@ -161,10 +178,10 @@ def test_build_prunes_builds_of_other_hashes(tmp_path, monkeypatch):
     for f in (stale, in_flight, other):
         f.write_bytes(b"x")
     stuck.mkdir()
-    every = {"martinez.c", stale.name, in_flight.name, stuck.name, other.name}
+    every = {"martinez.c", "raster.c", stale.name, in_flight.name, stuck.name, other.name}
 
     path = native._build()  # builds; the new library is too young to prune
-    assert path == native.lib_path(src.read_bytes())
+    assert path == native.lib_path(native._source())
     assert {p.name for p in tmp_path.iterdir()} == every | {os.path.basename(path)}
 
     old = time.time() - native.PRUNE_AFTER_S - 60
